@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer, onReady func(addr string)) int
 		workers     = fs.Int("workers", 0, "solver pool size (0: size from the paper's Eq. 6.8, clamped to GOMAXPROCS)")
 		queue       = fs.Int("queue", 64, "admission queue depth before 503 shedding")
 		queueWait   = fs.Duration("queue-wait", time.Second, "max time a request waits for a solver before 429")
-		timeout     = fs.Duration("timeout", 10*time.Second, "per-request deadline")
+		timeout     = fs.Duration("timeout", 10*time.Second, "per-request deadline on admission wait plus solve, from first admission (cache hits never start it)")
 		cacheSize   = fs.Int("cache", 1024, "solve-cache entries (-1: disable memoization, keep singleflight)")
 		sweepPoints = fs.Int("sweep-points", 4096, "max points per /v1/sweep request")
 		sweepJobs   = fs.Int("sweep-jobs", 0, "max fan-out per /v1/sweep request (0: worker count)")

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+	"sync"
 )
 
 // ParamValidate flags exported entry points — in the module's root
@@ -36,7 +37,10 @@ type ParamValidate struct {
 	// computed module-wide.
 	ReportScope func(pkgPath string) bool
 
-	summary map[*types.Func]map[int]*pvParam
+	// summaries builds summary once, on first use: the parallel driver
+	// runs Check on several packages at once.
+	summaries sync.Once
+	summary   map[*types.Func]map[int]*pvParam
 }
 
 func (*ParamValidate) Name() string { return "paramvalidate" }
@@ -71,9 +75,7 @@ func (a *ParamValidate) Check(l *Loader, pkg *Package) []Diagnostic {
 			return p == l.ModulePath || suffixScope([]string{"internal/core"})(p)
 		}
 	}
-	if a.summary == nil {
-		a.buildSummaries(l)
-	}
+	a.summaries.Do(func() { a.buildSummaries(l) })
 	if !scope(pkg.Path) {
 		return nil
 	}

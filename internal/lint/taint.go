@@ -224,7 +224,6 @@ var taintSinks = []sinkSpec{
 	// The serve layer's canonical cache key: a nondeterministic
 	// component would fracture the cache and break hit/cold byte
 	// identity.
-	{"internal/serve", "keyWriter", "str", 0, "a cache key"},
 	{"internal/serve", "keyWriter", "num", 0, "a cache key"},
 	{"internal/serve", "keyWriter", "int", 0, "a cache key"},
 	{"internal/serve", "keyWriter", "bool", 0, "a cache key"},

@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func benchServer(b *testing.B, cacheSize int) http.Handler {
@@ -126,6 +131,209 @@ func BenchmarkServeSweep(b *testing.B) {
 		body := `{"points":[` + strings.Join(points, ",") + `],"jobs":8}`
 		if code := benchPost(h, "/v1/sweep", body); code != http.StatusOK {
 			b.Fatalf("status %d", code)
+		}
+	}
+}
+
+// replayBody is a request body that rewinds without allocating, so the
+// stage benchmarks and the allocation guard count only the server's
+// own allocations.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// sinkWriter is a ResponseWriter that reuses one header map and keeps
+// only the status.
+type sinkWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *sinkWriter) Header() http.Header { return w.h }
+func (w *sinkWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+}
+
+func (w *sinkWriter) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return len(b), nil
+}
+
+func (w *sinkWriter) reset() {
+	clear(w.h)
+	w.status = 0
+}
+
+// benchGeneralBody is a /v1/general request shaped like the repository
+// benchmark's: P = 8, homogeneous visits, full-precision floats.
+var benchGeneralBody = func() string {
+	const n = 8
+	q := generalRequest{P: n, V: core.HomogeneousVisits(n), St: 41.27318846, So: []float64{173.5310926553}, C2: 0.6180339887}
+	for i := 0; i < n; i++ {
+		q.W = append(q.W, 200+371.3713713713*float64(i))
+	}
+	data, err := json.Marshal(q)
+	if err != nil {
+		panic(err)
+	}
+	return string(data)
+}()
+
+// cachedHit is one server-side request replay of a hot key: a server
+// whose cache already holds body's answer, and one reusable request
+// and writer for it.
+type cachedHit struct {
+	s    *Server
+	h    http.Handler
+	req  *http.Request
+	body *replayBody
+	data []byte
+	w    *sinkWriter
+}
+
+func newCachedHit(tb testing.TB, path, body string) *cachedHit {
+	tb.Helper()
+	s := New(Config{Workers: 2, QueueDepth: 8})
+	c := &cachedHit{
+		s: s, h: s.Handler(),
+		req:  httptest.NewRequest(http.MethodPost, path, nil),
+		body: &replayBody{},
+		data: []byte(body),
+		w:    &sinkWriter{h: http.Header{}},
+	}
+	if code := c.serve(); code != http.StatusOK {
+		tb.Fatalf("warm-up %s: status %d", path, code)
+	}
+	if code := c.serve(); code != http.StatusOK || c.w.h.Get("X-Lopc-Cache") != "hit" {
+		tb.Fatalf("replay %s: status %d, cache %q; want a 200 hit", path, code, c.w.h.Get("X-Lopc-Cache"))
+	}
+	return c
+}
+
+// serve replays the request once and returns the response status.
+func (c *cachedHit) serve() int {
+	c.body.Reset(c.data)
+	c.req.Body = c.body
+	c.w.reset()
+	c.h.ServeHTTP(c.w, c.req)
+	return c.w.status
+}
+
+// Allocation ceilings of one cached request, server side only, as
+// measured after the decoder, key and deadline rework (BENCH_serve.json
+// "stages"). They are "at most" bounds: sync.Pool may drop a buffer at
+// a collection, which costs an extra allocation now and then.
+const (
+	maxAllocsCachedAllToAll = 5
+	maxAllocsCachedGeneral  = 16
+)
+
+// TestCachedHitAllocs guards the allocation count of cached /v1/alltoall
+// and /v1/general hits against regressions of the request path.
+func TestCachedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, c := range []struct {
+		path, body string
+		max        float64
+	}{
+		{"/v1/alltoall", validAllToAll, maxAllocsCachedAllToAll},
+		{"/v1/general", benchGeneralBody, maxAllocsCachedGeneral},
+	} {
+		hit := newCachedHit(t, c.path, c.body)
+		got := testing.AllocsPerRun(200, func() {
+			if code := hit.serve(); code != http.StatusOK {
+				t.Fatalf("%s: status %d", c.path, code)
+			}
+		})
+		if got > c.max {
+			t.Errorf("%s cached hit: %.1f allocs per request, want at most %.0f", c.path, got, c.max)
+		}
+	}
+}
+
+// BenchmarkServeStages is the per-stage cost ledger of a cached request:
+// decode, key, cache lookup, write and the instrument wrapper, each on
+// its own, then the whole server-side request, for the cached
+// /v1/alltoall and /v1/general paths.
+func BenchmarkServeStages(b *testing.B) {
+	for _, c := range []struct {
+		name, path, body string
+		req              func() requestBody
+		key              func(k *keyWriter, q requestBody) []byte
+	}{
+		{"alltoall", "/v1/alltoall", validAllToAll,
+			func() requestBody { return &alltoallRequest{} },
+			func(k *keyWriter, q requestBody) []byte {
+				p, err := q.(*alltoallRequest).params()
+				if err != nil {
+					panic(err)
+				}
+				return k.allToAll(p, 0)
+			}},
+		{"general", "/v1/general", benchGeneralBody,
+			func() requestBody { return &generalRequest{} },
+			func(k *keyWriter, q requestBody) []byte {
+				r := q.(*generalRequest)
+				return k.general(core.GeneralParams{P: r.P, W: r.W, V: r.V, St: r.St, So: r.So, C2: r.C2})
+			}},
+	} {
+		hit := newCachedHit(b, c.path, c.body)
+		body := &replayBody{}
+		// decode reads the body into a fresh request, as a handler does.
+		decode := func() requestBody {
+			q := c.req()
+			body.Reset(hit.data)
+			d := decoderPool.Get().(*decoder)
+			err := d.load(body)
+			if err == nil {
+				err = d.decode(q.decode)
+			}
+			d.free()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return q
+		}
+		q := decode()
+		kw := &keyWriter{}
+		key := append([]byte(nil), c.key(kw, q)...)
+		data, _, err := hit.s.cache.get(key, func() ([]byte, error) { return nil, errors.New("not cached") })
+		if err != nil {
+			b.Fatal(err)
+		}
+		noop := hit.s.instrument("/v1/stage-noop", func(http.ResponseWriter, *http.Request) {})
+
+		stages := []struct {
+			name string
+			run  func()
+		}{
+			{"decode", func() { decode() }},
+			{"key", func() { c.key(kw, q) }},
+			{"lookup", func() {
+				_, _, _ = hit.s.cache.get(key, func() ([]byte, error) { return nil, errors.New("not cached") })
+			}},
+			{"write", func() {
+				hit.w.reset()
+				hit.s.writeCached(hit.w, data, outcomeHit)
+			}},
+			{"instrument", func() {
+				body.Reset(hit.data)
+				hit.req.Body = body
+				noop.ServeHTTP(hit.w, hit.req)
+			}},
+			{"total", func() { hit.serve() }},
+		}
+		for _, st := range stages {
+			b.Run(c.name+"/"+st.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					st.run()
+				}
+			})
 		}
 	}
 }

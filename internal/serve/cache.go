@@ -65,31 +65,34 @@ func (c *solveCache) len() int {
 // get returns the cached response for key, or runs solve to produce it.
 // Concurrent gets for the same key collapse onto one solve call; errors
 // are returned to every collapsed waiter but never cached, so a
-// transient failure doesn't poison the key.
-func (c *solveCache) get(key string, solve func() ([]byte, error)) ([]byte, outcome, error) {
+// transient failure doesn't poison the key. key is only read during the
+// call: a hit or a collapse copies nothing, and a miss keeps its own
+// string copy.
+func (c *solveCache) get(key []byte, solve func() ([]byte, error)) ([]byte, outcome, error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		val := el.Value.(*cacheEntry).val
 		c.mu.Unlock()
 		return val, outcomeHit, nil
 	}
-	if fc, ok := c.calls[key]; ok {
+	if fc, ok := c.calls[string(key)]; ok {
 		c.mu.Unlock()
 		<-fc.done
 		return fc.val, outcomeCollapsed, fc.err
 	}
+	k := string(key)
 	fc := &flightCall{done: make(chan struct{})}
-	c.calls[key] = fc
+	c.calls[k] = fc
 	c.mu.Unlock()
 
 	fc.val, fc.err = solve()
 	close(fc.done)
 
 	c.mu.Lock()
-	delete(c.calls, key)
+	delete(c.calls, k)
 	if fc.err == nil && c.cap > 0 {
-		c.insert(key, fc.val)
+		c.insert(k, fc.val)
 	}
 	c.mu.Unlock()
 	return fc.val, outcomeMiss, fc.err

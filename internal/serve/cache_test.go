@@ -14,23 +14,23 @@ func TestCacheHitAndEvict(t *testing.T) {
 	solve := func(v string) func() ([]byte, error) {
 		return func() ([]byte, error) { solves++; return []byte(v), nil }
 	}
-	if _, o, _ := c.get("a", solve("A")); o != outcomeMiss {
+	if _, o, _ := c.get([]byte("a"), solve("A")); o != outcomeMiss {
 		t.Fatalf("first a: %v, want miss", o)
 	}
-	if v, o, _ := c.get("a", solve("wrong")); o != outcomeHit || string(v) != "A" {
+	if v, o, _ := c.get([]byte("a"), solve("wrong")); o != outcomeHit || string(v) != "A" {
 		t.Fatalf("second a: %q/%v, want A/hit", v, o)
 	}
-	_, _, _ = c.get("b", solve("B"))
-	_, _, _ = c.get("a", solve("wrong")) // refresh a: b is now LRU
-	_, _, _ = c.get("c", solve("C"))     // evicts b; order c, a
-	if _, o, _ := c.get("b", solve("B2")); o != outcomeMiss {
+	_, _, _ = c.get([]byte("b"), solve("B"))
+	_, _, _ = c.get([]byte("a"), solve("wrong")) // refresh a: b is now LRU
+	_, _, _ = c.get([]byte("c"), solve("C"))     // evicts b; order c, a
+	if _, o, _ := c.get([]byte("b"), solve("B2")); o != outcomeMiss {
 		t.Errorf("evicted b: %v, want miss", o)
 	}
 	// Re-inserting b evicted a (the LRU after c's insert); c survives.
-	if _, o, _ := c.get("c", solve("wrong")); o != outcomeHit {
+	if _, o, _ := c.get([]byte("c"), solve("wrong")); o != outcomeHit {
 		t.Errorf("c evicted early? outcome %v, want hit", o)
 	}
-	if _, o, _ := c.get("a", solve("A2")); o != outcomeMiss {
+	if _, o, _ := c.get([]byte("a"), solve("A2")); o != outcomeMiss {
 		t.Errorf("evicted a: %v, want miss", o)
 	}
 	if solves != 5 { // A, B, C, B2, A2
@@ -45,10 +45,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 	c := newSolveCache(8)
 	calls := 0
 	fail := func() ([]byte, error) { calls++; return nil, errors.New("boom") }
-	if _, _, err := c.get("k", fail); err == nil {
+	if _, _, err := c.get([]byte("k"), fail); err == nil {
 		t.Fatal("error not propagated")
 	}
-	if _, o, err := c.get("k", fail); err == nil || o != outcomeMiss {
+	if _, o, err := c.get([]byte("k"), fail); err == nil || o != outcomeMiss {
 		t.Fatalf("second call: outcome %v err %v, want miss with error", o, err)
 	}
 	if calls != 2 {
@@ -60,10 +60,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 // memoization but concurrent identical requests still collapse.
 func TestCacheDisabledKeepsSingleflight(t *testing.T) {
 	c := newSolveCache(-1)
-	if _, o, _ := c.get("k", func() ([]byte, error) { return []byte("v"), nil }); o != outcomeMiss {
+	if _, o, _ := c.get([]byte("k"), func() ([]byte, error) { return []byte("v"), nil }); o != outcomeMiss {
 		t.Fatalf("outcome %v, want miss", o)
 	}
-	if _, o, _ := c.get("k", func() ([]byte, error) { return []byte("v"), nil }); o != outcomeMiss {
+	if _, o, _ := c.get([]byte("k"), func() ([]byte, error) { return []byte("v"), nil }); o != outcomeMiss {
 		t.Errorf("disabled cache served a hit (%v)", o)
 	}
 	if c.len() != 0 {
@@ -94,7 +94,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 	vals := make([][]byte, waiters)
 	leaderDone := make(chan error, 1)
 	go func() {
-		v, o, err := c.get("k", slowSolve)
+		v, o, err := c.get([]byte("k"), slowSolve)
 		outcomes[0], vals[0] = o, v
 		leaderDone <- err
 	}()
@@ -107,7 +107,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			entered.Done()
-			v, o, err := c.get("k", func() ([]byte, error) {
+			v, o, err := c.get([]byte("k"), func() ([]byte, error) {
 				return nil, errors.New("waiter ran its own solve")
 			})
 			if err != nil {
@@ -159,6 +159,10 @@ func TestQuantize(t *testing.T) {
 		{1e300, 1e300 * (1 + 1e-12), true},
 		{-5, 5, false},
 		{0.1, 0.1000000000001, true},
+		// Below ~1e-300 the decimal scale overflows: each value keeps
+		// its own bits instead of quantizing to NaN.
+		{1e-310, 7e-305, false},
+		{5e-324, 5e-324, true},
 	}
 	for _, c := range cases {
 		got := quantize(c.a) == quantize(c.b)
@@ -180,30 +184,36 @@ func TestKeyUniqueness(t *testing.T) {
 		keys[key] = name
 	}
 	p := core.Params{P: 32, W: 1000, St: 40, So: 200}
-	add("base", keyAllToAll(p, 0))
-	add("n=100", keyAllToAll(p, 100))
+	add("base", string(new(keyWriter).allToAll(p, 0)))
+	add("n=100", string(new(keyWriter).allToAll(p, 100)))
 	pp := p
 	pp.ProtocolProcessor = true
-	add("protocol processor", keyAllToAll(pp, 0))
+	add("protocol processor", string(new(keyWriter).allToAll(pp, 0)))
 	ps := p
 	ps.Priority = core.ShadowServer
-	add("priority", keyAllToAll(ps, 0))
+	add("priority", string(new(keyWriter).allToAll(ps, 0)))
 	pw := p
 	pw.W++
-	add("w+1", keyAllToAll(pw, 0))
+	add("w+1", string(new(keyWriter).allToAll(pw, 0)))
+
+	ptiny := p
+	ptiny.W = 1e-310
+	add("w=1e-310", string(new(keyWriter).allToAll(ptiny, 0)))
+	ptiny.W = 7e-305
+	add("w=7e-305", string(new(keyWriter).allToAll(ptiny, 0)))
 
 	cs := core.ClientServerParams{P: 32, Ps: 8, W: 1000, St: 40, So: 200}
-	add("workpile", keyWorkpile(cs))
-	add("bounds", keyBounds(cs))
+	add("workpile", string(new(keyWriter).workpile(cs)))
+	add("bounds", string(new(keyWriter).bounds(cs)))
 }
 
 func BenchmarkCacheGetHit(b *testing.B) {
 	c := newSolveCache(1024)
-	_, _, _ = c.get("k", func() ([]byte, error) { return []byte("v"), nil })
+	_, _, _ = c.get([]byte("k"), func() ([]byte, error) { return []byte("v"), nil })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = c.get("k", func() ([]byte, error) {
+		_, _, _ = c.get([]byte("k"), func() ([]byte, error) {
 			b.Fatal("hit path ran the solver")
 			return nil, nil
 		})

@@ -73,7 +73,7 @@ type whatifResponse struct {
 
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	var req whatifRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, req.decode) {
 		return
 	}
 	f, ok := s.calib.Params()

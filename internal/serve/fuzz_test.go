@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,6 +69,128 @@ func FuzzRequestDecoding(f *testing.F) {
 			strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json") {
 			if !strings.Contains(rec.Body.String(), `"error"`) {
 				t.Fatalf("status %d without error envelope: %s", rec.Code, rec.Body.Bytes())
+			}
+		}
+	})
+}
+
+// requestBody is a /v1 request type.
+type requestBody interface{ decode(d *decoder) }
+
+// decodeTargets are the request types the /v1 endpoints decode.
+var decodeTargets = []struct {
+	name string
+	new  func() requestBody
+}{
+	{"alltoall", func() requestBody { return new(alltoallRequest) }},
+	{"workpile", func() requestBody { return new(workpileRequest) }},
+	{"general", func() requestBody { return new(generalRequest) }},
+	{"fit", func() requestBody { return new(fitRequest) }},
+	{"sweep", func() requestBody { return new(sweepRequest) }},
+	{"lock", func() requestBody { return new(lockRequest) }},
+	{"lockfree", func() requestBody { return new(lockFreeRequest) }},
+	{"whatif", func() requestBody { return new(whatifRequest) }},
+}
+
+// decodeBody runs the server's decoder over body as decodeRequest does.
+func decodeBody(body []byte, dst requestBody) error {
+	d := decoderPool.Get().(*decoder)
+	defer d.free()
+	if err := d.load(bytes.NewReader(body)); err != nil {
+		return err
+	}
+	return d.decode(dst.decode)
+}
+
+// referenceDecode is the decoding the server's reader replaces:
+// encoding/json with unknown fields disallowed, then a second Decode
+// that must find nothing but the end of the input.
+func referenceDecode(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); !errors.Is(err, io.EOF) {
+		return errTrailing
+	}
+	return nil
+}
+
+// FuzzDecodeMatchesEncodingJSON decodes every body as each request type
+// with both the server's reader and encoding/json: they must agree on
+// accepting it, on whether a rejection is trailing data, and on the
+// decoded struct. Seeded with FuzzRequestDecoding's bodies plus the
+// corners of the reference's behaviour.
+func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
+	for _, body := range []string{
+		// FuzzRequestDecoding's corpus.
+		validAllToAll,
+		`{"p":32,`,
+		`{"p":32,"w":1000,"so":200,"bogus":1}`,
+		validAllToAll + `{"again":true}`,
+		`{"p":32,"w":1e999,"so":200}`,
+		`{"p":-1,"w":-2,"st":-3,"so":-4,"c2":-5,"n":-6}`,
+		`{"p":32,"w":1000,"so":200,"priority":"zz"}`,
+		`{"p":32,"ps":8,"w":1500,"st":40,"so":131}`,
+		`{"p":32,"ps":0,"w":1500,"so":131}`,
+		`{"p":2,"w":[1,1],"v":[[0,1],[1,0]],"so":[5]}`,
+		`{"p":16,"observations":[{"w":0,"r":900},{"w":512,"r":1400},{"w":2048,"r":2950}]}`,
+		`{"points":[` + validAllToAll + `],"jobs":2}`,
+		`{"points":[],"jobs":-9}`,
+		"",
+		"{}",
+		// Whole-document shapes.
+		"null", " \t\r\n{} \n", "[]", `"x"`, "1", "true", "{} {}", "{}x", "{}}", "\ufeff{}",
+		// Keys: case folding, escapes, Unicode folds (ſ is s, K is k).
+		`{"P":32,"W":1,"Protocol_Processor":true}`,
+		"{\"p\":32,\"\u212a\":1}", `{"\u0070":32,"s\u006f":1}`,
+		"{\"\u017fo\":1,\"\u017ft\":2}", `{"\u017fo":1}`,
+		`{"threads":1,"THREADS":2}`,
+		`{"add_servers":1,"Add_Servers":2,"scale_w":0.5}`,
+		// null, repeated keys and slice reuse.
+		`{"p":3,"p":null,"priority":null,"protocol_processor":null}`,
+		`{"w":[1,2],"w":[null]}`,
+		`{"w":[1,2,3],"w":[null],"w":[null,null,null]}`,
+		`{"w":[1,2,3,4,5,6,7,8,9],"w":[],"w":[null]}`,
+		`{"v":[[1,2],[3]],"v":[[null],null]}`,
+		`{"so":null,"so":[null]}`,
+		`{"observations":[{"w":1,"r":2,"rq":3}],"observations":[{"w":5}]}`,
+		`{"observations":[null,{}]}`,
+		`{"points":[{"p":1,"n":3}],"points":[{"w":2}],"jobs":null}`,
+		// Numbers.
+		`{"p":1.5}`, `{"p":1e2}`, `{"p":-0}`, `{"p":9223372036854775808}`, `{"p":-9223372036854775808}`,
+		`{"w":-1e-400}`, `{"w":1E+2}`, `{"w":.5}`, `{"w":-}`, `{"w":1.}`, `{"w":1e}`, `{"w":01}`,
+		`{"w":Infinity}`, `{"w":NaN}`, `{"w":0x10}`, `{"w":1_000}`, `{"w":+1}`,
+		// Kinds a field cannot hold.
+		`{"p":"1"}`, `{"p":true}`, `{"p":[1]}`, `{"p":{}}`, `{"w":[1,"x",3]}`,
+		`{"priority":1}`, `{"protocol_processor":"true"}`, `{"v":[1]}`, `{"observations":{}}`,
+		// Literals and strings.
+		`{"priority":"shadow"}`, `{"priority":"\ud800"}`, "{\"priority\":\"\xff\"}",
+		`{"priority":"a\/b\"\\\b\f\n\r\t"}`, `{"priority":"\x"}`, `{"priority":"\u12"}`,
+		"{\"priority\":\"a\tb\"}", `{"protocol_processor":tru}`, `{"p":nul}`, `{"p":nullx}`,
+		// Syntax around members.
+		`{"p":1,}`, `{,}`, `{"p" 1}`, `{"p":1 "w":2}`, `{p:1}`, `{"p":[}`, `{"bogus":{"a":[1,{"b":null}]}}`,
+		// Nesting at and past encoding/json's depth limit.
+		`{"bogus":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
+		`{"bogus":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, target := range decodeTargets {
+			got, want := target.new(), target.new()
+			errGot := decodeBody(body, got)
+			errWant := referenceDecode(body, want)
+			if (errGot == nil) != (errWant == nil) {
+				t.Fatalf("%s %q: reader error %v, encoding/json error %v", target.name, body, errGot, errWant)
+			}
+			if errors.Is(errGot, errTrailing) != errors.Is(errWant, errTrailing) {
+				t.Fatalf("%s %q: reader error %v, encoding/json error %v", target.name, body, errGot, errWant)
+			}
+			if errGot == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %q: reader decoded %+v, encoding/json %+v", target.name, body, got, want)
 			}
 		}
 	})

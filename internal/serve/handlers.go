@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -27,24 +26,28 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodeRequest parses one JSON request body strictly: POST only,
-// unknown fields rejected, trailing garbage rejected. It writes the
-// error response itself and reports whether the handler should go on.
-func decodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
+// decodeRequest parses one JSON request body strictly (see decode.go):
+// POST only, unknown fields rejected, trailing garbage rejected. It
+// writes the error response itself and reports whether the handler
+// should go on.
+func decodeRequest(w http.ResponseWriter, r *http.Request, decode func(*decoder)) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		_ = writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST with a JSON body"})
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		_ = writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
-		return false
+	d := decoderPool.Get().(*decoder)
+	err := d.load(r.Body)
+	if err == nil {
+		err = d.decode(decode)
 	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); !errors.Is(err, io.EOF) {
-		_ = writeJSON(w, http.StatusBadRequest, errorResponse{Error: "trailing data after JSON request"})
+	d.free()
+	switch {
+	case errors.Is(err, errTrailing):
+		_ = writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return false
+	case err != nil:
+		_ = writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
 		return false
 	}
 	return true
@@ -73,32 +76,45 @@ func writeSolveError(w http.ResponseWriter, err error) {
 	_ = writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
 }
 
-// recordOutcome bumps the cache counters and names the outcome for the
-// X-Lopc-Cache response header.
-func (s *Server) recordOutcome(o outcome) string {
+// recordOutcome bumps the cache counter of outcome o.
+func (s *Server) recordOutcome(o outcome) {
 	switch o {
 	case outcomeHit:
 		s.met.cacheHits.Add(1)
-		return "hit"
 	case outcomeCollapsed:
 		s.met.cacheCollapsed.Add(1)
-		return "collapsed"
 	default:
 		s.met.cacheMisses.Add(1)
-		return "miss"
 	}
 }
 
+// The fixed parts of a cached response. writeCached assigns the header
+// slices to the header map directly: the keys are already canonical, so
+// Header.Set's canonicalization and per-call slice buy nothing, and
+// net/http only ever reads header values.
+var (
+	cacheHeader = [...][]string{
+		outcomeMiss:      {"miss"},
+		outcomeHit:       {"hit"},
+		outcomeCollapsed: {"collapsed"},
+	}
+	jsonContentType = []string{"application/json"}
+	newline         = []byte("\n")
+)
+
 // writeCached writes one cached (or just-solved) response body. The
 // stored bytes carry no cache markers — hit and cold responses are
-// byte-identical — so the outcome travels in a header instead.
+// byte-identical — so the outcome travels in the X-Lopc-Cache header
+// instead.
 func (s *Server) writeCached(w http.ResponseWriter, data []byte, o outcome) {
-	w.Header().Set("X-Lopc-Cache", s.recordOutcome(o))
-	w.Header().Set("Content-Type", "application/json")
+	s.recordOutcome(o)
+	h := w.Header()
+	h["X-Lopc-Cache"] = cacheHeader[o]
+	h["Content-Type"] = jsonContentType
 	if _, err := w.Write(data); err != nil {
 		return
 	}
-	_, _ = w.Write([]byte("\n"))
+	_, _ = w.Write(newline)
 }
 
 // marshalResponse renders a response payload into its canonical cached
@@ -194,7 +210,9 @@ func solveAllToAll(p core.Params, n int, o obspkg.SolveObserver) (alltoallRespon
 // solve closure runs only on a miss; admit wraps it with (or without)
 // admission control depending on the caller.
 func (s *Server) cachedAllToAll(p core.Params, n int, admit func(func() ([]byte, error)) ([]byte, error)) ([]byte, outcome, error) {
-	return s.cache.get(keyAllToAll(p, n), func() ([]byte, error) {
+	k := newKeyWriter()
+	defer k.free()
+	return s.cache.get(k.allToAll(p, n), func() ([]byte, error) {
 		return admit(func() ([]byte, error) {
 			out, err := solveAllToAll(p, n, s.conv)
 			if err != nil {
@@ -205,19 +223,21 @@ func (s *Server) cachedAllToAll(p core.Params, n int, admit func(func() ([]byte,
 	})
 }
 
-// admitted wraps a solve closure with admission control: it claims a
-// solver slot (respecting the request deadline) for the duration of
-// the solve, and records the occupancy as the request's service time.
-func (s *Server) admitted(ctx context.Context) func(func() ([]byte, error)) ([]byte, error) {
-	return func(solve func() ([]byte, error)) ([]byte, error) {
-		release, err := s.adm.acquire(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		defer s.beginService(ctx)()
-		return solve()
+// admit runs solve under admission control: it claims a solver slot
+// for the duration of the solve, and records the occupancy as the
+// request's service time. The request deadline is armed here, where a
+// request first can block on its context, so it bounds admission wait
+// plus solve, and cache hits never start a timer.
+func (s *Server) admit(ctx context.Context, solve func() ([]byte, error)) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	defer cancel()
+	release, err := s.adm.acquire(ctx)
+	if err != nil {
+		return nil, err
 	}
+	defer release()
+	defer s.beginService(ctx)()
+	return solve()
 }
 
 // unadmitted runs the solve directly — for sweep points, whose request
@@ -226,7 +246,7 @@ func unadmitted(solve func() ([]byte, error)) ([]byte, error) { return solve() }
 
 func (s *Server) handleAllToAll(w http.ResponseWriter, r *http.Request) {
 	var req alltoallRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, req.decode) {
 		return
 	}
 	p, err := req.params()
@@ -234,7 +254,9 @@ func (s *Server) handleAllToAll(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	data, o, err := s.cachedAllToAll(p, req.N, s.admitted(r.Context()))
+	data, o, err := s.cachedAllToAll(p, req.N, func(solve func() ([]byte, error)) ([]byte, error) {
+		return s.admit(r.Context(), solve)
+	})
 	if err != nil {
 		writeSolveError(w, err)
 		return
@@ -297,7 +319,7 @@ func solveWorkpile(p core.ClientServerParams, o obspkg.SolveObserver) (workpileR
 
 func (s *Server) handleWorkpile(w http.ResponseWriter, r *http.Request) {
 	var req workpileRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, req.decode) {
 		return
 	}
 	p, err := req.params()
@@ -305,8 +327,10 @@ func (s *Server) handleWorkpile(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	data, o, err := s.cache.get(keyWorkpile(p), func() ([]byte, error) {
-		return s.admitted(r.Context())(func() ([]byte, error) {
+	k := newKeyWriter()
+	defer k.free()
+	data, o, err := s.cache.get(k.workpile(p), func() ([]byte, error) {
+		return s.admit(r.Context(), func() ([]byte, error) {
 			out, err := solveWorkpile(p, s.conv)
 			if err != nil {
 				return nil, err
@@ -334,7 +358,7 @@ type boundsResponse struct {
 
 func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	var req workpileRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, req.decode) {
 		return
 	}
 	p, err := req.params()
@@ -345,7 +369,9 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	if p.Ps == 0 {
 		p.Ps = 1 // bounds need a concrete split; 1 is the conventional floor
 	}
-	data, o, err := s.cache.get(keyBounds(p), func() ([]byte, error) {
+	k := newKeyWriter()
+	defer k.free()
+	data, o, err := s.cache.get(k.bounds(p), func() ([]byte, error) {
 		// Bounds are closed forms — no fixed point, no admission needed.
 		server, client := core.ClientServerBounds(p)
 		opt, err := core.OptimalServersInt(p)
@@ -395,7 +421,7 @@ type generalResponse struct {
 
 func (s *Server) handleGeneral(w http.ResponseWriter, r *http.Request) {
 	var req generalRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, req.decode) {
 		return
 	}
 	p := core.GeneralParams{
@@ -406,8 +432,10 @@ func (s *Server) handleGeneral(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	data, o, err := s.cache.get(keyGeneral(p), func() ([]byte, error) {
-		return s.admitted(r.Context())(func() ([]byte, error) {
+	k := newKeyWriter()
+	defer k.free()
+	data, o, err := s.cache.get(k.general(p), func() ([]byte, error) {
+		return s.admit(r.Context(), func() ([]byte, error) {
 			res, err := core.GeneralObserved(p, s.conv)
 			if err != nil {
 				return nil, err
@@ -449,15 +477,17 @@ type fitResponse struct {
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	var req fitRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, req.decode) {
 		return
 	}
 	obs := make([]fit.Observation, len(req.Observations))
 	for i, o := range req.Observations {
 		obs[i] = fit.Observation{W: o.W, R: o.R, Rq: o.Rq}
 	}
-	data, o, err := s.cache.get(keyFit(obs, req.P, req.C2), func() ([]byte, error) {
-		return s.admitted(r.Context())(func() ([]byte, error) {
+	k := newKeyWriter()
+	defer k.free()
+	data, o, err := s.cache.get(k.fit(obs, req.P, req.C2), func() ([]byte, error) {
+		return s.admit(r.Context(), func() ([]byte, error) {
 			res, err := fit.AllToAllObserved(obs, req.P, req.C2, s.conv)
 			if err != nil {
 				return nil, err
@@ -494,7 +524,7 @@ type sweepResponse struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, req.decode) {
 		return
 	}
 	if len(req.Points) == 0 {
@@ -524,16 +554,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// One admission slot covers the whole sweep; the fan-out width is
 	// bounded separately by MaxSweepJobs, so a sweep can never occupy
 	// more of the machine than one worker slot plus its own job cap.
-	release, err := s.adm.acquire(r.Context())
+	// The request deadline bounds the admission wait and the fan-out.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	release, err := s.adm.acquire(ctx)
 	if err != nil {
 		writeSolveError(w, err)
 		return
 	}
 	defer release()
 	// The whole fan-out occupies one slot, so it is one service visit.
-	defer s.beginService(r.Context())()
+	defer s.beginService(ctx)()
 
-	results, err := runner.MapCtx(r.Context(), len(params), runner.Options{Jobs: jobs}, func(i int) (json.RawMessage, error) {
+	results, err := runner.MapCtx(ctx, len(params), runner.Options{Jobs: jobs}, func(i int) (json.RawMessage, error) {
 		data, o, err := s.cachedAllToAll(params[i], ns[i], unadmitted)
 		if err != nil {
 			return nil, err

@@ -28,19 +28,9 @@ type lockResponse struct {
 	Uncontended float64 `json:"uncontended_bound"`
 }
 
-func keyLock(p core.LockParams) string {
-	k := newKey("lock")
-	k.int(p.Threads)
-	k.num(p.W)
-	k.num(p.St)
-	k.num(p.So)
-	k.num(p.C2)
-	return k.String()
-}
-
 func (s *Server) handleLock(w http.ResponseWriter, r *http.Request) {
 	var req lockRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, req.decode) {
 		return
 	}
 	p := core.LockParams{Threads: req.Threads, W: req.W, St: req.St, So: req.So, C2: req.C2}
@@ -48,8 +38,10 @@ func (s *Server) handleLock(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	data, o, err := s.cache.get(keyLock(p), func() ([]byte, error) {
-		return s.admitted(r.Context())(func() ([]byte, error) {
+	k := newKeyWriter()
+	defer k.free()
+	data, o, err := s.cache.get(k.lock(p), func() ([]byte, error) {
+		return s.admit(r.Context(), func() ([]byte, error) {
 			res, err := core.LockObserved(p, s.conv)
 			if err != nil {
 				return nil, err
@@ -92,19 +84,9 @@ type lockFreeResponse struct {
 	ConflictFree float64  `json:"conflict_free_bound"`
 }
 
-func keyLockFree(p core.LockFreeParams) string {
-	k := newKey("lockfree")
-	k.int(p.Threads)
-	k.num(p.W)
-	k.num(p.St)
-	k.num(p.So)
-	k.num(p.C2)
-	return k.String()
-}
-
 func (s *Server) handleLockFree(w http.ResponseWriter, r *http.Request) {
 	var req lockFreeRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, req.decode) {
 		return
 	}
 	p := core.LockFreeParams{Threads: req.Threads, W: req.W, St: req.St, So: req.So, C2: req.C2}
@@ -112,8 +94,10 @@ func (s *Server) handleLockFree(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	data, o, err := s.cache.get(keyLockFree(p), func() ([]byte, error) {
-		return s.admitted(r.Context())(func() ([]byte, error) {
+	k := newKeyWriter()
+	defer k.free()
+	data, o, err := s.cache.get(k.lockFree(p), func() ([]byte, error) {
+		return s.admit(r.Context(), func() ([]byte, error) {
 			res, err := core.LockFreeObserved(p, s.conv)
 			if err != nil {
 				return nil, err

@@ -55,8 +55,10 @@ type Config struct {
 	// QueueWait caps how long one request waits for a worker before a
 	// 429. Defaults to 1s.
 	QueueWait time.Duration
-	// RequestTimeout is the per-request deadline propagated via
-	// context into solvers and sweep fan-out. Defaults to 10s.
+	// RequestTimeout is the per-request deadline, armed when a request
+	// first waits for admission: it bounds admission wait plus solve
+	// (and a sweep's fan-out). Cache hits never start it. Defaults to
+	// 10s.
 	RequestTimeout time.Duration
 	// CacheSize is the solve-cache capacity in entries; <= -1 disables
 	// memoization (singleflight collapse stays on). 0 means the
@@ -342,8 +344,11 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 }
 
 // instrument wraps an API handler with the shared request plumbing:
-// draining rejection, in-flight accounting, per-request deadline, and
-// request/error/latency metrics.
+// draining rejection, in-flight accounting, the timing carrier, the
+// body-size cap, and request/error/latency metrics. The per-request
+// deadline is armed later, only where a request can block on its
+// context (admission and sweep fan-out), so cache hits and rejected
+// requests start no timer.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	rs := s.met.route(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -358,11 +363,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		defer s.met.inFlight.Add(-1)
 		rs.requests.Add(1)
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
 		rt := &reqTiming{}
-		ctx = context.WithValue(ctx, timingKey{}, rt)
-		r = r.WithContext(ctx)
+		r = r.WithContext(context.WithValue(r.Context(), timingKey{}, rt))
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 
 		var endSpan func(map[string]any)
