@@ -50,23 +50,40 @@ func AllToAll(obs []Observation, p int, c2 float64) (Result, error) {
 	return AllToAllObserved(obs, p, c2, nil)
 }
 
+// CheckAllToAll reports whether AllToAll can fit obs on a p-node
+// machine with handler variability c2: p must be at least 2 (the
+// smallest all-to-all machine), c2 finite and non-negative, and there
+// must be at least three observations, each with positive R and
+// non-negative W.
+func CheckAllToAll(obs []Observation, p int, c2 float64) error {
+	if p < 2 {
+		return fmt.Errorf("fit: all-to-all needs at least 2 processors, got P = %d", p)
+	}
+	if math.IsNaN(c2) || math.IsInf(c2, 0) || c2 < 0 {
+		return fmt.Errorf("fit: invalid handler variability C² = %v", c2)
+	}
+	if len(obs) < 3 {
+		return fmt.Errorf("fit: need at least 3 observations, got %d", len(obs))
+	}
+	for _, o := range obs {
+		if o.R <= 0 || o.W < 0 {
+			return fmt.Errorf("fit: invalid observation %+v", o)
+		}
+	}
+	return nil
+}
+
 // AllToAllObserved is AllToAll reporting every model solve the
 // optimizer's loss evaluations make to observer (which may be nil) —
 // a fit is a long sequence of all-to-all solves, and the convergence
 // trace shows how the solver behaves as the optimizer roams the
 // (St, So) plane.
 func AllToAllObserved(obs []Observation, p int, c2 float64, observer obspkg.SolveObserver) (Result, error) {
-	if math.IsNaN(c2) || math.IsInf(c2, 0) || c2 < 0 {
-		return Result{}, fmt.Errorf("fit: invalid handler variability C² = %v", c2)
-	}
-	if len(obs) < 3 {
-		return Result{}, fmt.Errorf("fit: need at least 3 observations, got %d", len(obs))
+	if err := CheckAllToAll(obs, p, c2); err != nil {
+		return Result{}, err
 	}
 	meanR := 0.0
 	for _, o := range obs {
-		if o.R <= 0 || o.W < 0 {
-			return Result{}, fmt.Errorf("fit: invalid observation %+v", o)
-		}
 		meanR += o.R
 	}
 	meanR /= float64(len(obs))

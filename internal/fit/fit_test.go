@@ -2,6 +2,7 @@ package fit
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -118,6 +119,20 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := AllToAll([]Observation{{W: 0, R: -1}, {W: 1, R: 2}, {W: 2, R: 3}}, 32, 0); err == nil {
 		t.Error("negative R accepted")
+	}
+	// P < 2 has no all-to-all machine: rejected up front, not after a
+	// Nelder-Mead run whose every loss evaluation fails.
+	three := []Observation{{W: 0, R: 900}, {W: 512, R: 1400}, {W: 2048, R: 2950}}
+	for _, p := range []int{1, 0, -3} {
+		if err := CheckAllToAll(three, p, 0); err == nil {
+			t.Errorf("P = %d accepted by CheckAllToAll", p)
+		}
+		if _, err := AllToAll(three, p, 0); err == nil || !strings.Contains(err.Error(), "at least 2 processors") {
+			t.Errorf("P = %d: AllToAll error %v, want the argument check's", p, err)
+		}
+	}
+	if err := CheckAllToAll(three, 16, 0); err != nil {
+		t.Errorf("valid arguments rejected: %v", err)
 	}
 }
 

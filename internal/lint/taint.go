@@ -227,7 +227,6 @@ var taintSinks = []sinkSpec{
 	{"internal/serve", "keyWriter", "num", 0, "a cache key"},
 	{"internal/serve", "keyWriter", "int", 0, "a cache key"},
 	{"internal/serve", "keyWriter", "bool", 0, "a cache key"},
-	{"internal/serve", "keyWriter", "nums", 0, "a cache key"},
 }
 
 // fprintSinkDescs marks the sinks whose formatted bytes typically land
@@ -408,11 +407,11 @@ func (eng *TaintEngine) analyze(n *CGNode, report taintReport) bool {
 	}
 	sum := eng.sums[n.Fn]
 	env := &taintEnv{
-		eng:     eng,
-		pkg:     n.Src.Pkg,
-		decl:    decl,
-		sum:     sum,
-		obj:     map[types.Object]taintVal{},
+		eng:      eng,
+		pkg:      n.Src.Pkg,
+		decl:     decl,
+		sum:      sum,
+		obj:      map[types.Object]taintVal{},
 		funcLit:  map[types.Object]*ast.FuncLit{},
 		methVal:  map[types.Object]boundMethod{},
 		litRes:   map[*ast.FuncLit][]taintVal{},

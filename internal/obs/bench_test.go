@@ -26,6 +26,7 @@ package obs_test
 
 import (
 	"os"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -111,11 +112,22 @@ func BenchmarkScalarSolveInstrumented(b *testing.B) {
 //   - scalar pair: 75% (measured ≈ 8–12%, nearly all of it the two
 //     per-solve wall-clock reads)
 //
+// The ratios are wall-clock measurements at the mercy of whatever else
+// shares the host, so the limits are enforced only with LOPC_MEASURED=1,
+// which CI's "Observer overhead guard" step sets. Without it the test
+// checks what timing cannot move: an observed solve returns exactly the
+// uninstrumented result and records one trace.
+//
 // LOPC_OBS_OVERHEAD_MAX overrides the general-pair limit (fraction) for
 // strict quiet-machine runs.
 func TestObserverOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")
+	}
+	if os.Getenv("LOPC_MEASURED") != "1" {
+		checkObservedSolvesUnchanged(t)
+		t.Log("the 25% general / 75% scalar overhead limits run with LOPC_MEASURED=1")
+		return
 	}
 	generalLimit := 0.25
 	if s := os.Getenv("LOPC_OBS_OVERHEAD_MAX"); s != "" {
@@ -148,4 +160,23 @@ func TestObserverOverheadGuard(t *testing.T) {
 	}
 	check("general", BenchmarkSolveUninstrumented, BenchmarkSolveInstrumented, generalLimit)
 	check("scalar", BenchmarkScalarSolveUninstrumented, BenchmarkScalarSolveInstrumented, 0.75)
+}
+
+// checkObservedSolvesUnchanged: observing a solve does not change its
+// result, and the recorder sees each solve once.
+func checkObservedSolvesUnchanged(t *testing.T) {
+	rec := obs.NewConvRecorder(obs.DefaultConvCapacity, nil, nil)
+	g0, err0 := core.GeneralObserved(benchGeneralParams, nil)
+	g1, err1 := core.GeneralObserved(benchGeneralParams, rec)
+	if err0 != nil || err1 != nil || !reflect.DeepEqual(g0, g1) {
+		t.Errorf("general solve: observed %+v (%v), unobserved %+v (%v)", g1, err1, g0, err0)
+	}
+	a0, err0 := core.AllToAllObserved(benchScalarParams, nil)
+	a1, err1 := core.AllToAllObserved(benchScalarParams, rec)
+	if err0 != nil || err1 != nil || a0 != a1 {
+		t.Errorf("scalar solve: observed %+v (%v), unobserved %+v (%v)", a1, err1, a0, err0)
+	}
+	if got := rec.Total(); got != 2 {
+		t.Errorf("recorder saw %d solves, want 2", got)
+	}
 }

@@ -184,27 +184,27 @@ func TestKeyUniqueness(t *testing.T) {
 		keys[key] = name
 	}
 	p := core.Params{P: 32, W: 1000, St: 40, So: 200}
-	add("base", string(new(keyWriter).allToAll(p, 0)))
-	add("n=100", string(new(keyWriter).allToAll(p, 100)))
+	add("base", routeKey("/v1/alltoall", &allToAllParams{Params: p, N: 0}))
+	add("n=100", routeKey("/v1/alltoall", &allToAllParams{Params: p, N: 100}))
 	pp := p
 	pp.ProtocolProcessor = true
-	add("protocol processor", string(new(keyWriter).allToAll(pp, 0)))
+	add("protocol processor", routeKey("/v1/alltoall", &allToAllParams{Params: pp, N: 0}))
 	ps := p
 	ps.Priority = core.ShadowServer
-	add("priority", string(new(keyWriter).allToAll(ps, 0)))
+	add("priority", routeKey("/v1/alltoall", &allToAllParams{Params: ps, N: 0}))
 	pw := p
 	pw.W++
-	add("w+1", string(new(keyWriter).allToAll(pw, 0)))
+	add("w+1", routeKey("/v1/alltoall", &allToAllParams{Params: pw, N: 0}))
 
 	ptiny := p
 	ptiny.W = 1e-310
-	add("w=1e-310", string(new(keyWriter).allToAll(ptiny, 0)))
+	add("w=1e-310", routeKey("/v1/alltoall", &allToAllParams{Params: ptiny, N: 0}))
 	ptiny.W = 7e-305
-	add("w=7e-305", string(new(keyWriter).allToAll(ptiny, 0)))
+	add("w=7e-305", routeKey("/v1/alltoall", &allToAllParams{Params: ptiny, N: 0}))
 
 	cs := core.ClientServerParams{P: 32, Ps: 8, W: 1000, St: 40, So: 200}
-	add("workpile", string(new(keyWriter).workpile(cs)))
-	add("bounds", string(new(keyWriter).bounds(cs)))
+	add("workpile", routeKey("/v1/workpile", &cs))
+	add("bounds", routeKey("/v1/bounds", &cs))
 }
 
 func BenchmarkCacheGetHit(b *testing.B) {

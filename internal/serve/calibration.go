@@ -73,7 +73,7 @@ type whatifResponse struct {
 
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	var req whatifRequest
-	if !decodeRequest(w, r, req.decode) {
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	f, ok := s.calib.Params()

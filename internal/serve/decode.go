@@ -6,15 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode/utf8"
 )
 
 // Request bodies are read once into a pooled buffer and decoded by a
-// strict single-pass JSON reader. Each request type decodes itself
-// through a small method over the reader, and the reader accepts and
-// rejects exactly what json.Decoder with DisallowUnknownFields plus a
+// strict single-pass JSON reader. One reflective reader fills any
+// request struct from its fields' json tags, and it accepts and rejects
+// exactly what json.Decoder with DisallowUnknownFields plus a
 // trailing-data check does, leaving the same values behind
 // (FuzzDecodeMatchesEncodingJSON holds it to that):
 //
@@ -88,10 +90,10 @@ func (d *decoder) free() {
 	decoderPool.Put(d)
 }
 
-// decode reads the loaded body with value, a request type's decode
-// method: one JSON value, then nothing but whitespace.
-func (d *decoder) decode(value func(*decoder)) error {
-	value(d)
+// decode reads the loaded body into dst, a pointer to a request
+// struct: one JSON value, then nothing but whitespace.
+func (d *decoder) decode(dst any) error {
+	d.value(reflect.ValueOf(dst).Elem())
 	if d.syntax != nil {
 		return d.syntax
 	}
@@ -417,23 +419,55 @@ func (d *decoder) mismatch(want string) {
 	d.typeError(got, want)
 }
 
-// object reads an object into a struct: field is called with each key
-// and must consume the value of a key it knows, reporting false for
-// any other. null leaves the struct as it was.
-func (d *decoder) object(field func(key []byte) bool) {
+// value reads one JSON value into v, a settable value of a type
+// wireFields accepts. A scalar is read into a copy that starts out as
+// v's value, so null leaves v as it was.
+func (d *decoder) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int:
+		n := int(v.Int())
+		d.int(&n)
+		v.SetInt(int64(n))
+	case reflect.Float64:
+		f := v.Float()
+		d.float(&f)
+		v.SetFloat(f)
+	case reflect.Bool:
+		b := v.Bool()
+		d.bool(&b)
+		v.SetBool(b)
+	case reflect.String:
+		s := v.String()
+		d.string(&s)
+		v.SetString(s)
+	case reflect.Slice:
+		d.slice(v)
+	case reflect.Struct:
+		d.object(v)
+	}
+}
+
+// object reads an object into the struct v, matching each key against
+// the fields' json tags. null leaves the struct as it was.
+func (d *decoder) object(v reflect.Value) {
 	switch d.peek() {
 	case 'n':
 		d.literal("null")
 	case '{':
+		fields := wireFields(v.Type())
 		outer := d.field
 		d.members(func(key []byte) {
 			d.field = key
-			if !field(key) {
-				if d.err == nil {
-					d.err = fmt.Errorf("unknown field %q", key)
+			for i, name := range fields {
+				if keyIs(key, name) {
+					d.value(v.Field(i))
+					return
 				}
-				d.skip()
 			}
+			if d.err == nil {
+				d.err = fmt.Errorf("unknown field %q", key)
+			}
+			d.skip()
 		})
 		d.field = outer
 	default:
@@ -445,6 +479,46 @@ func (d *decoder) object(field func(key []byte) bool) {
 // an exact match or, as encoding/json allows, a case-folded one.
 func keyIs(key []byte, name string) bool {
 	return string(key) == name || bytes.EqualFold(key, []byte(name))
+}
+
+// slice reads an array into the slice v the way encoding/json does:
+// element i decodes into the slice's existing element i where there is
+// one (within its capacity, too), the slice is cut to the array's
+// length, an empty array leaves a fresh empty non-nil slice, and null
+// leaves nil. Growth keeps every element the slice held up to its
+// capacity, so the values a repeated key decodes into do not depend on
+// how far the capacity grows; it starts at 8 to spare small arrays the
+// doublings.
+func (d *decoder) slice(v reflect.Value) {
+	switch d.peek() {
+	case 'n':
+		d.literal("null")
+		v.SetZero()
+		return
+	case '[':
+	default:
+		d.mismatch("array")
+		return
+	}
+	// While reading, v spans its whole capacity: the elements past its
+	// length are reused in place all the same.
+	i := 0
+	v.SetLen(v.Cap())
+	d.elements(func() {
+		if i == v.Len() {
+			v.Grow(max(i, 8))
+			v.SetLen(v.Cap())
+		}
+		d.value(v.Index(i))
+		i++
+	})
+	if i == 0 {
+		// A fresh empty slice: its spare capacity is zero, as a grown
+		// one's would be, so no old element can resurface.
+		v.SetZero()
+		v.Grow(1)
+	}
+	v.SetLen(i)
 }
 
 func (d *decoder) int(p *int) {
@@ -516,199 +590,40 @@ func (d *decoder) string(p *string) {
 	}
 }
 
-// array reads an array into *s the way encoding/json does: element i
-// decodes into the slice's existing element i where there is one
-// (within its capacity, too), the slice is cut to the array's length,
-// an empty array leaves an empty non-nil slice, and null leaves nil.
-// Growth keeps every element the slice held up to its capacity, so the
-// values a repeated key decodes into do not depend on how far the
-// capacity grows; it starts at 8 to spare small arrays the doublings.
-func array[T any](d *decoder, s *[]T, elem func(*T)) {
-	switch d.peek() {
-	case 'n':
-		d.literal("null")
-		*s = nil
+var wireFieldCache sync.Map // reflect.Type → []string
+
+// wireFields returns the json tag names of request struct type t's
+// fields, in field order. It panics on a field the reader cannot fill:
+// an untagged or unexported one, or one whose type is not int, float64,
+// bool, string, a slice of a readable type or a request struct.
+func wireFields(t reflect.Type) []string {
+	if names, ok := wireFieldCache.Load(t); ok {
+		return names.([]string)
+	}
+	names := make([]string, t.NumField())
+	for i := range names {
+		f := t.Field(i)
+		names[i], _, _ = strings.Cut(f.Tag.Get("json"), ",")
+		if names[i] == "" || !f.IsExported() {
+			panic(fmt.Sprintf("serve: request field %s.%s needs a json tag and an exported name", t, f.Name))
+		}
+		checkWireType(f.Type)
+	}
+	cached, _ := wireFieldCache.LoadOrStore(t, names)
+	return cached.([]string)
+}
+
+func checkWireType(t reflect.Type) {
+	switch t {
+	case reflect.TypeFor[int](), reflect.TypeFor[float64](), reflect.TypeFor[bool](), reflect.TypeFor[string]():
 		return
-	case '[':
+	}
+	switch t.Kind() {
+	case reflect.Slice:
+		checkWireType(t.Elem())
+	case reflect.Struct:
+		wireFields(t)
 	default:
-		d.mismatch("array")
-		return
+		panic(fmt.Sprintf("serve: the request reader cannot fill a %s", t))
 	}
-	v, i := *s, 0
-	d.elements(func() {
-		if i == cap(v) {
-			grown := make([]T, cap(v), max(2*cap(v), 8))
-			copy(grown, v[:cap(v)])
-			v = grown[:len(v)]
-		}
-		if i >= len(v) {
-			v = v[:i+1]
-		}
-		elem(&v[i])
-		i++
-	})
-	if i == 0 {
-		v = make([]T, 0)
-	}
-	*s = v[:i]
-}
-
-func (d *decoder) floats(p *[]float64) { array(d, p, d.float) }
-
-// --- request types ---
-
-func (q *alltoallRequest) decode(d *decoder) {
-	d.object(func(k []byte) bool {
-		switch {
-		case keyIs(k, "p"):
-			d.int(&q.P)
-		case keyIs(k, "w"):
-			d.float(&q.W)
-		case keyIs(k, "st"):
-			d.float(&q.St)
-		case keyIs(k, "so"):
-			d.float(&q.So)
-		case keyIs(k, "c2"):
-			d.float(&q.C2)
-		case keyIs(k, "protocol_processor"):
-			d.bool(&q.ProtocolProcessor)
-		case keyIs(k, "priority"):
-			d.string(&q.Priority)
-		case keyIs(k, "n"):
-			d.int(&q.N)
-		default:
-			return false
-		}
-		return true
-	})
-}
-
-func (q *workpileRequest) decode(d *decoder) {
-	d.object(func(k []byte) bool {
-		switch {
-		case keyIs(k, "p"):
-			d.int(&q.P)
-		case keyIs(k, "ps"):
-			d.int(&q.Ps)
-		case keyIs(k, "w"):
-			d.float(&q.W)
-		case keyIs(k, "st"):
-			d.float(&q.St)
-		case keyIs(k, "so"):
-			d.float(&q.So)
-		case keyIs(k, "c2"):
-			d.float(&q.C2)
-		default:
-			return false
-		}
-		return true
-	})
-}
-
-func (q *generalRequest) decode(d *decoder) {
-	d.object(func(k []byte) bool {
-		switch {
-		case keyIs(k, "p"):
-			d.int(&q.P)
-		case keyIs(k, "w"):
-			d.floats(&q.W)
-		case keyIs(k, "v"):
-			array(d, &q.V, d.floats)
-		case keyIs(k, "st"):
-			d.float(&q.St)
-		case keyIs(k, "so"):
-			d.floats(&q.So)
-		case keyIs(k, "c2"):
-			d.float(&q.C2)
-		case keyIs(k, "protocol_processor"):
-			d.bool(&q.ProtocolProcessor)
-		default:
-			return false
-		}
-		return true
-	})
-}
-
-func (q *fitRequest) decode(d *decoder) {
-	d.object(func(k []byte) bool {
-		switch {
-		case keyIs(k, "p"):
-			d.int(&q.P)
-		case keyIs(k, "c2"):
-			d.float(&q.C2)
-		case keyIs(k, "observations"):
-			array(d, &q.Observations, func(o *fitObservation) { o.decode(d) })
-		default:
-			return false
-		}
-		return true
-	})
-}
-
-func (q *fitObservation) decode(d *decoder) {
-	d.object(func(k []byte) bool {
-		switch {
-		case keyIs(k, "w"):
-			d.float(&q.W)
-		case keyIs(k, "r"):
-			d.float(&q.R)
-		case keyIs(k, "rq"):
-			d.float(&q.Rq)
-		default:
-			return false
-		}
-		return true
-	})
-}
-
-func (q *sweepRequest) decode(d *decoder) {
-	d.object(func(k []byte) bool {
-		switch {
-		case keyIs(k, "points"):
-			array(d, &q.Points, func(p *alltoallRequest) { p.decode(d) })
-		case keyIs(k, "jobs"):
-			d.int(&q.Jobs)
-		default:
-			return false
-		}
-		return true
-	})
-}
-
-func (q *lockRequest) decode(d *decoder) {
-	d.object(func(k []byte) bool {
-		switch {
-		case keyIs(k, "threads"):
-			d.int(&q.Threads)
-		case keyIs(k, "w"):
-			d.float(&q.W)
-		case keyIs(k, "st"):
-			d.float(&q.St)
-		case keyIs(k, "so"):
-			d.float(&q.So)
-		case keyIs(k, "c2"):
-			d.float(&q.C2)
-		default:
-			return false
-		}
-		return true
-	})
-}
-
-func (q *lockFreeRequest) decode(d *decoder) { (*lockRequest)(q).decode(d) }
-
-func (q *whatifRequest) decode(d *decoder) {
-	d.object(func(k []byte) bool {
-		switch {
-		case keyIs(k, "servers"):
-			d.int(&q.Servers)
-		case keyIs(k, "add_servers"):
-			d.int(&q.AddServers)
-		case keyIs(k, "scale_w"):
-			d.float(&q.ScaleW)
-		default:
-			return false
-		}
-		return true
-	})
 }

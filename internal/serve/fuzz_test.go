@@ -74,32 +74,28 @@ func FuzzRequestDecoding(f *testing.F) {
 	})
 }
 
-// requestBody is a /v1 request type.
-type requestBody interface{ decode(d *decoder) }
-
 // decodeTargets are the request types the /v1 endpoints decode.
 var decodeTargets = []struct {
 	name string
-	new  func() requestBody
+	new  func() any
 }{
-	{"alltoall", func() requestBody { return new(alltoallRequest) }},
-	{"workpile", func() requestBody { return new(workpileRequest) }},
-	{"general", func() requestBody { return new(generalRequest) }},
-	{"fit", func() requestBody { return new(fitRequest) }},
-	{"sweep", func() requestBody { return new(sweepRequest) }},
-	{"lock", func() requestBody { return new(lockRequest) }},
-	{"lockfree", func() requestBody { return new(lockFreeRequest) }},
-	{"whatif", func() requestBody { return new(whatifRequest) }},
+	{"alltoall", func() any { return new(alltoallRequest) }},
+	{"workpile", func() any { return new(workpileRequest) }},
+	{"general", func() any { return new(generalRequest) }},
+	{"fit", func() any { return new(fitRequest) }},
+	{"sweep", func() any { return new(sweepRequest) }},
+	{"lock", func() any { return new(lockRequest) }},
+	{"whatif", func() any { return new(whatifRequest) }},
 }
 
 // decodeBody runs the server's decoder over body as decodeRequest does.
-func decodeBody(body []byte, dst requestBody) error {
+func decodeBody(body []byte, dst any) error {
 	d := decoderPool.Get().(*decoder)
 	defer d.free()
 	if err := d.load(bytes.NewReader(body)); err != nil {
 		return err
 	}
-	return d.decode(dst.decode)
+	return d.decode(dst)
 }
 
 // referenceDecode is the decoding the server's reader replaces:

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fit"
-	obspkg "repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -26,11 +25,11 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodeRequest parses one JSON request body strictly (see decode.go):
-// POST only, unknown fields rejected, trailing garbage rejected. It
-// writes the error response itself and reports whether the handler
-// should go on.
-func decodeRequest(w http.ResponseWriter, r *http.Request, decode func(*decoder)) bool {
+// decodeRequest parses one JSON request body strictly into dst, a
+// pointer to a request struct (see decode.go): POST only, unknown
+// fields rejected, trailing garbage rejected. It writes the error
+// response itself and reports whether the handler should go on.
+func decodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		_ = writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST with a JSON body"})
@@ -39,7 +38,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, decode func(*decoder)
 	d := decoderPool.Get().(*decoder)
 	err := d.load(r.Body)
 	if err == nil {
-		err = d.decode(decode)
+		err = d.decode(dst)
 	}
 	d.free()
 	switch {
@@ -117,16 +116,6 @@ func (s *Server) writeCached(w http.ResponseWriter, data []byte, o outcome) {
 	_, _ = w.Write(newline)
 }
 
-// marshalResponse renders a response payload into its canonical cached
-// form (compact JSON, no trailing newline).
-func marshalResponse(v any) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("encoding response: %w", err)
-	}
-	return data, nil
-}
-
 // --- /v1/alltoall ---
 
 type alltoallRequest struct {
@@ -158,9 +147,16 @@ type alltoallResponse struct {
 	TotalRuntime       *float64 `json:"total_runtime,omitempty"`
 }
 
+// allToAllParams is one all-to-all solve: the model parameters and the
+// request count n (> 0 adds total_runtime).
+type allToAllParams struct {
+	core.Params
+	N int
+}
+
 // params converts the wire request into model parameters; the priority
 // string is validated here, everything numeric by core's own Validate.
-func (q alltoallRequest) params() (core.Params, error) {
+func (q *alltoallRequest) params() (allToAllParams, error) {
 	p := core.Params{
 		P: q.P, W: q.W, St: q.St, So: q.So, C2: q.C2,
 		ProtocolProcessor: q.ProtocolProcessor,
@@ -171,20 +167,21 @@ func (q alltoallRequest) params() (core.Params, error) {
 	case "shadow", "shadow-server":
 		p.Priority = core.ShadowServer
 	default:
-		return core.Params{}, fmt.Errorf("unknown priority %q (want \"bkt\" or \"shadow\")", q.Priority)
+		return allToAllParams{}, fmt.Errorf("unknown priority %q (want \"bkt\" or \"shadow\")", q.Priority)
 	}
 	if q.N < 0 {
-		return core.Params{}, fmt.Errorf("negative request count n = %d", q.N)
+		return allToAllParams{}, fmt.Errorf("negative request count n = %d", q.N)
 	}
-	return p, p.Validate()
+	return allToAllParams{Params: p, N: q.N}, p.Validate()
 }
 
 // solveAllToAll computes the full single-solve payload, reporting the
-// fixed-point convergence to o (the server's ConvRecorder).
-func solveAllToAll(p core.Params, n int, o obspkg.SolveObserver) (alltoallResponse, error) {
-	res, err := core.AllToAllObserved(p, o)
+// fixed-point convergence to the server's ConvRecorder.
+func solveAllToAll(s *Server, a allToAllParams) (any, error) {
+	p := a.Params
+	res, err := core.AllToAllObserved(p, s.conv)
 	if err != nil {
-		return alltoallResponse{}, err
+		return nil, err
 	}
 	out := alltoallResponse{
 		R: res.R, Rw: res.Rw, Rq: res.Rq, Ry: res.Ry,
@@ -196,72 +193,14 @@ func solveAllToAll(p core.Params, n int, o obspkg.SolveObserver) (alltoallRespon
 		ContentionFraction: res.ContentionFraction(),
 		RuleOfThumb:        p.RuleOfThumb(),
 	}
-	if n > 0 {
-		total, err := core.TotalRuntime(p, n)
+	if a.N > 0 {
+		total, err := core.TotalRuntime(p, a.N)
 		if err != nil {
-			return alltoallResponse{}, err
+			return nil, err
 		}
 		out.TotalRuntime = &total
 	}
 	return out, nil
-}
-
-// cachedAllToAll solves one all-to-all point through the cache. The
-// solve closure runs only on a miss; admit wraps it with (or without)
-// admission control depending on the caller.
-func (s *Server) cachedAllToAll(p core.Params, n int, admit func(func() ([]byte, error)) ([]byte, error)) ([]byte, outcome, error) {
-	k := newKeyWriter()
-	defer k.free()
-	return s.cache.get(k.allToAll(p, n), func() ([]byte, error) {
-		return admit(func() ([]byte, error) {
-			out, err := solveAllToAll(p, n, s.conv)
-			if err != nil {
-				return nil, err
-			}
-			return marshalResponse(out)
-		})
-	})
-}
-
-// admit runs solve under admission control: it claims a solver slot
-// for the duration of the solve, and records the occupancy as the
-// request's service time. The request deadline is armed here, where a
-// request first can block on its context, so it bounds admission wait
-// plus solve, and cache hits never start a timer.
-func (s *Server) admit(ctx context.Context, solve func() ([]byte, error)) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
-	release, err := s.adm.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	defer s.beginService(ctx)()
-	return solve()
-}
-
-// unadmitted runs the solve directly — for sweep points, whose request
-// already holds a slot for the whole fan-out.
-func unadmitted(solve func() ([]byte, error)) ([]byte, error) { return solve() }
-
-func (s *Server) handleAllToAll(w http.ResponseWriter, r *http.Request) {
-	var req alltoallRequest
-	if !decodeRequest(w, r, req.decode) {
-		return
-	}
-	p, err := req.params()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	data, o, err := s.cachedAllToAll(p, req.N, func(solve func() ([]byte, error)) ([]byte, error) {
-		return s.admit(r.Context(), solve)
-	})
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	s.writeCached(w, data, o)
 }
 
 // --- /v1/workpile ---
@@ -286,7 +225,7 @@ type workpileResponse struct {
 	PeakThroughput float64 `json:"peak_throughput"`
 }
 
-func (q workpileRequest) params() (core.ClientServerParams, error) {
+func (q *workpileRequest) params() (core.ClientServerParams, error) {
 	p := core.ClientServerParams{P: q.P, Ps: q.Ps, W: q.W, St: q.St, So: q.So, C2: q.C2}
 	if q.Ps == 0 {
 		// Validate the rest of the tuple at a placeholder split; the
@@ -298,51 +237,23 @@ func (q workpileRequest) params() (core.ClientServerParams, error) {
 	return p, p.Validate()
 }
 
-func solveWorkpile(p core.ClientServerParams, o obspkg.SolveObserver) (workpileResponse, error) {
+func solveWorkpile(s *Server, p core.ClientServerParams) (any, error) {
 	if p.Ps == 0 {
 		opt, err := core.OptimalServersInt(p)
 		if err != nil {
-			return workpileResponse{}, err
+			return nil, err
 		}
 		p.Ps = opt
 	}
-	res, err := core.ClientServerObserved(p, o)
+	res, err := core.ClientServerObserved(p, s.conv)
 	if err != nil {
-		return workpileResponse{}, err
+		return nil, err
 	}
 	return workpileResponse{
 		Ps: p.Ps, X: res.X, R: res.R, Rs: res.Rs, Qs: res.Qs, Us: res.Us,
 		OptimalServers: core.OptimalServers(p),
 		PeakThroughput: core.PeakThroughput(p),
 	}, nil
-}
-
-func (s *Server) handleWorkpile(w http.ResponseWriter, r *http.Request) {
-	var req workpileRequest
-	if !decodeRequest(w, r, req.decode) {
-		return
-	}
-	p, err := req.params()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	k := newKeyWriter()
-	defer k.free()
-	data, o, err := s.cache.get(k.workpile(p), func() ([]byte, error) {
-		return s.admit(r.Context(), func() ([]byte, error) {
-			out, err := solveWorkpile(p, s.conv)
-			if err != nil {
-				return nil, err
-			}
-			return marshalResponse(out)
-		})
-	})
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	s.writeCached(w, data, o)
 }
 
 // --- /v1/bounds ---
@@ -356,42 +267,30 @@ type boundsResponse struct {
 	UpperBoundBeta    float64 `json:"upper_bound_beta"`
 }
 
-func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
-	var req workpileRequest
-	if !decodeRequest(w, r, req.decode) {
-		return
-	}
-	p, err := req.params()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
+// boundsParams reads a work-pile request; bounds need a concrete split,
+// so an unset one takes the conventional floor of 1.
+func boundsParams(q *workpileRequest) (core.ClientServerParams, error) {
+	p, err := q.params()
 	if p.Ps == 0 {
-		p.Ps = 1 // bounds need a concrete split; 1 is the conventional floor
+		p.Ps = 1
 	}
-	k := newKeyWriter()
-	defer k.free()
-	data, o, err := s.cache.get(k.bounds(p), func() ([]byte, error) {
-		// Bounds are closed forms — no fixed point, no admission needed.
-		server, client := core.ClientServerBounds(p)
-		opt, err := core.OptimalServersInt(p)
-		if err != nil {
-			return nil, err
-		}
-		return marshalResponse(boundsResponse{
-			ServerBound:       server,
-			ClientBound:       client,
-			OptimalServers:    core.OptimalServers(p),
-			OptimalServersInt: opt,
-			PeakThroughput:    core.PeakThroughput(p),
-			UpperBoundBeta:    core.UpperBoundBeta(p.C2),
-		})
-	})
+	return p, err
+}
+
+func solveBounds(_ *Server, p core.ClientServerParams) (any, error) {
+	server, client := core.ClientServerBounds(p)
+	opt, err := core.OptimalServersInt(p)
 	if err != nil {
-		writeSolveError(w, err)
-		return
+		return nil, err
 	}
-	s.writeCached(w, data, o)
+	return boundsResponse{
+		ServerBound:       server,
+		ClientBound:       client,
+		OptimalServers:    core.OptimalServers(p),
+		OptimalServersInt: opt,
+		PeakThroughput:    core.PeakThroughput(p),
+		UpperBoundBeta:    core.UpperBoundBeta(p.C2),
+	}, nil
 }
 
 // --- /v1/general ---
@@ -419,39 +318,24 @@ type generalResponse struct {
 	TotalX float64   `json:"total_x"`
 }
 
-func (s *Server) handleGeneral(w http.ResponseWriter, r *http.Request) {
-	var req generalRequest
-	if !decodeRequest(w, r, req.decode) {
-		return
-	}
+func (q *generalRequest) params() (core.GeneralParams, error) {
 	p := core.GeneralParams{
-		P: req.P, W: req.W, V: req.V, St: req.St, So: req.So, C2: req.C2,
-		ProtocolProcessor: req.ProtocolProcessor,
+		P: q.P, W: q.W, V: q.V, St: q.St, So: q.So, C2: q.C2,
+		ProtocolProcessor: q.ProtocolProcessor,
 	}
-	if err := p.Validate(); err != nil {
-		badRequest(w, err)
-		return
-	}
-	k := newKeyWriter()
-	defer k.free()
-	data, o, err := s.cache.get(k.general(p), func() ([]byte, error) {
-		return s.admit(r.Context(), func() ([]byte, error) {
-			res, err := core.GeneralObserved(p, s.conv)
-			if err != nil {
-				return nil, err
-			}
-			return marshalResponse(generalResponse{
-				R: res.R, X: res.X, Rw: res.Rw, Rq: res.Rq, Ry: res.Ry,
-				Qq: res.Qq, Qy: res.Qy, Uq: res.Uq, Uy: res.Uy,
-				TotalX: res.TotalX,
-			})
-		})
-	})
+	return p, p.Validate()
+}
+
+func solveGeneral(s *Server, p core.GeneralParams) (any, error) {
+	res, err := core.GeneralObserved(p, s.conv)
 	if err != nil {
-		writeSolveError(w, err)
-		return
+		return nil, err
 	}
-	s.writeCached(w, data, o)
+	return generalResponse{
+		R: res.R, X: res.X, Rw: res.Rw, Rq: res.Rq, Ry: res.Ry,
+		Qq: res.Qq, Qy: res.Qy, Uq: res.Uq, Uy: res.Uy,
+		TotalX: res.TotalX,
+	}, nil
 }
 
 // --- /v1/fit ---
@@ -475,38 +359,29 @@ type fitResponse struct {
 	RelRMSE float64 `json:"rel_rmse"`
 }
 
-func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
-	var req fitRequest
-	if !decodeRequest(w, r, req.decode) {
-		return
-	}
-	obs := make([]fit.Observation, len(req.Observations))
-	for i, o := range req.Observations {
+// fitParams are a fit's arguments.
+type fitParams struct {
+	Obs []fit.Observation
+	P   int
+	C2  float64
+}
+
+// params checks the fit's arguments before it is keyed or admitted, so
+// a fit that cannot run never takes a solver slot.
+func (q *fitRequest) params() (fitParams, error) {
+	obs := make([]fit.Observation, len(q.Observations))
+	for i, o := range q.Observations {
 		obs[i] = fit.Observation{W: o.W, R: o.R, Rq: o.Rq}
 	}
-	k := newKeyWriter()
-	defer k.free()
-	data, o, err := s.cache.get(k.fit(obs, req.P, req.C2), func() ([]byte, error) {
-		return s.admit(r.Context(), func() ([]byte, error) {
-			res, err := fit.AllToAllObserved(obs, req.P, req.C2, s.conv)
-			if err != nil {
-				return nil, err
-			}
-			return marshalResponse(fitResponse{St: res.St, So: res.So, RMSE: res.RMSE, RelRMSE: res.RelRMSE})
-		})
-	})
+	return fitParams{Obs: obs, P: q.P, C2: q.C2}, fit.CheckAllToAll(obs, q.P, q.C2)
+}
+
+func solveFit(s *Server, p fitParams) (any, error) {
+	res, err := fit.AllToAllObserved(p.Obs, p.P, p.C2, s.conv)
 	if err != nil {
-		// fit's own argument errors (too few observations, bad values)
-		// are client mistakes, not model infeasibility.
-		var shed *shedError
-		if errors.As(err, &shed) {
-			writeSolveError(w, err)
-			return
-		}
-		badRequest(w, err)
-		return
+		return nil, err
 	}
-	s.writeCached(w, data, o)
+	return fitResponse{St: res.St, So: res.So, RMSE: res.RMSE, RelRMSE: res.RelRMSE}, nil
 }
 
 // --- /v1/sweep ---
@@ -524,7 +399,7 @@ type sweepResponse struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if !decodeRequest(w, r, req.decode) {
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Points) == 0 {
@@ -535,16 +410,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, fmt.Errorf("sweep of %d points exceeds the %d-point cap", len(req.Points), s.cfg.MaxSweepPoints))
 		return
 	}
-	params := make([]core.Params, len(req.Points))
-	ns := make([]int, len(req.Points))
-	for i, q := range req.Points {
-		p, err := q.params()
+	params := make([]allToAllParams, len(req.Points))
+	for i := range req.Points {
+		p, err := req.Points[i].params()
 		if err != nil {
 			badRequest(w, fmt.Errorf("point %d: %w", i, err))
 			return
 		}
 		params[i] = p
-		ns[i] = q.N
 	}
 	jobs := req.Jobs
 	if jobs <= 0 || jobs > s.cfg.MaxSweepJobs {
@@ -567,7 +440,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer s.beginService(ctx)()
 
 	results, err := runner.MapCtx(ctx, len(params), runner.Options{Jobs: jobs}, func(i int) (json.RawMessage, error) {
-		data, o, err := s.cachedAllToAll(params[i], ns[i], unadmitted)
+		data, o, err := allToAll.cached(s, ctx, params[i], false)
 		if err != nil {
 			return nil, err
 		}

@@ -2,42 +2,29 @@ package serve
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"reflect"
 	"sync"
-
-	"repro/internal/core"
-	"repro/internal/fit"
 )
 
 // Cache keys are a binary canonical encoding of a solve's parameter
-// tuple: an endpoint tag byte, then every parameter in a fixed order —
-// each int as 8 bytes, each float as the 8 bytes of
-// math.Float64bits(quantize(v)), each bool as one byte, and each list,
-// matrix and matrix row prefixed by its length. Every float is
-// quantized to 9 significant decimal digits first. Quantization folds
-// floats that differ only in sub-model-resolution noise (a client
-// computing W = 1000.0000000001 from its own arithmetic) onto one key,
-// while 9 digits is far finer than the model's own fixed-point
-// tolerance, so no two solves that quantize together ever produce
-// observably different results.
+// tuple, derived from the route's params struct by one reflective
+// walker: the route's tag byte (its index in the route table), then
+// every field in struct order, nested structs included — each int as 8
+// bytes, each float as the 8 bytes of math.Float64bits(quantize(v)),
+// each bool as one byte, and each slice prefixed by its length. Every
+// float is quantized to 9 significant decimal digits first.
+// Quantization folds floats that differ only in sub-model-resolution
+// noise (a client computing W = 1000.0000000001 from its own
+// arithmetic) onto one key, while 9 digits is far finer than the
+// model's own fixed-point tolerance, so no two solves that quantize
+// together ever produce observably different results.
 //
 // Two quantized floats share their 8 key bytes exactly when they are
 // bit-identical, which — NaN aside, and validation admits none — is
 // exactly when their shortest 'g' renderings are equal: comparing key
 // bytes groups parameters just as comparing their decimal text would.
-
-// keyTag opens every key, keeping the endpoints' keys disjoint.
-type keyTag byte
-
-const (
-	tagAllToAll keyTag = iota + 1
-	tagWorkpile
-	tagBounds
-	tagGeneral
-	tagFit
-	tagLock
-	tagLockFree
-)
 
 // pow10 holds 10^k for every k quantize can ask for, each computed by
 // math.Pow itself so table lookups stay bit-identical to it. A nonzero
@@ -90,8 +77,7 @@ func (k *keyWriter) free() {
 	}
 }
 
-func (k *keyWriter) tag(t keyTag) { k.b = append(k.b[:0], byte(t)) }
-func (k *keyWriter) int(v int)    { k.b = binary.LittleEndian.AppendUint64(k.b, uint64(v)) }
+func (k *keyWriter) int(v int) { k.b = binary.LittleEndian.AppendUint64(k.b, uint64(v)) }
 func (k *keyWriter) num(v float64) {
 	k.b = binary.LittleEndian.AppendUint64(k.b, math.Float64bits(quantize(v)))
 }
@@ -104,91 +90,47 @@ func (k *keyWriter) bool(v bool) {
 	k.b = append(k.b, c)
 }
 
-func (k *keyWriter) nums(vs []float64) {
-	k.int(len(vs))
-	for _, v := range vs {
-		k.num(v)
+// key renders the key of the params value p points to for the route
+// tagged tag, replacing whatever the writer held, and returns it; the
+// bytes stay valid until the writer's next use.
+func (k *keyWriter) key(tag byte, p any) []byte {
+	k.b = append(k.b[:0], tag)
+	k.value(reflect.ValueOf(p).Elem())
+	return k.b
+}
+
+func (k *keyWriter) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int:
+		k.int(int(v.Int()))
+	case reflect.Float64:
+		k.num(v.Float())
+	case reflect.Bool:
+		k.bool(v.Bool())
+	case reflect.Slice:
+		k.int(v.Len())
+		for i := 0; i < v.Len(); i++ {
+			k.value(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			k.value(v.Field(i))
+		}
 	}
 }
 
-// The methods below each render one endpoint's key, replacing whatever
-// the writer held, and return it; the bytes stay valid until the
-// writer's next use.
-
-func (k *keyWriter) allToAll(p core.Params, n int) []byte {
-	k.tag(tagAllToAll)
-	k.int(p.P)
-	k.num(p.W)
-	k.num(p.St)
-	k.num(p.So)
-	k.num(p.C2)
-	k.bool(p.ProtocolProcessor)
-	k.int(int(p.Priority))
-	k.int(n)
-	return k.b
-}
-
-func (k *keyWriter) workpile(p core.ClientServerParams) []byte {
-	return k.clientServer(tagWorkpile, p)
-}
-
-func (k *keyWriter) bounds(p core.ClientServerParams) []byte {
-	return k.clientServer(tagBounds, p)
-}
-
-func (k *keyWriter) clientServer(t keyTag, p core.ClientServerParams) []byte {
-	k.tag(t)
-	k.int(p.P)
-	k.int(p.Ps)
-	k.num(p.W)
-	k.num(p.St)
-	k.num(p.So)
-	k.num(p.C2)
-	return k.b
-}
-
-func (k *keyWriter) general(p core.GeneralParams) []byte {
-	k.tag(tagGeneral)
-	k.int(p.P)
-	k.nums(p.W)
-	k.int(len(p.V))
-	for _, row := range p.V {
-		k.nums(row)
+// checkKeyType panics unless the key walker encodes every value of
+// type t: ints, float64s and bools, and slices and structs of them.
+func checkKeyType(t reflect.Type) {
+	switch t.Kind() {
+	case reflect.Int, reflect.Float64, reflect.Bool:
+	case reflect.Slice:
+		checkKeyType(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			checkKeyType(t.Field(i).Type)
+		}
+	default:
+		panic(fmt.Sprintf("serve: a cache key cannot encode a %s", t))
 	}
-	k.num(p.St)
-	k.nums(p.So)
-	k.num(p.C2)
-	k.bool(p.ProtocolProcessor)
-	return k.b
-}
-
-func (k *keyWriter) fit(obs []fit.Observation, p int, c2 float64) []byte {
-	k.tag(tagFit)
-	k.int(p)
-	k.num(c2)
-	k.int(len(obs))
-	for _, o := range obs {
-		k.num(o.W)
-		k.num(o.R)
-		k.num(o.Rq)
-	}
-	return k.b
-}
-
-func (k *keyWriter) lock(p core.LockParams) []byte {
-	return k.threads(tagLock, p.Threads, p.W, p.St, p.So, p.C2)
-}
-
-func (k *keyWriter) lockFree(p core.LockFreeParams) []byte {
-	return k.threads(tagLockFree, p.Threads, p.W, p.St, p.So, p.C2)
-}
-
-func (k *keyWriter) threads(t keyTag, threads int, w, st, so, c2 float64) []byte {
-	k.tag(t)
-	k.int(threads)
-	k.num(w)
-	k.num(st)
-	k.num(so)
-	k.num(c2)
-	return k.b
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fit"
 	"repro/internal/rng"
 )
 
@@ -119,8 +118,8 @@ func TestBinaryKeysMatchTextClasses(t *testing.T) {
 		} {
 			*f(&a), *f(&b) = keyNeighbour(r, draw())
 		}
-		ka := string(new(keyWriter).allToAll(a, 0))
-		kb := string(new(keyWriter).allToAll(b, 0))
+		ka := routeKey("/v1/alltoall", &allToAllParams{Params: a})
+		kb := routeKey("/v1/alltoall", &allToAllParams{Params: b})
 		check(textKeyAllToAll(a, 0) == textKeyAllToAll(b, 0), ka == kb, "alltoall "+textKeyAllToAll(a, 0)+" vs "+textKeyAllToAll(b, 0))
 
 		const n = 3
@@ -131,7 +130,7 @@ func TestBinaryKeysMatchTextClasses(t *testing.T) {
 			ga.W, gb.W = append(ga.W, wa), append(gb.W, wb)
 		}
 		check(textKeyGeneral(ga) == textKeyGeneral(gb),
-			string(new(keyWriter).general(ga)) == string(new(keyWriter).general(gb)),
+			routeKey("/v1/general", &ga) == routeKey("/v1/general", &gb),
 			"general "+textKeyGeneral(ga)+" vs "+textKeyGeneral(gb))
 	}
 	if same == 0 || differ == 0 {
@@ -202,55 +201,17 @@ func growSlice(v reflect.Value, n *int) bool {
 	return false
 }
 
-// TestKeyFieldPerturbation: changing any single parameter of any
-// endpoint — every field of its params struct, found by reflection so a
-// field added later is covered too, every element of every list, and
-// every list's length — changes the key.
+// TestKeyFieldPerturbation: changing any single parameter of any route
+// in the table — every field of its params struct, found by reflection
+// so a field added later is covered too, every element of every list,
+// and every list's length — changes the key.
 func TestKeyFieldPerturbation(t *testing.T) {
-	type allToAll struct {
-		core.Params
-		N int
-	}
-	type fitArgs struct {
-		Obs []fit.Observation
-		P   int
-		C2  float64
-	}
-	cases := []struct {
-		name  string
-		fresh func() any // a new, unshared base value
-		key   func(v any) string
-	}{
-		{"alltoall",
-			func() any { return &allToAll{Params: core.Params{P: 32, W: 1000, St: 40, So: 200, C2: 0.5}, N: 10} },
-			func(v any) string { a := v.(*allToAll); return string(new(keyWriter).allToAll(a.Params, a.N)) }},
-		{"workpile",
-			func() any { return &core.ClientServerParams{P: 32, Ps: 8, W: 1500, St: 40, So: 131, C2: 0.5} },
-			func(v any) string { return string(new(keyWriter).workpile(*v.(*core.ClientServerParams))) }},
-		{"bounds",
-			func() any { return &core.ClientServerParams{P: 32, Ps: 8, W: 1500, St: 40, So: 131, C2: 0.5} },
-			func(v any) string { return string(new(keyWriter).bounds(*v.(*core.ClientServerParams))) }},
-		{"general",
-			func() any {
-				return &core.GeneralParams{P: 3, W: []float64{1000, 900, 800}, V: core.HomogeneousVisits(3),
-					St: 40, So: []float64{200, 210, 220}, C2: 0.5}
-			},
-			func(v any) string { return string(new(keyWriter).general(*v.(*core.GeneralParams))) }},
-		{"fit",
-			func() any {
-				return &fitArgs{Obs: []fit.Observation{{W: 0, R: 900, Rq: 10}, {W: 512, R: 1400, Rq: 20}}, P: 16, C2: 0.5}
-			},
-			func(v any) string { a := v.(*fitArgs); return string(new(keyWriter).fit(a.Obs, a.P, a.C2)) }},
-		{"lock",
-			func() any { return &core.LockParams{Threads: 8, W: 800, St: 20, So: 100, C2: 1} },
-			func(v any) string { return string(new(keyWriter).lock(*v.(*core.LockParams))) }},
-		{"lockfree",
-			func() any { return &core.LockFreeParams{Threads: 8, W: 400, St: 5, So: 60, C2: 1} },
-			func(v any) string { return string(new(keyWriter).lockFree(*v.(*core.LockFreeParams))) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			base := c.key(c.fresh())
+	for _, e := range solveRoutes {
+		info := e.info()
+		t.Run(strings.TrimPrefix(info.path, "/v1/"), func(t *testing.T) {
+			fresh := func() any { return sampleParams(t, e) } // a new, unshared base value
+			key := func(v any) string { return string(new(keyWriter).key(info.tag, v)) }
+			base := key(fresh())
 			for _, m := range []struct {
 				what  string
 				apply func(v reflect.Value, n *int) bool
@@ -259,12 +220,12 @@ func TestKeyFieldPerturbation(t *testing.T) {
 				{"length", growSlice},
 			} {
 				for i := 0; ; i++ {
-					v := c.fresh()
+					v := fresh()
 					n := i
 					if !m.apply(reflect.ValueOf(v).Elem(), &n) {
 						break
 					}
-					if c.key(v) == base {
+					if key(v) == base {
 						t.Errorf("%s perturbation %d (%+v) left the key unchanged", m.what, i, v)
 					}
 				}

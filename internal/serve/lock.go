@@ -2,13 +2,14 @@ package serve
 
 import (
 	"math"
-	"net/http"
 
 	"repro/internal/core"
 )
 
-// --- /v1/lock ---
+// --- /v1/lock and /v1/lockfree ---
 
+// lockRequest is the wire request of both the lock and the lock-free
+// models.
 type lockRequest struct {
 	Threads int     `json:"threads"`
 	W       float64 `json:"w"`
@@ -28,49 +29,6 @@ type lockResponse struct {
 	Uncontended float64 `json:"uncontended_bound"`
 }
 
-func (s *Server) handleLock(w http.ResponseWriter, r *http.Request) {
-	var req lockRequest
-	if !decodeRequest(w, r, req.decode) {
-		return
-	}
-	p := core.LockParams{Threads: req.Threads, W: req.W, St: req.St, So: req.So, C2: req.C2}
-	if err := p.Validate(); err != nil {
-		badRequest(w, err)
-		return
-	}
-	k := newKeyWriter()
-	defer k.free()
-	data, o, err := s.cache.get(k.lock(p), func() ([]byte, error) {
-		return s.admit(r.Context(), func() ([]byte, error) {
-			res, err := core.LockObserved(p, s.conv)
-			if err != nil {
-				return nil, err
-			}
-			serial, unc := core.LockBounds(p)
-			return marshalResponse(lockResponse{
-				X: res.X, R: res.R, Rs: res.Rs, Wait: res.Wait,
-				Q: res.Q, U: res.U,
-				SerialBound: serial, Uncontended: unc,
-			})
-		})
-	})
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	s.writeCached(w, data, o)
-}
-
-// --- /v1/lockfree ---
-
-type lockFreeRequest struct {
-	Threads int     `json:"threads"`
-	W       float64 `json:"w"`
-	St      float64 `json:"st"`
-	So      float64 `json:"so"`
-	C2      float64 `json:"c2"`
-}
-
 type lockFreeResponse struct {
 	X        float64 `json:"x"`
 	R        float64 `json:"r"`
@@ -84,39 +42,42 @@ type lockFreeResponse struct {
 	ConflictFree float64  `json:"conflict_free_bound"`
 }
 
-func (s *Server) handleLockFree(w http.ResponseWriter, r *http.Request) {
-	var req lockFreeRequest
-	if !decodeRequest(w, r, req.decode) {
-		return
-	}
-	p := core.LockFreeParams{Threads: req.Threads, W: req.W, St: req.St, So: req.So, C2: req.C2}
-	if err := p.Validate(); err != nil {
-		badRequest(w, err)
-		return
-	}
-	k := newKeyWriter()
-	defer k.free()
-	data, o, err := s.cache.get(k.lockFree(p), func() ([]byte, error) {
-		return s.admit(r.Context(), func() ([]byte, error) {
-			res, err := core.LockFreeObserved(p, s.conv)
-			if err != nil {
-				return nil, err
-			}
-			serial, free := core.LockFreeBounds(p)
-			out := lockFreeResponse{
-				X: res.X, R: res.R, Attempts: res.Attempts,
-				Conflict: res.Conflict, U: res.U,
-				ConflictFree: free,
-			}
-			if !math.IsInf(serial, 1) {
-				out.SerialBound = &serial
-			}
-			return marshalResponse(out)
-		})
-	})
+func (q *lockRequest) lockParams() (core.LockParams, error) {
+	p := core.LockParams{Threads: q.Threads, W: q.W, St: q.St, So: q.So, C2: q.C2}
+	return p, p.Validate()
+}
+
+func (q *lockRequest) lockFreeParams() (core.LockFreeParams, error) {
+	p := core.LockFreeParams{Threads: q.Threads, W: q.W, St: q.St, So: q.So, C2: q.C2}
+	return p, p.Validate()
+}
+
+func solveLock(s *Server, p core.LockParams) (any, error) {
+	res, err := core.LockObserved(p, s.conv)
 	if err != nil {
-		writeSolveError(w, err)
-		return
+		return nil, err
 	}
-	s.writeCached(w, data, o)
+	serial, unc := core.LockBounds(p)
+	return lockResponse{
+		X: res.X, R: res.R, Rs: res.Rs, Wait: res.Wait,
+		Q: res.Q, U: res.U,
+		SerialBound: serial, Uncontended: unc,
+	}, nil
+}
+
+func solveLockFree(s *Server, p core.LockFreeParams) (any, error) {
+	res, err := core.LockFreeObserved(p, s.conv)
+	if err != nil {
+		return nil, err
+	}
+	serial, free := core.LockFreeBounds(p)
+	out := lockFreeResponse{
+		X: res.X, R: res.R, Attempts: res.Attempts,
+		Conflict: res.Conflict, U: res.U,
+		ConflictFree: free,
+	}
+	if !math.IsInf(serial, 1) {
+		out.SerialBound = &serial
+	}
+	return out, nil
 }

@@ -143,15 +143,15 @@ func TestLockKeyUniqueness(t *testing.T) {
 		keys[key] = name
 	}
 	lp := core.LockParams{Threads: 8, W: 800, St: 20, So: 100, C2: 1}
-	add("lock", string(new(keyWriter).lock(lp)))
+	add("lock", routeKey("/v1/lock", &lp))
 	lp2 := lp
 	lp2.Threads = 9
-	add("lock threads+1", string(new(keyWriter).lock(lp2)))
+	add("lock threads+1", routeKey("/v1/lock", &lp2))
 	lp3 := lp
 	lp3.W++
-	add("lock w+1", string(new(keyWriter).lock(lp3)))
+	add("lock w+1", routeKey("/v1/lock", &lp3))
 	fp := core.LockFreeParams{Threads: 8, W: 800, St: 20, So: 100, C2: 1}
-	add("lockfree same numerics", string(new(keyWriter).lockFree(fp)))
+	add("lockfree same numerics", routeKey("/v1/lockfree", &fp))
 	cs := core.ClientServerParams{P: 8, Ps: 1, W: 800, St: 20, So: 100, C2: 1}
-	add("workpile", string(new(keyWriter).workpile(cs)))
+	add("workpile", routeKey("/v1/workpile", &cs))
 }

@@ -25,6 +25,13 @@
 // under /debug/pprof/. /healthz and /readyz complete the surface;
 // draining for graceful shutdown flips /readyz to 503 while in-flight
 // requests finish.
+//
+// Adding a solve endpoint takes its wire types (a request struct whose
+// fields carry json tags, and a response struct), a params function
+// that validates the request into the solve's parameter struct, a solve
+// function from those parameters to the response, and one row in
+// solveRoutes (route.go). The route supplies decoding, the cache key,
+// caching, admission, marshalling and the error answers.
 package serve
 
 import (
@@ -260,14 +267,11 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.Handle("/v1/alltoall", s.instrument("/v1/alltoall", s.handleAllToAll))
-	s.mux.Handle("/v1/workpile", s.instrument("/v1/workpile", s.handleWorkpile))
-	s.mux.Handle("/v1/general", s.instrument("/v1/general", s.handleGeneral))
-	s.mux.Handle("/v1/bounds", s.instrument("/v1/bounds", s.handleBounds))
-	s.mux.Handle("/v1/fit", s.instrument("/v1/fit", s.handleFit))
+	for _, e := range solveRoutes {
+		path := e.info().path
+		s.mux.Handle(path, s.instrument(path, func(w http.ResponseWriter, r *http.Request) { e.serve(s, w, r) }))
+	}
 	s.mux.Handle("/v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	s.mux.Handle("/v1/lock", s.instrument("/v1/lock", s.handleLock))
-	s.mux.Handle("/v1/lockfree", s.instrument("/v1/lockfree", s.handleLockFree))
 	if s.calib != nil {
 		s.mux.Handle("/v1/calibration", s.instrument("/v1/calibration", s.handleCalibration))
 		s.mux.Handle("/v1/whatif", s.instrument("/v1/whatif", s.handleWhatif))
@@ -363,7 +367,12 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		defer s.met.inFlight.Add(-1)
 		rs.requests.Add(1)
 
-		rt := &reqTiming{}
+		// One allocation carries the request's timing and its status.
+		st := &struct {
+			rt  reqTiming
+			rec statusRecorder
+		}{rec: statusRecorder{ResponseWriter: w}}
+		rt, rec := &st.rt, &st.rec
 		r = r.WithContext(context.WithValue(r.Context(), timingKey{}, rt))
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 
@@ -372,7 +381,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			endSpan = s.cfg.Spans.Start("http", route)
 		}
 		start := s.clk.Now()
-		rec := &statusRecorder{ResponseWriter: w}
 		h(rec, r)
 		total := s.clk.Now().Sub(start)
 		observeLatency(rs.latency, total)

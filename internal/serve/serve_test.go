@@ -77,6 +77,7 @@ func TestHandlerTable(t *testing.T) {
 		{"general ok", "/v1/general", `{"p":4,"w":[1000,1000,1000,1000],"v":[[0,0.3333333333,0.3333333333,0.3333333333],[0.3333333333,0,0.3333333333,0.3333333333],[0.3333333333,0.3333333333,0,0.3333333333],[0.3333333333,0.3333333333,0.3333333333,0]],"st":40,"so":[200],"c2":0}`, 200, `"total_x":`},
 		{"general shape mismatch", "/v1/general", `{"p":4,"w":[1000],"v":[[0]],"st":40,"so":[200]}`, 400, "len(W)"},
 		{"fit too few observations", "/v1/fit", `{"p":32,"c2":0,"observations":[{"w":0,"r":900},{"w":64,"r":960}]}`, 400, "at least 3"},
+		{"fit single processor", "/v1/fit", `{"p":1,"c2":0,"observations":[{"w":0,"r":900},{"w":512,"r":1400},{"w":2048,"r":2950}]}`, 400, "at least 2 processors"},
 		{"sweep ok", "/v1/sweep", `{"points":[` + validAllToAll + `,{"p":32,"w":2000,"st":40,"so":200,"c2":0}],"jobs":2}`, 200, `"results":`},
 		{"sweep empty", "/v1/sweep", `{"points":[]}`, 400, "at least one point"},
 		{"sweep bad point", "/v1/sweep", `{"points":[{"p":1,"w":10,"so":1}]}`, 400, "point 0"},
@@ -91,6 +92,27 @@ func TestHandlerTable(t *testing.T) {
 				t.Errorf("body %q missing %q", body, c.wantInBody)
 			}
 		})
+	}
+}
+
+// TestInvalidFitTakesNoSlot: a fit its arguments rule out answers 400
+// before it is admitted, so it records no service sample for the
+// calibrator.
+func TestInvalidFitTakesNoSlot(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	before := s.met.service.Snapshot().Count
+	for _, body := range []string{
+		`{"p":32,"c2":0,"observations":[{"w":0,"r":900},{"w":64,"r":960}]}`,
+		`{"p":1,"c2":0,"observations":[{"w":0,"r":900},{"w":512,"r":1400},{"w":2048,"r":2950}]}`,
+		`{"p":32,"c2":-1,"observations":[{"w":0,"r":900},{"w":512,"r":1400},{"w":2048,"r":2950}]}`,
+		`{"p":32,"c2":0,"observations":[{"w":0,"r":-900},{"w":512,"r":1400},{"w":2048,"r":2950}]}`,
+	} {
+		if resp, got := post(t, ts.URL+"/v1/fit", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400; body: %s", body, resp.StatusCode, got)
+		}
+	}
+	if after := s.met.service.Snapshot().Count; after != before {
+		t.Errorf("invalid fits recorded %d service samples, want none", after-before)
 	}
 }
 
