@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/numeric"
 	"repro/internal/obs"
@@ -65,11 +67,20 @@ func (r AllToAllResult) Components(p Params) (thread, request, reply float64) {
 	return r.Rw - p.W, r.Rq - p.So, r.Ry - p.So
 }
 
+// allToAllIter is one evaluation of F[R]: the next cycle time r and
+// the handler quantities the final result is assembled from. a is the
+// handler load λ·So (= Uq = Uy); it is set even when a guard fires, so
+// the solver can render the guard's error.
+type allToAllIter struct {
+	r, rw, rq, ry, qq, qy, a float64
+}
+
 // allToAllStep evaluates the recursion F[R] of §5.3 (generalized to any
 // C² using the §5.2 residual-life correction): given a trial cycle time
 // R it computes the implied per-node arrival rate λ = 1/R, solves the
 // inner linear system for the handler response times, and returns the
-// resulting cycle time together with the other model quantities.
+// resulting cycle time together with the other model quantities, or
+// the guard the trial iterate tripped.
 //
 // Derivation of the inner solve. With a = λ·So and the homogeneous
 // visit ratio V = 1/P, Little's law gives Qq = λ·Rq, Qy = λ·Ry and
@@ -83,13 +94,12 @@ func (r AllToAllResult) Components(p Params) (thread, request, reply float64) {
 //	Rq = So·(1 + (C²−1)a + a(1 + (C²−1)a/2)) / (1 − a − a²)
 //
 //lopc:hotpath
-func allToAllStep(p Params, r float64) (AllToAllResult, error) {
+func allToAllStep(p Params, r float64) (allToAllIter, stepGuard) {
 	lam := 1 / r // per-node arrival rate of requests (also of replies)
 	a := lam * p.So
 	denom := 1 - a - a*a
 	if denom <= 0 {
-		//lopc:allow allochot error construction runs only on the infeasible-guard path, never on a converged iterate
-		return AllToAllResult{}, fmt.Errorf("core: all-to-all model infeasible at R=%v (handler load a=%v)", r, a)
+		return allToAllIter{a: a}, guardInfeasible
 	}
 	cc := p.C2 - 1
 	rq := p.So * (1 + cc*a + a*(1+cc*a/2)) / denom
@@ -103,8 +113,7 @@ func allToAllStep(p Params, r float64) (AllToAllResult, error) {
 		rw = p.W
 	default:
 		if a >= 1 {
-			//lopc:allow allochot error construction runs only on the saturated-guard path, never on a converged iterate
-			return AllToAllResult{}, fmt.Errorf("core: request-handler utilization %v >= 1", a)
+			return allToAllIter{a: a}, guardSaturated
 		}
 		if p.Priority == ShadowServer {
 			rw = p.W / (1 - a)
@@ -112,13 +121,16 @@ func allToAllStep(p Params, r float64) (AllToAllResult, error) {
 			rw = (p.W + p.So*qq) / (1 - a)
 		}
 	}
-	res := AllToAllResult{
-		R:  rw + 2*p.St + rq + ry,
-		Rw: rw, Rq: rq, Ry: ry,
-		Qq: qq, Qy: qy,
-		Uq: a, Uy: a,
+	return allToAllIter{r: rw + 2*p.St + rq + ry, rw: rw, rq: rq, ry: ry, qq: qq, qy: qy, a: a}, guardNone
+}
+
+// guardError renders the error for guard g, which it tripped at trial
+// cycle time r.
+func (it allToAllIter) guardError(g stepGuard, r float64) error {
+	if g == guardInfeasible {
+		return fmt.Errorf("core: all-to-all model infeasible at R=%v (handler load a=%v)", r, it.a)
 	}
-	return res, nil
+	return fmt.Errorf("core: request-handler utilization %v >= 1", it.a)
 }
 
 // AllToAll solves the homogeneous all-to-all model of Chapter 5 and
@@ -141,17 +153,17 @@ func AllToAllObserved(p Params, o obs.SolveObserver) (AllToAllResult, error) {
 	lower := p.ContentionFree()
 	var stats obs.SolveStats
 	f := func(r float64) float64 {
-		step, err := allToAllStep(p, r)
-		if err != nil {
+		it, g := allToAllStep(p, r)
+		if g != guardNone {
 			// Push the iterate back toward the feasible region; the
 			// final solve below re-validates.
 			stats.GuardTrips++
 			return r + p.So
 		}
-		if step.Uq > stats.MaxUtil {
-			stats.MaxUtil = step.Uq
+		if it.a > stats.MaxUtil {
+			stats.MaxUtil = it.a
 		}
-		return step.R
+		return it.r
 	}
 	r, fp, err := numeric.FixedPointTraced(f, lower+p.So, numeric.DefaultFixedPointOpts())
 	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
@@ -160,16 +172,22 @@ func AllToAllObserved(p Params, o obs.SolveObserver) (AllToAllResult, error) {
 		done(stats, err)
 		return AllToAllResult{}, err
 	}
-	res, err := allToAllStep(p, r)
-	if err != nil {
+	it, g := allToAllStep(p, r)
+	if g != guardNone {
+		err := it.guardError(g, r)
 		done(stats, err)
 		return AllToAllResult{}, err
 	}
-	res.R = r
-	res.X = float64(p.P) / r
-	res.ContentionFree = lower
-	res.UpperBound = p.W + 2*p.St + UpperBoundBeta(p.C2)*p.So
-	res.Solve = stats
+	res := AllToAllResult{
+		R:  r,
+		Rw: it.rw, Rq: it.rq, Ry: it.ry,
+		Qq: it.qq, Qy: it.qy,
+		Uq: it.a, Uy: it.a,
+		X:              float64(p.P) / r,
+		ContentionFree: lower,
+		UpperBound:     p.W + 2*p.St + UpperBoundBeta(p.C2)*p.So,
+		Solve:          stats,
+	}
 	done(stats, nil)
 	return res, nil
 }
@@ -187,12 +205,46 @@ func TotalRuntime(p Params, n int) (float64, error) {
 	return float64(n) * res.R, nil
 }
 
+// betaMemoBits sizes betaMemo at 2^betaMemoBits slots.
+const betaMemoBits = 6
+
+// betaEntry is one memoized UpperBoundBeta answer, keyed on the exact
+// bits of C². Entries are immutable once published.
+type betaEntry struct {
+	c2bits uint64
+	beta   float64
+}
+
+// betaMemo caches UpperBoundBeta by the exact bits of C². β depends on
+// C² alone, and a fit's hundreds of solves share one C², so the Eq.
+// 5.12 bisection runs once per distinct variability instead of once
+// per solve. The table is direct-mapped: each slot publishes an
+// immutable entry through an atomic pointer, so a hit is one load and
+// a compare, and a colliding C² simply replaces the slot.
+var betaMemo [1 << betaMemoBits]atomic.Pointer[betaEntry]
+
 // UpperBoundBeta returns the coefficient β such that
 // R* ≤ W + 2St + β·So holds for the all-to-all fixed point at the given
 // handler variability, for every W and St (Eq. 5.12 gives β = 3.46 at
 // C² = 0). The worst case is W = St = 0, where handler load is maximal,
-// so β is found there: it is the fixed point of F[β·So]/So.
+// so β is found there: it is the fixed point of F[β·So]/So. Answers are
+// memoized by the exact bits of c2 and equal the bisection's bit for
+// bit.
 func UpperBoundBeta(c2 float64) float64 {
+	bits := math.Float64bits(c2)
+	// Fibonacci hashing spreads neighbouring bit patterns over the slots.
+	slot := &betaMemo[(bits*0x9e3779b97f4a7c15)>>(64-betaMemoBits)]
+	if e := slot.Load(); e != nil && e.c2bits == bits {
+		return e.beta
+	}
+	beta := upperBoundBeta(c2)
+	slot.Store(&betaEntry{c2bits: bits, beta: beta})
+	return beta
+}
+
+// upperBoundBeta computes UpperBoundBeta by bisection, without the
+// memo.
+func upperBoundBeta(c2 float64) float64 {
 	if c2 < 0 {
 		panic(fmt.Sprintf("core: negative C² %v", c2))
 	}
@@ -201,11 +253,11 @@ func UpperBoundBeta(c2 float64) float64 {
 	// change; bracket and bisect.
 	p := Params{P: 2, W: 0, St: 0, So: 1, C2: c2}
 	g := func(beta float64) float64 {
-		step, err := allToAllStep(p, beta)
-		if err != nil {
+		it, guard := allToAllStep(p, beta)
+		if guard != guardNone {
 			return 1 // infeasible: F is effectively above β here
 		}
-		return step.R - beta
+		return it.r - beta
 	}
 	// 20 doublings take hi past 2·10⁶; no finite C² pushes β anywhere
 	// near that, so a bracket not found by then is a model bug.

@@ -32,11 +32,11 @@ func TestFixedPointIsPolynomialRoot(t *testing.T) {
 			return 2 * x * x * (x - s) * (x*x - s*x - s*s)
 		}
 		g := func(x float64) float64 {
-			step, err := allToAllStep(p, x)
-			if err != nil {
-				t.Fatalf("step at %v: %v", x, err)
+			it, g := allToAllStep(p, x)
+			if g != guardNone {
+				t.Fatalf("step at %v: %v", x, it.guardError(g, x))
 			}
-			return (x - step.R) * d(x)
+			return (x - it.r) * d(x)
 		}
 		// Sample points comfortably inside the feasible region
 		// (x > golden-ratio·So keeps x²−sx−s² > 0).

@@ -73,24 +73,38 @@ func ClientServer(p ClientServerParams) (ClientServerResult, error) {
 	return ClientServerObserved(p, nil)
 }
 
+// clientServerIter is one iterate of the work-pile fixed point: rsNext
+// is the next server response time, and x, r, qs and us the model
+// quantities at the trial one. us is set even when the saturation
+// guard fires, so the solver can render the guard's error.
+type clientServerIter struct {
+	x, r, rsNext, qs, us float64
+}
+
 // clientServerStep evaluates one iterate of the work-pile fixed point
 // (Eq. 6.5 with Little's law): given a trial server response time rs it
-// returns the implied model quantities, with Rs holding the next
-// iterate. pc and ps are the client and server counts as floats.
+// returns the implied model quantities and the next iterate, or the
+// guard the trial iterate tripped. pc and ps are the client and server
+// counts as floats.
 //
 //lopc:hotpath
-func clientServerStep(p ClientServerParams, pc, ps, rs float64) (ClientServerResult, error) {
+func clientServerStep(p ClientServerParams, pc, ps, rs float64) (clientServerIter, stepGuard) {
 	r := p.W + 2*p.St + rs + p.So
 	x := pc / r
 	lamS := x / ps // arrival rate at each server
 	us := lamS * p.So
 	if us >= 1 {
-		//lopc:allow allochot error construction runs only on the saturated-guard path, never on a converged iterate
-		return ClientServerResult{}, fmt.Errorf("core: server utilization %v >= 1 at Rs=%v", us, rs)
+		return clientServerIter{us: us}, guardSaturated
 	}
 	qs := lamS * rs
 	rsNext := p.So * (1 + qs + (p.C2-1)/2*us)
-	return ClientServerResult{X: x, R: r, Rs: rsNext, Qs: qs, Us: us}, nil
+	return clientServerIter{x: x, r: r, rsNext: rsNext, qs: qs, us: us}, guardNone
+}
+
+// guardError renders the saturation guard's error, which it tripped at
+// trial server response time rs.
+func (it clientServerIter) guardError(rs float64) error {
+	return fmt.Errorf("core: server utilization %v >= 1 at Rs=%v", it.us, rs)
 }
 
 // ClientServerObserved is ClientServer reporting the solve to o (which
@@ -105,15 +119,15 @@ func ClientServerObserved(p ClientServerParams, o obs.SolveObserver) (ClientServ
 	ps := float64(p.Ps)
 	var stats obs.SolveStats
 	f := func(rs float64) float64 {
-		res, err := clientServerStep(p, pc, ps, rs)
-		if err != nil {
+		it, g := clientServerStep(p, pc, ps, rs)
+		if g != guardNone {
 			stats.GuardTrips++
 			return rs * 2 // push away from the saturated region
 		}
-		if res.Us > stats.MaxUtil {
-			stats.MaxUtil = res.Us
+		if it.us > stats.MaxUtil {
+			stats.MaxUtil = it.us
 		}
-		return res.Rs
+		return it.rsNext
 	}
 	rs, fp, err := numeric.FixedPointTraced(f, p.So, numeric.DefaultFixedPointOpts())
 	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
@@ -122,14 +136,13 @@ func ClientServerObserved(p ClientServerParams, o obs.SolveObserver) (ClientServ
 		done(stats, err)
 		return ClientServerResult{}, err
 	}
-	res, err := clientServerStep(p, pc, ps, rs)
-	if err != nil {
+	it, g := clientServerStep(p, pc, ps, rs)
+	if g != guardNone {
+		err := it.guardError(rs)
 		done(stats, err)
 		return ClientServerResult{}, err
 	}
-	res.Rs = rs
-	res.Qs = res.X / ps * rs
-	res.Solve = stats
+	res := ClientServerResult{X: it.x, R: it.r, Rs: rs, Qs: it.x / ps * rs, Us: it.us, Solve: stats}
 	done(stats, nil)
 	return res, nil
 }

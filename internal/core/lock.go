@@ -97,23 +97,37 @@ func Lock(p LockParams) (LockResult, error) {
 	return LockObserved(p, nil)
 }
 
+// lockIter is one iterate of the lock model's fixed point: rsNext is
+// the next lock response time, and x, r, q and u the model quantities
+// at the trial one. u is set even when the saturation guard fires, so
+// the solver can render the guard's error.
+type lockIter struct {
+	x, r, rsNext, q, u float64
+}
+
 // lockStep evaluates one iterate of the lock model's fixed point: the
 // work-pile iteration (Eq. 6.5 with Little's law) minus the reply
 // handler, with Schweitzer's (N−1)/N arrival scaling already folded
-// into scale. Rs of the returned result holds the next iterate.
+// into scale. It returns the next iterate, or the guard the trial
+// iterate tripped.
 //
 //lopc:hotpath
-func lockStep(p LockParams, n, scale, rs float64) (LockResult, error) {
+func lockStep(p LockParams, n, scale, rs float64) (lockIter, stepGuard) {
 	r := p.W + 2*p.St + rs
 	x := n / r
 	u := x * p.So
 	if u >= 1 {
-		//lopc:allow allochot error construction runs only on the saturated-guard path, never on a converged iterate
-		return LockResult{}, fmt.Errorf("core: lock utilization %v >= 1 at Rs=%v", u, rs)
+		return lockIter{u: u}, guardSaturated
 	}
 	q := x * rs
 	rsNext := p.So * (1 + scale*(q+(p.C2-1)/2*u))
-	return LockResult{X: x, R: r, Rs: rsNext, Q: q, U: u}, nil
+	return lockIter{x: x, r: r, rsNext: rsNext, q: q, u: u}, guardNone
+}
+
+// guardError renders the saturation guard's error, which it tripped at
+// trial lock response time rs.
+func (it lockIter) guardError(rs float64) error {
+	return fmt.Errorf("core: lock utilization %v >= 1 at Rs=%v", it.u, rs)
 }
 
 // LockObserved is Lock reporting the solve to o (which may be nil).
@@ -132,15 +146,15 @@ func LockObserved(p LockParams, o obs.SolveObserver) (LockResult, error) {
 	scale := (n - 1) / n // arrival theorem: an arriver never queues behind itself
 	var stats obs.SolveStats
 	f := func(rs float64) float64 {
-		res, err := lockStep(p, n, scale, rs)
-		if err != nil {
+		it, g := lockStep(p, n, scale, rs)
+		if g != guardNone {
 			stats.GuardTrips++
 			return rs * 2 // push away from the saturated region
 		}
-		if res.U > stats.MaxUtil {
-			stats.MaxUtil = res.U
+		if it.u > stats.MaxUtil {
+			stats.MaxUtil = it.u
 		}
-		return res.Rs
+		return it.rsNext
 	}
 	rs, fp, err := numeric.FixedPointTraced(f, p.So, numeric.DefaultFixedPointOpts())
 	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
@@ -149,15 +163,13 @@ func LockObserved(p LockParams, o obs.SolveObserver) (LockResult, error) {
 		done(stats, err)
 		return LockResult{}, err
 	}
-	res, err := lockStep(p, n, scale, rs)
-	if err != nil {
+	it, g := lockStep(p, n, scale, rs)
+	if g != guardNone {
+		err := it.guardError(rs)
 		done(stats, err)
 		return LockResult{}, err
 	}
-	res.Rs = rs
-	res.Wait = rs - p.So
-	res.Q = res.X * rs
-	res.Solve = stats
+	res := LockResult{X: it.x, R: it.r, Rs: rs, Wait: rs - p.So, Q: it.x * rs, U: it.u, Solve: stats}
 	done(stats, nil)
 	return res, nil
 }
@@ -262,28 +274,43 @@ func LockFree(p LockFreeParams) (LockFreeResult, error) {
 	return LockFreeObserved(p, nil)
 }
 
+// lockFreeIter is one iterate of the conflict model's fixed point:
+// rNext is the next cycle time, and attempts, q and u the model
+// quantities at the trial one. u and q are set as far as the step got
+// when a guard fires, so the solver can render the guard's error.
+type lockFreeIter struct {
+	rNext, attempts, q, u float64
+}
+
 // lockFreeStep evaluates one iterate of the conflict model's fixed
 // point: given a trial cycle time r it derives the competing commit
-// rate, the conflict probability, and the regenerated work, with R of
-// the returned result holding the next iterate.
+// rate, the conflict probability, and the regenerated work, and returns
+// the next iterate or the guard the trial iterate tripped.
 //
 //lopc:hotpath
-func lockFreeStep(p LockFreeParams, n, r float64) (LockFreeResult, error) {
+func lockFreeStep(p LockFreeParams, n, r float64) (lockFreeIter, stepGuard) {
 	x := n / r
 	u := x * p.St
 	if u >= 1 {
-		//lopc:allow allochot error construction runs only on the saturated-guard path, never on a converged iterate
-		return LockFreeResult{}, fmt.Errorf("core: commit serialization utilization %v >= 1 at R=%v", u, r)
+		return lockFreeIter{u: u}, guardSaturated
 	}
 	lam := x * (n - 1) / n
 	q := lockFreeConflict(lam, p.So, p.C2)
 	if q >= maxConflict {
-		//lopc:allow allochot error construction runs only on the retry-storm guard path, never on a converged iterate
-		return LockFreeResult{}, fmt.Errorf("core: conflict probability %v at R=%v; retry storm", q, r)
+		return lockFreeIter{q: q, u: u}, guardRetryStorm
 	}
 	a := 1 / (1 - q)
 	rNext := p.W + a*p.So + p.St
-	return LockFreeResult{X: x, R: rNext, Attempts: a, Conflict: q, U: u}, nil
+	return lockFreeIter{rNext: rNext, attempts: a, q: q, u: u}, guardNone
+}
+
+// guardError renders the error for guard g, which it tripped at trial
+// cycle time r.
+func (it lockFreeIter) guardError(g stepGuard, r float64) error {
+	if g == guardSaturated {
+		return fmt.Errorf("core: commit serialization utilization %v >= 1 at R=%v", it.u, r)
+	}
+	return fmt.Errorf("core: conflict probability %v at R=%v; retry storm", it.q, r)
 }
 
 // LockFreeObserved is LockFree reporting the solve to o (which may be
@@ -299,15 +326,15 @@ func LockFreeObserved(p LockFreeParams, o obs.SolveObserver) (LockFreeResult, er
 	n := float64(p.Threads)
 	var stats obs.SolveStats
 	f := func(r float64) float64 {
-		res, err := lockFreeStep(p, n, r)
-		if err != nil {
+		it, g := lockFreeStep(p, n, r)
+		if g != guardNone {
 			stats.GuardTrips++
 			return r * 2 // push away from the infeasible region
 		}
-		if res.U > stats.MaxUtil {
-			stats.MaxUtil = res.U
+		if it.u > stats.MaxUtil {
+			stats.MaxUtil = it.u
 		}
-		return res.R
+		return it.rNext
 	}
 	r0 := p.W + p.So + p.St // the conflict-free cycle
 	r, fp, err := numeric.FixedPointTraced(f, r0, numeric.DefaultFixedPointOpts())
@@ -317,15 +344,14 @@ func LockFreeObserved(p LockFreeParams, o obs.SolveObserver) (LockFreeResult, er
 		done(stats, err)
 		return LockFreeResult{}, err
 	}
-	res, err := lockFreeStep(p, n, r)
-	if err != nil {
+	it, g := lockFreeStep(p, n, r)
+	if g != guardNone {
+		err := it.guardError(g, r)
 		done(stats, err)
 		return LockFreeResult{}, err
 	}
-	res.R = r
-	res.X = n / r
-	res.U = res.X * p.St
-	res.Solve = stats
+	x := n / r
+	res := LockFreeResult{X: x, R: r, Attempts: it.attempts, Conflict: it.q, U: x * p.St, Solve: stats}
 	done(stats, nil)
 	return res, nil
 }

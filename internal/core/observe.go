@@ -12,6 +12,25 @@ const (
 	SolverLockFree     = "lockfree"
 )
 
+// stepGuard names the feasibility guard a solver step tripped on a
+// trial iterate. Steps report it instead of building an error: the
+// iteration only counts guard trips, and the solver renders the error
+// once, from the final iterate, if a guard fires there.
+type stepGuard uint8
+
+const (
+	// guardNone: the trial iterate was feasible.
+	guardNone stepGuard = iota
+	// guardInfeasible: the all-to-all inner system has no positive
+	// solution (1 − a − a² ≤ 0).
+	guardInfeasible
+	// guardSaturated: a utilization reached 1.
+	guardSaturated
+	// guardRetryStorm: the lock-free conflict probability reached
+	// maxConflict.
+	guardRetryStorm
+)
+
 // beginSolve starts an observation on o, tolerating a nil observer: the
 // returned func reports the solve (folding err into the stats) and is
 // safe to call unconditionally.

@@ -268,10 +268,11 @@ type TaintEngine struct {
 	g    *CallGraph
 	sums map[*types.Func]*taintSummary
 	// gmu guards globals: it is the one map reporting passes over
-	// different packages share (each function's summary belongs to
-	// exactly one package, so summaries never contend). At the fixed
-	// point the values no longer change, but the map writes still
-	// happen and must be serialized for the parallel driver.
+	// different packages write (a reporting pass merges into a copy of
+	// its function's summary, so the shared summaries are only read
+	// once the engine is built). At the fixed point the values no
+	// longer change, but the map writes still happen and must be
+	// serialized for the parallel driver.
 	gmu     sync.Mutex
 	globals map[*types.Var]taintVal
 }
@@ -378,6 +379,14 @@ func newSummary(fn *types.Func) *taintSummary {
 	return s
 }
 
+// clone returns a copy of s that shares no slice with it.
+func (s *taintSummary) clone() *taintSummary {
+	c := *s
+	c.results = append([]taintVal(nil), s.results...)
+	c.paramOut = append([]taintVal(nil), s.paramOut...)
+	return &c
+}
+
 // summaryOf returns the summary for fn, nil when fn's body was not
 // loaded.
 func (eng *TaintEngine) summaryOf(fn *types.Func) *taintSummary {
@@ -398,14 +407,21 @@ type taintReport func(pos token.Pos, sink string, v taintVal)
 // the current summaries, merging what it learns into the function's
 // summary; it reports whether the summary or the globals map grew.
 // With report non-nil it additionally invokes the hook at tainted sink
-// sites (reporting passes run after the engine is at fixed point, so
-// they change nothing).
+// sites; reporting passes run after the engine is at fixed point and
+// merge into a private copy of the summary, so they change nothing.
 func (eng *TaintEngine) analyze(n *CGNode, report taintReport) bool {
 	decl := n.Src.Decl
 	if decl.Body == nil {
 		return false
 	}
 	sum := eng.sums[n.Fn]
+	if report != nil {
+		// Reporting passes run concurrently, one package each, while
+		// other packages' passes read this summary at their call sites:
+		// merge into a private copy so the shared summaries stay
+		// read-only once the engine is built.
+		sum = sum.clone()
+	}
 	env := &taintEnv{
 		eng:      eng,
 		pkg:      n.Src.Pkg,

@@ -74,6 +74,19 @@ type ConvRecorder struct {
 	cap   int
 	next  int // ring insertion point once full
 	total int
+	// inst caches each solver's registry instruments, resolved on the
+	// solver's first solve; nil without a registry.
+	inst map[string]*solverInstruments
+}
+
+// solverInstruments are one solver's mirrored metrics. errors and
+// guardTrips stay nil until the solver's first error or guard trip, so
+// their series appear in the exposition only once something happened.
+type solverInstruments struct {
+	labels             Labels
+	solves             *Counter
+	errors, guardTrips *Counter
+	iters, wall        *Histogram
 }
 
 // DefaultConvCapacity is the ring size NewConvRecorder uses for
@@ -117,29 +130,62 @@ func (c *ConvRecorder) BeginSolve(solver string) func(SolveStats) {
 			WallUS:     wall.Microseconds(),
 			Err:        s.Err,
 		}
-		c.mu.Lock()
-		c.total++
-		tr.Seq = c.total
-		if len(c.ring) < c.cap {
-			c.ring = append(c.ring, tr)
-		} else {
-			c.ring[c.next] = tr
-			c.next = (c.next + 1) % c.cap
+		in := c.record(tr)
+		if in.solves == nil {
+			return
 		}
-		c.mu.Unlock()
-		if c.reg != nil {
-			labels := Labels{"solver": solver}
-			c.reg.Counter("lopc_solves_total", "completed AMVA fixed-point solves", labels).Inc()
-			if s.Err != "" {
-				c.reg.Counter("lopc_solve_errors_total", "solves that returned an error", labels).Inc()
-			}
-			if s.GuardTrips > 0 {
-				c.reg.Counter("lopc_solve_guard_trips_total", "iterations pushed back or clamped by a feasibility guard", labels).Add(int64(s.GuardTrips))
-			}
-			c.reg.Histogram("lopc_solve_iterations", "fixed-point iterations per solve", labels, iterBuckets).Observe(float64(s.Iters))
-			c.reg.Histogram("lopc_solve_wall_us", "solve wall time in microseconds", labels, wallBuckets).Observe(float64(wall.Microseconds()))
+		in.solves.Inc()
+		if s.Err != "" {
+			in.errors.Inc()
 		}
+		if s.GuardTrips > 0 {
+			in.guardTrips.Add(int64(s.GuardTrips))
+		}
+		in.iters.Observe(float64(s.Iters))
+		in.wall.Observe(float64(wall.Microseconds()))
 	}
+}
+
+// record appends tr to the ring and, with a registry, returns the
+// solver's instruments (the zero value without one). It resolves them
+// under the ring lock on the solver's first solve, and the error and
+// guard-trip counters on their first occurrence, so later solves make
+// no registry lookups.
+func (c *ConvRecorder) record(tr SolveTrace) solverInstruments {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.total++
+	tr.Seq = c.total
+	if len(c.ring) < c.cap {
+		c.ring = append(c.ring, tr)
+	} else {
+		c.ring[c.next] = tr
+		c.next = (c.next + 1) % c.cap
+	}
+	if c.reg == nil {
+		return solverInstruments{}
+	}
+	in := c.inst[tr.Solver]
+	if in == nil {
+		labels := Labels{"solver": tr.Solver}
+		in = &solverInstruments{
+			labels: labels,
+			solves: c.reg.Counter("lopc_solves_total", "completed AMVA fixed-point solves", labels),
+			iters:  c.reg.Histogram("lopc_solve_iterations", "fixed-point iterations per solve", labels, iterBuckets),
+			wall:   c.reg.Histogram("lopc_solve_wall_us", "solve wall time in microseconds", labels, wallBuckets),
+		}
+		if c.inst == nil {
+			c.inst = map[string]*solverInstruments{}
+		}
+		c.inst[tr.Solver] = in
+	}
+	if tr.Err != "" && in.errors == nil {
+		in.errors = c.reg.Counter("lopc_solve_errors_total", "solves that returned an error", in.labels)
+	}
+	if tr.GuardTrips > 0 && in.guardTrips == nil {
+		in.guardTrips = c.reg.Counter("lopc_solve_guard_trips_total", "iterations pushed back or clamped by a feasibility guard", in.labels)
+	}
+	return *in
 }
 
 // Total returns the number of solves recorded since construction,

@@ -179,3 +179,73 @@ func TestConvRecorderMetrics(t *testing.T) {
 		t.Errorf("iterations histogram count %d sum %v, want 3 and 55", hs.Count, hs.Sum)
 	}
 }
+
+// uncachedMirror is the registry mirroring of one solve as ConvRecorder
+// did it before caching instrument handles: every solve resolves every
+// instrument by name and labels. It is the reference the cached
+// recorder's exposition must match byte for byte.
+func uncachedMirror(reg *Registry, solver string, s SolveStats, wallUS int64) {
+	labels := Labels{"solver": solver}
+	reg.Counter("lopc_solves_total", "completed AMVA fixed-point solves", labels).Inc()
+	if s.Err != "" {
+		reg.Counter("lopc_solve_errors_total", "solves that returned an error", labels).Inc()
+	}
+	if s.GuardTrips > 0 {
+		reg.Counter("lopc_solve_guard_trips_total", "iterations pushed back or clamped by a feasibility guard", labels).Add(int64(s.GuardTrips))
+	}
+	reg.Histogram("lopc_solve_iterations", "fixed-point iterations per solve", labels, iterBuckets).Observe(float64(s.Iters))
+	reg.Histogram("lopc_solve_wall_us", "solve wall time in microseconds", labels, wallBuckets).Observe(float64(wallUS))
+}
+
+// TestConvRecorderExpositionMatchesUncached scripts solves — clean
+// ones, then each solver's first guard trip and first error — and
+// checks after every solve that the cached recorder's Prometheus
+// exposition is byte-identical to the uncached reference, and that the
+// error and guard-trip series appear only with their first occurrence.
+func TestConvRecorderExpositionMatchesUncached(t *testing.T) {
+	script := []struct {
+		solver string
+		stats  SolveStats
+		wall   time.Duration
+	}{
+		{"alltoall", SolveStats{Iters: 20, Residual: 1e-11, Converged: true, MaxUtil: 0.4}, 3 * time.Microsecond},
+		{"alltoall", SolveStats{Iters: 17, Residual: 1e-11, Converged: true, MaxUtil: 0.5}, 2 * time.Microsecond},
+		{"clientserver", SolveStats{Iters: 9, Converged: true}, time.Microsecond},
+		{"lock", SolveStats{Iters: 30, Converged: true, GuardTrips: 2}, 4 * time.Microsecond},
+		{"alltoall", SolveStats{Iters: 25, Converged: true, GuardTrips: 1}, 5 * time.Microsecond},
+		{"lockfree", SolveStats{Iters: 100000, GuardTrips: 7, Err: "core: lock-free fixed point: numeric: iteration did not converge"}, 9 * time.Millisecond},
+		{"clientserver", SolveStats{Iters: 3, Err: "core: server utilization 1.5 >= 1 at Rs=2"}, time.Microsecond},
+		{"alltoall", SolveStats{Iters: 19, Converged: true}, 3 * time.Microsecond},
+		{"lockfree", SolveStats{Iters: 12, Converged: true}, 2 * time.Microsecond},
+		{"clientserver", SolveStats{Iters: 4, GuardTrips: 3, Err: "core: server utilization 2 >= 1 at Rs=1"}, time.Microsecond},
+	}
+	fake := fakeClk()
+	reg, ref := NewRegistry(), NewRegistry()
+	c := NewConvRecorder(4, fake, reg)
+	seenErr, seenGuard := false, false
+	for i, step := range script {
+		done := c.BeginSolve(step.solver)
+		fake.Advance(step.wall)
+		done(step.stats)
+		uncachedMirror(ref, step.solver, step.stats, step.wall.Microseconds())
+		seenErr = seenErr || step.stats.Err != ""
+		seenGuard = seenGuard || step.stats.GuardTrips > 0
+
+		var got, want strings.Builder
+		if err := reg.WritePrometheus(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.WritePrometheus(&want); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("after solve %d (%s %+v) exposition differs:\ngot:\n%s\nwant:\n%s", i+1, step.solver, step.stats, got.String(), want.String())
+		}
+		if has := strings.Contains(got.String(), "lopc_solve_errors_total"); has != seenErr {
+			t.Errorf("after solve %d: errors series present = %v, want %v", i+1, has, seenErr)
+		}
+		if has := strings.Contains(got.String(), "lopc_solve_guard_trips_total"); has != seenGuard {
+			t.Errorf("after solve %d: guard-trip series present = %v, want %v", i+1, has, seenGuard)
+		}
+	}
+}

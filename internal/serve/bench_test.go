@@ -261,8 +261,42 @@ func TestCachedHitAllocs(t *testing.T) {
 // BenchmarkServeStages is the per-stage cost ledger of a cached request:
 // decode, key, cache lookup, write and the instrument wrapper, each on
 // its own, then the whole server-side request, for the cached
-// /v1/alltoall and /v1/general paths.
+// /v1/alltoall and /v1/general paths. The miss rows add the two stages
+// only a cache miss runs, for /v1/alltoall and /v1/fit: the solve
+// (observed by the server's registry-backed recorder) and the marshal
+// of its response.
 func BenchmarkServeStages(b *testing.B) {
+	for _, c := range []struct{ name, path, body string }{
+		{"alltoall-miss", "/v1/alltoall", validAllToAll},
+		{"fit-miss", "/v1/fit", benchFitBody},
+	} {
+		s := New(Config{Workers: 2, QueueDepth: 8})
+		rt := routeAt(c.path)
+		p, err := rt.parse([]byte(c.body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := rt.solveParsed(s, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name+"/solve", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rt.solveParsed(s, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/marshal", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := json.Marshal(out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, c := range []struct{ name, path, body string }{
 		{"alltoall", "/v1/alltoall", validAllToAll},
 		{"general", "/v1/general", benchGeneralBody},

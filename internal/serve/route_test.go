@@ -30,6 +30,7 @@ type testRoute interface {
 	endpoint
 	decodeFresh(r io.Reader) (any, error)
 	parse(body []byte) (any, error)
+	solveParsed(s *Server, p any) (any, error)
 	paramsType() reflect.Type
 }
 
@@ -56,6 +57,12 @@ func (rt *route[Q, P]) parse(body []byte) (any, error) {
 	}
 	p, err := rt.params(q.(*Q))
 	return &p, err
+}
+
+// solveParsed runs the route's solve on the params p points to, as a
+// cache miss does before marshalling the response.
+func (rt *route[Q, P]) solveParsed(s *Server, p any) (any, error) {
+	return rt.solve(s, *p.(*P))
 }
 
 // sampleParams returns a fresh pointer to the params of e's sample
