@@ -27,7 +27,6 @@ import (
 	"repro/internal/psim"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Event kinds of the sharded machine's psim traffic.
@@ -115,10 +114,13 @@ type CycleInfo struct {
 // whenever the thread is ready for its next step: at start, after a
 // Compute finishes, and after a request's reply unblocks it. Save and
 // Restore snapshot the program's mutable state for the optimistic core
-// (programs that never run optimistically may return nil and ignore).
+// (programs that never run optimistically may return nil and ignore),
+// under psim.LP's contract: reuse is nil or a snapshot this program's
+// Save returned earlier that the kernel has discarded, which Save may
+// overwrite and return, and Restore must not retain its argument.
 type Program interface {
 	Next(v *NodeView) Action
-	Save() any
+	Save(reuse any) any
 	Restore(snapshot any)
 }
 
@@ -162,8 +164,9 @@ type hmsg struct {
 }
 
 // nodeState is the mutable per-node simulator state. Everything is a
-// value (the one slice is deep-copied by Save), so optimistic snapshots
-// are a struct copy.
+// value except the handler queue, which Save and Restore copy element
+// by element, so an optimistic snapshot is a struct copy plus one
+// slice copy.
 type nodeState struct {
 	handlerQ  []hmsg
 	current   hmsg
@@ -224,13 +227,12 @@ type Config struct {
 	Until float64
 
 	// Sync, Jobs, and Window select and tune the synchronization core;
-	// Trace, Metrics, and Spans are passed through to psim.
+	// Trace and Metrics are passed through to psim.
 	Sync    psim.Sync
 	Jobs    int
 	Window  float64
 	Trace   *psim.Trace
 	Metrics *psim.Metrics
-	Spans   *trace.Spans
 }
 
 // Result is the outcome of a sharded run.
@@ -312,7 +314,6 @@ func Run(cfg Config) (Result, error) {
 		Window:    cfg.Window,
 		Trace:     cfg.Trace,
 		Metrics:   cfg.Metrics,
-		Spans:     cfg.Spans,
 	})
 	if err != nil {
 		return Result{}, err
@@ -392,21 +393,30 @@ func (n *node) Handle(ctx *psim.Ctx, ev psim.Event) {
 }
 
 // Save implements psim.LP: a value copy of the node state (with the
-// handler queue deep-copied) plus the program's snapshot.
-func (n *node) Save() any {
-	s := &snap{st: n.st}
-	s.st.handlerQ = append([]hmsg(nil), n.st.handlerQ...)
+// handler queue copied into the snapshot's own backing array) plus the
+// program's snapshot. A reused snapshot keeps its queue array and hands
+// its program snapshot back to the program.
+func (n *node) Save(reuse any) any {
+	s, _ := reuse.(*snap)
+	if s == nil {
+		s = new(snap)
+	}
+	q := s.st.handlerQ[:0]
+	s.st = n.st
+	s.st.handlerQ = append(q, n.st.handlerQ...)
 	if n.prog != nil {
-		s.prog = n.prog.Save()
+		s.prog = n.prog.Save(s.prog)
 	}
 	return s
 }
 
-// Restore implements psim.LP.
+// Restore implements psim.LP. The queue is copied into the node's own
+// array, so the snapshot is not retained.
 func (n *node) Restore(snapshot any) {
 	s := snapshot.(*snap)
+	q := n.st.handlerQ[:0]
 	n.st = s.st
-	n.st.handlerQ = append([]hmsg(nil), s.st.handlerQ...)
+	n.st.handlerQ = append(q, s.st.handlerQ...)
 	if n.prog != nil {
 		n.prog.Restore(s.prog)
 	}

@@ -38,17 +38,22 @@ func (p *twoPhaseProg) Next(v *shard.NodeView) shard.Action {
 	return shard.Compute(p.compute)
 }
 
-func (p *twoPhaseProg) Save() any {
-	s := *p
-	s.rounds = append([]shard.CycleInfo(nil), p.rounds...)
-	return &s
+func (p *twoPhaseProg) Save(reuse any) any {
+	s, _ := reuse.(*twoPhaseProg)
+	if s == nil {
+		s = new(twoPhaseProg)
+	}
+	rounds := s.rounds[:0]
+	*s = *p
+	s.rounds = append(rounds, p.rounds...)
+	return s
 }
 
 func (p *twoPhaseProg) Restore(snapshot any) {
 	s := snapshot.(*twoPhaseProg)
-	rounds := append([]shard.CycleInfo(nil), s.rounds...)
+	rounds := p.rounds[:0]
 	*p = *s
-	p.rounds = rounds
+	p.rounds = append(rounds, s.rounds...)
 }
 
 // TestPingPongTimings checks the request/reply round trip against
@@ -224,7 +229,14 @@ func (p *meshProg) Next(v *shard.NodeView) shard.Action {
 	return shard.Compute(1 + 4*v.Rand().Float64())
 }
 
-func (p *meshProg) Save() any      { s := *p; return &s }
+func (p *meshProg) Save(reuse any) any {
+	s, _ := reuse.(*meshProg)
+	if s == nil {
+		s = new(meshProg)
+	}
+	*s = *p
+	return s
+}
 func (p *meshProg) Restore(sn any) { *p = *sn.(*meshProg) }
 
 // TestConfigErrors exercises Run's validation.

@@ -29,7 +29,7 @@ func (l *benchLP) Handle(c *Ctx, ev Event) {
 	c.Send(next, 1, 1, Msg{})
 }
 
-func (l *benchLP) Save() any        { return l.hops }
+func (l *benchLP) Save(any) any     { return l.hops }
 func (l *benchLP) Restore(snap any) { l.hops = snap.(uint64) }
 
 // BenchmarkCores runs the mesh at P in {64, 256, 1024} under every
@@ -43,8 +43,10 @@ func BenchmarkCores(b *testing.B) {
 	}{
 		{"seq", SyncSeq, 1},
 		{"cons/j1", SyncCons, 1},
+		{"cons/j2", SyncCons, 2},
 		{"cons/j8", SyncCons, 8},
 		{"opt/j1", SyncOpt, 1},
+		{"opt/j2", SyncOpt, 2},
 		{"opt/j8", SyncOpt, 8},
 	}
 	for _, p := range []int{64, 256, 1024} {

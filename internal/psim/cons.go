@@ -1,116 +1,64 @@
 package psim
 
-import (
-	"math"
+import "math"
 
-	"repro/internal/runner"
-)
-
-// runCons is the conservative core: a bounded-lag variant of
-// Chandy–Misra–Bryant synchronization. Each round computes, for every
-// LP, its earliest input time — the soonest any other LP could still
-// send it something: (minimum head time among the other LPs) +
-// lookahead, additionally capped by the LP's own head + 2·lookahead
-// (its earliest send, relayed straight back — the binding constraint
-// when every other queue is empty). An LP may safely process every pending event strictly
-// below that bound, in parallel with the others, because nothing that
-// could reorder its input can arrive below it. The barrier then
-// delivers the round's cross-LP sends in LP index order and the next
-// round recomputes the bounds — the same guarantee CMB null messages
-// provide, paid once per round instead of once per channel.
+// The conservative core is a bounded-lag variant of Chandy–Misra–Bryant
+// synchronization. Each round computes, for every LP, its earliest
+// input time — the soonest any other LP could still send it something:
+// (minimum head time among the other LPs) + lookahead, additionally
+// capped by the LP's own head + 2·lookahead (its earliest send, relayed
+// straight back — the binding constraint when every other queue is
+// empty). An LP may safely process every pending event strictly below
+// that bound, in parallel with the others, because nothing that could
+// reorder its input can arrive below it. The barrier then delivers the
+// round's cross-LP sends and the next round recomputes the bounds — the
+// same guarantee CMB null messages provide, paid once per round instead
+// of once per channel. The driver (drive.go) runs the rounds; drain is
+// one worker's share of one.
 //
 // Progress needs lookahead > 0 (the caller guarantees it): the LP
 // holding the global minimum always clears its bound, so every round
 // commits at least one event and the protocol is deadlock-free by
 // construction.
-func (k *kernel) runCons() {
-	for i := range k.lps {
-		r := &k.lps[i]
-		r.ctx.q = &r.pq
-	}
-	k.boot()
 
-	jobs := k.jobs()
+// drain is worker j's drain phase of a conservative round: every LP of
+// its block with a head below its bound processes its events below the
+// bound, and its sends go to the destination buckets. g is the merged
+// head summary: LP i's earliest input time is driven by the *other*
+// LPs, so the unique holder of the global minimum gets a looser bound
+// (it is the laggard — letting it run further is exactly what catches
+// it up).
+func (d *driver) drain(j int, g headSum) {
+	k := d.k
 	la := k.cfg.Lookahead
-	inf := math.Inf(1)
-	active := make([]int32, 0, len(k.lps))
-	bounds := make([]float64, len(k.lps))
-	opts := runner.Options{Jobs: jobs, Spans: k.cfg.Spans, Label: "psim-cons"}
-	for {
-		// Minimum and second-minimum head times across LPs, plus how
-		// many LPs sit at the minimum: LP i's earliest input time is
-		// driven by the *other* LPs, so the unique holder of the global
-		// minimum gets a looser bound (it is the laggard — letting it
-		// run further is exactly what catches it up).
-		min1, min2 := inf, inf
-		minCount := 0
-		minIdx := -1
-		for i := range k.lps {
-			h := k.lps[i].pq.head()
-			if h == nil {
-				continue
-			}
-			switch {
-			case h.Time < min1:
-				min2 = min1
-				min1 = h.Time
-				minCount = 1
-				minIdx = i
-			//lopc:allow floateq exact tie detection: LPs sharing the minimum head time must all use min1 as their bound
-			case h.Time == min1:
-				minCount++
-			case h.Time < min2:
-				min2 = h.Time
-			}
+	for i := d.lo[j]; i < d.lo[j+1]; i++ {
+		r := &k.lps[i]
+		h := r.pq.head()
+		if h == nil || h.Time > k.until {
+			continue
 		}
-		if min1 > k.until || math.IsInf(min1, 1) {
-			return
+		bound := g.min1 + la
+		if g.count == 1 && i == g.idx {
+			// The unique holder of the global minimum hears from the
+			// others no earlier than min2 + lookahead — but its own
+			// sends can be relayed straight back, so the true earliest
+			// input is capped by one round trip: min1 + 2·lookahead.
+			// (With min2 = +Inf — every other queue empty — the round
+			// trip is the only bound; forgetting it would let this LP
+			// run to completion and then be hit by a reply in the past.)
+			bound = math.Min(g.min2+la, g.min1+2*la)
 		}
-		active = active[:0]
-		for i := range k.lps {
-			h := k.lps[i].pq.head()
-			if h == nil || h.Time > k.until {
-				continue
-			}
-			bound := min1 + la
-			if minCount == 1 && i == minIdx {
-				// The unique holder of the global minimum hears from the
-				// others no earlier than min2 + lookahead — but its own
-				// sends can be relayed straight back, so the true earliest
-				// input is capped by one round trip: min1 + 2·lookahead.
-				// (With min2 = +Inf — every other queue empty — the round
-				// trip is the only bound; forgetting it would let this LP
-				// run to completion and then be hit by a reply in the past.)
-				bound = math.Min(min2+la, min1+2*la)
-			}
-			if h.Time < bound {
-				active = append(active, int32(i))
-				bounds[i] = bound
-			}
+		if h.Time < bound {
+			r.drainWindow(bound, k.until)
+			d.post(j, &r.ctx)
 		}
-		if len(active) == 1 || jobs == 1 {
-			for _, i := range active {
-				k.lps[i].drainWindow(bounds[i], k.until)
-			}
-		} else {
-			a := active // capture outside the closure for the race detector's benefit
-			// Errors are impossible (the task never fails); Do's only
-			// role is the bounded fan-out with a full barrier.
-			_ = runner.Do(len(a), opts, func(j int) error {
-				i := a[j]
-				k.lps[i].drainWindow(bounds[i], k.until)
-				return nil
-			})
-		}
-		k.deliver()
-		k.stats.Rounds++
 	}
 }
 
 // drainWindow processes the LP's pending events with Time strictly
 // below bound (and no later than until), in local key order. This is
-// the per-LP event loop both parallel cores run concurrently; it
-// touches nothing outside its own LP.
+// the per-LP event loop of the conservative core; it touches nothing
+// outside its own LP.
 //
 //lopc:hotpath
 func (r *lpRun) drainWindow(bound, until float64) {

@@ -1,11 +1,9 @@
 package psim
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/rng"
-	"repro/internal/runner"
 )
 
 // optSnap is the state checkpoint taken before each speculative event:
@@ -37,84 +35,70 @@ type optLP struct {
 	// counts entries already fossil-collected off the front.
 	outLog  []Event
 	outBase uint64
+	// free holds model snapshots the kernel has discarded — fossil-
+	// collected or cut off by a rollback — for Save to reuse.
+	free []any
 }
 
-// runOpt is the optimistic (Time Warp) core with a bounded speculation
-// window. Each round: GVT is the minimum pending head time (all sends
-// are delivered at barriers, so there are no in-transit messages to
-// account for); snapshots and send logs strictly below GVT are fossil-
+// release returns the model snapshots of snaps to the free list. The
+// entries themselves are left as they are: any snapshot they still
+// reference is on the free list or live, so nothing is kept alive that
+// the LP will not use again.
+func (o *optLP) release(snaps []optSnap) {
+	for j := range snaps {
+		if s := snaps[j].state; s != nil {
+			o.free = append(o.free, s)
+		}
+	}
+}
+
+// The optimistic core is Time Warp with a bounded speculation window.
+// Each round: GVT is the minimum pending head time (all sends are
+// delivered at barriers, so there are no in-transit messages to account
+// for); snapshots and send logs strictly below GVT are fossil-
 // collected, since no straggler or anti-message can ever target them
 // (every future arrival carries a timestamp of at least GVT +
 // lookahead); then every LP with work below GVT + window speculates
 // forward in parallel, checkpointing before each event. The barrier
-// delivers the round's sends in LP index order, rolls back any LP that
-// received a straggler (an event ordered before something it already
-// processed), and cancels the rolled-back speculation's sends with
-// anti-messages, cascading — deterministically, in LP index order — to
-// a fixed point. The window bounds every cascade: nothing can be rolled
-// back below GVT, and nothing was speculated above GVT + window, per
-// the bounded-window discipline for cascade-rollback control.
+// delivers the round's sends, rolls back any LP that received a
+// straggler (an event ordered before something it already processed),
+// and cancels the rolled-back speculation's sends with anti-messages,
+// cascading — deterministically, in LP index order — to a fixed point.
+// The window bounds every cascade: nothing can be rolled back below
+// GVT, and nothing was speculated above GVT + window, per the
+// bounded-window discipline for cascade-rollback control. The driver
+// (drive.go) runs the rounds; speculate is one worker's share of one,
+// and cascade runs on worker 0 alone.
 //
 // The event at the global minimum key is never rolled back (stragglers
 // arrive at GVT + lookahead at the earliest), so every round commits at
 // least one event and the core terminates exactly like the others.
-func (k *kernel) runOpt() {
-	for i := range k.lps {
-		r := &k.lps[i]
-		r.ctx.q = &r.pq
-	}
-	k.boot()
 
-	jobs := k.jobs()
-	window := k.cfg.Window
-	if window <= 0 {
-		window = 8 * k.cfg.Lookahead
-	}
-	inf := math.Inf(1)
-	opt := make([]optLP, len(k.lps))
-	dirty := make([]bool, len(k.lps))
-	active := make([]int32, 0, len(k.lps))
-	opts := runner.Options{Jobs: jobs, Spans: k.cfg.Spans, Label: "psim-opt"}
-	for {
-		gvt := inf
-		for i := range k.lps {
-			if h := k.lps[i].pq.head(); h != nil && h.Time < gvt {
-				gvt = h.Time
-			}
+// speculate is worker j's drain phase of an optimistic round: fossil-
+// collect its block below gvt, speculate every LP with work below
+// gvt + window, and log and bucket their sends.
+func (d *driver) speculate(j int, gvt float64) {
+	k := d.k
+	bound := gvt + d.window
+	for i := d.lo[j]; i < d.lo[j+1]; i++ {
+		r := &k.lps[i]
+		o := &d.opt[i]
+		o.fossil(gvt)
+		h := r.pq.head()
+		if h == nil || h.Time >= bound || h.Time > k.until {
+			continue
 		}
-		if gvt > k.until || math.IsInf(gvt, 1) {
-			return
-		}
-		k.fossil(opt, gvt)
-		bound := gvt + window
-		active = active[:0]
-		for i := range k.lps {
-			h := k.lps[i].pq.head()
-			if h != nil && h.Time < bound && h.Time <= k.until {
-				active = append(active, int32(i))
-			}
-		}
-		if len(active) == 1 || jobs == 1 {
-			for _, i := range active {
-				k.drainSpec(&k.lps[i], &opt[i], bound)
-			}
-		} else {
-			a := active
-			_ = runner.Do(len(a), opts, func(j int) error {
-				i := a[j]
-				k.drainSpec(&k.lps[i], &opt[i], bound)
-				return nil
-			})
-		}
-		k.optBarrier(opt, dirty)
-		k.stats.Rounds++
+		k.drainSpec(r, o, bound)
+		o.outLog = append(o.outLog, r.ctx.out...)
+		d.post(j, &r.ctx)
 	}
 }
 
 // drainSpec is drainWindow with a checkpoint before every event: the
-// speculative per-LP loop of the optimistic core. It is not a hot-path
-// root — Save() allocates a snapshot per event by design; that cost is
-// the price of optimism and is bounded by fossil collection.
+// speculative per-LP loop of the optimistic core. Each checkpoint
+// recycles a snapshot the LP returned earlier and the kernel has since
+// discarded, so Save allocates only while the LP's live snapshot count
+// is growing.
 func (k *kernel) drainSpec(r *lpRun, o *optLP, bound float64) {
 	c := &r.ctx
 	for {
@@ -123,15 +107,20 @@ func (k *kernel) drainSpec(r *lpRun, o *optLP, bound float64) {
 			return
 		}
 		ev := r.pq.pop()
+		var reuse any
+		if n := len(o.free); n > 0 {
+			reuse = o.free[n-1]
+			o.free = o.free[:n-1]
+		}
 		o.snaps = append(o.snaps, optSnap{
-			state:     r.lp.Save(),
+			state:     r.lp.Save(reuse),
 			rand:      c.rand,
 			now:       c.now,
 			sendSeq:   c.sendSeq,
 			processed: c.processed,
 			recLen:    len(c.rec),
-			// Sends still sitting in the round outbox reach outLog at
-			// the barrier before any rollback can happen, so they count.
+			// This round's sends reach outLog only when the LP's drain
+			// ends, before any rollback can happen, so they count.
 			outLen: o.outBase + uint64(len(o.outLog)) + uint64(len(c.out)),
 		})
 		o.done = append(o.done, ev)
@@ -140,31 +129,11 @@ func (k *kernel) drainSpec(r *lpRun, o *optLP, bound float64) {
 	}
 }
 
-// optBarrier delivers the round's sends and resolves stragglers and
-// anti-messages to a fixed point, all single-threaded and in LP index
-// order, so the outcome is schedule-independent.
-func (k *kernel) optBarrier(opt []optLP, dirty []bool) {
-	// Deliver in source index order, logging each send for potential
-	// cancellation and flagging receivers that got a straggler.
-	for i := range k.lps {
-		c := &k.lps[i].ctx
-		o := &opt[i]
-		for _, ev := range c.out {
-			d := int(ev.Dst)
-			k.lps[d].pq.push(ev)
-			o.outLog = append(o.outLog, ev)
-			od := &opt[d]
-			// done times are nondecreasing, so done[n-1].Time is the
-			// latest processed time; an arrival at or before it might
-			// precede a processed event in key order (keys are not
-			// monotone over done — see optLP). Overmarking is safe:
-			// rollbackStragglers does the precise scan.
-			if n := len(od.done); n > 0 && ev.Time <= od.done[n-1].Time {
-				dirty[d] = true
-			}
-		}
-		c.out = c.out[:0]
-	}
+// cascade resolves the round's stragglers and anti-messages to a fixed
+// point, single-threaded and in LP index order, so the outcome is
+// schedule-independent. Delivery has already flagged every LP that
+// received a straggler in dirty.
+func (k *kernel) cascade(opt []optLP, dirty []bool) {
 	// Cascade to a fixed point: roll back dirty LPs (lowest index
 	// first), then annihilate the anti-messages those rollbacks
 	// emitted, which may dirty further LPs or force further rollbacks.
@@ -269,47 +238,41 @@ func (k *kernel) rollbackTo(i, idx int, opt []optLP, antis *[]Event) {
 		if e.Src == c.id && e.Seq >= sn.sendSeq {
 			continue
 		}
-		r.pq.push(*e)
+		r.pq.push(e)
 	}
 	r.pq.removePhantoms(c.id, sn.sendSeq)
 	k.stats.RolledBack += uint64(len(o.done) - idx)
 	k.stats.Rollbacks++
-	o.done = o.done[:idx]
-	o.snaps = o.snaps[:idx]
 	cut := int(sn.outLen - o.outBase)
 	*antis = append(*antis, o.outLog[cut:]...)
 	o.outLog = o.outLog[:cut]
+	o.done = o.done[:idx]
+	// Restore does not retain its argument, so the restored snapshot is
+	// as free as the ones after it.
+	o.release(o.snaps[idx:])
+	o.snaps = o.snaps[:idx]
 }
 
-// fossil discards checkpoints and send logs that no rollback can reach:
-// everything strictly below GVT. The committed trace is untouched —
-// entries below GVT are final by the same argument.
-func (k *kernel) fossil(opt []optLP, gvt float64) {
-	for i := range opt {
-		o := &opt[i]
-		idx := sort.Search(len(o.done), func(j int) bool {
-			return o.done[j].Time >= gvt
-		})
-		if idx == 0 {
-			continue
-		}
-		var keep uint64
-		if idx < len(o.snaps) {
-			keep = o.snaps[idx].outLen
-		} else {
-			keep = o.outBase + uint64(len(o.outLog))
-		}
-		cut := int(keep - o.outBase)
-		o.outLog = append(o.outLog[:0], o.outLog[cut:]...)
-		o.outBase = keep
-		o.done = append(o.done[:0], o.done[idx:]...)
-		// Truncate via copy so the dropped snapshots (and the model
-		// state they reference) become garbage now, not when the slice
-		// next grows.
-		copy(o.snaps, o.snaps[idx:])
-		for j := len(o.snaps) - idx; j < len(o.snaps); j++ {
-			o.snaps[j] = optSnap{}
-		}
-		o.snaps = o.snaps[:len(o.snaps)-idx]
+// fossil discards the LP's checkpoints and send logs that no rollback
+// can reach: everything strictly below GVT. The committed trace is
+// untouched — entries below GVT are final by the same argument.
+func (o *optLP) fossil(gvt float64) {
+	idx := sort.Search(len(o.done), func(j int) bool {
+		return o.done[j].Time >= gvt
+	})
+	if idx == 0 {
+		return
 	}
+	var keep uint64
+	if idx < len(o.snaps) {
+		keep = o.snaps[idx].outLen
+	} else {
+		keep = o.outBase + uint64(len(o.outLog))
+	}
+	cut := int(keep - o.outBase)
+	o.outLog = append(o.outLog[:0], o.outLog[cut:]...)
+	o.outBase = keep
+	o.done = append(o.done[:0], o.done[idx:]...)
+	o.release(o.snaps[:idx])
+	o.snaps = append(o.snaps[:0], o.snaps[idx:]...)
 }

@@ -30,9 +30,24 @@
 // sequence — so ordering never depends on arrival order or worker
 // interleaving. Each LP draws randomness from its own rng.SeedAt
 // substream, so draws on one LP cannot perturb another. And all
-// cross-LP effects are buffered per round and merged in LP index order
-// (the internal/runner ordered-merge discipline), so the parallel cores
-// are pure functions of (seed, model), not of the schedule.
+// cross-LP effects are buffered per round and take effect only at a
+// barrier, in LP index order, so the parallel cores are pure functions
+// of (seed, model), not of the schedule.
+//
+// The parallel cores run on w = min(Jobs, GOMAXPROCS, LPs) persistent
+// workers, Run's own goroutine among them. Each owns one contiguous
+// block of LPs for the whole run — it alone pushes their events, scans
+// their heads and drains them — so a round touches each LP from one
+// core. A conservative round is two barriers: owners deliver the sends
+// bucketed for their block and summarize its heads; every worker merges
+// the w summaries into the same bounds; owners drain and bucket their
+// sends by destination block. The optimistic core runs the same round,
+// with the rollback cascade serial on worker 0 when a straggler
+// arrived. Barriers spin, yielding the processor, for a bounded number
+// of checks before parking the worker. The optimistic core recycles
+// the snapshots it has discarded through LP.Save's reuse argument, so
+// checkpointing stops allocating once an LP's snapshot count stops
+// growing.
 package psim
 
 import (
@@ -40,12 +55,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // Msg is the fixed payload of an event. Models encode what they need in
@@ -116,12 +131,18 @@ type LP interface {
 	// Handle processes one delivered event. Under the optimistic core
 	// it may run speculatively and be undone by Restore, so it must not
 	// touch state outside the LP (shared immutable configuration is
-	// fine).
+	// fine). Distinct LPs may run concurrently on different workers.
 	Handle(ctx *Ctx, ev Event)
 	// Save returns a snapshot of the LP's mutable state; Restore
 	// reinstates one. Only the optimistic core calls them. LPs that
 	// will never run optimistically may implement them as no-ops.
-	Save() any
+	//
+	// reuse is nil or a snapshot this LP's Save returned earlier that
+	// the kernel has discarded (fossil-collected, or cut off by a
+	// rollback); Save may overwrite it in place and return it instead of
+	// allocating. Restore must not retain its argument: once it returns,
+	// the snapshot may be handed back to Save as reuse.
+	Save(reuse any) any
 	Restore(snapshot any)
 }
 
@@ -183,7 +204,7 @@ func (c *Ctx) Send(dst int, delay float64, kind int32, m Msg) {
 	}
 	c.sendSeq++
 	if int32(dst) == c.id {
-		c.q.push(ev)
+		c.q.push(&ev)
 		return
 	}
 	if delay < c.lookahead {
@@ -259,7 +280,8 @@ type Config struct {
 	// Sync selects the synchronization core; the zero value is SyncSeq.
 	Sync Sync
 	// Jobs bounds worker parallelism in the parallel cores; <= 0 means
-	// GOMAXPROCS. Jobs never affects committed results, only speed.
+	// GOMAXPROCS, and larger values are capped at GOMAXPROCS and at the
+	// number of LPs. Jobs never affects committed results, only speed.
 	Jobs int
 	// Seed roots the per-LP random substreams (rng.SeedAt(Seed, lp)).
 	Seed uint64
@@ -277,9 +299,6 @@ type Config struct {
 	// Metrics, when non-nil, receives event/round/rollback counters
 	// after the run.
 	Metrics *Metrics
-	// Spans, when non-nil, records one Chrome-trace span per LP drain
-	// in the parallel cores (via the runner's span support).
-	Spans *trace.Spans
 }
 
 // RunStats summarizes one run. Events, PerLP, and MaxTime are part of
@@ -415,26 +434,39 @@ type kernel struct {
 	until float64
 	rec   []Record // global commit log (sequential algorithm only)
 	stats RunStats
+	parks int64 // barrier park episodes of the parallel cores
 }
 
 // Run executes the configured simulation and returns its statistics.
+// A panic in model code on any worker stops every worker and is
+// re-raised, with the same value, on the caller's goroutine.
 func Run(cfg Config) (RunStats, error) {
+	k, err := run(cfg, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return RunStats{}, err
+	}
+	return k.stats, nil
+}
+
+// run is Run with the worker count capped at maxWorkers instead of
+// GOMAXPROCS.
+func run(cfg Config, maxWorkers int) (*kernel, error) {
 	n := len(cfg.LPs)
 	switch {
 	case n == 0:
-		return RunStats{}, fmt.Errorf("psim: no LPs configured")
+		return nil, fmt.Errorf("psim: no LPs configured")
 	case !(cfg.Lookahead >= 0) || math.IsInf(cfg.Lookahead, 0):
-		return RunStats{}, fmt.Errorf("psim: invalid lookahead %v", cfg.Lookahead)
+		return nil, fmt.Errorf("psim: invalid lookahead %v", cfg.Lookahead)
 	case cfg.Sync < SyncSeq || cfg.Sync > SyncOpt:
-		return RunStats{}, fmt.Errorf("psim: invalid sync core %d", int(cfg.Sync))
+		return nil, fmt.Errorf("psim: invalid sync core %d", int(cfg.Sync))
 	case math.IsNaN(cfg.Until) || cfg.Until < 0:
-		return RunStats{}, fmt.Errorf("psim: invalid until %v", cfg.Until)
+		return nil, fmt.Errorf("psim: invalid until %v", cfg.Until)
 	case math.IsNaN(cfg.Window) || cfg.Window < 0:
-		return RunStats{}, fmt.Errorf("psim: invalid window %v", cfg.Window)
+		return nil, fmt.Errorf("psim: invalid window %v", cfg.Window)
 	}
 	for i, lp := range cfg.LPs {
 		if lp == nil {
-			return RunStats{}, fmt.Errorf("psim: LP %d is nil", i)
+			return nil, fmt.Errorf("psim: LP %d is nil", i)
 		}
 	}
 	until := cfg.Until
@@ -464,26 +496,27 @@ func Run(cfg Config) (RunStats, error) {
 			k.rec = []Record{}
 		}
 		k.runSeq()
-	} else if cfg.Sync == SyncCons {
-		k.runCons()
 	} else {
-		k.runOpt()
+		w := cfg.Jobs
+		if w <= 0 || w > maxWorkers {
+			w = maxWorkers
+		}
+		k.runParallel(min(w, n), cfg.Sync == SyncOpt)
 	}
 
 	k.finish()
-	return k.stats, nil
+	return k, nil
 }
 
-// deliver drains every LP's round outbox into the destination queues,
-// in source LP index order — the ordered-merge step that keeps barrier
-// delivery schedule-independent. (Queue order does not depend on
-// insertion order — keys are unique — but doing it deterministically
-// anyway makes the invariant local.)
+// deliver drains every LP's outbox into the destination queues, in
+// source LP index order. (Queue order does not depend on insertion
+// order — keys are unique — but doing it deterministically anyway makes
+// the invariant local.)
 func (k *kernel) deliver() {
 	for i := range k.lps {
 		c := &k.lps[i].ctx
-		for _, ev := range c.out {
-			k.lps[ev.Dst].ctx.q.push(ev)
+		for i := range c.out {
+			k.lps[c.out[i].Dst].ctx.q.push(&c.out[i])
 		}
 		c.out = c.out[:0]
 	}
@@ -541,12 +574,4 @@ func (k *kernel) finish() {
 		m.Rollbacks.Add(int64(st.Rollbacks))
 		m.RolledBack.Add(int64(st.RolledBack))
 	}
-}
-
-// jobs resolves the effective worker count.
-func (k *kernel) jobs() int {
-	if k.cfg.Jobs > 0 {
-		return k.cfg.Jobs
-	}
-	return 0 // runner interprets <= 0 as GOMAXPROCS
 }

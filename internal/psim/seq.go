@@ -42,8 +42,8 @@ func (k *kernel) runSeq() {
 		// Cross-LP sends were buffered in the LP's outbox; in the
 		// sequential core they go straight back into the global queue.
 		if len(c.out) > 0 {
-			for _, e := range c.out {
-				q.push(e)
+			for i := range c.out {
+				q.push(&c.out[i])
 			}
 			c.out = c.out[:0]
 		}

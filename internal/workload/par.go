@@ -8,7 +8,6 @@ import (
 	"repro/internal/psim"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // ParSim routes a workload run through the parallel discrete-event core
@@ -45,9 +44,6 @@ type ParSim struct {
 	// Metrics, when non-nil, accumulates core counters (safe to share
 	// across runs; the counters are atomic).
 	Metrics *psim.Metrics
-	// Spans, when non-nil, records one Chrome-trace span per LP drain in
-	// the parallel cores.
-	Spans *trace.Spans
 }
 
 // core parses the Sync spelling.
@@ -59,8 +55,8 @@ func (p *ParSim) core() (psim.Sync, error) {
 }
 
 // perRep clones the selection for one replication of a replicated run:
-// the core choice carries over, the per-run outputs (Trace, Stats,
-// Spans) do not — replications would race on them. Metrics survives the
+// the core choice carries over, the per-run outputs (Trace, Stats) do
+// not — replications would race on them. Metrics survives the
 // clone because its counters are atomic and accumulation across
 // replications is the point.
 func (p *ParSim) perRep() *ParSim {
@@ -185,8 +181,19 @@ func (p *atParProg) endCycle(v *shard.NodeView) {
 }
 
 // Save and Restore implement shard.Program; the state is all values.
-func (p *atParProg) Save() any            { s := *p; return &s }
+func (p *atParProg) Save(reuse any) any   { return saveInto(p, reuse) }
 func (p *atParProg) Restore(snapshot any) { *p = *snapshot.(*atParProg) }
+
+// saveInto is the Save of a program whose state is all values: a
+// struct copy into the reused snapshot, or into a new one.
+func saveInto[T any](p *T, reuse any) *T {
+	s, _ := reuse.(*T)
+	if s == nil {
+		s = new(T)
+	}
+	*s = *p
+	return s
+}
 
 // runAllToAllPar is RunAllToAll through the parallel core.
 func runAllToAllPar(cfg AllToAllConfig) (AllToAllResult, error) {
@@ -229,7 +236,6 @@ func runAllToAllPar(cfg AllToAllConfig) (AllToAllResult, error) {
 		Window:            cfg.Par.Window,
 		Trace:             cfg.Par.Trace,
 		Metrics:           cfg.Par.Metrics,
-		Spans:             cfg.Par.Spans,
 	})
 	if err != nil {
 		return AllToAllResult{}, err
@@ -292,7 +298,7 @@ func (p *wpParProg) Next(v *shard.NodeView) shard.Action {
 }
 
 // Save and Restore implement shard.Program.
-func (p *wpParProg) Save() any            { s := *p; return &s }
+func (p *wpParProg) Save(reuse any) any   { return saveInto(p, reuse) }
 func (p *wpParProg) Restore(snapshot any) { *p = *snapshot.(*wpParProg) }
 
 // runWorkpilePar is RunWorkpile through the parallel core.
@@ -327,7 +333,6 @@ func runWorkpilePar(cfg WorkpileConfig) (WorkpileResult, error) {
 		Window:       cfg.Par.Window,
 		Trace:        cfg.Par.Trace,
 		Metrics:      cfg.Par.Metrics,
-		Spans:        cfg.Par.Spans,
 	})
 	if err != nil {
 		return WorkpileResult{}, err
@@ -385,7 +390,7 @@ func (p *lockParProg) Next(v *shard.NodeView) shard.Action {
 }
 
 // Save and Restore implement shard.Program.
-func (p *lockParProg) Save() any            { s := *p; return &s }
+func (p *lockParProg) Save(reuse any) any   { return saveInto(p, reuse) }
 func (p *lockParProg) Restore(snapshot any) { *p = *snapshot.(*lockParProg) }
 
 // runLockPar is RunLock through the parallel core.
@@ -415,7 +420,6 @@ func runLockPar(cfg LockConfig) (LockSimResult, error) {
 		Window:       cfg.Par.Window,
 		Trace:        cfg.Par.Trace,
 		Metrics:      cfg.Par.Metrics,
-		Spans:        cfg.Par.Spans,
 	})
 	if err != nil {
 		return LockSimResult{}, err
@@ -519,19 +523,24 @@ func (l *lfLP) Handle(ctx *psim.Ctx, ev psim.Event) {
 	}
 }
 
-// Save and Restore implement psim.LP (the threads slice is the only
-// reference field).
-func (l *lfLP) Save() any {
-	s := *l
-	s.threads = append([]lfParThread(nil), l.threads...)
-	return &s
+// Save and Restore implement psim.LP. The threads slice is the only
+// reference field; each side copies it into its own backing array.
+func (l *lfLP) Save(reuse any) any {
+	s, _ := reuse.(*lfLP)
+	if s == nil {
+		s = new(lfLP)
+	}
+	threads := s.threads[:0]
+	*s = *l
+	s.threads = append(threads, l.threads...)
+	return s
 }
 
 func (l *lfLP) Restore(snapshot any) {
 	s := snapshot.(*lfLP)
-	threads := append([]lfParThread(nil), s.threads...)
+	threads := l.threads[:0]
 	*l = *s
-	l.threads = threads
+	l.threads = append(threads, s.threads...)
 }
 
 // runLockFreePar is RunLockFree through the parallel core.
@@ -560,7 +569,6 @@ func runLockFreePar(cfg LockFreeConfig) (LockFreeSimResult, error) {
 		Window:  cfg.Par.Window,
 		Trace:   cfg.Par.Trace,
 		Metrics: cfg.Par.Metrics,
-		Spans:   cfg.Par.Spans,
 	})
 	if err != nil {
 		return LockFreeSimResult{}, err
