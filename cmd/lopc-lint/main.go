@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lopc-lint [-config file] [-format text|json|github|sarif] [-checks a,b] [-j n] [-strict-allows] [-list] [-report-allows] [patterns...]
+//	lopc-lint [-format text|json|github|sarif] [-checks a,b] [-j n] [-strict-allows] [-list] [-report-allows] [patterns...]
 //
 // Patterns default to ./... (every package of the enclosing module,
 // skipping testdata). With the default text format findings print one
@@ -21,8 +21,7 @@
 //
 //	//lopc:allow <check> <reason>
 //
-// comment on the flagged line or the line above it; whole path prefixes
-// with a -config allowlist ("check path-prefix" lines).
+// comment on the flagged line or the line above it.
 //
 // -checks restricts the run to a comma-separated subset of analyzers
 // (unknown names are a usage error). -j sets how many packages are
@@ -55,7 +54,6 @@ func main() {
 func run(args []string, dir string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lopc-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	configPath := fs.String("config", "", "path allowlist `file` (lines: check path-prefix)")
 	format := fs.String("format", "text", "output `format`: text, json, github, or sarif")
 	checks := fs.String("checks", "", "comma-separated `subset` of checks to run (default: all)")
 	jobs := fs.Int("j", 0, "analyze `n` packages concurrently (0 = GOMAXPROCS); output is identical at any value")
@@ -95,20 +93,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	cfg := lint.Config{}
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "lopc-lint:", err)
-			return 2
-		}
-		cfg, err = lint.ParseConfig(string(data))
-		if err != nil {
-			fmt.Fprintln(stderr, "lopc-lint:", err)
-			return 2
-		}
-	}
-
 	l, err := lint.NewLoader(dir)
 	if err != nil {
 		fmt.Fprintln(stderr, "lopc-lint:", err)
@@ -129,7 +113,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		// Staleness is judged against the full suite regardless of
 		// -checks: an allow is dead only if the check it names found
 		// nothing to suppress when actually run.
-		_, staleRecs := lint.RunParallel(l, pkgs, lint.All(), cfg, *jobs)
+		_, staleRecs := lint.RunParallel(l, pkgs, lint.All(), *jobs)
 		staleSet := make(map[lint.AllowRecord]bool, len(staleRecs))
 		for _, r := range staleRecs {
 			staleSet[r] = true
@@ -149,7 +133,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	diags, stale := lint.RunParallel(l, pkgs, analyzers, cfg, *jobs)
+	diags, stale := lint.RunParallel(l, pkgs, analyzers, *jobs)
 	if err := emit(stdout, *format, l, diags); err != nil {
 		fmt.Fprintln(stderr, "lopc-lint:", err)
 		return 2

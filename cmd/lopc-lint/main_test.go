@@ -208,40 +208,6 @@ func TestOutputDeterministic(t *testing.T) {
 	}
 }
 
-// TestConfigAllowsEverything checks that a -config allowlist covering
-// the whole fixture module silences every finding and flips the exit
-// status to 0.
-func TestConfigAllowsEverything(t *testing.T) {
-	cfgPath := filepath.Join(t.TempDir(), "allow.conf")
-	cfg := "# fixture module is intentionally broken\n" +
-		"floateq fixture\n" +
-		"paramvalidate fixture\n" +
-		"errdiscard fixture\n" +
-		"nondeterminism fixture\n" +
-		"convergeloop fixture\n" +
-		"goroutineleak fixture\n" +
-		"waitgroup fixture\n" +
-		"loopcapture fixture\n" +
-		"lockbalance fixture\n" +
-		"sendclosed fixture\n" +
-		"allochot fixture\n" +
-		"deadlock fixture\n" +
-		"detflow fixture\n" +
-		"clockseam fixture\n" +
-		"rngseam fixture\n"
-	if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-config", cfgPath, "./..."}, filepath.Join("testdata", "fixturemod"), &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("expected no output, got:\n%s", stdout.String())
-	}
-}
-
 // TestChecksSubset: -checks restricts the run to the named analyzers,
 // so only their findings appear.
 func TestChecksSubset(t *testing.T) {

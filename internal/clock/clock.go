@@ -4,10 +4,9 @@
 // advance it by hand, making time-dependent behaviour — progress
 // throttling, ETA estimates — exactly reproducible.
 //
-// This is the one sanctioned home for time.Now outside main packages:
-// the nondeterminism analyzer (internal/lint) forbids direct wall-clock
-// reads in every deterministic package, and this package is deliberately
-// outside that list.
+// This is the one sanctioned home for time.Now: the clockseam analyzer
+// (internal/lint) forbids direct wall-clock access everywhere else, and
+// the detflow taint engine treats this package's wrappers as clean.
 package clock
 
 import (

@@ -259,13 +259,14 @@ func upperBoundBeta(c2 float64) float64 {
 		}
 		return it.r - beta
 	}
-	// 20 doublings take hi past 2·10⁶; no finite C² pushes β anywhere
-	// near that, so a bracket not found by then is a model bug.
+	// β grows like √(1.5·C²), so the bracket doubles until it holds
+	// the sign change; 1024 doublings run hi past the largest float64,
+	// which only a C² with no finite β (+Inf) reaches.
 	lo, hi := 2.0, 2.0
-	for i := 0; i < 20 && g(hi) > 0; i++ {
+	for i := 0; i < 1024 && g(hi) > 0; i++ {
 		hi *= 2
 	}
-	if g(hi) > 0 {
+	if math.IsInf(hi, 1) || g(hi) > 0 {
 		panic(fmt.Sprintf("core: no upper bound found for C²=%v", c2))
 	}
 	beta, err := numeric.Bisect(g, lo, hi, 1e-10)

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/numeric"
 	"repro/internal/obs"
@@ -133,7 +134,8 @@ func allToAllRef(p Params) (AllToAllResult, error) {
 }
 
 // upperBoundBetaRef is the earlier UpperBoundBeta: no memo, bisecting
-// on allToAllStepRef.
+// on allToAllStepRef. It shares the production bracket, which doubles
+// until the sign change instead of stopping at 2·10⁶.
 func upperBoundBetaRef(c2 float64) float64 {
 	if c2 < 0 {
 		panic(fmt.Sprintf("core: negative C² %v", c2))
@@ -147,10 +149,10 @@ func upperBoundBetaRef(c2 float64) float64 {
 		return step.R - beta
 	}
 	lo, hi := 2.0, 2.0
-	for i := 0; i < 20 && g(hi) > 0; i++ {
+	for i := 0; i < 1024 && g(hi) > 0; i++ {
 		hi *= 2
 	}
-	if g(hi) > 0 {
+	if math.IsInf(hi, 1) || g(hi) > 0 {
 		panic(fmt.Sprintf("core: no upper bound found for C²=%v", c2))
 	}
 	beta, err := numeric.Bisect(g, lo, hi, 1e-10)

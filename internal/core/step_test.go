@@ -390,9 +390,11 @@ func TestUpperBoundBetaMemoMatchesBisection(t *testing.T) {
 }
 
 // TestUpperBoundBetaPanicsNotMemoized: C² values the bisection rejects
-// panic on every call, never answering from the table.
+// panic on every call, never answering from the table. A huge finite
+// C² is not one of them: its bracket doubles far past 2·10⁶, and the
+// β it answers keeps R within the Eq. 5.12 bound.
 func TestUpperBoundBetaPanicsNotMemoized(t *testing.T) {
-	for _, c2 := range []float64{-1, math.Inf(1), 1e300} {
+	for _, c2 := range []float64{-1, math.Inf(1)} {
 		for call := 0; call < 2; call++ {
 			func() {
 				defer func() {
@@ -403,6 +405,19 @@ func TestUpperBoundBetaPanicsNotMemoized(t *testing.T) {
 				UpperBoundBeta(c2)
 			}()
 		}
+	}
+	p := Params{P: 32, W: 512, St: 40, So: 200, C2: 1e300}
+	res, err := AllToAll(p)
+	if err != nil {
+		t.Fatalf("AllToAll(%+v): %v", p, err)
+	}
+	if beta := UpperBoundBeta(p.C2); math.IsInf(beta, 0) || math.IsNaN(beta) {
+		t.Errorf("UpperBoundBeta(1e300) = %v, want finite", beta)
+	}
+	// The bisection lands within an ulp of β, so the bound holds to
+	// FuzzAllToAll's relative tolerance.
+	if res.R > res.UpperBound*(1+1e-9) {
+		t.Errorf("C²=1e300: R %v above upper bound %v", res.R, res.UpperBound)
 	}
 }
 

@@ -90,7 +90,6 @@ func Get(name string) (Runner, bool) {
 func All() []Runner {
 	out := make([]Runner, 0, len(registry))
 	for _, r := range registry {
-		//lopc:allow nondeterminism collection order is normalized by the sort below
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -78,7 +78,7 @@ func TestAllocHotBaseline(t *testing.T) {
 		t.Logf("annotated roots found: %v", have)
 	}
 
-	diags := Run(l, pkgs, []Analyzer{&AllocHot{}}, Config{})
+	diags := Run(l, pkgs, []Analyzer{&AllocHot{}})
 	for _, d := range diags {
 		t.Errorf("unsuppressed hot-path allocation: %s", d)
 	}
@@ -105,7 +105,7 @@ func TestDetflowBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(l, pkgs, analyzers, Config{})
+	diags := Run(l, pkgs, analyzers)
 	for _, d := range diags {
 		t.Errorf("determinism-contract violation: %s", d)
 	}

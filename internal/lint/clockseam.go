@@ -20,16 +20,14 @@ import (
 	"go/types"
 )
 
-// clockSeamFuncs are the time package functions that read or schedule
-// against the wall clock. Sleep and AfterFunc join the nondeterminism
-// list: both bypass any injected clock.
-var clockSeamFuncs = func() map[string]bool {
-	m := map[string]bool{"Sleep": true, "AfterFunc": true}
-	for name := range wallClockFuncs {
-		m[name] = true
-	}
-	return m
-}()
+// wallClockFuncs are the time package functions that read or schedule
+// against the wall clock. It is the one list of them: clockseam flags
+// every call outside internal/clock, and the taint engine's source
+// registry (taint.go) marks each call's result wall-clock tainted.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "AfterFunc": true, "Tick": true, "NewTicker": true, "NewTimer": true,
+}
 
 // ClockSeam flags direct wall-clock access outside internal/clock.
 type ClockSeam struct {
@@ -64,7 +62,7 @@ func (a *ClockSeam) Check(l *Loader, pkg *Package) []Diagnostic {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				ref := funcRefOf(pkg, n.Sel)
-				if ref != nil && ref.recv == nil && ref.pkgPath == "time" && clockSeamFuncs[ref.name] {
+				if ref != nil && ref.recv == nil && ref.pkgPath == "time" && wallClockFuncs[ref.name] {
 					report(n, "time.%s bypasses the clock.Clock seam; thread a clock.Clock (clock.System in main) so the path stays fake-clock testable", ref.name)
 				}
 			case *ast.CompositeLit:

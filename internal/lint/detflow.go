@@ -12,18 +12,62 @@ package lint
 //   - a result of an exported function of a deterministic package (the
 //     solver results the -j8 == -j1 contract covers).
 //
-// Where PR 2's nondeterminism analyzer pattern-matches the use site,
-// detflow proves the property along every interprocedural flow: a
-// time.Now two calls upstream of a cache key is the same finding as
-// one at the key site. Sink findings are reported at the sink call;
-// exported-result findings at the function declaration — both in the
-// package under analysis, so //lopc:allow suppressions stay local even
-// when the source lives in another package.
+// A value also reaches an output through a branch: a return or a sink
+// call under an if or switch whose condition carries a source kind
+// picks up that kind, so taking the first key of a map range and
+// returning 1 when it equals "a" is a finding although the returned
+// constant is clean. clockseam and rngseam flag the wall-clock and
+// math/rand call sites themselves; detflow proves where their values
+// go, along every interprocedural flow: a time.Now two calls upstream
+// of a cache key is the same finding as one at the key site. Sink
+// findings are reported at the sink call; exported-result findings at
+// the function declaration — both in the package under analysis, so
+// //lopc:allow suppressions stay local even when the source lives in
+// another package.
 
 import (
 	"fmt"
 	"go/token"
 )
+
+// DeterministicPackages are the package-path suffixes whose output the
+// parallel run engine (internal/runner) promises is bit-identical for
+// every worker count: detflow's exported-result contract and rngseam
+// cover them.
+var DeterministicPackages = []string{
+	"internal/core",
+	"internal/mva",
+	"internal/exp",
+	"internal/workload",
+	"internal/sim",
+	"internal/rng",
+	"internal/stats",
+	"internal/runner",
+	// The telemetry layer instruments the deterministic solvers, so it
+	// must be deterministic itself: wall times come from an injected
+	// clock.Clock, never a direct time.Now.
+	"internal/obs",
+	// The parallel simulation core's whole contract is byte-identical
+	// committed traces for every core and job count.
+	"internal/psim",
+}
+
+// suffixScope matches a package path against a list of path suffixes
+// ("internal/core" matches both "repro/internal/core" and a fixture's
+// "fix/internal/core").
+func suffixScope(suffixes []string) func(pkgPath string) bool {
+	return func(pkgPath string) bool {
+		for _, s := range suffixes {
+			if pkgPath == s || underPrefix(pkgPath, s) {
+				return true
+			}
+			if n := len(pkgPath) - len(s); n > 0 && pkgPath[n-1] == '/' && pkgPath[n:] == s {
+				return true
+			}
+		}
+		return false
+	}
+}
 
 // DetFlow reports nondeterministic sources flowing into byte-stable
 // outputs, interprocedurally.

@@ -51,7 +51,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		name     string
 		analyzer Analyzer
 	}{
-		{"nondeterminism", &Nondeterminism{Scope: everywhere}},
 		{"floateq", &FloatEq{}},
 		{"convergeloop", &ConvergeLoop{Scope: everywhere}},
 		{"paramvalidate", &ParamValidate{ReportScope: everywhere}},
@@ -70,7 +69,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			l, pkg := loadFixture(t, tc.name)
-			diags := Run(l, []*Package{pkg}, []Analyzer{tc.analyzer}, Config{})
+			diags := Run(l, []*Package{pkg}, []Analyzer{tc.analyzer})
 			if len(diags) == 0 {
 				t.Fatalf("analyzer %s found nothing in its fixture", tc.name)
 			}

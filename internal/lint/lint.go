@@ -6,8 +6,9 @@
 //
 //   - Determinism. The parallel run engine (internal/runner) guarantees
 //     byte-identical output for every worker count only if the packages
-//     it fans out never consult wall clocks, the global math/rand
-//     source, or unordered map iteration (nondeterminism).
+//     it fans out never consult wall clocks (clockseam), the global
+//     math/rand source (rngseam), or let unordered map iteration reach
+//     an output (detflow).
 //   - Float safety. The AMVA fixed-point solvers (Eqs. 5.1–5.10,
 //     A.1–A.10) compare iterates with tolerances, never == (floateq),
 //     bound every convergence loop and guard it against NaN
@@ -21,8 +22,9 @@
 //
 //	//lopc:allow <check> <reason>
 //
-// comment on the flagged line or the line above it, or per path prefix
-// with a Config allowlist.
+// comment on the flagged line or the line above it. Every suppression
+// is auditable: lopc-lint -report-allows lists them and -strict-allows
+// fails on ones that suppress nothing.
 package lint
 
 import (
@@ -52,8 +54,8 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one check of the suite.
 type Analyzer interface {
-	// Name is the check name used in diagnostics, //lopc:allow comments
-	// and allowlist configs.
+	// Name is the check name used in diagnostics and //lopc:allow
+	// comments.
 	Name() string
 	// Doc is a one-line description.
 	Doc() string
@@ -69,7 +71,6 @@ type Analyzer interface {
 // the taint engine and the clock/rng seams.
 func All() []Analyzer {
 	return []Analyzer{
-		&Nondeterminism{},
 		&FloatEq{},
 		&ConvergeLoop{},
 		&ParamValidate{},
@@ -113,11 +114,11 @@ func ByNames(names []string) ([]Analyzer, error) {
 }
 
 // Run executes the analyzers over the packages, drops findings
-// suppressed by //lopc:allow comments or the config allowlist, verifies
-// the suppression comments themselves (unknown check names and missing
-// reasons are findings), and returns the remainder sorted by position.
-func Run(l *Loader, pkgs []*Package, analyzers []Analyzer, cfg Config) []Diagnostic {
-	diags, _ := RunWithStale(l, pkgs, analyzers, cfg)
+// suppressed by //lopc:allow comments, verifies the suppression
+// comments themselves (unknown check names and missing reasons are
+// findings), and returns the remainder sorted by position.
+func Run(l *Loader, pkgs []*Package, analyzers []Analyzer) []Diagnostic {
+	diags, _ := RunWithStale(l, pkgs, analyzers)
 	return diags
 }
 
@@ -127,11 +128,11 @@ func Run(l *Loader, pkgs []*Package, analyzers []Analyzer, cfg Config) []Diagnos
 // would silently swallow a future regression. Allows for checks not in
 // this run are never reported stale (a deadlock allow is not stale
 // just because only floateq ran).
-func RunWithStale(l *Loader, pkgs []*Package, analyzers []Analyzer, cfg Config) ([]Diagnostic, []AllowRecord) {
+func RunWithStale(l *Loader, pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, []AllowRecord) {
 	known, ran := suiteMaps(analyzers)
 	results := make([]pkgResult, len(pkgs))
 	for i, pkg := range pkgs {
-		results[i] = analyzePackage(l, pkg, analyzers, cfg, known, ran)
+		results[i] = analyzePackage(l, pkg, analyzers, known, ran)
 	}
 	return mergeResults(results)
 }
@@ -166,24 +167,15 @@ type pkgResult struct {
 
 // analyzePackage runs the analyzers over one package, applying and
 // auditing that package's suppressions.
-func analyzePackage(l *Loader, pkg *Package, analyzers []Analyzer, cfg Config, known, ran map[string]bool) pkgResult {
-	var res pkgResult
+func analyzePackage(l *Loader, pkg *Package, analyzers []Analyzer, known, ran map[string]bool) pkgResult {
 	used := map[allowKey]bool{}
 	allows := collectAllows(l.Fset, pkg)
-	for _, d := range checkAllows(allows, known) {
-		if !cfg.allows(d.Check, l.RelPath(d.Pos.Filename), pkg.Path) {
-			res.diags = append(res.diags, d)
-		}
-	}
+	res := pkgResult{diags: checkAllows(allows, known)}
 	for _, a := range analyzers {
 		for _, d := range a.Check(l, pkg) {
-			if allows.cover(d.Pos.Filename, d.Pos.Line, d.Check, used) {
-				continue
+			if !allows.cover(d.Pos.Filename, d.Pos.Line, d.Check, used) {
+				res.diags = append(res.diags, d)
 			}
-			if cfg.allows(d.Check, l.RelPath(d.Pos.Filename), pkg.Path) {
-				continue
-			}
-			res.diags = append(res.diags, d)
 		}
 	}
 	for file, lines := range allows {
@@ -262,25 +254,19 @@ type allowKey struct {
 }
 
 // cover reports whether an allow suppresses a finding at (file, line,
-// check) and, when used is non-nil, marks every matching allow comment
-// as exercised so stale ones can be reported.
+// check) and marks every matching allow comment in used, so stale ones
+// can be reported.
 func (s allowSet) cover(file string, line int, check string, used map[allowKey]bool) bool {
 	hit := false
 	for _, l := range []int{line, line - 1} {
 		for _, a := range s[file][l] {
 			if a.check == check {
 				hit = true
-				if used != nil {
-					used[allowKey{file, l, check}] = true
-				}
+				used[allowKey{file, l, check}] = true
 			}
 		}
 	}
 	return hit
-}
-
-func (s allowSet) covers(file string, line int, check string) bool {
-	return s.cover(file, line, check, nil)
 }
 
 // collectAllows parses every //lopc:allow comment in the package.
@@ -374,43 +360,6 @@ func AllowRecords(l *Loader, pkgs []*Package) []AllowRecord {
 		return a.Check < b.Check
 	})
 	return out
-}
-
-// Config is the per-check path allowlist: findings of a check under any
-// of its path prefixes are dropped. Prefixes are slash-separated and
-// matched against both the file path relative to the module root and
-// the package import path.
-type Config struct {
-	Allow map[string][]string
-}
-
-// ParseConfig reads an allowlist: one "check path-prefix" pair per
-// line, '#' starts a comment, blank lines ignored.
-func ParseConfig(text string) (Config, error) {
-	cfg := Config{Allow: map[string][]string{}}
-	for i, line := range strings.Split(text, "\n") {
-		if idx := strings.IndexByte(line, '#'); idx >= 0 {
-			line = line[:idx]
-		}
-		fields := strings.Fields(line)
-		switch len(fields) {
-		case 0:
-		case 2:
-			cfg.Allow[fields[0]] = append(cfg.Allow[fields[0]], fields[1])
-		default:
-			return Config{}, fmt.Errorf("lint: config line %d: want \"check path-prefix\", got %q", i+1, line)
-		}
-	}
-	return cfg, nil
-}
-
-func (c Config) allows(check, relPath, pkgPath string) bool {
-	for _, prefix := range c.Allow[check] {
-		if underPrefix(relPath, prefix) || underPrefix(pkgPath, prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // underPrefix reports whether p equals prefix or lies under it as a

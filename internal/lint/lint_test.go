@@ -10,7 +10,7 @@ import (
 // themselves findings.
 func TestSuppression(t *testing.T) {
 	l, pkg := loadFixture(t, "suppress")
-	diags := Run(l, []*Package{pkg}, []Analyzer{&FloatEq{}}, Config{})
+	diags := Run(l, []*Package{pkg}, []Analyzer{&FloatEq{}})
 
 	var allowDiags, floateqDiags []Diagnostic
 	for _, d := range diags {
@@ -43,37 +43,6 @@ func TestSuppression(t *testing.T) {
 	}
 	if !sawNoReason || !sawUnknown {
 		t.Errorf("allow findings missing no-reason or unknown-check report: %v", allowDiags)
-	}
-}
-
-// TestConfigAllowlist: a per-check path allowlist drops findings under
-// the listed prefix.
-func TestConfigAllowlist(t *testing.T) {
-	l, pkg := loadFixture(t, "floateq")
-	cfg, err := ParseConfig("# comment\nfloateq fix/floateq\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := Run(l, []*Package{pkg}, []Analyzer{&FloatEq{}}, cfg); len(diags) != 0 {
-		t.Errorf("allowlisted package still reported: %v", diags)
-	}
-	// A non-matching prefix must not suppress (and prefix matching is
-	// by path component, not by string prefix).
-	cfg, err = ParseConfig("floateq fix/floateqbis\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := Run(l, []*Package{pkg}, []Analyzer{&FloatEq{}}, cfg); len(diags) == 0 {
-		t.Error("non-matching allowlist prefix suppressed findings")
-	}
-}
-
-func TestParseConfigRejectsMalformed(t *testing.T) {
-	if _, err := ParseConfig("floateq\n"); err == nil {
-		t.Error("one-field config line accepted")
-	}
-	if _, err := ParseConfig("floateq a b\n"); err == nil {
-		t.Error("three-field config line accepted")
 	}
 }
 

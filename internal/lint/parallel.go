@@ -30,20 +30,20 @@ func (l *Loader) Warm() {
 // RunParallel is RunWithStale with the per-package analysis fanned out
 // over jobs workers (jobs <= 0 means GOMAXPROCS). Diagnostics and stale
 // records are byte-identical to the sequential run at any job count.
-func RunParallel(l *Loader, pkgs []*Package, analyzers []Analyzer, cfg Config, jobs int) ([]Diagnostic, []AllowRecord) {
+func RunParallel(l *Loader, pkgs []*Package, analyzers []Analyzer, jobs int) ([]Diagnostic, []AllowRecord) {
 	if jobs == 1 || len(pkgs) <= 1 {
-		return RunWithStale(l, pkgs, analyzers, cfg)
+		return RunWithStale(l, pkgs, analyzers)
 	}
 	l.Warm()
 	known, ran := suiteMaps(analyzers)
 	results, err := runner.Map(len(pkgs), runner.Options{Jobs: jobs}, func(i int) (pkgResult, error) {
-		return analyzePackage(l, pkgs[i], analyzers, cfg, known, ran), nil
+		return analyzePackage(l, pkgs[i], analyzers, known, ran), nil
 	})
 	if err != nil {
 		// Tasks never fail and no context is involved; keep the
 		// sequential path as a defensive fallback rather than dropping
 		// findings.
-		return RunWithStale(l, pkgs, analyzers, cfg)
+		return RunWithStale(l, pkgs, analyzers)
 	}
 	return mergeResults(results)
 }

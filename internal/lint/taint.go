@@ -10,15 +10,18 @@ package lint
 // to a fixed point. Summaries only grow, so the iteration terminates
 // even on recursive cycles (taint_test pins this).
 //
-// The engine is deliberately a data-flow (explicit-flow) analysis:
-// taint moves through assignments, composite literals, arithmetic,
-// calls and channel sends, not through branch conditions. Within one
-// function the analysis is flow-insensitive over a per-object
-// environment, iterated to a local fixed point, with closures analyzed
-// in the enclosing function's environment (captures share objects, so
-// flows through captured variables need no extra machinery) and calls
-// through idents bound to function literals or method values resolved
-// to their targets.
+// The engine is a data-flow (explicit-flow) analysis with one
+// implicit-flow rule: taint moves through assignments, composite
+// literals, arithmetic, calls and channel sends, and the source kinds
+// of an if or switch condition reach the returns and sink calls it
+// guards (a returned constant chosen by a map-order value is as
+// order-dependent as the value). Branches do not taint assignments.
+// Within one function the analysis is flow-insensitive over a
+// per-object environment, iterated to a local fixed point, with
+// closures analyzed in the enclosing function's environment (captures
+// share objects, so flows through captured variables need no extra
+// machinery) and calls through idents bound to function literals or
+// method values resolved to their targets.
 //
 // Sources, sinks and sanitizers live in one explicit registry below:
 //
@@ -176,7 +179,7 @@ type sourceSpec struct {
 // engine level: the package exists to wrap these calls.
 var taintSources = func() map[[2]string]taintKind {
 	m := map[[2]string]taintKind{}
-	for _, name := range []string{"Now", "Since", "Until", "After", "Tick"} {
+	for name := range wallClockFuncs {
 		m[[2]string{"time", name}] = taintWallClock
 	}
 	for _, name := range []string{"Getenv", "LookupEnv", "Environ"} {
@@ -188,6 +191,20 @@ var taintSources = func() map[[2]string]taintKind {
 	}
 	return m
 }()
+
+// globalRandFuncs are the math/rand (and math/rand/v2) package-level
+// functions that consume the shared global source. Constructors taking
+// an explicit seed (New, NewSource, NewZipf, NewPCG, NewChaCha8) are
+// deterministic and are not sources.
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Int32": true, "Int32N": true,
+	"Int64": true, "Int64N": true, "IntN": true, "N": true,
+	"Uint32": true, "Uint64": true, "Uint": true, "UintN": true,
+	"Uint32N": true, "Uint64N": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
+	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
+}
 
 // sinkSpec marks a function or method as a taint sink: a kind-tainted
 // argument reaching it is a detflow finding.
@@ -432,6 +449,7 @@ func (eng *TaintEngine) analyze(n *CGNode, report taintReport) bool {
 		methVal:  map[types.Object]boundMethod{},
 		litRes:   map[*ast.FuncLit][]taintVal{},
 		litOf:    map[ast.Node]*ast.FuncLit{},
+		conds:    map[ast.Node][]ast.Expr{},
 		inputBit: map[types.Object]int{},
 	}
 	env.bindInputs(decl)
@@ -478,6 +496,10 @@ type taintEnv struct {
 	// litOf maps every return statement to its enclosing literal (nil
 	// entries mean the outer function).
 	litOf map[ast.Node]*ast.FuncLit
+	// conds maps every return statement and call to the conditions of
+	// the if and switch statements guarding it within its function or
+	// literal.
+	conds map[ast.Node][]ast.Expr
 	// inputBit maps the receiver and parameter objects to their input
 	// bits. Writes through these objects (and only these — a local
 	// merely derived from an input does not alias the caller's memory)
@@ -523,24 +545,80 @@ func (env *taintEnv) bindInputs(decl *ast.FuncDecl) {
 }
 
 // mapLits precomputes, for every return statement under body, the
-// function literal it belongs to (nil for the outer function).
+// function literal it belongs to (nil for the outer function), and for
+// every return and call, the branch conditions guarding it. A literal
+// starts with no conditions: its body runs when it is called, not
+// where it is written.
 func (env *taintEnv) mapLits(body ast.Node) {
-	var visit func(n ast.Node, lit *ast.FuncLit)
-	visit = func(n ast.Node, lit *ast.FuncLit) {
+	var scan func(n ast.Node, lit *ast.FuncLit, conds []ast.Expr)
+	// guarded scans the branch bodies under conds plus the statement's
+	// own conditions; the full slice expression makes the append copy,
+	// so sibling statements never share a backing array.
+	guarded := func(lit *ast.FuncLit, conds, own []ast.Expr, bodies []ast.Stmt) {
+		inner := append(conds[:len(conds):len(conds)], own...)
+		for _, b := range bodies {
+			scan(b, lit, inner)
+		}
+	}
+	scan = func(n ast.Node, lit *ast.FuncLit, conds []ast.Expr) {
 		ast.Inspect(n, func(c ast.Node) bool {
 			switch m := c.(type) {
 			case *ast.FuncLit:
-				if m != n {
-					visit(m, m)
-					return false
-				}
+				scan(m.Body, m, nil)
+				return false
 			case *ast.ReturnStmt:
 				env.litOf[m] = lit
+				env.conds[m] = conds
+			case *ast.CallExpr:
+				if len(conds) > 0 {
+					env.conds[m] = conds
+				}
+			case *ast.IfStmt:
+				if m.Init != nil {
+					scan(m.Init, lit, conds)
+				}
+				scan(m.Cond, lit, conds)
+				bodies := []ast.Stmt{m.Body}
+				if m.Else != nil {
+					bodies = append(bodies, m.Else)
+				}
+				guarded(lit, conds, []ast.Expr{m.Cond}, bodies)
+				return false
+			case *ast.SwitchStmt:
+				if m.Init != nil {
+					scan(m.Init, lit, conds)
+				}
+				var own []ast.Expr
+				if m.Tag != nil {
+					scan(m.Tag, lit, conds)
+					own = append(own, m.Tag)
+				}
+				var bodies []ast.Stmt
+				for _, cl := range m.Body.List {
+					cc := cl.(*ast.CaseClause)
+					for _, e := range cc.List {
+						scan(e, lit, conds)
+						own = append(own, e)
+					}
+					bodies = append(bodies, cc.Body...)
+				}
+				guarded(lit, conds, own, bodies)
+				return false
 			}
 			return true
 		})
 	}
-	visit(body, nil)
+	scan(body, nil, nil)
+}
+
+// control returns the source kinds of the branch conditions guarding
+// n: a return or sink call they guard carries them.
+func (env *taintEnv) control(n ast.Node) taintVal {
+	var v taintVal
+	for _, c := range env.conds[n] {
+		v = v.union(env.eval(c))
+	}
+	return taintVal{kinds: v.kinds, wit: v.wit}
 }
 
 // join merges v into obj's taint.
@@ -631,7 +709,7 @@ func (env *taintEnv) walk(body ast.Node) {
 			// input records the send in paramOut, so taint flows through
 			// channel-typed parameters across calls.
 			v := env.eval(n.Value)
-			obj, _ := rootObject(env.pkg, n.Chan)
+			obj := rootObject(env.pkg, n.Chan)
 			env.join(obj, v)
 			env.storeThroughInput(obj, v)
 		case *ast.RangeStmt:
@@ -701,7 +779,7 @@ func (env *taintEnv) assignTo(lhs ast.Expr, v taintVal) {
 	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name == "_" {
 		return
 	}
-	obj, _ := rootObject(env.pkg, lhs)
+	obj := rootObject(env.pkg, lhs)
 	env.join(obj, v)
 	env.storeThroughInput(obj, v)
 }
@@ -734,16 +812,18 @@ func (env *taintEnv) storeThroughInput(obj types.Object, v taintVal) {
 	}
 }
 
-// returnStmt merges returned expression taints into the right result
+// returnStmt merges returned expression taints, plus the source kinds
+// of the branch conditions guarding the return, into the right result
 // slots (outer summary or enclosing literal).
 func (env *taintEnv) returnStmt(ret *ast.ReturnStmt) {
 	lit := env.litOf[ret]
+	ctrl := env.control(ret)
 	if len(ret.Results) == 0 {
 		// Bare return with named results: their current taints stand in.
 		if lit == nil {
 			if res := env.namedResults(); res != nil {
 				for i, obj := range res {
-					env.mergeResult(nil, i, env.lookup(obj))
+					env.mergeResult(nil, i, env.lookup(obj).union(ctrl))
 				}
 			}
 		}
@@ -758,14 +838,14 @@ func (env *taintEnv) returnStmt(ret *ast.ReturnStmt) {
 			if want > 1 {
 				per := env.evalCallMulti(call, want)
 				for i, v := range per {
-					env.mergeResult(lit, i, v)
+					env.mergeResult(lit, i, v.union(ctrl))
 				}
 				return
 			}
 		}
 	}
 	for i, e := range ret.Results {
-		env.mergeResult(lit, i, env.eval(e))
+		env.mergeResult(lit, i, env.eval(e).union(ctrl))
 	}
 }
 
@@ -835,7 +915,7 @@ func (env *taintEnv) rangeStmt(rs *ast.RangeStmt) {
 		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && kind == taintMapOrder && keyObj(ix.Index) {
 			return
 		}
-		obj, _ := rootObject(env.pkg, lhs)
+		obj := rootObject(env.pkg, lhs)
 		if outer(obj) {
 			env.join(obj, ordered)
 			env.storeThroughInput(obj, ordered)
@@ -869,8 +949,7 @@ func (env *taintEnv) eval(e ast.Expr) taintVal {
 	case *ast.SelectorExpr:
 		// Qualified package-level var, a field read, or a method value
 		// in expression position; all reduce to the root's taint.
-		obj, _ := rootObject(env.pkg, n)
-		return env.lookup(obj)
+		return env.lookup(rootObject(env.pkg, n))
 	case *ast.StarExpr:
 		return env.eval(n.X)
 	case *ast.UnaryExpr:
@@ -1164,7 +1243,7 @@ func (env *taintEnv) applySummaryCall(fn *types.Func, recv taintVal, call *ast.C
 	for bit := 0; bit < sum.inputs && bit < 32; bit++ {
 		if v := apply(sum.paramOut[bit]); !v.empty() {
 			if target := argAt(bit); target != nil {
-				obj, _ := rootObject(env.pkg, target)
+				obj := rootObject(env.pkg, target)
 				env.join(obj, v)
 				env.storeThroughInput(obj, v)
 			}
@@ -1176,7 +1255,7 @@ func (env *taintEnv) applySummaryCall(fn *types.Func, recv taintVal, call *ast.C
 // sanitize erases the order-dependence kinds from the root object of
 // e: its iteration order has just been made deterministic.
 func (env *taintEnv) sanitize(e ast.Expr) {
-	obj, _ := rootObject(env.pkg, e)
+	obj := rootObject(env.pkg, e)
 	if obj == nil {
 		return
 	}
@@ -1214,7 +1293,7 @@ func (env *taintEnv) checkSink(fn *types.Func, call *ast.CallExpr) {
 		if env.reported[call.Pos()] {
 			return
 		}
-		var tainted taintVal
+		tainted := env.control(call)
 		for i, a := range call.Args {
 			if i < sink.skipArgs {
 				continue
@@ -1263,4 +1342,23 @@ func genericFunc(pkg *Package, base ast.Expr) *types.Func {
 		}
 	}
 	return nil
+}
+
+// rootObject resolves the base identifier of an lvalue chain
+// (x, x.f, x[i], *x, ...) to its object.
+func rootObject(pkg *Package, e ast.Expr) types.Object {
+	for {
+		switch v := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return pkg.Info.ObjectOf(v)
+		case *ast.SelectorExpr:
+			e = v.X
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.StarExpr:
+			e = v.X
+		default:
+			return nil
+		}
+	}
 }

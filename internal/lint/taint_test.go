@@ -112,14 +112,14 @@ func freshFixtureLoader(t *testing.T) (*Loader, *Package) {
 func TestRunParallelMatchesSequential(t *testing.T) {
 	l := fixtureLoader(t)
 	var pkgs []*Package
-	for _, name := range []string{"taint", "detflow", "clockseam", "rngseam", "nondeterminism", "deadlock", "allochot"} {
+	for _, name := range []string{"taint", "detflow", "clockseam", "rngseam", "deadlock", "allochot"} {
 		_, pkg := loadFixture(t, name)
 		pkgs = append(pkgs, pkg)
 	}
 	analyzers := All()
-	seqD, seqS := RunWithStale(l, pkgs, analyzers, Config{})
+	seqD, seqS := RunWithStale(l, pkgs, analyzers)
 	for _, jobs := range []int{2, 4, 8} {
-		parD, parS := RunParallel(l, pkgs, analyzers, Config{}, jobs)
+		parD, parS := RunParallel(l, pkgs, analyzers, jobs)
 		if !reflect.DeepEqual(seqD, parD) {
 			t.Errorf("jobs=%d: diagnostics differ from sequential run", jobs)
 		}
@@ -135,7 +135,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 func TestStaleAllowDetection(t *testing.T) {
 	l, pkg := loadFixture(t, "stale")
 	// floateq runs and the allow on a clean line suppresses nothing.
-	diags, stale := RunWithStale(l, []*Package{pkg}, []Analyzer{&FloatEq{}}, Config{})
+	diags, stale := RunWithStale(l, []*Package{pkg}, []Analyzer{&FloatEq{}})
 	if len(diags) != 0 {
 		t.Fatalf("unexpected diagnostics: %v", diags)
 	}
@@ -147,12 +147,12 @@ func TestStaleAllowDetection(t *testing.T) {
 	}
 	// The same package under an analyzer set that does not include
 	// floateq: the allow is out of scope, not stale.
-	_, stale = RunWithStale(l, []*Package{pkg}, []Analyzer{&ErrDiscard{}}, Config{})
+	_, stale = RunWithStale(l, []*Package{pkg}, []Analyzer{&ErrDiscard{}})
 	if len(stale) != 0 {
 		t.Errorf("allow for a check that did not run reported stale: %v", stale)
 	}
 	// An allow that does suppress a finding is never stale.
-	_, stale = RunWithStale(l, []*Package{pkg}, []Analyzer{&Nondeterminism{Scope: func(string) bool { return true }}}, Config{})
+	_, stale = RunWithStale(l, []*Package{pkg}, []Analyzer{&ClockSeam{}})
 	if len(stale) != 0 {
 		t.Errorf("exercised allow reported stale: %v", stale)
 	}

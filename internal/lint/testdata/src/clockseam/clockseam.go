@@ -21,6 +21,12 @@ func Build() *time.Timer {
 	return &time.Timer{} // want "constructing time.Timer directly bypasses the clock.Clock seam"
 }
 
+// Elapsed reads the wall clock twice.
+func Elapsed() time.Duration {
+	start := time.Now()      // want "time.Now bypasses the clock.Clock seam"
+	return time.Since(start) // want "time.Since bypasses the clock.Clock seam"
+}
+
 // Budget only represents durations — the contract covers reading the
 // clock, not arithmetic on time values.
 func Budget(n int) time.Duration {

@@ -11,9 +11,9 @@ func Scaled(n int) bool {
 	return n*2 == 4
 }
 
-// Tick carries a live suppression: nondeterminism flags the wall-clock
-// read and the allow absorbs it.
+// Tick carries a live suppression: clockseam flags the wall-clock read
+// and the allow absorbs it.
 func Tick() int64 {
-	//lopc:allow nondeterminism fixture: deliberately suppressed wall-clock read
+	//lopc:allow clockseam fixture: deliberately suppressed wall-clock read
 	return time.Now().UnixNano()
 }

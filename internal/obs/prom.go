@@ -23,7 +23,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
-		//lopc:allow nondeterminism collection order is normalized by the sort below
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -41,7 +40,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
 		sigs := make([]string, 0, len(f.series))
 		for sig := range f.series {
-			//lopc:allow nondeterminism collection order is normalized by the sort below
 			sigs = append(sigs, sig)
 		}
 		sort.Strings(sigs)

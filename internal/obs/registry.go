@@ -364,7 +364,6 @@ func signature(labels Labels) string {
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
 		checkLabelName(k)
-		//lopc:allow nondeterminism collection order is normalized by the sort below
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

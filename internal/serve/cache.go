@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
 
@@ -62,12 +63,18 @@ func (c *solveCache) len() int {
 	return c.ll.Len()
 }
 
+// errSolvePanicked is what collapsed waiters get when the solve they
+// waited on panicked; the panic itself stays with the caller that ran
+// the solve.
+var errSolvePanicked = errors.New("solve panicked")
+
 // get returns the cached response for key, or runs solve to produce it.
 // Concurrent gets for the same key collapse onto one solve call; errors
 // are returned to every collapsed waiter but never cached, so a
-// transient failure doesn't poison the key. key is only read during the
-// call: a hit or a collapse copies nothing, and a miss keeps its own
-// string copy.
+// transient failure doesn't poison the key. A panicking solve still
+// releases its flight before the panic propagates, so the key stays
+// usable. key is only read during the call: a hit or a collapse copies
+// nothing, and a miss keeps its own string copy.
 func (c *solveCache) get(key []byte, solve func() ([]byte, error)) ([]byte, outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[string(key)]; ok {
@@ -86,16 +93,22 @@ func (c *solveCache) get(key []byte, solve func() ([]byte, error)) ([]byte, outc
 	c.calls[k] = fc
 	c.mu.Unlock()
 
+	defer c.land(k, fc)
+	fc.err = errSolvePanicked // stands unless solve returns
 	fc.val, fc.err = solve()
-	close(fc.done)
+	return fc.val, outcomeMiss, fc.err
+}
 
+// land ends the flight fc for key k: it wakes the collapsed waiters,
+// forgets the flight, and caches a successful result.
+func (c *solveCache) land(k string, fc *flightCall) {
+	close(fc.done)
 	c.mu.Lock()
 	delete(c.calls, k)
 	if fc.err == nil && c.cap > 0 {
 		c.insert(k, fc.val)
 	}
 	c.mu.Unlock()
-	return fc.val, outcomeMiss, fc.err
 }
 
 // insert adds key→val at the front, evicting from the back past

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -217,5 +218,72 @@ func BenchmarkCacheGetHit(b *testing.B) {
 			b.Fatal("hit path ran the solver")
 			return nil, nil
 		})
+	}
+}
+
+// TestCachePanicReleasesFlight: a panicking solve re-panics in the
+// caller that ran it, hands a collapsed waiter an error instead of a
+// nil body, and leaves the key usable: the next get solves afresh.
+func TestCachePanicReleasesFlight(t *testing.T) {
+	c := newSolveCache(8)
+	started := make(chan struct{})
+	block := make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		_, _, _ = c.get([]byte("k"), func() ([]byte, error) {
+			close(started)
+			<-block
+			panic("boom")
+		})
+	}()
+	<-started // the leader owns the flight
+
+	type result struct {
+		val []byte
+		o   outcome
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		v, o, err := c.get([]byte("k"), func() ([]byte, error) {
+			return nil, errors.New("waiter ran its own solve")
+		})
+		waiter <- result{v, o, err}
+	}()
+	close(block)
+	if p := <-leader; p != "boom" {
+		t.Fatalf("leader recovered %v, want the solve's panic", p)
+	}
+	// The waiter either collapsed onto the panicking flight or, if it
+	// arrived after the release, ran its own failing solve; both are
+	// errors with no body.
+	select {
+	case r := <-waiter:
+		if r.err == nil || r.val != nil {
+			t.Errorf("waiter got %q/%v, want an error and no body", r.val, r.err)
+		}
+		if r.o == outcomeCollapsed && !errors.Is(r.err, errSolvePanicked) {
+			t.Errorf("collapsed waiter error %v, want errSolvePanicked", r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked on the panicked flight")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v, o, err := c.get([]byte("k"), func() ([]byte, error) { return []byte("v"), nil })
+		if err != nil || o != outcomeMiss || string(v) != "v" {
+			t.Errorf("get after the panic: %q/%v/%v, want v/miss/nil", v, o, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("get after the panic blocked on the released key")
+	}
+	if v, o, _ := c.get([]byte("k"), nil); o != outcomeHit || string(v) != "v" {
+		t.Errorf("third get: %q/%v, want v/hit", v, o)
 	}
 }

@@ -194,10 +194,8 @@ func solveAllToAll(s *Server, a allToAllParams) (any, error) {
 		RuleOfThumb:        p.RuleOfThumb(),
 	}
 	if a.N > 0 {
-		total, err := core.TotalRuntime(p, a.N)
-		if err != nil {
-			return nil, err
-		}
+		// core.TotalRuntime's n·R, without solving the point again.
+		total := float64(a.N) * res.R
 		out.TotalRuntime = &total
 	}
 	return out, nil

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 )
 
 // newTestServer builds a Server on a fake clock and mounts it on an
@@ -469,5 +470,48 @@ func TestConcurrentClientsRaceClean(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestAllToAllHugeC2: a C² far past the old β bracket answers 200 on
+// two identical requests in a row, the second from the cache.
+func TestAllToAllHugeC2(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	const body = `{"p":8,"w":10,"st":5,"so":2,"c2":1e13}`
+	resp, first := post(t, ts.URL+"/v1/alltoall", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first request: status %d: %s", resp.StatusCode, first)
+	}
+	resp, second := post(t, ts.URL+"/v1/alltoall", body)
+	if resp.StatusCode != http.StatusOK || second != first {
+		t.Fatalf("second request: status %d, body %s; want 200 and %s", resp.StatusCode, second, first)
+	}
+	if got := resp.Header.Get("X-Lopc-Cache"); got != "hit" {
+		t.Errorf("second request X-Lopc-Cache = %q, want hit", got)
+	}
+}
+
+// TestAllToAllTotalRuntime: total_runtime is core.TotalRuntime's value
+// to the byte, for several request counts.
+func TestAllToAllTotalRuntime(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	p := core.Params{P: 32, W: 1000, St: 40, So: 200, C2: 0.5}
+	for _, n := range []int{1, 7, 100, 123457} {
+		want, err := core.TotalRuntime(p, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := fmt.Sprintf(`{"p":32,"w":1000,"st":40,"so":200,"c2":0.5,"n":%d}`, n)
+		resp, got := post(t, ts.URL+"/v1/alltoall", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("n=%d: status %d: %s", n, resp.StatusCode, got)
+		}
+		if !strings.HasSuffix(got, `"total_runtime":`+string(enc)+"}\n") {
+			t.Errorf("n=%d: body %s does not end in total_runtime %s", n, got, enc)
+		}
 	}
 }
