@@ -146,35 +146,49 @@ func AllToAll(p Params) (AllToAllResult, error) {
 // returned result's Solve field carries the same stats the observer
 // sees.
 func AllToAllObserved(p Params, o obs.SolveObserver) (AllToAllResult, error) {
+	return AllToAllFrom(p, 0, o)
+}
+
+// AllToAllFrom is AllToAllObserved starting the fixed-point search at
+// cycle time r0, clipped into the Eq. 5.11–5.12 bracket. A caller that
+// solves many neighbouring points (a fit's loss evaluations) passes the
+// previous point's R; r0 ≤ 0 starts from the contention-free cycle plus
+// one handler. The start changes how many iterations a solve takes,
+// not which fixed point it finds.
+func AllToAllFrom(p Params, r0 float64, o obs.SolveObserver) (AllToAllResult, error) {
 	if err := p.Validate(); err != nil {
 		return AllToAllResult{}, err
 	}
 	done := beginSolve(o, SolverAllToAll)
 	lower := p.ContentionFree()
+	upper := p.W + 2*p.St + UpperBoundBeta(p.C2)*p.So
+	if r0 <= 0 {
+		r0 = lower + p.So
+	}
 	var stats obs.SolveStats
-	f := func(r float64) float64 {
+	f := func(r float64) (float64, bool) {
 		it, g := allToAllStep(p, r)
 		if g != guardNone {
-			// Push the iterate back toward the feasible region; the
-			// final solve below re-validates.
 			stats.GuardTrips++
-			return r + p.So
+			return 0, false
 		}
 		if it.a > stats.MaxUtil {
 			stats.MaxUtil = it.a
 		}
-		return it.r
+		return it.r, true
 	}
-	r, fp, err := numeric.FixedPointTraced(f, lower+p.So, numeric.DefaultFixedPointOpts())
+	// F is decreasing (§5.3), so the fixed point is the one sign change
+	// of F(R) − R, and Eqs. 5.11 and 5.12 bracket it.
+	r, fp, err := numeric.FixedPoint(f, r0, numeric.Bracket{Lo: lower, Hi: upper})
 	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
-	if err != nil {
-		err = fmt.Errorf("core: all-to-all fixed point: %w", err)
-		done(stats, err)
-		return AllToAllResult{}, err
-	}
 	it, g := allToAllStep(p, r)
-	if g != guardNone {
-		err := it.guardError(g, r)
+	switch {
+	case g != guardNone:
+		err = it.guardError(g, r)
+	case err != nil:
+		err = fmt.Errorf("core: all-to-all fixed point: %w", err)
+	}
+	if err != nil {
 		done(stats, err)
 		return AllToAllResult{}, err
 	}
@@ -185,7 +199,7 @@ func AllToAllObserved(p Params, o obs.SolveObserver) (AllToAllResult, error) {
 		Uq: it.a, Uy: it.a,
 		X:              float64(p.P) / r,
 		ContentionFree: lower,
-		UpperBound:     p.W + 2*p.St + UpperBoundBeta(p.C2)*p.So,
+		UpperBound:     upper,
 		Solve:          stats,
 	}
 	done(stats, nil)
@@ -228,8 +242,9 @@ var betaMemo [1 << betaMemoBits]atomic.Pointer[betaEntry]
 // handler variability, for every W and St (Eq. 5.12 gives β = 3.46 at
 // C² = 0). The worst case is W = St = 0, where handler load is maximal,
 // so β is found there: it is the fixed point of F[β·So]/So. Answers are
-// memoized by the exact bits of c2 and equal the bisection's bit for
-// bit.
+// memoized by the exact bits of c2 and equal the unmemoized solve's bit
+// for bit. C² that is negative, NaN or so large that F overflows has no
+// β, and panics.
 func UpperBoundBeta(c2 float64) float64 {
 	bits := math.Float64bits(c2)
 	// Fibonacci hashing spreads neighbouring bit patterns over the slots.
@@ -242,36 +257,21 @@ func UpperBoundBeta(c2 float64) float64 {
 	return beta
 }
 
-// upperBoundBeta computes UpperBoundBeta by bisection, without the
-// memo.
+// upperBoundBeta computes UpperBoundBeta without the memo.
 func upperBoundBeta(c2 float64) float64 {
-	if c2 < 0 {
-		panic(fmt.Sprintf("core: negative C² %v", c2))
+	if !(c2 >= 0) {
+		panic(fmt.Sprintf("core: C² = %v; UpperBoundBeta needs C² ≥ 0", c2))
 	}
 	// Work in units of So = 1 with W = St = 0. F is strictly decreasing
-	// in R in the feasible region, so g(β) = F(β) − β has a single sign
-	// change; bracket and bisect.
+	// in the feasible region and the contention-free cycle 2 bounds its
+	// fixed point below, so the scalar kernel brackets it from there.
 	p := Params{P: 2, W: 0, St: 0, So: 1, C2: c2}
-	g := func(beta float64) float64 {
-		it, guard := allToAllStep(p, beta)
-		if guard != guardNone {
-			return 1 // infeasible: F is effectively above β here
-		}
-		return it.r - beta
-	}
-	// β grows like √(1.5·C²), so the bracket doubles until it holds
-	// the sign change; 1024 doublings run hi past the largest float64,
-	// which only a C² with no finite β (+Inf) reaches.
-	lo, hi := 2.0, 2.0
-	for i := 0; i < 1024 && g(hi) > 0; i++ {
-		hi *= 2
-	}
-	if math.IsInf(hi, 1) || g(hi) > 0 {
-		panic(fmt.Sprintf("core: no upper bound found for C²=%v", c2))
-	}
-	beta, err := numeric.Bisect(g, lo, hi, 1e-10)
+	beta, _, err := numeric.FixedPoint(func(beta float64) (float64, bool) {
+		it, g := allToAllStep(p, beta)
+		return it.r, g == guardNone
+	}, 2, numeric.Bracket{Lo: 2, Hi: math.Inf(1)})
 	if err != nil {
-		panic(fmt.Sprintf("core: UpperBoundBeta bisection failed: %v", err))
+		panic(fmt.Sprintf("core: no upper bound found for C²=%v: %v", c2, err))
 	}
 	return beta
 }

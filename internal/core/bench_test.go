@@ -1,8 +1,9 @@
 package core_test
 
 // Per-stage benchmarks of the solve miss path backing BENCH_core.json:
-// one scalar solve per solver, and UpperBoundBeta answered from its
-// memo (hit) and by bisection (miss). The observed solve with a
+// one solve per solver, each reporting the map evaluations it took as
+// iters/op, and UpperBoundBeta answered from its memo (hit) and by
+// bisection (miss). The observed solve with a
 // registry lives in internal/obs (BenchmarkScalarSolveInstrumentedRegistry)
 // and the fit in internal/fit (BenchmarkFitAllToAll).
 
@@ -21,40 +22,93 @@ var (
 	benchLockFree     = core.LockFreeParams{Threads: 16, W: 500, St: 1, So: 20, C2: 1}
 )
 
+// benchGeneral is the Appendix A model with the homogeneous visit
+// matrix at the Fig. 5-2 point.
+func benchGeneral(p int) core.GeneralParams {
+	w := make([]float64, p)
+	for i := range w {
+		w[i] = 500
+	}
+	return core.GeneralParams{P: p, W: w, V: core.HomogeneousVisits(p), St: 40, So: []float64{200}}
+}
+
 func BenchmarkSolveAllToAll(b *testing.B) {
 	b.ReportAllocs()
+	var res core.AllToAllResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		if _, err := core.AllToAll(benchAllToAll); err != nil {
+		if res, err = core.AllToAll(benchAllToAll); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.Solve.Iters), "iters/op")
 }
 
 func BenchmarkSolveClientServer(b *testing.B) {
 	b.ReportAllocs()
+	var res core.ClientServerResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ClientServer(benchClientServer); err != nil {
+		if res, err = core.ClientServer(benchClientServer); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.Solve.Iters), "iters/op")
 }
 
 func BenchmarkSolveLock(b *testing.B) {
 	b.ReportAllocs()
+	var res core.LockResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Lock(benchLock); err != nil {
+		if res, err = core.Lock(benchLock); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.Solve.Iters), "iters/op")
 }
 
 func BenchmarkSolveLockFree(b *testing.B) {
 	b.ReportAllocs()
+	var res core.LockFreeResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LockFree(benchLockFree); err != nil {
+		if res, err = core.LockFree(benchLockFree); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.Solve.Iters), "iters/op")
+}
+
+func benchmarkSolveGeneral(b *testing.B, p int) {
+	params := benchGeneral(p)
+	b.ReportAllocs()
+	var res core.GeneralResult
+	var err error
+	for i := 0; i < b.N; i++ {
+		if res, err = core.General(params); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Solve.Iters), "iters/op")
+}
+
+func BenchmarkSolveGeneralP8(b *testing.B)  { benchmarkSolveGeneral(b, 8) }
+func BenchmarkSolveGeneralP64(b *testing.B) { benchmarkSolveGeneral(b, 64) }
+
+// BenchmarkSolveMultithreaded solves the Fig. 5-2 point with four
+// threads per node; every map evaluation runs exact MVA over the
+// threads.
+func BenchmarkSolveMultithreaded(b *testing.B) {
+	b.ReportAllocs()
+	var res core.MultithreadedResult
+	var err error
+	for i := 0; i < b.N; i++ {
+		if res, err = core.Multithreaded(benchAllToAll, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Solve.Iters), "iters/op")
 }
 
 // betaSink keeps the benchmarked UpperBoundBeta calls from being

@@ -118,27 +118,27 @@ func ClientServerObserved(p ClientServerParams, o obs.SolveObserver) (ClientServ
 	pc := float64(p.P - p.Ps)
 	ps := float64(p.Ps)
 	var stats obs.SolveStats
-	f := func(rs float64) float64 {
+	f := func(rs float64) (float64, bool) {
 		it, g := clientServerStep(p, pc, ps, rs)
 		if g != guardNone {
 			stats.GuardTrips++
-			return rs * 2 // push away from the saturated region
+			return 0, false
 		}
 		if it.us > stats.MaxUtil {
 			stats.MaxUtil = it.us
 		}
-		return it.rsNext
+		return it.rsNext, true
 	}
-	rs, fp, err := numeric.FixedPointTraced(f, p.So, numeric.DefaultFixedPointOpts())
+	rs, fp, err := numeric.FixedPoint(f, p.So, numeric.Unbracketed)
 	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
-	if err != nil {
-		err = fmt.Errorf("core: client-server fixed point: %w", err)
-		done(stats, err)
-		return ClientServerResult{}, err
-	}
 	it, g := clientServerStep(p, pc, ps, rs)
-	if g != guardNone {
-		err := it.guardError(rs)
+	switch {
+	case g != guardNone:
+		err = it.guardError(rs)
+	case err != nil:
+		err = fmt.Errorf("core: client-server fixed point: %w", err)
+	}
+	if err != nil {
 		done(stats, err)
 		return ClientServerResult{}, err
 	}

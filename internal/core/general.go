@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/numeric"
 	"repro/internal/obs"
 )
 
@@ -111,41 +112,53 @@ type GeneralResult struct {
 	Uq, Uy []float64
 	// TotalX is the summed throughput of all active threads.
 	TotalX float64
-	// Solve describes the damped fixed-point iteration that produced
-	// this result: iteration count, final residual, utilization-clamp
+	// Solve describes the fixed-point iteration that produced this
+	// result: iteration count, final residual, utilization-clamp
 	// guard trips, and the peak request-handler utilization visited.
 	Solve obs.SolveStats
 }
 
-// generalState holds the iteration vectors of the general AMVA solve,
-// allocated once before the sweep loop starts so the per-iteration
-// sweep itself is allocation-free.
+// generalState holds the vectors of the general AMVA solve, allocated
+// once before the iteration starts so the sweep itself is
+// allocation-free. z is the fixed-point unknown, the per-thread cycle
+// times followed by the per-node request and reply handler response
+// times; r, rq and ry are views of it. The rest are derived from z by
+// each sweep.
 type generalState struct {
-	// r and x are per-thread cycle times and throughputs; rw the
-	// per-thread residence times.
-	r, x, rw []float64
-	// rq, ry, uq, uy, qq, qy are the per-node handler response times,
-	// utilizations and queue lengths.
-	rq, ry, uq, uy, qq, qy []float64
+	z, r, rq, ry []float64
+	// x and rw are per-thread throughputs and residence times.
+	x, rw []float64
+	// uq, uy, qq, qy are the per-node handler utilizations and queue
+	// lengths.
+	uq, uy, qq, qy []float64
 }
 
-// Iteration constants of the general AMVA sweep.
 const (
-	generalMaxIter = 200000
+	// generalDamping blends each sweep's new values with the old ones.
+	// The blended sweep is the map the kernel accelerates: its fixed
+	// points are the model's, and plain iteration on it is stable where
+	// the undamped Jacobi sweep oscillates (a work-pile with few
+	// servers).
 	generalDamping = 0.5
-	generalTol     = 1e-10
 	// generalMaxUtil caps the utilization used in the BKT denominator
 	// while the iteration is still far from its fixed point.
 	generalMaxUtil = 0.999999
 )
 
-// generalSweep runs one damped iteration of the Appendix A equations
-// over every node and thread (A.1–A.10 with the §5.2 correction),
-// updating s in place and returning the largest single-quantity change.
+// generalSweep evaluates one damped sweep of the Appendix A equations
+// (A.1–A.10 with the §5.2 correction): from the cycle times and handler
+// response times in s.z it derives throughputs, utilizations and queue
+// lengths into s, and writes the next cycle times and response times
+// into fz (laid out as s.z). The new response times are blended with
+// the old before the cycle times use them, Gauss–Seidel style. It
+// reports whether s.z is admissible: every request-handler utilization
+// below 1 and no time negative.
 //
 //lopc:hotpath
-func generalSweep(p GeneralParams, so []float64, active []bool, s *generalState, stats *obs.SolveStats) float64 {
+func generalSweep(p GeneralParams, so []float64, active []bool, s *generalState, fz []float64, stats *obs.SolveStats) bool {
 	P := p.P
+	nr, nrq, nry := fz[:P], fz[P:2*P], fz[2*P:]
+	admissible := true
 	// Throughputs from current cycle times (A.1, A.2).
 	for c := 0; c < P; c++ {
 		if active[c] && s.r[c] > 0 {
@@ -166,22 +179,21 @@ func generalSweep(p GeneralParams, so []float64, active []bool, s *generalState,
 		if s.uq[k] > stats.MaxUtil {
 			stats.MaxUtil = s.uq[k]
 		}
+		if s.uq[k] >= 1 || s.rq[k] < 0 || s.ry[k] < 0 || s.r[k] < 0 {
+			admissible = false
+		}
 	}
 	// Handler response times (A.7, A.8) with the §5.2 correction.
-	maxDelta := 0.0
 	for k := 0; k < P; k++ {
-		newRq := so[k] * (1 + s.qq[k] + s.qy[k] + (p.C2-1)/2*(s.uq[k]+s.uy[k]))
-		newRy := so[k] * (1 + s.qq[k] + (p.C2-1)/2*s.uq[k])
-		newRq = generalDamping*newRq + (1-generalDamping)*s.rq[k]
-		newRy = generalDamping*newRy + (1-generalDamping)*s.ry[k]
-		maxDelta = math.Max(maxDelta, math.Abs(newRq-s.rq[k]))
-		maxDelta = math.Max(maxDelta, math.Abs(newRy-s.ry[k]))
-		s.rq[k], s.ry[k] = newRq, newRy
+		rq := so[k] * (1 + s.qq[k] + s.qy[k] + (p.C2-1)/2*(s.uq[k]+s.uy[k]))
+		ry := so[k] * (1 + s.qq[k] + (p.C2-1)/2*s.uq[k])
+		nrq[k] = generalDamping*rq + (1-generalDamping)*s.rq[k]
+		nry[k] = generalDamping*ry + (1-generalDamping)*s.ry[k]
 	}
 	// Thread residence (A.9) and cycle times (A.10).
-	//lopc:allow convergeloop inner per-node pass of the outer iteration, which carries the cap and the NaN/Inf guard; the clamp comparison is not a convergence test
 	for c := 0; c < P; c++ {
 		if !active[c] {
+			nr[c] = 0
 			continue
 		}
 		if p.ProtocolProcessor {
@@ -199,20 +211,19 @@ func generalSweep(p GeneralParams, so []float64, active []bool, s *generalState,
 			}
 			s.rw[c] = (p.W[c] + so[c]*s.qq[c]) / (1 - u)
 		}
-		newR := s.rw[c] + p.St + s.ry[c]
+		newR := s.rw[c] + p.St + nry[c]
 		for k, v := range p.V[c] {
-			newR += v * (p.St + s.rq[k])
+			newR += v * (p.St + nrq[k])
 		}
-		newR = generalDamping*newR + (1-generalDamping)*s.r[c]
-		maxDelta = math.Max(maxDelta, math.Abs(newR-s.r[c]))
-		s.r[c] = newR
+		nr[c] = generalDamping*newR + (1-generalDamping)*s.r[c]
 	}
-	return maxDelta
+	return admissible
 }
 
-// General solves the Appendix A model by damped fixed-point iteration
-// on the per-thread cycle times. It returns an error if the iteration
-// cannot find a feasible solution (some node saturated).
+// General solves the Appendix A model by fixed-point iteration on the
+// per-thread cycle times and per-node handler response times. It
+// returns an error if the iteration cannot find a feasible solution
+// (some node saturated).
 func General(p GeneralParams) (GeneralResult, error) {
 	return GeneralObserved(p, nil)
 }
@@ -240,13 +251,14 @@ func GeneralObserved(p GeneralParams, o obs.SolveObserver) (GeneralResult, error
 		}
 	}
 
-	// All iteration vectors are allocated here, once; the sweep itself
-	// is on the allochot-checked hot path and must not allocate.
+	// All vectors are allocated here, once; the sweep itself is on the
+	// allochot-checked hot path and must not allocate.
+	buf := make([]float64, 9*P)
 	s := &generalState{
-		r: make([]float64, P), x: make([]float64, P), rw: make([]float64, P),
-		rq: make([]float64, P), ry: make([]float64, P),
-		uq: make([]float64, P), uy: make([]float64, P),
-		qq: make([]float64, P), qy: make([]float64, P),
+		z: buf[: 3*P : 3*P], r: buf[:P:P], rq: buf[P : 2*P : 2*P], ry: buf[2*P : 3*P : 3*P],
+		x: buf[3*P : 4*P : 4*P], rw: buf[4*P : 5*P : 5*P],
+		uq: buf[5*P : 6*P : 6*P], uy: buf[6*P : 7*P : 7*P],
+		qq: buf[7*P : 8*P : 8*P], qy: buf[8*P:],
 	}
 
 	// Initial guess: contention-free cycle times.
@@ -264,41 +276,32 @@ func GeneralObserved(p GeneralParams, o obs.SolveObserver) (GeneralResult, error
 	}
 
 	var stats obs.SolveStats
-	for iter := 0; iter < generalMaxIter; iter++ {
-		stats.Iters = iter + 1
-		maxDelta := generalSweep(p, so, active, s, &stats)
-		stats.Residual = maxDelta
-		// NaN poisons maxDelta and compares false against tol forever;
-		// fail fast instead of spinning to the iteration cap.
-		if math.IsNaN(maxDelta) || math.IsInf(maxDelta, 0) {
-			err := fmt.Errorf("core: AMVA iteration diverged (delta = %v) at iteration %d", maxDelta, iter)
+	fp, err := numeric.FixedPointVec(func(z, fz []float64) bool {
+		return generalSweep(p, so, active, s, fz, &stats)
+	}, s.z)
+	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
+	if err != nil {
+		err = fmt.Errorf("core: general fixed point: %w", err)
+		done(stats, err)
+		return GeneralResult{}, err
+	}
+	for k := 0; k < P; k++ {
+		if s.uq[k] >= generalMaxUtil {
+			err := fmt.Errorf("core: node %d saturated at the fixed point (Uq = %v)", k, s.uq[k])
 			done(stats, err)
 			return GeneralResult{}, err
 		}
-		if maxDelta < generalTol {
-			stats.Converged = true
-			for k := 0; k < P; k++ {
-				if s.uq[k] >= generalMaxUtil {
-					err := fmt.Errorf("core: node %d saturated at the fixed point (Uq = %v)", k, s.uq[k])
-					done(stats, err)
-					return GeneralResult{}, err
-				}
-			}
-			res := GeneralResult{
-				R: s.r, X: s.x, Rw: s.rw, Rq: s.rq, Ry: s.ry,
-				Qq: s.qq, Qy: s.qy, Uq: s.uq, Uy: s.uy,
-				Solve: stats,
-			}
-			for c := 0; c < P; c++ {
-				res.TotalX += s.x[c]
-			}
-			done(stats, nil)
-			return res, nil
-		}
 	}
-	err := fmt.Errorf("core: general model did not converge in %d iterations", generalMaxIter)
-	done(stats, err)
-	return GeneralResult{}, err
+	res := GeneralResult{
+		R: s.r, X: s.x, Rw: s.rw, Rq: s.rq, Ry: s.ry,
+		Qq: s.qq, Qy: s.qy, Uq: s.uq, Uy: s.uy,
+		Solve: stats,
+	}
+	for c := 0; c < P; c++ {
+		res.TotalX += s.x[c]
+	}
+	done(stats, nil)
+	return res, nil
 }
 
 // HomogeneousVisits returns the all-to-all visit matrix: each thread

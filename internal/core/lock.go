@@ -145,27 +145,27 @@ func LockObserved(p LockParams, o obs.SolveObserver) (LockResult, error) {
 	n := float64(p.Threads)
 	scale := (n - 1) / n // arrival theorem: an arriver never queues behind itself
 	var stats obs.SolveStats
-	f := func(rs float64) float64 {
+	f := func(rs float64) (float64, bool) {
 		it, g := lockStep(p, n, scale, rs)
 		if g != guardNone {
 			stats.GuardTrips++
-			return rs * 2 // push away from the saturated region
+			return 0, false
 		}
 		if it.u > stats.MaxUtil {
 			stats.MaxUtil = it.u
 		}
-		return it.rsNext
+		return it.rsNext, true
 	}
-	rs, fp, err := numeric.FixedPointTraced(f, p.So, numeric.DefaultFixedPointOpts())
+	rs, fp, err := numeric.FixedPoint(f, p.So, numeric.Unbracketed)
 	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
-	if err != nil {
-		err = fmt.Errorf("core: lock fixed point: %w", err)
-		done(stats, err)
-		return LockResult{}, err
-	}
 	it, g := lockStep(p, n, scale, rs)
-	if g != guardNone {
-		err := it.guardError(rs)
+	switch {
+	case g != guardNone:
+		err = it.guardError(rs)
+	case err != nil:
+		err = fmt.Errorf("core: lock fixed point: %w", err)
+	}
+	if err != nil {
 		done(stats, err)
 		return LockResult{}, err
 	}
@@ -325,28 +325,28 @@ func LockFreeObserved(p LockFreeParams, o obs.SolveObserver) (LockFreeResult, er
 	done := beginSolve(o, SolverLockFree)
 	n := float64(p.Threads)
 	var stats obs.SolveStats
-	f := func(r float64) float64 {
+	f := func(r float64) (float64, bool) {
 		it, g := lockFreeStep(p, n, r)
 		if g != guardNone {
 			stats.GuardTrips++
-			return r * 2 // push away from the infeasible region
+			return 0, false
 		}
 		if it.u > stats.MaxUtil {
 			stats.MaxUtil = it.u
 		}
-		return it.rNext
+		return it.rNext, true
 	}
 	r0 := p.W + p.So + p.St // the conflict-free cycle
-	r, fp, err := numeric.FixedPointTraced(f, r0, numeric.DefaultFixedPointOpts())
+	r, fp, err := numeric.FixedPoint(f, r0, numeric.Unbracketed)
 	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
-	if err != nil {
-		err = fmt.Errorf("core: lock-free fixed point: %w", err)
-		done(stats, err)
-		return LockFreeResult{}, err
-	}
 	it, g := lockFreeStep(p, n, r)
-	if g != guardNone {
-		err := it.guardError(g, r)
+	switch {
+	case g != guardNone:
+		err = it.guardError(g, r)
+	case err != nil:
+		err = fmt.Errorf("core: lock-free fixed point: %w", err)
+	}
+	if err != nil {
 		done(stats, err)
 		return LockFreeResult{}, err
 	}

@@ -1,8 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/numeric"
+	"repro/internal/rng"
 )
 
 func TestLockValidate(t *testing.T) {
@@ -225,15 +232,107 @@ func TestLockFreeWindowShape(t *testing.T) {
 	}
 }
 
-// TestLockFreeRetryStormGuard: a configuration whose only consistent
-// solution needs near-certain conflicts must error rather than return
-// a nonsense point.
+// TestLockFreeRetryStormGuard: the retry-storm guard reports a
+// property of the model, not of the iteration. Zero parallel work and a
+// long window with 1024 threads looks like a storm, but the model has a
+// fixed point at conflict ≈ 0.995, below maxConflict: bisection of
+// g(R) = F(R) − R over the feasible region finds the root the solver
+// returns. With 10000 threads even the storm edge (conflict =
+// maxConflict) has F(R) < R, and F falls as R grows, so no fixed point
+// lies below the guard and the solve must fail with its reason.
 func TestLockFreeRetryStormGuard(t *testing.T) {
-	// Zero parallel work, long window, many threads: every round
-	// overlaps many commits.
-	_, err := LockFree(LockFreeParams{Threads: 1024, W: 0, St: 0.0001, So: 100, C2: 0})
-	if err == nil {
-		t.Skip("configuration solved; storm guard not reachable here")
+	p := LockFreeParams{Threads: 1024, W: 0, St: 0.0001, So: 100, C2: 0}
+	res, err := LockFree(p)
+	if err != nil {
+		t.Fatalf("LockFree(%+v): %v", p, err)
+	}
+	if res.Conflict >= maxConflict || res.Conflict < 0.99 {
+		t.Errorf("conflict %v, want in [0.99, %v)", res.Conflict, maxConflict)
+	}
+	n := float64(p.Threads)
+	// The storm edge: conflict reaches maxConflict where
+	// λ·So = −ln(1 − maxConflict), λ = (n−1)/R.
+	edge := (n - 1) * p.So / -math.Log(1-maxConflict)
+	g := func(r float64) float64 {
+		it, guard := lockFreeStep(p, n, r)
+		if guard != guardNone {
+			t.Fatalf("guard %d at R=%v, inside the feasible region", guard, r)
+		}
+		return it.rNext - r
+	}
+	lo, hi := edge*(1+1e-9), 4*res.R
+	if g(lo) <= 0 || g(hi) >= 0 {
+		t.Fatalf("g does not change sign on [%v, %v]: %v, %v", lo, hi, g(lo), g(hi))
+	}
+	root, err := numeric.Bisect(g, lo, hi, 1e-9*res.R)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(root-res.R) > 1e-8*res.R || res.R < 1.2*edge {
+		t.Errorf("solver R %v, bisected root %v, storm edge %v", res.R, root, edge)
+	}
+
+	storm := LockFreeParams{Threads: 10000, W: 0, St: 0, So: 1, C2: 0}
+	var c capture
+	if _, err := LockFreeObserved(storm, &c); err == nil || !strings.Contains(err.Error(), "retry storm") {
+		t.Errorf("LockFree(%+v) = %v, want the retry-storm guard", storm, err)
+	}
+	if c.stats.Iters > 200 {
+		t.Errorf("storm solve took %d iterations, want at most 200", c.stats.Iters)
+	}
+}
+
+// TestLockFreeInfeasibleFailsFast: over random draws (Threads 2–256,
+// W ≤ 5000, St ≤ 50, So ≤ 500, C² ≤ 4), about a third of the lock-free
+// inputs have no fixed point: the commit point saturates (X·St ≥ 1) at
+// every R where F is defined. Each such solve must end, within 200 map
+// evaluations, with the guard that names the cause, never with
+// ErrNoConvergence, and F(R) < R just past the guard edge it reports.
+func TestLockFreeInfeasibleFailsFast(t *testing.T) {
+	r := rng.New(7)
+	failures, maxIters := 0, 0
+	check := func(p LockFreeParams) {
+		var c capture
+		res, err := LockFreeObserved(p, &c)
+		if err == nil {
+			if !res.Solve.Converged || res.Solve.Iters > 200 {
+				t.Errorf("LockFree(%+v): %+v", p, res.Solve)
+			}
+			return
+		}
+		failures++
+		maxIters = max(maxIters, c.stats.Iters)
+		what := fmt.Sprintf("LockFree(%+v)", p)
+		if errors.Is(err, numeric.ErrNoConvergence) || c.stats.Iters > 200 {
+			t.Errorf("%s: %v after %d iterations; want a guard within 200", what, err, c.stats.Iters)
+		}
+		_, at, ok := strings.Cut(err.Error(), "at R=")
+		edge, perr := strconv.ParseFloat(strings.TrimSuffix(strings.Fields(at)[0], ";"), 64)
+		if !ok || perr != nil {
+			t.Fatalf("%s: error %q names no R", what, err)
+		}
+		past := edge * (1 + 1e-9)
+		it, g := lockFreeStep(p, float64(p.Threads), past)
+		if g != guardNone || it.rNext >= past {
+			t.Errorf("%s: %v, but past the edge (R=%v) guard=%d F=%v", what, err, past, g, it.rNext)
+		}
+	}
+	check(LockFreeParams{Threads: 250, W: 1771, St: 17.1, So: 12.1, C2: 2.65})
+	if failures != 1 {
+		t.Fatal("the saturated example solved")
+	}
+	for i := 0; i < 400; i++ {
+		check(LockFreeParams{
+			Threads: 2 + int(r.Uint64()%255),
+			W:       5000 * r.Float64(),
+			St:      50 * r.Float64(),
+			So:      500 * r.Float64(),
+			C2:      4 * r.Float64(),
+		})
+	}
+	t.Logf("%d of 401 draws infeasible, the slowest failing in %d iterations", failures, maxIters)
+	if failures < 50 {
+		t.Errorf("only %d infeasible draws; the failure path went unexercised", failures)
 	}
 }
 

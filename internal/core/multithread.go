@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mva"
 	"repro/internal/numeric"
+	"repro/internal/obs"
 )
 
 // MultithreadedResult is the model's solution for the multithreaded
@@ -32,6 +33,9 @@ type MultithreadedResult struct {
 	// SaturationThreads estimates the thread count at the knee of the
 	// latency-hiding curve: T* ≈ R(1)/(W + 2So).
 	SaturationThreads float64
+	// Solve describes the fixed-point iteration on the cycle time that
+	// produced this result.
+	Solve obs.SolveStats
 }
 
 // Multithreaded solves the homogeneous all-to-all pattern with T
@@ -95,28 +99,35 @@ func Multithreaded(p Params, t int) (MultithreadedResult, error) {
 		return out, nil
 	}
 
-	f := func(x float64) float64 {
-		res, err := solve(x)
-		if err != nil {
-			return x / 2 // pull back toward the feasible region
+	// Solve on the cycle time c = 1/x: the map then has the kernel's
+	// shape, infeasible (handler load past 0.999) below the fixed point
+	// and decreasing above it.
+	var stats obs.SolveStats
+	f := func(c float64) (float64, bool) {
+		res, err := solve(1 / c)
+		if err != nil || !(res.XThread > 0) {
+			stats.GuardTrips++
+			return 0, false
 		}
-		return res.XThread
+		stats.MaxUtil = max(stats.MaxUtil, res.HandlerUtil)
+		return 1 / res.XThread, true
 	}
-	x0 := 1 / (p.W + 2*p.St + 2*p.So)
-	x, err := numeric.FixedPoint(f, x0/float64(t), numeric.FixedPointOpts{
-		Tol: 1e-12, MaxIter: 200000, Damping: 0.3,
-	})
-	if err != nil {
+	c0 := float64(t) * (p.W + 2*p.St + 2*p.So)
+	c, fp, err := numeric.FixedPoint(f, c0, numeric.Unbracketed)
+	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
+	x := 1 / c
+	res, serr := solve(x)
+	switch {
+	case serr != nil:
+		return MultithreadedResult{}, serr
+	case err != nil:
 		return MultithreadedResult{}, fmt.Errorf("core: multithreaded fixed point: %w", err)
-	}
-	res, err := solve(x)
-	if err != nil {
-		return MultithreadedResult{}, err
 	}
 	res.XThread = x
 	res.XNode = float64(t) * x
-	res.CycleTime = 1 / x
+	res.CycleTime = c
 	res.CPUUtil = res.HandlerUtil + res.XNode*p.W
+	res.Solve = stats
 	// Knee estimate from the single-thread cycle time.
 	if one, err := AllToAll(p); err == nil {
 		res.SaturationThreads = one.R / (p.W + 2*p.So)

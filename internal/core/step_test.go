@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/mva"
+	"repro/internal/numeric"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -243,16 +247,71 @@ func TestLockFreeStepMatchesReference(t *testing.T) {
 	}
 }
 
+// refTol is the agreement a solve must reach with its damped reference,
+// in numeric.Close's sense (relative, absolute below 1): both stop
+// within 1e-10·(1+|x|) of the same fixed point, the reference often
+// only just.
+const refTol = 1e-8
+
+// closeFields reports whether a and b, values of one struct type, agree
+// field by field: float64 fields within refTol, float64 slices
+// elementwise, nested structs recursively, and the obs.SolveStats field
+// skipped (iteration counts and residuals differ by design), as are
+// differenceFields.
+func closeFields(a, b any) bool {
+	return closeValue(reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+var solveStatsType = reflect.TypeOf(obs.SolveStats{})
+
+// differenceFields are result fields computed as the difference of two
+// others (LockResult.Wait = Rs − So). Their agreement follows from
+// their terms'; on their own they can be far below the tolerance both
+// solves stop at (an uncontended lock waits almost nothing), so their
+// relative difference measures rounding, not the solver.
+var differenceFields = map[string]bool{"Wait": true}
+
+func closeValue(a, b reflect.Value) bool {
+	switch {
+	case a.Type() == solveStatsType:
+		return true
+	case a.Kind() == reflect.Float64:
+		return numeric.Close(a.Float(), b.Float(), refTol)
+	case a.Kind() == reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if differenceFields[a.Type().Field(i).Name] {
+				continue
+			}
+			if !closeValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case a.Kind() == reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !closeValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
+	}
+}
+
 // checkSolveMatches fails t unless a solve and its reference agree:
-// the same error text, or bit-identical results.
+// both fail, or both succeed with every result field within refTol.
+// Failure texts may differ: where the reference spent its budget, the
+// bracketed kernel names the guard that ended the search.
 func checkSolveMatches(t *testing.T, what string, got any, err error, want any, refErr error) {
 	t.Helper()
 	switch {
 	case (err != nil) != (refErr != nil):
 		t.Errorf("%s: error %v, reference error %v", what, err, refErr)
-	case err != nil && err.Error() != refErr.Error():
-		t.Errorf("%s: error %q, reference %q", what, err, refErr)
-	case err == nil && !sameBits(got, want):
+	case err == nil && !closeFields(got, want):
 		t.Errorf("%s: result %+v, reference %+v", what, got, want)
 	}
 }
@@ -308,7 +367,7 @@ func TestSolversMatchReference(t *testing.T) {
 		want, refErr := lockRef(p)
 		checkSolveMatches(t, fmt.Sprintf("Lock(%+v)", p), got, err, want, refErr)
 	}
-	failures := 0
+	failures, missed := 0, 0
 	for i := 0; i < lockFreeTrials; i++ {
 		p := LockFreeParams{
 			Threads: 1 + int(r.Uint64()%256),
@@ -319,29 +378,92 @@ func TestSolversMatchReference(t *testing.T) {
 		}
 		got, err := LockFree(p)
 		want, refErr := lockFreeRef(p)
-		if refErr != nil {
+		what := fmt.Sprintf("LockFree(%+v)", p)
+		switch {
+		case refErr != nil && err == nil && lockFreeRootAt(p, got.R):
+			// The damped iteration crossed the retry-storm guard on its
+			// way to a fixed point the model has; the bracket found it.
+			missed++
+			continue
+		case err != nil && refErr == nil:
+			t.Errorf("%s: error %v, reference converged", what, err)
+		case err != nil:
 			failures++
+			if got.Solve.Iters > 200 {
+				t.Errorf("%s: failed after %d iterations, want at most 200", what, got.Solve.Iters)
+			}
 		}
-		checkSolveMatches(t, fmt.Sprintf("LockFree(%+v)", p), got, err, want, refErr)
+		checkSolveMatches(t, what, got, err, want, refErr)
 	}
-	// A guard can fire on a final iterate only in principle (a guard
-	// trip moves the iterate, so the iteration cannot converge there);
-	// the failures that do occur are budget exhaustion, whose text the
-	// comparison covers. The guard texts are checked on the steps.
+	t.Logf("lock-free: %d failures, %d fixed points the damped reference missed", failures, missed)
+	// The failures that occur are inputs with no fixed point (the
+	// bracket closes on a guard); their text is the guard's, checked on
+	// the steps.
 	if failures == 0 {
 		t.Error("no lock-free solve failed; the error path went unchecked")
 	}
 }
 
+// TestMultithreadedMatchesReference: the multithreaded model, now
+// solved on the cycle time by the bracketed kernel, agrees with the
+// damped throughput iteration it replaced, failing where it failed.
+func TestMultithreadedMatchesReference(t *testing.T) {
+	r := rng.New(8)
+	trials, missed := 200, 0
+	if testing.Short() {
+		trials = 50
+	}
+	for i := 0; i < trials; i++ {
+		p := Params{
+			P:  2 + int(r.Uint64()%1023),
+			W:  logUniform(r, 1e-3, 1e5),
+			St: logUniform(r, 1e-3, 1e3),
+			So: logUniform(r, 1e-3, 1e3),
+			C2: 4 * r.Float64(),
+		}
+		threads := 1 + int(r.Uint64()%16)
+		got, err := Multithreaded(p, threads)
+		want, refErr := multithreadedRef(p, threads)
+		what := fmt.Sprintf("Multithreaded(%+v, %d)", p, threads)
+		if err == nil && refErr != nil && strings.Contains(refErr.Error(), "did not converge") {
+			// The damped throughput iteration oscillates where F is
+			// steep; the solve must then be a fixed point of the model:
+			// exact MVA at the returned handler load reproduces XNode.
+			missed++
+			centers := []mva.Center{
+				{Kind: mva.Queueing, Demand: p.W / (1 - got.HandlerUtil)},
+				{Kind: mva.Delay, Demand: 2*p.St + 2*got.Rh},
+			}
+			m, err := mva.Exact(centers, threads)
+			if err != nil || !numeric.Close(m.X, got.XNode, 1e-9) {
+				t.Errorf("%s: XNode %v, exact MVA at its load %v (%v)", what, got.XNode, m.X, err)
+			}
+			continue
+		}
+		checkSolveMatches(t, what, got, err, want, refErr)
+	}
+	t.Logf("%d fixed points the damped reference missed", missed)
+}
+
+// lockFreeRootAt reports whether the lock-free map has a root of
+// g(R) = F(R) − R within 1e-9 relative of r: g is feasible and changes
+// sign across that interval.
+func lockFreeRootAt(p LockFreeParams, r float64) bool {
+	n := float64(p.Threads)
+	lo, hi := r*(1-1e-9), r*(1+1e-9)
+	itLo, gLo := lockFreeStep(p, n, lo)
+	itHi, gHi := lockFreeStep(p, n, hi)
+	return gLo == guardNone && gHi == guardNone && itLo.rNext > lo && itHi.rNext < hi
+}
+
 // betaProbes are the C² values the β memo is checked at: the
-// boundaries (both zeros, subnormals, 1), the paper's range, large
-// values, and NaN; plus enough distinct values to collide in every
-// slot of the table.
+// boundaries (both zeros, subnormals, 1), the paper's range and large
+// values; plus enough distinct values to collide in every slot of the
+// table. NaN, which has no β, is a panic probe.
 func betaProbes() []float64 {
 	probes := []float64{
 		0, math.Copysign(0, -1), 5e-324, 2.2250738585072e-308, math.SmallestNonzeroFloat64 * 3,
 		1, math.Nextafter(1, 2), math.Nextafter(1, 0), 0.5, 2, 4, 16, 100, 1e4, 1e6, 1e9, 1e12,
-		math.NaN(),
 	}
 	r := rng.New(6)
 	for i := 0; i < 4<<betaMemoBits; i++ {
@@ -350,16 +472,18 @@ func betaProbes() []float64 {
 	return probes
 }
 
-// TestUpperBoundBetaMemoMatchesBisection: the memoized β equals the
-// reference bisection bit for bit, on a miss and on every later hit,
-// with concurrent callers sharing the table.
+// TestUpperBoundBetaMemoMatchesBisection: β, now found by the scalar
+// kernel, agrees with the reference bisection (which stops within 1e-10
+// of it) to 1e-10 relative; and the memo answers bit for bit what the
+// unmemoized solve does, on a miss and on every later hit, with
+// concurrent callers sharing the table.
 func TestUpperBoundBetaMemoMatchesBisection(t *testing.T) {
 	probes := betaProbes()
 	want := make([]float64, len(probes))
 	for i, c2 := range probes {
-		want[i] = upperBoundBetaRef(c2)
-		if got := upperBoundBeta(c2); math.Float64bits(got) != math.Float64bits(want[i]) {
-			t.Errorf("upperBoundBeta(%v) = %v, reference %v", c2, got, want[i])
+		want[i] = upperBoundBeta(c2)
+		if ref := upperBoundBetaRef(c2); math.Abs(want[i]-ref) > 1e-10*ref {
+			t.Errorf("upperBoundBeta(%v) = %v, reference bisection %v", c2, want[i], ref)
 		}
 	}
 	const workers = 4
@@ -389,12 +513,12 @@ func TestUpperBoundBetaMemoMatchesBisection(t *testing.T) {
 	}
 }
 
-// TestUpperBoundBetaPanicsNotMemoized: C² values the bisection rejects
-// panic on every call, never answering from the table. A huge finite
-// C² is not one of them: its bracket doubles far past 2·10⁶, and the
-// β it answers keeps R within the Eq. 5.12 bound.
+// TestUpperBoundBetaPanicsNotMemoized: C² values with no β panic on
+// every call, never answering from the table. A huge finite C² is not
+// one of them: its β lies far past 2·10⁶, and keeps R within the
+// Eq. 5.12 bound.
 func TestUpperBoundBetaPanicsNotMemoized(t *testing.T) {
-	for _, c2 := range []float64{-1, math.Inf(1)} {
+	for _, c2 := range []float64{-1, math.NaN(), math.Inf(1)} {
 		for call := 0; call < 2; call++ {
 			func() {
 				defer func() {
@@ -414,8 +538,8 @@ func TestUpperBoundBetaPanicsNotMemoized(t *testing.T) {
 	if beta := UpperBoundBeta(p.C2); math.IsInf(beta, 0) || math.IsNaN(beta) {
 		t.Errorf("UpperBoundBeta(1e300) = %v, want finite", beta)
 	}
-	// The bisection lands within an ulp of β, so the bound holds to
-	// FuzzAllToAll's relative tolerance.
+	// β lands within an ulp or so of the fixed point, so the bound holds
+	// to FuzzAllToAll's relative tolerance.
 	if res.R > res.UpperBound*(1+1e-9) {
 		t.Errorf("C²=1e300: R %v above upper bound %v", res.R, res.UpperBound)
 	}

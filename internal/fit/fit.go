@@ -92,14 +92,21 @@ func AllToAllObserved(obs []Observation, p int, c2 float64, observer obspkg.Solv
 	// closed-form guesses: at large W the model tends to
 	// R ≈ W + 2St + 3So, and the fixed overhead R − W at the smallest W
 	// is ≈ 2St + 3.45·So.
+	//
+	// Successive loss evaluations are neighbouring points of the (St,
+	// So) plane, so each W's solve starts from the R the previous
+	// evaluation found at that W (clipped into the new point's Eq.
+	// 5.11–5.12 bracket by the solver).
+	warm := make([]float64, len(obs))
 	loss := func(x []float64) float64 {
 		st, so := math.Exp(x[0]), math.Exp(x[1])
 		sum := 0.0
-		for _, o := range obs {
-			res, err := core.AllToAllObserved(core.Params{P: p, W: o.W, St: st, So: so, C2: c2}, observer)
+		for i, o := range obs {
+			res, err := core.AllToAllFrom(core.Params{P: p, W: o.W, St: st, So: so, C2: c2}, warm[i], observer)
 			if err != nil {
 				return math.Inf(1)
 			}
+			warm[i] = res.R
 			d := res.R - o.R
 			sum += d * d
 			if o.Rq > 0 {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -22,6 +23,38 @@ func modelObservations(t *testing.T, p int, st, so, c2 float64, ws []float64) []
 		obs = append(obs, Observation{W: w, R: res.R, Rq: res.Rq})
 	}
 	return obs
+}
+
+// TestFitWarmStartConverges: the loss evaluations warm-start each solve
+// from the previous evaluation's R, so the loss must still be a smooth
+// function of (St, So): if a solve returned wherever it started (any
+// point within the solver's tolerance), the loss on a 1%-noise sweep
+// would carry noise far above Nelder–Mead's 1e-10 spread test, and the
+// optimizer would run to its 20000-step cap (about 320k solves) instead
+// of converging in a few hundred.
+func TestFitWarmStartConverges(t *testing.T) {
+	r := rng.New(3)
+	u := func(a, b float64) float64 { return a + (b-a)*r.Float64() }
+	for trial := 0; trial < 5; trial++ {
+		st, so := u(20, 60), u(100, 300)
+		var obs []Observation
+		for _, base := range []float64{64, 256, 1024, 4096} {
+			w := base * u(0.9, 1.1)
+			res, err := core.AllToAll(core.Params{P: 32, W: w, St: st, So: so})
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs = append(obs, Observation{W: w, R: res.R * (1 + 0.01*r.NormFloat64()), Rq: res.Rq * (1 + 0.01*r.NormFloat64())})
+		}
+		var count iterCounter
+		res, err := AllToAllObserved(obs, 32, 0, &count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count.solves > 2000 || math.Abs(res.So-so) > 0.1*so {
+			t.Errorf("St=%v So=%v: fit %+v after %d solves", st, so, res, count.solves)
+		}
+	}
 }
 
 // TestFitRecoversModelParameters: fitting noiseless model output must

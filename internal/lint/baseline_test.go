@@ -32,7 +32,9 @@ var hotBaselineRoots = []string{
 	"lockFreeStep",
 	"lockStep",
 	"multiSweep",
-	"FixedPointTraced",
+	// The fixed-point kernel's scalar and vector iterations.
+	"secantLoop",
+	"andersonLoop",
 	// Parallel simulation core: the sequential oracle's dispatch loop
 	// and the conservative core's per-window drain.
 	"runSeq",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/numeric"
 	"repro/internal/obs"
 )
 
@@ -196,14 +197,17 @@ func multiFinish(p MultiParams, r [][]float64, x []float64, qTot []float64) Mult
 // multiDamping is the blend factor of the multiclass AMVA sweep.
 const multiDamping = 0.5
 
-// multiSweep runs one damped iteration of the multiclass AMVA fixed
-// point over every class and center, updating q, r and x in place and
-// returning the largest queue-length change.
+// multiSweep evaluates one damped sweep of the multiclass AMVA over
+// every class and center: residence times r and throughputs x from the
+// queue lengths q (class-major, q[c·K+k]), and the next queue lengths
+// by Little's law, blended with q, into fq. It reports whether q is
+// admissible: no queue length negative and every queueing center's
+// utilization below 1.
 //
 //lopc:hotpath
-func multiSweep(p MultiParams, est func(qTot, qSelf float64, nc int) float64, q, r [][]float64, x []float64, stats *obs.SolveStats) float64 {
+func multiSweep(p MultiParams, est func(qTot, qSelf float64, nc int) float64, q, fq []float64, r [][]float64, x []float64, stats *obs.SolveStats) bool {
 	C, K := len(p.N), len(p.Centers)
-	delta := 0.0
+	admissible := true
 	for c := 0; c < C; c++ {
 		if p.N[c] == 0 {
 			x[c] = 0
@@ -216,10 +220,10 @@ func multiSweep(p MultiParams, est func(qTot, qSelf float64, nc int) float64, q,
 			} else {
 				qTot := 0.0
 				for cc := 0; cc < C; cc++ {
-					qTot += q[cc][k]
+					qTot += q[cc*K+k]
 				}
 				//lopc:allow allochot est is multiBardEst or multiSchweitzerEst, one closed-form arithmetic expression each, allocation-free
-				r[c][k] = p.Demand[c][k] * (1 + est(qTot, q[c][k], p.N[c]))
+				r[c][k] = p.Demand[c][k] * (1 + est(qTot, q[c*K+k], p.N[c]))
 			}
 			total += r[c][k]
 		}
@@ -236,16 +240,20 @@ func multiSweep(p MultiParams, est func(qTot, qSelf float64, nc int) float64, q,
 		if u > stats.MaxUtil {
 			stats.MaxUtil = u
 		}
+		if u >= 1 {
+			admissible = false
+		}
 	}
 	for c := 0; c < C; c++ {
 		for k := 0; k < K; k++ {
-			nq := x[c] * r[c][k]
-			nq = multiDamping*nq + (1-multiDamping)*q[c][k]
-			delta = math.Max(delta, math.Abs(nq-q[c][k]))
-			q[c][k] = nq
+			v := q[c*K+k]
+			if v < 0 {
+				admissible = false
+			}
+			fq[c*K+k] = multiDamping*x[c]*r[c][k] + (1-multiDamping)*v
 		}
 	}
-	return delta
+	return admissible
 }
 
 // multiApproximate runs the multiclass AMVA fixed point with the given
@@ -257,11 +265,10 @@ func multiApproximate(p MultiParams, est func(qTot, qSelf float64, nc int) float
 		return MultiResult{}, stats, err
 	}
 	C, K := len(p.N), len(p.Centers)
-	q := make([][]float64, C) // per class per center
-	for c := range q {
-		q[c] = make([]float64, K)
-		for k := range q[c] {
-			q[c][k] = float64(p.N[c]) / float64(K)
+	q := make([]float64, C*K) // class-major: q[c·K+k]
+	for c := 0; c < C; c++ {
+		for k := 0; k < K; k++ {
+			q[c*K+k] = float64(p.N[c]) / float64(K)
 		}
 	}
 	r := make([][]float64, C)
@@ -269,33 +276,22 @@ func multiApproximate(p MultiParams, est func(qTot, qSelf float64, nc int) float
 		r[c] = make([]float64, K)
 	}
 	x := make([]float64, C)
-	const (
-		maxIter = 200000
-		tol     = 1e-12
-	)
-	for iter := 0; iter < maxIter; iter++ {
-		stats.Iters = iter + 1
-		delta := multiSweep(p, est, q, r, x, &stats)
-		stats.Residual = delta
-		// NaN compares false against tol forever; fail fast rather than
-		// spin to the iteration cap.
-		if math.IsNaN(delta) || math.IsInf(delta, 0) {
-			return MultiResult{}, stats, fmt.Errorf("mva: multiclass approximation diverged (delta = %v)", delta)
-		}
-		if delta < tol {
-			stats.Converged = true
-			qTot := make([]float64, K)
-			for k := 0; k < K; k++ {
-				for c := 0; c < C; c++ {
-					qTot[k] += q[c][k]
-				}
-			}
-			res := multiFinish(p, r, x, qTot)
-			res.Solve = stats
-			return res, stats, nil
+	fp, err := numeric.FixedPointVec(func(q, fq []float64) bool {
+		return multiSweep(p, est, q, fq, r, x, &stats)
+	}, q)
+	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
+	if err != nil {
+		return MultiResult{}, stats, fmt.Errorf("mva: multiclass approximation: %w", err)
+	}
+	qTot := make([]float64, K)
+	for k := 0; k < K; k++ {
+		for c := 0; c < C; c++ {
+			qTot[k] += q[c*K+k]
 		}
 	}
-	return MultiResult{}, stats, fmt.Errorf("mva: multiclass approximation did not converge")
+	res := multiFinish(p, r, x, qTot)
+	res.Solve = stats
+	return res, stats, nil
 }
 
 // multiBardEst is Bard's estimator: an arriving customer of any class

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/numeric"
 	"repro/internal/obs"
 )
 
@@ -173,45 +174,45 @@ func Exact(centers []Center, n int) (Result, error) {
 	return finish(centers, n, r), nil
 }
 
-// approxSweep runs one iteration of the single-class AMVA fixed point:
-// residence times from the arrival-queue estimate, throughput from the
-// population, and queue lengths back from Little's law. q and r are
-// updated in place; the return value is the largest queue-length
-// change.
+// approxSweep evaluates the single-class AMVA map once at trial cycle
+// time c. An arriving customer sees the fraction s of a queueing
+// center's time-average queue (Bard s = 1, Schweitzer s = (N−1)/N), so
+// with throughput X = N/c Little's law makes the residence time
+// R_j = D_j(1 + s·X·R_j) linear in R_j:
+//
+//	R_j = D_j / (1 − s·X·D_j)   (queueing)   R_j = D_j   (delay)
+//
+// The map returns the cycle time ΣR_j they add up to, writing them into
+// r, or reports c infeasible when some s·X·D_j reaches 1. It falls as c
+// grows, so the fixed point c = ΣR_j is the one sign change the scalar
+// kernel brackets.
 //
 //lopc:hotpath
-func approxSweep(centers []Center, n int, est func(q float64, n int) float64, q, r []float64, stats *obs.SolveStats) float64 {
+func approxSweep(centers []Center, n int, s, c float64, r []float64, stats *obs.SolveStats) (float64, bool) {
+	x := float64(n) / c
 	total := 0.0
-	for j, c := range centers {
-		if c.Kind == Delay {
-			r[j] = c.Demand
-		} else {
-			//lopc:allow allochot est is bardEst or schweitzerEst, one closed-form arithmetic expression each, allocation-free
-			r[j] = c.Demand * (1 + est(q[j], n))
+	for j, ctr := range centers {
+		r[j] = ctr.Demand
+		if ctr.Kind == Queueing {
+			u := x * ctr.Demand
+			if s*u >= 1 {
+				return 0, false
+			}
+			if u > stats.MaxUtil {
+				stats.MaxUtil = u
+			}
+			r[j] /= 1 - s*u
 		}
 		total += r[j]
 	}
-	x := float64(n) / total
-	delta := 0.0
-	for j, c := range centers {
-		if c.Kind == Queueing {
-			if u := x * c.Demand; u > stats.MaxUtil {
-				stats.MaxUtil = u
-			}
-		}
-		nq := x * r[j]
-		delta = math.Max(delta, math.Abs(nq-q[j]))
-		q[j] = nq
-	}
-	return delta
+	return total, true
 }
 
-// approximate runs the fixed-point AMVA with the given arrival-queue
-// estimator: est(qk, n) is the queue length an arriving customer is
-// assumed to see at a queueing center, given the time-average queue qk
-// with the full population n. The returned stats are meaningful on
-// every path, including errors.
-func approximate(centers []Center, n int, est func(q float64, n int) float64) (Result, obs.SolveStats, error) {
+// approximate runs the fixed-point AMVA in which an arriving customer
+// sees the fraction s of each queueing center's time-average queue,
+// solving for the cycle time on the scalar kernel. The returned stats
+// are meaningful on every path, including errors.
+func approximate(centers []Center, n int, s float64) (Result, obs.SolveStats, error) {
 	var stats obs.SolveStats
 	if err := validate(centers, n); err != nil {
 		return Result{}, stats, err
@@ -220,45 +221,38 @@ func approximate(centers []Center, n int, est func(q float64, n int) float64) (R
 		stats.Converged = true
 		return finish(centers, 0, make([]float64, len(centers))), stats, nil
 	}
-	k := len(centers)
-	q := make([]float64, k)
-	// Start from an even split of the population.
-	for j := range q {
-		q[j] = float64(n) / float64(k)
-	}
-	r := make([]float64, k)
-	const (
-		maxIter = 100000
-		tol     = 1e-12
-	)
-	for iter := 0; iter < maxIter; iter++ {
-		stats.Iters = iter + 1
-		delta := approxSweep(centers, n, est, q, r, &stats)
-		stats.Residual = delta
-		// NaN compares false against tol forever; fail fast rather than
-		// spin to the iteration cap.
-		if math.IsNaN(delta) || math.IsInf(delta, 0) {
-			return Result{}, stats, fmt.Errorf("mva: approximation diverged (delta = %v) for n=%d", delta, n)
-		}
-		if delta < tol {
-			stats.Converged = true
-			res := finish(centers, n, r)
-			res.Solve = stats
-			return res, stats, nil
+	// Start between the bounds: no queueing at all (ΣD) plus the
+	// bottleneck's share of a full queue.
+	c0, dmax := 0.0, 0.0
+	for _, ctr := range centers {
+		c0 += ctr.Demand
+		if ctr.Kind == Queueing {
+			dmax = math.Max(dmax, ctr.Demand)
 		}
 	}
-	return Result{}, stats, fmt.Errorf("mva: approximation did not converge for n=%d", n)
+	c0 += s * float64(n) * dmax
+	r := make([]float64, len(centers))
+	c, fp, err := numeric.FixedPoint(func(c float64) (float64, bool) {
+		return approxSweep(centers, n, s, c, r, &stats)
+	}, c0, numeric.Unbracketed)
+	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
+	if _, ok := approxSweep(centers, n, s, c, r, &stats); err == nil && !ok {
+		err = numeric.ErrNoConvergence
+	}
+	if err != nil {
+		return Result{}, stats, fmt.Errorf("mva: approximation for n=%d: %w", n, err)
+	}
+	res := finish(centers, n, r)
+	res.Solve = stats
+	return res, stats, nil
 }
 
-// bardEst is Bard's arrival-queue estimator: an arriving customer sees
-// the time-average queue with the full population.
-func bardEst(q float64, _ int) float64 { return q }
+// bardShare is the fraction of the time-average queue Bard's arriving
+// customer sees: all of it, the full population included.
+func bardShare(int) float64 { return 1 }
 
-// schweitzerEst is Schweitzer's estimator: an arriving customer sees
-// (N−1)/N of the time-average queue.
-func schweitzerEst(q float64, n int) float64 {
-	return q * float64(n-1) / float64(n)
-}
+// schweitzerShare is Schweitzer's: (N−1)/N of it.
+func schweitzerShare(n int) float64 { return float64(n-1) / float64(n) }
 
 // Bard solves the network with Bard's approximation to the arrival
 // theorem: an arriving customer sees the time-average queue with the
@@ -272,7 +266,7 @@ func Bard(centers []Center, n int) (Result, error) {
 // BardObserved is Bard reporting the solve to o (which may be nil).
 func BardObserved(centers []Center, n int, o obs.SolveObserver) (Result, error) {
 	return solveObserved(o, SolverBard, func() (Result, obs.SolveStats, error) {
-		return approximate(centers, n, bardEst)
+		return approximate(centers, n, bardShare(n))
 	})
 }
 
@@ -287,7 +281,7 @@ func Schweitzer(centers []Center, n int) (Result, error) {
 // be nil).
 func SchweitzerObserved(centers []Center, n int, o obs.SolveObserver) (Result, error) {
 	return solveObserved(o, SolverSchweitzer, func() (Result, obs.SolveStats, error) {
-		return approximate(centers, n, schweitzerEst)
+		return approximate(centers, n, schweitzerShare(n))
 	})
 }
 

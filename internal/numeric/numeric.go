@@ -1,20 +1,16 @@
 // Package numeric provides the small set of numerical routines the LoPC
-// solvers need: damped fixed-point iteration (for the AMVA equation
-// systems), bracketing bisection and Newton's method (for the bound
-// derivation of §5.3), and polynomial utilities (the homogeneous model
-// reduces to a quartic; we solve it by iteration but expose the
-// polynomial machinery for verification).
+// solvers need: the fixed-point kernel every AMVA equation system runs
+// on (a bracketed secant for scalar models, Anderson mixing for vector
+// ones), bracketing bisection and Newton's method (for the bound
+// derivation of §5.3), Nelder–Mead (for calibration), and polynomial
+// utilities (the homogeneous model reduces to a quartic; we solve it by
+// iteration but expose the polynomial machinery for verification).
 package numeric
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrNoConvergence is returned when an iterative method exhausts its
-// iteration budget without meeting its tolerance.
-var ErrNoConvergence = errors.New("numeric: iteration did not converge")
 
 // Close reports whether a and b agree to within tol relative to their
 // magnitude: |a−b| ≤ tol·(1+max(|a|,|b|)). The 1+ term makes tol act as
@@ -30,76 +26,6 @@ func Close(a, b, tol float64) bool {
 // Zero reports whether x is within tol of zero: |x| ≤ tol.
 func Zero(x, tol float64) bool {
 	return math.Abs(x) <= tol
-}
-
-// FixedPointOpts controls FixedPoint.
-type FixedPointOpts struct {
-	// Tol is the absolute convergence tolerance on |x' - x|.
-	Tol float64
-	// MaxIter bounds the number of iterations.
-	MaxIter int
-	// Damping in (0, 1] blends each update: x <- (1-d)x + d·f(x).
-	// 1 means undamped. AMVA systems occasionally oscillate at high
-	// utilization; mild damping keeps them contractive.
-	Damping float64
-}
-
-// DefaultFixedPointOpts are suitable for all the model systems in this
-// repository: they converge in tens of iterations at the paper's
-// parameter ranges.
-func DefaultFixedPointOpts() FixedPointOpts {
-	return FixedPointOpts{Tol: 1e-10, MaxIter: 100000, Damping: 0.5}
-}
-
-// FixedPointInfo describes how a FixedPointTraced run went, whether or
-// not it converged.
-type FixedPointInfo struct {
-	// Iters is the number of iterations taken (evaluations of f).
-	Iters int
-	// Residual is the last step size |next − x|, the quantity tested
-	// against the tolerance.
-	Residual float64
-	// Converged reports whether the tolerance was met within MaxIter.
-	Converged bool
-}
-
-// FixedPoint iterates x <- (1-d)x + d·f(x) from x0 until successive
-// iterates differ by at most Tol, returning the fixed point.
-func FixedPoint(f func(float64) float64, x0 float64, opts FixedPointOpts) (float64, error) {
-	x, _, err := FixedPointTraced(f, x0, opts)
-	return x, err
-}
-
-// FixedPointTraced is FixedPoint returning, alongside the fixed point,
-// how the iteration behaved — for the convergence observability in
-// internal/obs. The info is meaningful on every return, including the
-// error paths.
-//
-//lopc:hotpath
-func FixedPointTraced(f func(float64) float64, x0 float64, opts FixedPointOpts) (float64, FixedPointInfo, error) {
-	var info FixedPointInfo
-	if opts.Tol <= 0 || opts.MaxIter <= 0 || opts.Damping <= 0 || opts.Damping > 1 {
-		//lopc:allow allochot error construction runs once, before the iteration starts, on the invalid-options path
-		return 0, info, fmt.Errorf("numeric: invalid fixed point options %+v", opts)
-	}
-	x := x0
-	for i := 0; i < opts.MaxIter; i++ {
-		info.Iters = i + 1
-		//lopc:allow allochot f is the model's step closure; the arithmetic lives in its named step function, itself a hotpath root audited where its code is
-		fx := f(x)
-		if math.IsNaN(fx) || math.IsInf(fx, 0) {
-			//lopc:allow allochot error construction runs only on the divergence path, which ends the iteration
-			return 0, info, fmt.Errorf("numeric: fixed point map returned %v at x=%v", fx, x)
-		}
-		next := (1-opts.Damping)*x + opts.Damping*fx
-		info.Residual = math.Abs(next - x)
-		if info.Residual <= opts.Tol*(1+math.Abs(next)) {
-			info.Converged = true
-			return next, info, nil
-		}
-		x = next
-	}
-	return x, info, ErrNoConvergence
 }
 
 // Bisect finds a root of f on [lo, hi], where f(lo) and f(hi) must have

@@ -7,20 +7,26 @@ import (
 	"testing/quick"
 )
 
+// total lifts a map defined everywhere to the kernel's (value,
+// feasible) form.
+func total(f func(float64) float64) func(float64) (float64, bool) {
+	return func(x float64) (float64, bool) { return f(x), true }
+}
+
 func TestFixedPointLinearContraction(t *testing.T) {
 	// f(x) = 0.5x + 1 has fixed point 2.
-	x, err := FixedPoint(func(x float64) float64 { return 0.5*x + 1 }, 0, DefaultFixedPointOpts())
+	x, info, err := FixedPoint(total(func(x float64) float64 { return 0.5*x + 1 }), 0, Unbracketed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(x-2) > 1e-8 {
-		t.Fatalf("fixed point = %v, want 2", x)
+	if math.Abs(x-2) > 1e-8 || !info.Converged {
+		t.Fatalf("fixed point = %v (%+v), want 2", x, info)
 	}
 }
 
 func TestFixedPointCosine(t *testing.T) {
 	// The Dottie number: cos(x) = x near 0.739085.
-	x, err := FixedPoint(math.Cos, 1, DefaultFixedPointOpts())
+	x, _, err := FixedPoint(total(math.Cos), 1, Unbracketed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,29 +35,46 @@ func TestFixedPointCosine(t *testing.T) {
 	}
 }
 
+// TestFixedPointDampingStabilizesOscillation: f(x) = −x + 4 oscillates
+// under plain iteration from any x ≠ 2; the bracketed secant lands on 2
+// in a few evaluations.
 func TestFixedPointDampingStabilizesOscillation(t *testing.T) {
-	// f(x) = -x + 4 oscillates undamped from any x != 2; damping finds 2.
-	opts := DefaultFixedPointOpts()
-	x, err := FixedPoint(func(x float64) float64 { return -x + 4 }, 10, opts)
+	x, info, err := FixedPoint(total(func(x float64) float64 { return -x + 4 }), 10, Unbracketed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(x-2) > 1e-8 {
-		t.Fatalf("fixed point = %v, want 2", x)
+	if math.Abs(x-2) > 1e-8 || info.Iters > 4 {
+		t.Fatalf("fixed point = %v after %d evaluations, want 2 in at most 4", x, info.Iters)
 	}
 }
 
 func TestFixedPointInvalidOpts(t *testing.T) {
-	_, err := FixedPoint(math.Cos, 1, FixedPointOpts{})
-	if err == nil {
-		t.Fatal("zero options should be rejected")
+	for _, c := range []struct {
+		x0 float64
+		br Bracket
+	}{
+		{math.NaN(), Unbracketed},
+		{math.Inf(1), Unbracketed},
+		{1, Bracket{Lo: 2, Hi: 1}},
+		{1, Bracket{Lo: math.NaN(), Hi: 1}},
+	} {
+		if _, _, err := FixedPoint(total(math.Cos), c.x0, c.br); err == nil {
+			t.Errorf("start %v in %+v should be rejected", c.x0, c.br)
+		}
+	}
+	if _, err := FixedPointVec(func(x, fx []float64) bool { return true }, nil); err == nil {
+		t.Error("empty vector should be rejected")
 	}
 }
 
 func TestFixedPointNaN(t *testing.T) {
-	_, err := FixedPoint(func(float64) float64 { return math.NaN() }, 1, DefaultFixedPointOpts())
+	_, _, err := FixedPoint(total(func(float64) float64 { return math.NaN() }), 1, Unbracketed)
 	if err == nil {
 		t.Fatal("NaN map should be rejected")
+	}
+	_, err = FixedPointVec(func(x, fx []float64) bool { fx[0] = math.Inf(1); return true }, []float64{1})
+	if err == nil {
+		t.Fatal("infinite vector map should be rejected")
 	}
 }
 

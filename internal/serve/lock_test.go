@@ -36,7 +36,13 @@ func TestLockHandlerTable(t *testing.T) {
 		{"lockfree unknown field", "/v1/lockfree", `{"threads":8,"so":60,"ps":1}`, 400, "unknown field"},
 		{"lockfree zero threads", "/v1/lockfree", `{"threads":0,"so":60}`, 400, "lock-free model needs Threads"},
 		{"lockfree zero So", "/v1/lockfree", `{"threads":8,"w":400}`, 400, "positive time"},
-		{"lockfree retry storm is infeasible", "/v1/lockfree", `{"threads":1024,"w":0,"st":0.0001,"so":100}`, 422, "did not converge"},
+		// The model has a fixed point at conflict ≈ 0.995, below the
+		// retry-storm guard (core.TestLockFreeRetryStormGuard bisects it).
+		{"lockfree near storm converges", "/v1/lockfree", `{"threads":1024,"w":0,"st":0.0001,"so":100}`, 200, `"conflict":0.99484`},
+		// No fixed point: the commit point saturates wherever F is defined.
+		{"lockfree commit saturated", "/v1/lockfree", `{"threads":250,"w":1771,"st":17.1,"so":12.1,"c2":2.65}`, 422, "commit serialization utilization"},
+		// No fixed point below the guard: F(R) < R already at the storm edge.
+		{"lockfree retry storm", "/v1/lockfree", `{"threads":10000,"w":0,"so":1}`, 422, "retry storm"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
