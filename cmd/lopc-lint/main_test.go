@@ -212,16 +212,16 @@ func TestOutputDeterministic(t *testing.T) {
 // so only their findings appear.
 func TestChecksSubset(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-checks", "allochot,deadlock", "./..."}, filepath.Join("testdata", "fixturemod"), &stdout, &stderr)
+	code := run([]string{"-checks", "deadlock,rngseam", "./..."}, filepath.Join("testdata", "fixturemod"), &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstderr: %s", code, stderr.String())
 	}
 	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d findings, want 3:\n%s", len(lines), stdout.String())
+	if len(lines) != 4 {
+		t.Fatalf("got %d findings, want 4:\n%s", len(lines), stdout.String())
 	}
 	for _, line := range lines {
-		if !strings.Contains(line, ":allochot:") && !strings.Contains(line, ":deadlock:") {
+		if !strings.Contains(line, ":deadlock:") && !strings.Contains(line, ":rngseam:") {
 			t.Errorf("finding from an unselected check leaked through: %s", line)
 		}
 	}

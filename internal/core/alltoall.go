@@ -92,8 +92,6 @@ type allToAllIter struct {
 // which is linear in (Rq, Ry); eliminating Ry:
 //
 //	Rq = So·(1 + (C²−1)a + a(1 + (C²−1)a/2)) / (1 − a − a²)
-//
-//lopc:hotpath
 func allToAllStep(p Params, r float64) (allToAllIter, stepGuard) {
 	lam := 1 / r // per-node arrival rate of requests (also of replies)
 	a := lam * p.So

@@ -86,8 +86,6 @@ type clientServerIter struct {
 // returns the implied model quantities and the next iterate, or the
 // guard the trial iterate tripped. pc and ps are the client and server
 // counts as floats.
-//
-//lopc:hotpath
 func clientServerStep(p ClientServerParams, pc, ps, rs float64) (clientServerIter, stepGuard) {
 	r := p.W + 2*p.St + rs + p.So
 	x := pc / r

@@ -153,8 +153,6 @@ const (
 // the old before the cycle times use them, Gauss–Seidel style. It
 // reports whether s.z is admissible: every request-handler utilization
 // below 1 and no time negative.
-//
-//lopc:hotpath
 func generalSweep(p GeneralParams, so []float64, active []bool, s *generalState, fz []float64, stats *obs.SolveStats) bool {
 	P := p.P
 	nr, nrq, nry := fz[:P], fz[P:2*P], fz[2*P:]
@@ -251,8 +249,8 @@ func GeneralObserved(p GeneralParams, o obs.SolveObserver) (GeneralResult, error
 		}
 	}
 
-	// All vectors are allocated here, once; the sweep itself is on the
-	// allochot-checked hot path and must not allocate.
+	// All vectors are allocated here, once; the sweep itself must not
+	// allocate (TestSteadyStateAllocs measures it).
 	buf := make([]float64, 9*P)
 	s := &generalState{
 		z: buf[: 3*P : 3*P], r: buf[:P:P], rq: buf[P : 2*P : 2*P], ry: buf[2*P : 3*P : 3*P],

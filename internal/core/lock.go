@@ -110,8 +110,6 @@ type lockIter struct {
 // handler, with Schweitzer's (N−1)/N arrival scaling already folded
 // into scale. It returns the next iterate, or the guard the trial
 // iterate tripped.
-//
-//lopc:hotpath
 func lockStep(p LockParams, n, scale, rs float64) (lockIter, stepGuard) {
 	r := p.W + 2*p.St + rs
 	x := n / r
@@ -286,8 +284,6 @@ type lockFreeIter struct {
 // point: given a trial cycle time r it derives the competing commit
 // rate, the conflict probability, and the regenerated work, and returns
 // the next iterate or the guard the trial iterate tripped.
-//
-//lopc:hotpath
 func lockFreeStep(p LockFreeParams, n, r float64) (lockFreeIter, stepGuard) {
 	x := n / r
 	u := x * p.St

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/mva"
 	"repro/internal/numeric"
 	"repro/internal/obs"
 )
@@ -66,37 +65,26 @@ func Multithreaded(p Params, t int) (MultithreadedResult, error) {
 	}
 
 	bound := 1 / (p.W + 2*p.So)
-	solve := func(x float64) (MultithreadedResult, error) {
+	// solve evaluates the model at per-thread throughput x. It reports
+	// false where the handler load leaves no positive handler response;
+	// HandlerUtil is set either way, for the error.
+	solve := func(x float64) (MultithreadedResult, bool) {
 		lam := float64(t) * x // request (and reply) arrival rate per node
 		a := lam * p.So
-		uh := 2 * a
-		if uh >= 0.999 {
-			return MultithreadedResult{}, fmt.Errorf("core: handler load %v infeasible", uh)
+		out := MultithreadedResult{HandlerUtil: 2 * a, Bound: bound}
+		if out.HandlerUtil >= 0.999 {
+			return out, false
 		}
-		rh := p.So * (1 + (p.C2-1)*a) / (1 - 2*a)
-		if rh <= 0 {
-			return MultithreadedResult{}, fmt.Errorf("core: negative handler response at load %v", uh)
+		out.Rh = p.So * (1 + (p.C2-1)*a) / (1 - 2*a)
+		if !(out.Rh > 0) {
+			return out, false
 		}
-		weff := p.W / (1 - uh)
-		centers := []mva.Center{
-			{Name: "cpu", Kind: mva.Queueing, Demand: weff},
-			{Name: "net+remote", Kind: mva.Delay, Demand: 2*p.St + 2*rh},
-		}
-		res, err := mva.Exact(centers, t)
-		if err != nil {
-			return MultithreadedResult{}, err
-		}
-		out := MultithreadedResult{
-			XNode:       res.X,
-			XThread:     res.X / float64(t),
-			Rh:          rh,
-			HandlerUtil: uh,
-			Bound:       bound,
-		}
+		out.XNode = exactTwoCenter(p.W/(1-out.HandlerUtil), 2*p.St+2*out.Rh, t)
+		out.XThread = out.XNode / float64(t)
 		if out.XThread > 0 {
 			out.CycleTime = 1 / out.XThread
 		}
-		return out, nil
+		return out, true
 	}
 
 	// Solve on the cycle time c = 1/x: the map then has the kernel's
@@ -104,8 +92,8 @@ func Multithreaded(p Params, t int) (MultithreadedResult, error) {
 	// and decreasing above it.
 	var stats obs.SolveStats
 	f := func(c float64) (float64, bool) {
-		res, err := solve(1 / c)
-		if err != nil || !(res.XThread > 0) {
+		res, ok := solve(1 / c)
+		if !ok || !(res.XThread > 0) {
 			stats.GuardTrips++
 			return 0, false
 		}
@@ -116,10 +104,12 @@ func Multithreaded(p Params, t int) (MultithreadedResult, error) {
 	c, fp, err := numeric.FixedPoint(f, c0, numeric.Unbracketed)
 	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
 	x := 1 / c
-	res, serr := solve(x)
+	res, ok := solve(x)
 	switch {
-	case serr != nil:
-		return MultithreadedResult{}, serr
+	case !ok && res.HandlerUtil >= 0.999:
+		return MultithreadedResult{}, fmt.Errorf("core: handler load %v infeasible", res.HandlerUtil)
+	case !ok:
+		return MultithreadedResult{}, fmt.Errorf("core: no positive handler response at load %v", res.HandlerUtil)
 	case err != nil:
 		return MultithreadedResult{}, fmt.Errorf("core: multithreaded fixed point: %w", err)
 	}
@@ -133,4 +123,19 @@ func Multithreaded(p Params, t int) (MultithreadedResult, error) {
 		res.SaturationThreads = one.R / (p.W + 2*p.So)
 	}
 	return res, nil
+}
+
+// exactTwoCenter is the throughput exact MVA (mva.Exact) gives n
+// customers cycling through one queueing center of demand d and one
+// delay center of demand z: the same recursion in the same operation
+// order, so the same bits, without the result slices mva.Exact
+// allocates. Multithreaded calls it on every map evaluation.
+func exactTwoCenter(d, z float64, n int) float64 {
+	q, total := 0.0, 0.0
+	for i := 1; i <= n; i++ {
+		r := d * (1 + q)
+		total = r + z
+		q = float64(i) / total * r
+	}
+	return float64(n) / total
 }

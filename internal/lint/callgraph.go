@@ -10,10 +10,9 @@ package lint
 //     loaded implementation the site is recorded as unresolved.
 //   - A function merely referenced as a value (method value, function
 //     passed as an argument) contributes a reference edge — the callee
-//     may run whenever the value is invoked, so reachability analyses
-//     (allochot) follow these edges, while held-lock analyses
-//     (deadlock) do not: taking a method value under a lock does not
-//     call it.
+//     may run whenever the value is invoked, so the edge joins the
+//     SCC order, but summaries do not propagate across it: taking a
+//     method value under a lock does not call it.
 //   - Calls through function-typed variables are unresolved: the
 //     callee set is unknowable without a points-to analysis.
 //
@@ -22,10 +21,10 @@ package lint
 // "may call" — exactly what the bottom-up summaries need.
 //
 // On top of the graph, Facts() propagates per-function summaries —
-// allocates-on-heap?, may-acquire-which-locks?, may-block?,
-// calls-unknown? — bottom-up over Tarjan SCCs to a fixed point. The
-// summary sets only grow, so the iteration terminates even on
-// recursive cycles (callgraph_test pins this).
+// may-acquire-which-locks?, may-block?, calls-unknown? — bottom-up
+// over Tarjan SCCs to a fixed point. The summary sets only grow, so
+// the iteration terminates even on recursive cycles (callgraph_test
+// pins this).
 //
 // The graph is cached on the Loader and invalidated by generation
 // (number of loaded packages), since the fixture harness loads
@@ -426,10 +425,6 @@ func (g *CallGraph) tarjan() {
 // FuncFacts is the bottom-up summary of one function: what it, or
 // anything it transitively calls among the loaded sources, may do.
 type FuncFacts struct {
-	// Allocates reports that some reachable statement may allocate on
-	// the heap (the coarse syntactic test; allochot refines the
-	// per-site verdict with escape analysis).
-	Allocates bool
 	// MayAcquire maps each lock class the function may (transitively)
 	// acquire to a witness acquisition site.
 	MayAcquire map[string]token.Pos
@@ -476,10 +471,6 @@ func (g *CallGraph) Facts() map[*CGNode]*FuncFacts {
 							changed = true
 						}
 						continue
-					}
-					if cf.Allocates && !f.Allocates {
-						f.Allocates = true
-						changed = true
 					}
 					if cf.CallsUnknown && !f.CallsUnknown {
 						f.CallsUnknown = true
@@ -559,15 +550,6 @@ func directFacts(n *CGNode) *FuncFacts {
 					}
 				}
 			}
-			if mayAllocCall(pkg, e) {
-				f.Allocates = true
-			}
-		case *ast.CompositeLit:
-			f.Allocates = true
-		case *ast.BinaryExpr:
-			if e.Op == token.ADD && isStringType(pkg.Info.TypeOf(e)) {
-				f.Allocates = true
-			}
 		}
 		return true
 	})
@@ -596,25 +578,6 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// mayAllocCall reports whether call is itself an allocating construct:
-// the allocating builtins.
-func mayAllocCall(pkg *Package, call *ast.CallExpr) bool {
-	for _, b := range []string{"make", "new", "append"} {
-		if isBuiltinCall(pkg, call, b) {
-			return true
-		}
-	}
-	return false
-}
-
-func isStringType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
 }
 
 // lockClassOf maps the receiver lvalue of a Lock/Unlock call to a

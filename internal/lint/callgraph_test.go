@@ -18,8 +18,8 @@ func cgNode(t *testing.T, g *CallGraph, pkg *Package, name string) *CGNode {
 
 // TestCallGraphRecursiveFixedPoint pins the termination and correctness
 // of the bottom-up summary propagation on a recursive cycle: ping and
-// pong call each other, only pong allocates, and the Allocates fact
-// must reach both without the fixed-point loop spinning forever.
+// pong call each other, only pong sends on a channel, and the MayBlock
+// fact must reach both without the fixed-point loop spinning forever.
 func TestCallGraphRecursiveFixedPoint(t *testing.T) {
 	l, pkg := loadFixture(t, "callgraph")
 	g := l.CallGraph()
@@ -34,8 +34,8 @@ func TestCallGraphRecursiveFixedPoint(t *testing.T) {
 		if f == nil {
 			t.Fatalf("no facts for %s", name)
 		}
-		if !f.Allocates {
-			t.Errorf("%s.Allocates = false; the fact must propagate around the recursive cycle", name)
+		if !f.MayBlock {
+			t.Errorf("%s.MayBlock = false; the fact must propagate around the recursive cycle", name)
 		}
 	}
 	// A function that merely calls into the cycle inherits the summary.

@@ -482,3 +482,75 @@ func (a *Deadlock) Check(l *Loader, pkg *Package) []Diagnostic {
 	}
 	return out
 }
+
+// resolvedCallee describes the outcome of resolving a call's operator.
+type resolvedCallee struct {
+	fn            *types.Func
+	iface         *types.Interface // non-nil for interface-method calls
+	isBuiltinLike bool
+}
+
+// resolveCallee resolves call's operator to a declared function,
+// builtin, or interface method; nil means a function value.
+func resolveCallee(pkg *Package, call *ast.CallExpr) *resolvedCallee {
+	var obj types.Object
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = pkg.Info.Uses[f]
+	case *ast.SelectorExpr:
+		obj = pkg.Info.Uses[f.Sel]
+	case *ast.FuncLit:
+		// Immediately-invoked literal: its body belongs to the
+		// enclosing declaration (literals are not call-graph nodes).
+		return &resolvedCallee{isBuiltinLike: true}
+	case *ast.IndexExpr:
+		return resolveGenericCallee(pkg, f.X)
+	case *ast.IndexListExpr:
+		return resolveGenericCallee(pkg, f.X)
+	}
+	switch o := obj.(type) {
+	case *types.Builtin:
+		return &resolvedCallee{isBuiltinLike: true}
+	case *types.Func:
+		return calleeOfFunc(o)
+	}
+	return nil
+}
+
+func resolveGenericCallee(pkg *Package, base ast.Expr) *resolvedCallee {
+	switch b := ast.Unparen(base).(type) {
+	case *ast.Ident:
+		if fn, ok := pkg.Info.Uses[b].(*types.Func); ok {
+			return calleeOfFunc(fn)
+		}
+	case *ast.SelectorExpr:
+		if fn, ok := pkg.Info.Uses[b.Sel].(*types.Func); ok {
+			return calleeOfFunc(fn)
+		}
+	}
+	return nil
+}
+
+func calleeOfFunc(fn *types.Func) *resolvedCallee {
+	fn = fn.Origin()
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		if iface, ok := derefType(sig.Recv().Type()).Underlying().(*types.Interface); ok {
+			return &resolvedCallee{fn: fn, iface: iface}
+		}
+	}
+	return &resolvedCallee{fn: fn}
+}
+
+// funcDisplayName renders fn as pkg.Name or (pkg.Recv).Name.
+func funcDisplayName(fn *types.Func) string {
+	pkgName := ""
+	if fn.Pkg() != nil {
+		pkgName = fn.Pkg().Name() + "."
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		if named, ok := derefType(sig.Recv().Type()).(*types.Named); ok {
+			return "(" + pkgName + named.Obj().Name() + ")." + fn.Name()
+		}
+	}
+	return pkgName + fn.Name()
+}

@@ -60,7 +60,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"waitgroup", &WaitGroup{}},
 		{"goroutineleak", &GoroutineLeak{}},
 		{"loopcapture", &LoopCapture{}},
-		{"allochot", &AllocHot{}},
 		{"deadlock", &Deadlock{}},
 		{"detflow", &DetFlow{SinkScope: everywhere, ResultScope: everywhere}},
 		{"clockseam", &ClockSeam{Scope: everywhere}},

@@ -80,7 +80,6 @@ func All() []Analyzer {
 		&LoopCapture{},
 		&LockBalance{},
 		&SendClosed{},
-		&AllocHot{},
 		&Deadlock{},
 		&DetFlow{},
 		&ClockSeam{},

@@ -112,7 +112,7 @@ func freshFixtureLoader(t *testing.T) (*Loader, *Package) {
 func TestRunParallelMatchesSequential(t *testing.T) {
 	l := fixtureLoader(t)
 	var pkgs []*Package
-	for _, name := range []string{"taint", "detflow", "clockseam", "rngseam", "deadlock", "allochot"} {
+	for _, name := range []string{"taint", "detflow", "clockseam", "rngseam", "deadlock"} {
 		_, pkg := loadFixture(t, name)
 		pkgs = append(pkgs, pkg)
 	}

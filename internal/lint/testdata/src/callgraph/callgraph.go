@@ -9,22 +9,21 @@ package callgraph
 
 import "sync"
 
-// ping and pong are mutually recursive; only pong allocates, so the
-// Allocates fact must propagate around the cycle to ping and the
+// ping and pong are mutually recursive; only pong sends on a channel,
+// so the MayBlock fact must propagate around the cycle to ping and the
 // fixed-point iteration must still terminate.
-func ping(n int) []int {
+func ping(n int, ch chan int) {
 	if n <= 0 {
-		return nil
+		return
 	}
-	return pong(n - 1)
+	pong(n-1, ch)
 }
 
-func pong(n int) []int {
-	out := make([]int, 1)
+func pong(n int, ch chan int) {
+	ch <- n
 	if n > 0 {
-		return ping(n - 1)
+		ping(n-1, ch)
 	}
-	return out
 }
 
 // shape has two loaded implementations; draw's interface call must

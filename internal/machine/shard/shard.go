@@ -86,7 +86,6 @@ type Action struct {
 // Compute occupies the thread for d cycles of preemptible work.
 func Compute(d float64) Action {
 	if d < 0 {
-		//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 		panic(fmt.Sprintf("shard: negative compute duration %v", d))
 	}
 	return Action{kind: actionCompute, duration: d}
@@ -387,7 +386,6 @@ func (n *node) Handle(ctx *psim.Ctx, ev psim.Event) {
 	case kReset:
 		n.resetStats(ev.Time)
 	default:
-		//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 		panic(fmt.Sprintf("shard: node %d received unknown event kind %d", ctx.Self(), ev.Kind))
 	}
 }
@@ -436,7 +434,6 @@ func (n *node) arrive(ctx *psim.Ctx, h hmsg) {
 		st.repPresent++
 		st.repQ.Set(now, float64(st.repPresent))
 	}
-	//lopc:allow allochot the handler queue grows amortized-once to the node's steady-state depth, then is reused (dequeue reslices in place)
 	st.handlerQ = append(st.handlerQ, h)
 	if depth := st.reqPresent + st.repPresent; depth > st.maxDepth {
 		st.maxDepth = depth
@@ -488,7 +485,6 @@ func (n *node) startHandler(ctx *psim.Ctx) {
 	}
 	svc := int(st.current.svc)
 	if svc < 0 || svc >= len(n.cfg.Services) {
-		//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 		panic(fmt.Sprintf("shard: node %d handler references unknown service %d", ctx.Self(), svc))
 	}
 	ctx.Send(ctx.Self(), n.cfg.Services[svc].Sample(ctx.Rand()), kHandlerDone, psim.Msg{})
@@ -526,7 +522,6 @@ func (n *node) handlerDone(ctx *psim.Ctx) {
 			RepSent: h.sent, RepArrived: h.arrived, RepDone: now,
 		}
 		if st.tstate != threadBlocked {
-			//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 			panic(fmt.Sprintf("shard: node %d reply completed but thread is %v", ctx.Self(), st.tstate))
 		}
 		st.tstate = threadReady
@@ -585,7 +580,6 @@ func (n *node) advanceThread(ctx *psim.Ctx) {
 	const maxZeroCostActions = 1 << 20
 	for i := 0; ; i++ {
 		if i == maxZeroCostActions {
-			//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 			panic(fmt.Sprintf("shard: node %d program issued %d actions without consuming time", ctx.Self(), i))
 		}
 		action := n.prog.Next(&n.view)
@@ -600,7 +594,6 @@ func (n *node) advanceThread(ctx *psim.Ctx) {
 			return
 		case actionRequest:
 			if action.reply < 0 || int(action.reply) >= len(n.cfg.Services) {
-				//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 				panic(fmt.Sprintf("shard: node %d request references unknown reply service %d", ctx.Self(), action.reply))
 			}
 			ctx.Send(action.dst, n.sampleLatency(ctx), kReq, psim.Msg{
@@ -616,7 +609,6 @@ func (n *node) advanceThread(ctx *psim.Ctx) {
 			n.dispatch(ctx)
 			return
 		default:
-			//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 			panic(fmt.Sprintf("shard: unknown action kind %d", action.kind))
 		}
 	}

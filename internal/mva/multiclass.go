@@ -2,7 +2,6 @@ package mva
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/numeric"
 	"repro/internal/obs"
@@ -27,27 +26,27 @@ type MultiParams struct {
 
 func (p MultiParams) validate() error {
 	if len(p.Centers) == 0 {
-		return fmt.Errorf("mva: no service centers")
+		return fmt.Errorf("%w: no service centers", ErrInvalid)
 	}
 	if len(p.Demand) != len(p.N) {
-		return fmt.Errorf("mva: %d demand rows for %d classes", len(p.Demand), len(p.N))
+		return fmt.Errorf("%w: %d demand rows for %d classes", ErrInvalid, len(p.Demand), len(p.N))
 	}
 	if len(p.N) == 0 {
-		return fmt.Errorf("mva: no classes")
+		return fmt.Errorf("%w: no classes", ErrInvalid)
 	}
 	for c, row := range p.Demand {
 		if len(row) != len(p.Centers) {
-			return fmt.Errorf("mva: class %d has %d demands for %d centers", c, len(row), len(p.Centers))
+			return fmt.Errorf("%w: class %d has %d demands for %d centers", ErrInvalid, c, len(row), len(p.Centers))
 		}
 		for k, d := range row {
-			if d < 0 || math.IsNaN(d) {
-				return fmt.Errorf("mva: demand[%d][%d] = %v", c, k, d)
+			if !validDemand(d) {
+				return fmt.Errorf("%w: demand[%d][%d] = %v", ErrInvalid, c, k, d)
 			}
 		}
 	}
 	for c, n := range p.N {
 		if n < 0 {
-			return fmt.Errorf("mva: N[%d] = %d", c, n)
+			return fmt.Errorf("%w: N[%d] = %d", ErrInvalid, c, n)
 		}
 	}
 	return nil
@@ -203,8 +202,6 @@ const multiDamping = 0.5
 // by Little's law, blended with q, into fq. It reports whether q is
 // admissible: no queue length negative and every queueing center's
 // utilization below 1.
-//
-//lopc:hotpath
 func multiSweep(p MultiParams, est func(qTot, qSelf float64, nc int) float64, q, fq []float64, r [][]float64, x []float64, stats *obs.SolveStats) bool {
 	C, K := len(p.N), len(p.Centers)
 	admissible := true
@@ -222,7 +219,6 @@ func multiSweep(p MultiParams, est func(qTot, qSelf float64, nc int) float64, q,
 				for cc := 0; cc < C; cc++ {
 					qTot += q[cc*K+k]
 				}
-				//lopc:allow allochot est is multiBardEst or multiSchweitzerEst, one closed-form arithmetic expression each, allocation-free
 				r[c][k] = p.Demand[c][k] * (1 + est(qTot, q[c*K+k], p.N[c]))
 			}
 			total += r[c][k]

@@ -16,6 +16,7 @@
 package mva
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -101,16 +102,24 @@ type Result struct {
 	Solve obs.SolveStats
 }
 
+// ErrInvalid is wrapped by every validation error: a network, demand or
+// population no solver in this package accepts.
+var ErrInvalid = errors.New("mva: invalid network")
+
+// validDemand reports whether d is a usable service demand: finite and
+// not negative.
+func validDemand(d float64) bool { return d >= 0 && !math.IsInf(d, 1) }
+
 func validate(centers []Center, n int) error {
 	if len(centers) == 0 {
-		return fmt.Errorf("mva: no service centers")
+		return fmt.Errorf("%w: no service centers", ErrInvalid)
 	}
 	if n < 0 {
-		return fmt.Errorf("mva: negative population %d", n)
+		return fmt.Errorf("%w: negative population %d", ErrInvalid, n)
 	}
 	for i, c := range centers {
-		if c.Demand < 0 || math.IsNaN(c.Demand) {
-			return fmt.Errorf("mva: center %d (%s) has demand %v", i, c.Name, c.Demand)
+		if !validDemand(c.Demand) {
+			return fmt.Errorf("%w: center %d (%s) has demand %v", ErrInvalid, i, c.Name, c.Demand)
 		}
 	}
 	return nil
@@ -186,8 +195,6 @@ func Exact(centers []Center, n int) (Result, error) {
 // r, or reports c infeasible when some s·X·D_j reaches 1. It falls as c
 // grows, so the fixed point c = ΣR_j is the one sign change the scalar
 // kernel brackets.
-//
-//lopc:hotpath
 func approxSweep(centers []Center, n int, s, c float64, r []float64, stats *obs.SolveStats) (float64, bool) {
 	x := float64(n) / c
 	total := 0.0

@@ -131,8 +131,6 @@ var errNonFinite = errors.New("numeric: fixed point map returned a non-finite va
 
 // secantLoop is FixedPoint's iteration. On errNonFinite, fx is the
 // value the map returned at x.
-//
-//lopc:hotpath
 func secantLoop(f func(float64) (float64, bool), x0 float64, br Bracket) (x, fx float64, info FixedPointInfo, err error) {
 	lo, hi := br.Lo, br.Hi
 	x = math.Min(math.Max(x0, lo), hi)
@@ -147,7 +145,6 @@ func secantLoop(f func(float64) (float64, bool), x0 float64, br Bracket) (x, fx 
 	for i := 0; i < fixedPointMaxIter; i++ {
 		info.Iters = i + 1
 		var feasible bool
-		//lopc:allow allochot f is the model's step closure; the arithmetic lives in its named step function, itself a hotpath root audited where its code is
 		fx, feasible = f(x)
 		e := scalarEnd{x: x, ok: true, guard: !feasible}
 		if feasible {
@@ -311,12 +308,9 @@ func FixedPointVec(f func(x, fx []float64) bool, x []float64) (FixedPointInfo, e
 
 // andersonLoop is FixedPointVec's iteration on workspace ws. On
 // errNonFinite, bad is the component whose map value was not finite.
-//
-//lopc:hotpath
 func andersonLoop(ws *anderson, f func(x, fx []float64) bool, x []float64) (info FixedPointInfo, bad int, err error) {
 	for i := 0; i < fixedPointMaxIter; i++ {
 		info.Iters = i + 1
-		//lopc:allow allochot f is the model's sweep closure; the arithmetic lives in its named sweep function, itself a hotpath root audited where its code is
 		admissible := f(x, ws.fx)
 		// norm is the largest residual, reported in the info; the
 		// tolerance is tested per component, so quantities of very

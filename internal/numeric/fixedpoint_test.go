@@ -151,41 +151,3 @@ func TestFixedPointVecComponentwise(t *testing.T) {
 		t.Errorf("small component %v, want %v", x[1], want)
 	}
 }
-
-// TestFixedPointAllocs: neither entry point allocates per iteration. The
-// scalar kernel allocates nothing at all; the vector kernel allocates
-// its workspace once per solve, so a solve that takes many more
-// evaluations allocates exactly as often as a quick one.
-func TestFixedPointAllocs(t *testing.T) {
-	scalar := total(func(x float64) float64 { return 1000/(1+x) + 0.1*x })
-	if got := testing.AllocsPerRun(100, func() { FixedPoint(scalar, 1, Unbracketed) }); got != 0 {
-		t.Errorf("scalar solve allocates %v times, want 0", got)
-	}
-	x := make([]float64, 16)
-	solve := func(rate float64) (FixedPointInfo, float64) {
-		f := func(x, fx []float64) bool {
-			for j := range x {
-				fx[j] = rate*math.Sin(x[(j+1)%len(x)]) + 1 + 0.01*float64(j)
-			}
-			return true
-		}
-		var info FixedPointInfo
-		allocs := testing.AllocsPerRun(50, func() {
-			for j := range x {
-				x[j] = 0
-			}
-			info, _ = FixedPointVec(f, x)
-		})
-		return info, allocs
-	}
-	quick, quickAllocs := solve(0.1)
-	slow, slowAllocs := solve(0.99)
-	if slow.Iters < quick.Iters+5 {
-		t.Fatalf("iteration counts %d and %d too close to tell per-iteration allocation apart", quick.Iters, slow.Iters)
-	}
-	t.Logf("%v allocations at %d evaluations, %v at %d", quickAllocs, quick.Iters, slowAllocs, slow.Iters)
-	if quickAllocs != slowAllocs || quickAllocs > 2 {
-		t.Errorf("allocations per solve: %v at %d evaluations, %v at %d; want equal and at most 2",
-			quickAllocs, quick.Iters, slowAllocs, slow.Iters)
-	}
-}

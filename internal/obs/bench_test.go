@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/allocguard"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -115,7 +116,7 @@ const observedSolveAllocsMax = 2
 // after a solver's first solve, mirroring into the registry goes
 // through cached instrument handles and allocates nothing.
 func TestObservedSolveAllocs(t *testing.T) {
-	if raceEnabled {
+	if allocguard.Race {
 		t.Skip("the race detector changes allocation counts")
 	}
 	rec := obs.NewConvRecorder(obs.DefaultConvCapacity, nil, obs.NewRegistry())

@@ -59,8 +59,6 @@ func (d *driver) drain(j int, g headSum) {
 // below bound (and no later than until), in local key order. This is
 // the per-LP event loop of the conservative core; it touches nothing
 // outside its own LP.
-//
-//lopc:hotpath
 func (r *lpRun) drainWindow(bound, until float64) {
 	c := &r.ctx
 	for {

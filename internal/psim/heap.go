@@ -21,7 +21,6 @@ func (h *evHeap) head() *Event {
 }
 
 func (h *evHeap) push(ev *Event) {
-	//lopc:allow allochot the pending-event heap grows amortized-once to the model's steady-state population, then is reused
 	h.a = append(h.a, *ev)
 	h.siftUp(len(h.a) - 1)
 }

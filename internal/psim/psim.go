@@ -187,11 +187,9 @@ func (c *Ctx) Rand() *rng.Stream { return &c.rand }
 // diverging across cores.
 func (c *Ctx) Send(dst int, delay float64, kind int32, m Msg) {
 	if dst < 0 || int32(dst) >= c.n {
-		//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 		panic(fmt.Sprintf("psim: LP %d sends to invalid LP %d of %d", c.id, dst, c.n))
 	}
 	if !(delay >= 0) {
-		//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 		panic(fmt.Sprintf("psim: LP %d sends with invalid delay %v", c.id, delay))
 	}
 	ev := Event{
@@ -208,11 +206,9 @@ func (c *Ctx) Send(dst int, delay float64, kind int32, m Msg) {
 		return
 	}
 	if delay < c.lookahead {
-		//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 		panic(fmt.Sprintf("psim: LP %d sends to LP %d with delay %v below the declared lookahead %v",
 			c.id, dst, delay, c.lookahead))
 	}
-	//lopc:allow allochot the round outbox grows amortized-once to the LP's steady-state fan-out, then is reused
 	c.out = append(c.out, ev)
 }
 
@@ -222,7 +218,6 @@ func (c *Ctx) commit(ev *Event) {
 	c.now = ev.Time
 	c.processed++
 	if c.recOn {
-		//lopc:allow allochot the committed-trace log grows amortized-once when tracing is requested; untraced runs never append
 		c.rec = append(c.rec, Record{Time: ev.Time, Src: ev.Src, Dst: ev.Dst, Kind: ev.Kind, Seq: ev.Seq})
 	}
 }

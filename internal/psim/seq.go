@@ -13,8 +13,6 @@ package psim
 // which is why finish() sorts the trace into key order before
 // serializing it. The parallel cores reproduce the identical committed
 // set, so the sorted serializations coincide byte for byte.
-//
-//lopc:hotpath
 func (k *kernel) runSeq() {
 	var q evHeap
 	for i := range k.lps {
@@ -35,7 +33,6 @@ func (k *kernel) runSeq() {
 		c := &r.ctx
 		c.commit(&ev)
 		if k.rec != nil {
-			//lopc:allow allochot the global commit log grows amortized-once when tracing is requested; untraced runs never append
 			k.rec = append(k.rec, Record{Time: ev.Time, Src: ev.Src, Dst: ev.Dst, Kind: ev.Kind, Seq: ev.Seq})
 		}
 		r.lp.Handle(c, ev)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/allocguard"
 	"repro/internal/core"
 )
 
@@ -235,7 +236,7 @@ const (
 // TestCachedHitAllocs guards the allocation count of a cached hit on
 // every route in the table against regressions of the request path.
 func TestCachedHitAllocs(t *testing.T) {
-	if raceEnabled {
+	if allocguard.Race {
 		t.Skip("the race detector changes allocation counts")
 	}
 	for _, e := range solveRoutes {

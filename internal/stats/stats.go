@@ -139,7 +139,6 @@ func (w *TimeWeighted) Set(t, v float64) {
 		w.start, w.started = t, true
 	} else {
 		if t < w.lastTime {
-			//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 			panic(fmt.Sprintf("stats: TimeWeighted.Set time went backwards: %v < %v", t, w.lastTime))
 		}
 		w.area += w.lastValue * (t - w.lastTime)

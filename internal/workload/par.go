@@ -148,7 +148,6 @@ func (p *atParProg) Next(v *shard.NodeView) shard.Action {
 	switch p.phase {
 	case phaseSend:
 		p.phase = phaseUnblocked
-		//lopc:allow allochot dest is one of the four fixed pattern closures (uniform/ring/shift/hotspot), each a bounded allocation-free arithmetic draw
 		return shard.Request(p.run.dest(v), 0, 0)
 	case phaseUnblocked:
 		p.endCycle(v)
@@ -518,7 +517,6 @@ func (l *lfLP) Handle(ctx *psim.Ctx, ev psim.Event) {
 		t.ready = now
 		ctx.Send(ctx.Self(), l.cfg.Work.Sample(&t.r), lfRoundStart, psim.Msg{I0: ev.Msg.I0})
 	default:
-		//lopc:allow allochot panic message formatting runs only on the invariant-violation path, never in steady state
 		panic(fmt.Sprintf("workload: lock-free LP received unknown event kind %d", ev.Kind))
 	}
 }
