@@ -167,7 +167,7 @@ func Uniform(low, high float64) Distribution { return dist.NewUniform(low, high)
 // squared coefficient of variation (the paper's C² knob).
 func FromMeanSCV(mean, scv float64) Distribution { return dist.FromMeanSCV(mean, scv) }
 
-// --- Simulation (internal/workload on internal/machine) ---
+// --- Simulation (internal/workload on internal/machine/shard and internal/machine) ---
 
 // SimAllToAllConfig configures an all-to-all simulation run.
 type SimAllToAllConfig = workload.AllToAllConfig
@@ -190,11 +190,12 @@ type SimMultiHopResult = workload.MultiHopResult
 // Pattern chooses request destinations in the all-to-all simulator.
 type Pattern = workload.Pattern
 
-// SimPar selects the parallel discrete-event core for a workload run
-// (Sync: "seq" | "cons" | "opt"; Jobs: worker goroutines) and carries
-// its optional outputs. A nil *SimPar — the zero value of every config —
-// runs the legacy sequential engine. Every core produces byte-identical
-// traces and identical measurements for a fixed config and seed.
+// SimPar selects the discrete-event core for an all-to-all, work-pile,
+// lock or lock-free run (Sync: "seq" | "cons" | "opt"; Jobs: worker
+// goroutines) and carries its optional outputs. A nil *SimPar — the
+// zero value of every config — runs the sequential core. Every core
+// produces byte-identical traces and identical measurements for a
+// fixed config and seed.
 type SimPar = workload.ParSim
 
 // SimCoreStats reports parallel-core execution statistics: committed
@@ -277,7 +278,7 @@ type SimLockFreeConfig = workload.LockFreeConfig
 type SimLockFreeResult = workload.LockFreeSimResult
 
 // SimulateLockFree runs the CAS-retry workload on the discrete-event
-// kernel (threads racing to commit against one versioned word).
+// core (threads racing to commit against one versioned word).
 func SimulateLockFree(cfg SimLockFreeConfig) (SimLockFreeResult, error) {
 	return workload.RunLockFree(cfg)
 }
@@ -356,8 +357,9 @@ func FitLockFree(obs []FitLockObservation, so, c2 float64) (FitLockResult, error
 // --- Tracing (internal/trace) ---
 
 // Tracer records a simulation as a Chrome trace (chrome://tracing /
-// Perfetto JSON). Set it as the Observer of a simulation config, run,
-// then call WriteJSON.
+// Perfetto JSON). Set it as the Observer of an all-to-all config run
+// on the sequential core (a nil or "seq" Par), run, then call
+// WriteJSON.
 type Tracer = trace.Tracer
 
 // --- Parallel execution (internal/runner) ---

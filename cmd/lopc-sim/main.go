@@ -8,11 +8,13 @@
 //	lopc-sim -workload workpile -P 32 -Ps 8 -W 1500 -So 131 -time 2e6
 //	lopc-sim -workload multihop -hops 3 -P 16 -W 1000 -So 150
 //
-// With -sync, -metrics FILE additionally writes the parallel core's
-// counters (committed events, synchronization rounds, rollbacks,
-// rolled-back events) as deterministic Prometheus text exposition at
-// exit, so sweep scripts and CI can scrape a batch run the same way
-// they scrape lopc-serve.
+// The alltoall and workpile workloads run on the discrete-event core
+// that -sync selects (seq by default). For them, -metrics FILE
+// additionally writes the core's counters (committed events,
+// synchronization rounds, rollbacks, rolled-back events) as
+// deterministic Prometheus text exposition at exit, so sweep scripts
+// and CI can scrape a batch run the same way they scrape lopc-serve.
+// -trace writes a Chrome trace of an alltoall run on the seq core.
 package main
 
 import (
@@ -45,10 +47,10 @@ func main() {
 		pp     = flag.Bool("pp", false, "protocol-processor (shared-memory) variant")
 		hops   = flag.Int("hops", 2, "request hops (multihop)")
 		nthr   = flag.Int("T", 2, "threads per node (multithreaded)")
-		traceF = flag.String("trace", "", "write a Chrome trace (chrome://tracing JSON) of the run to this file (alltoall only)")
-		syncF  = flag.String("sync", "", "parallel simulation core: seq | cons | opt (alltoall and workpile only; default: legacy engine)")
-		jobsF  = flag.Int("j", 1, "worker goroutines for the parallel core (with -sync)")
-		metF   = flag.String("metrics", "", "write the parallel core's counters as Prometheus text to this file at exit (requires -sync)")
+		traceF = flag.String("trace", "", "write a Chrome trace (chrome://tracing JSON) of the run to this file (alltoall on the seq core only)")
+		syncF  = flag.String("sync", "seq", "simulation core: seq | cons | opt (alltoall and workpile only)")
+		jobsF  = flag.Int("j", 1, "worker goroutines for the parallel cores")
+		metF   = flag.String("metrics", "", "write the simulation core's counters as Prometheus text to this file at exit (alltoall and workpile only)")
 		ver    = version.AddFlag(flag.CommandLine)
 	)
 	flag.Parse()
@@ -57,14 +59,15 @@ func main() {
 		return
 	}
 
+	onCore := *wl == "alltoall" || *wl == "workpile"
 	var err error
 	switch {
-	case *syncF != "" && *wl != "alltoall" && *wl != "workpile":
+	case *syncF != "seq" && !onCore:
 		err = fmt.Errorf("-sync supports only the alltoall and workpile workloads, not %q", *wl)
-	case *syncF != "" && *traceF != "":
-		err = fmt.Errorf("-sync and -trace are mutually exclusive: the parallel core has no Chrome-trace observer")
-	case *metF != "" && *syncF == "":
-		err = fmt.Errorf("-metrics needs -sync: only the parallel core reports run counters")
+	case *traceF != "" && *syncF != "seq":
+		err = fmt.Errorf("-trace needs -sync seq: the Chrome-trace observer runs on the sequential core only, not %q", *syncF)
+	case *metF != "" && !onCore:
+		err = fmt.Errorf("-metrics supports only the alltoall and workpile workloads, not %q", *wl)
 	default:
 		metricsFile = *metF
 		switch *wl {
@@ -86,12 +89,9 @@ func main() {
 	}
 }
 
-// parFor builds the parallel-core selection for -sync ("" selects the
-// legacy engine) along with the statistics block reportCore prints.
+// parFor builds the core selection for -sync along with the
+// statistics block reportCore prints.
 func parFor(sync string, jobs int) (*repro.SimPar, *repro.SimCoreStats) {
-	if sync == "" {
-		return nil, nil
-	}
 	cs := &repro.SimCoreStats{}
 	return &repro.SimPar{Sync: sync, Jobs: jobs, Stats: cs}, cs
 }
@@ -100,13 +100,10 @@ func parFor(sync string, jobs int) (*repro.SimPar, *repro.SimCoreStats) {
 // set once in main before any workload runs.
 var metricsFile string
 
-// reportCore prints the parallel core's execution statistics to stderr,
-// keeping stdout identical to a legacy-engine run, and honours -metrics
-// by dumping the same counters as Prometheus text.
+// reportCore prints the core's execution statistics to stderr, keeping
+// stdout identical across cores, and honours -metrics by dumping the
+// same counters as Prometheus text.
 func reportCore(sync string, jobs int, cs *repro.SimCoreStats) error {
-	if cs == nil {
-		return nil
-	}
 	fmt.Fprintf(os.Stderr, "psim core=%s j=%d: %d events, %d rounds, %d rollbacks (%d events undone)\n",
 		sync, jobs, cs.Events, cs.Rounds, cs.Rollbacks, cs.RolledBack)
 	if metricsFile == "" {

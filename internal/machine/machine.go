@@ -68,12 +68,6 @@ type Message struct {
 	// UserData carries workload-specific context through the handler.
 	UserData any
 
-	// ID is a unique message number assigned at Send, for tracing.
-	ID uint64
-	// Retries counts NACKs this message suffered (finite NIQueueCap
-	// only).
-	Retries int
-
 	// Timestamps, filled in by the machine (simulated cycles).
 	Sent         sim.Time // injection into the network
 	Arrived      sim.Time // arrival at the destination NI queue
@@ -155,51 +149,6 @@ type Config struct {
 	// Seed roots all random streams (one per node plus one for the
 	// network). The same seed reproduces the identical event trace.
 	Seed uint64
-	// Observer, when non-nil, receives structural events (handler
-	// service intervals, thread execution slices, message sends and
-	// arrivals) — used by internal/trace for Chrome-trace export. It
-	// must not mutate machine state.
-	Observer Observer
-
-	// The two remaining fields relax the paper's Ch. 2 simplifications
-	// for ablation studies; zero values reproduce the paper's machine.
-
-	// LinkOccupancy serializes the interconnect: each message occupies
-	// its ordered (src, dst) link for this many cycles before its
-	// propagation latency. 0 models the paper's contention-free
-	// network, where trips never interact.
-	LinkOccupancy float64
-	// NIQueueCap bounds each node's handler FIFO (queued plus in
-	// service). 0 means unbounded — the paper's assumption. A message
-	// arriving at a full queue is NACKed back to the sender and retried
-	// after RetryDelay plus a fresh network trip (Alewife-style).
-	NIQueueCap int
-	// RetryDelay is the sender-side backoff before a NACKed message is
-	// retried. Only meaningful with NIQueueCap > 0.
-	RetryDelay float64
-	// PairLatency, when non-nil, gives each ordered (src, dst) pair its
-	// own deterministic wire time, replacing NetLatency's sample — for
-	// topology studies (e.g. hop-count latencies on a mesh) probing the
-	// model's "St is the average wire time" abstraction. NetLatency is
-	// still required (its mean documents the machine; retries also use
-	// it for the NACK trip).
-	PairLatency func(src, dst int) float64
-}
-
-// Observer receives the machine's structural events. All times are
-// simulated cycles. Implementations must be passive.
-type Observer interface {
-	// MessageSent fires when a message is injected into the network.
-	MessageSent(msg *Message, t float64)
-	// MessageArrived fires when a message reaches its destination's NI
-	// queue.
-	MessageArrived(msg *Message, t float64)
-	// HandlerStart and HandlerEnd bracket one handler's service.
-	HandlerStart(node int, msg *Message, t float64)
-	HandlerEnd(node int, msg *Message, t float64)
-	// ThreadRun reports one uninterrupted slice of computation-thread
-	// execution (ended by completion or preemption).
-	ThreadRun(node int, start, end float64)
 }
 
 type threadState int
@@ -292,11 +241,6 @@ type Machine struct {
 	netStream *rng.Stream
 	started   bool
 	halted    int
-	msgSeq    uint64
-	// linkFree[src*P+dst] is when that ordered link next becomes free
-	// (LinkOccupancy > 0 only; allocated lazily).
-	linkFree []float64
-	nacks    int64
 }
 
 // New constructs a machine. It panics on an invalid configuration; a
@@ -403,41 +347,8 @@ func (m *Machine) Send(msg *Message) {
 	if msg.Service == nil {
 		panic("machine: message without a service distribution")
 	}
-	m.msgSeq++
-	msg.ID = m.msgSeq
 	msg.Sent = m.eng.Now()
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.MessageSent(msg, msg.Sent)
-	}
-	m.inject(msg)
-}
-
-// inject puts a message on the wire: one link-serialization wait (if
-// configured) plus one propagation latency. Retries re-enter here.
-func (m *Machine) inject(msg *Message) {
-	var delay float64
-	if m.cfg.PairLatency != nil {
-		delay = m.cfg.PairLatency(msg.Src, msg.Dst)
-		if delay < 0 {
-			panic(fmt.Sprintf("machine: negative pair latency %v for %d->%d", delay, msg.Src, msg.Dst))
-		}
-	} else {
-		delay = m.cfg.NetLatency.Sample(m.netStream)
-	}
-	if m.cfg.LinkOccupancy > 0 {
-		if m.linkFree == nil {
-			m.linkFree = make([]float64, m.cfg.P*m.cfg.P)
-		}
-		now := m.eng.Now()
-		key := msg.Src*m.cfg.P + msg.Dst
-		start := now
-		if m.linkFree[key] > start {
-			start = m.linkFree[key]
-		}
-		m.linkFree[key] = start + m.cfg.LinkOccupancy
-		delay += (start - now) + m.cfg.LinkOccupancy
-	}
-	m.eng.Schedule(delay, func() { m.arrive(msg) })
+	m.eng.Schedule(m.cfg.NetLatency.Sample(m.netStream), func() { m.arrive(msg) })
 }
 
 // Unblock marks the node's thread ready after a blocking request
@@ -480,10 +391,6 @@ func (m *Machine) UnblockThread(nodeID, tid int) {
 // Halted returns the number of threads that have executed Halt.
 func (m *Machine) Halted() int { return m.halted }
 
-// Nacks returns the total number of messages bounced off full NI queues
-// (finite NIQueueCap only).
-func (m *Machine) Nacks() int64 { return m.nacks }
-
 // RunUntil advances the simulation to time t.
 func (m *Machine) RunUntil(t sim.Time) { m.eng.RunUntil(t) }
 
@@ -494,20 +401,10 @@ func (m *Machine) RunWhile(cond func() bool) { m.eng.RunWhile(cond) }
 // halted and all handlers drained).
 func (m *Machine) Run() { m.eng.Run() }
 
-// arrive delivers a message to its destination's NI queue, NACKing it
-// back to the sender when a finite queue is full.
+// arrive delivers a message to its destination's NI queue.
 func (m *Machine) arrive(msg *Message) {
 	n := m.nodes[msg.Dst]
 	now := m.eng.Now()
-	if cap := m.cfg.NIQueueCap; cap > 0 && n.reqPresent+n.repPresent >= cap {
-		msg.Retries++
-		m.nacks++
-		// The NACK travels back to the sender (one trip), which backs
-		// off and re-injects.
-		back := m.cfg.NetLatency.Sample(m.netStream) + m.cfg.RetryDelay
-		m.eng.Schedule(back, func() { m.inject(msg) })
-		return
-	}
 	msg.Arrived = now
 	switch msg.Kind {
 	case KindRequest:
@@ -522,9 +419,6 @@ func (m *Machine) arrive(msg *Message) {
 	n.handlerQ = append(n.handlerQ, msg)
 	if depth := n.reqPresent + n.repPresent; depth > n.maxDepth {
 		n.maxDepth = depth
-	}
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.MessageArrived(msg, now)
 	}
 	m.dispatch(n)
 }
@@ -577,9 +471,6 @@ func (m *Machine) startHandler(n *node) {
 	case KindReply:
 		n.busyRep.Set(now, 1)
 	}
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.HandlerStart(n.id, msg, now)
-	}
 	service := msg.Service.Sample(n.rand)
 	m.eng.Schedule(service, func() { m.handlerDone(n, msg) })
 }
@@ -601,9 +492,6 @@ func (m *Machine) handlerDone(n *node, msg *Message) {
 		n.repQ.Set(now, float64(n.repPresent))
 		n.busyRep.Set(now, 0)
 		n.repResp.Add(msg.Done - msg.Arrived)
-	}
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.HandlerEnd(n.id, msg, now)
 	}
 	if msg.OnComplete != nil {
 		msg.OnComplete(m, msg)
@@ -628,9 +516,6 @@ func (m *Machine) preempt(n *node) {
 	n.ready = append([]int{t.id}, n.ready...)
 	n.running = -1
 	n.threadBusy.Set(now, 0)
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.ThreadRun(n.id, t.startedAt, now)
-	}
 }
 
 // giveThreadCPU pops the head of the ready queue and resumes or
@@ -662,9 +547,6 @@ func (m *Machine) threadDone(n *node, t *thread) {
 	t.event = nil
 	t.tstate = threadReady
 	n.threadBusy.Set(m.eng.Now(), 0)
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.ThreadRun(n.id, t.startedAt, m.eng.Now())
-	}
 	// In interrupt mode the CPU is necessarily free of handlers here
 	// (an arrival would have preempted the run); in PP mode threads
 	// never wait for handlers. Either way this thread keeps the CPU

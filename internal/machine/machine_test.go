@@ -562,184 +562,6 @@ func TestMaxQueueDepthSurvivesReset(t *testing.T) {
 	}
 }
 
-func TestLinkOccupancySerializesPairTraffic(t *testing.T) {
-	// Three back-to-back sends over the same link: arrivals are spaced
-	// exactly LinkOccupancy apart, each after occupancy + latency.
-	m := New(Config{P: 2, NetLatency: dist.NewDeterministic(40), LinkOccupancy: 30, Seed: 1})
-	var arrivals []float64
-	sent := 0
-	m.SetProgram(0, ProgramFunc(func(m *Machine, self int) Action {
-		if sent == 3 {
-			return Halt()
-		}
-		sent++
-		return SendAsync(&Message{
-			Src: 0, Dst: 1, Kind: KindRequest, Service: dist.NewDeterministic(1),
-			OnComplete: func(_ *Machine, msg *Message) { arrivals = append(arrivals, msg.Arrived) },
-		})
-	}))
-	m.Start()
-	m.Run()
-	want := []float64{70, 100, 130} // 30+40, 60+40, 90+40
-	for i, w := range want {
-		if math.Abs(arrivals[i]-w) > 1e-9 {
-			t.Fatalf("arrivals = %v, want %v", arrivals, want)
-		}
-	}
-}
-
-func TestLinkOccupancyIndependentLinks(t *testing.T) {
-	// Sends to different destinations do not serialize against each
-	// other.
-	m := New(Config{P: 3, NetLatency: dist.NewDeterministic(40), LinkOccupancy: 30, Seed: 1})
-	var arrivals []float64
-	sent := 0
-	m.SetProgram(0, ProgramFunc(func(m *Machine, self int) Action {
-		if sent == 2 {
-			return Halt()
-		}
-		sent++
-		dst := sent // 1 then 2
-		return SendAsync(&Message{
-			Src: 0, Dst: dst, Kind: KindRequest, Service: dist.NewDeterministic(1),
-			OnComplete: func(_ *Machine, msg *Message) { arrivals = append(arrivals, msg.Arrived) },
-		})
-	}))
-	m.Start()
-	m.Run()
-	for i, a := range arrivals {
-		if math.Abs(a-70) > 1e-9 {
-			t.Fatalf("arrival %d = %v, want 70 (no cross-link serialization)", i, a)
-		}
-	}
-}
-
-func TestFiniteNIQueueNacksAndRetries(t *testing.T) {
-	// Capacity 1 with a burst of 3: the later messages bounce but all
-	// are eventually served, and occupancy never exceeds the cap.
-	m := New(Config{
-		P: 2, NetLatency: dist.NewDeterministic(10),
-		NIQueueCap: 1, RetryDelay: 25, Seed: 1,
-	})
-	served := 0
-	sent := 0
-	m.SetProgram(0, ProgramFunc(func(m *Machine, self int) Action {
-		if sent == 3 {
-			return Halt()
-		}
-		sent++
-		return SendAsync(&Message{
-			Src: 0, Dst: 1, Kind: KindRequest, Service: dist.NewDeterministic(100),
-			OnComplete: func(*Machine, *Message) { served++ },
-		})
-	}))
-	m.Start()
-	m.Run()
-	if served != 3 {
-		t.Fatalf("served %d messages, want 3", served)
-	}
-	if m.Nacks() == 0 {
-		t.Fatal("expected NACKs with capacity 1 and a burst of 3")
-	}
-	if got := m.NodeStats(1).MaxQueueDepth; got > 1 {
-		t.Fatalf("queue depth %d exceeded capacity 1", got)
-	}
-}
-
-func TestFiniteQueueLargeCapMatchesUnbounded(t *testing.T) {
-	run := func(cap int) float64 {
-		m := New(Config{P: 8, NetLatency: dist.NewDeterministic(20), NIQueueCap: cap, RetryDelay: 50, Seed: 5})
-		for i := 0; i < 8; i++ {
-			m.SetProgram(i, newPing(100, dist.NewDeterministic(150), 50, func(m *Machine, self int) int {
-				d := m.Rand(self).Intn(7)
-				if d >= self {
-					d++
-				}
-				return d
-			}))
-		}
-		m.Start()
-		m.Run()
-		if cap >= 64 && m.Nacks() != 0 {
-			t.Fatalf("cap %d produced %d NACKs", cap, m.Nacks())
-		}
-		return m.Now()
-	}
-	if a, b := run(0), run(64); a != b {
-		t.Fatalf("unbounded end %v != large-cap end %v", a, b)
-	}
-}
-
-func TestZeroLinkOccupancyUnchanged(t *testing.T) {
-	// The contention-free configuration must be bit-identical with the
-	// ablation fields left at zero (regression guard).
-	run := func(cfg Config) float64 {
-		m := New(cfg)
-		for i := 0; i < 8; i++ {
-			m.SetProgram(i, newPing(100, dist.NewExponential(150), 30, func(m *Machine, self int) int {
-				d := m.Rand(self).Intn(7)
-				if d >= self {
-					d++
-				}
-				return d
-			}))
-		}
-		m.Start()
-		m.Run()
-		return m.Now()
-	}
-	base := Config{P: 8, NetLatency: dist.NewDeterministic(20), Seed: 9}
-	explicit := base
-	explicit.LinkOccupancy = 0
-	explicit.NIQueueCap = 0
-	if a, b := run(base), run(explicit); a != b {
-		t.Fatalf("zero ablation fields changed the trace: %v vs %v", a, b)
-	}
-}
-
-func TestPairLatencyOverridesNetLatency(t *testing.T) {
-	// With a pair-latency function, each trip takes exactly the pair's
-	// wire time; the contention-free cycle follows.
-	m := New(Config{
-		P:          2,
-		NetLatency: dist.NewDeterministic(999), // must be ignored
-		PairLatency: func(src, dst int) float64 {
-			if src == 0 {
-				return 15
-			}
-			return 25
-		},
-		Seed: 1,
-	})
-	prog := newPing(100, dist.NewDeterministic(50), 3, func(*Machine, int) int { return 1 })
-	m.SetProgram(0, prog)
-	m.Start()
-	m.Run()
-	// Cycle = W + lat(0->1) + So + lat(1->0) + So = 100+15+50+25+50 = 240.
-	prev := 0.0
-	for i, tc := range prog.cycleTimes {
-		if got := tc - prev; math.Abs(got-240) > 1e-9 {
-			t.Fatalf("cycle %d took %v, want exactly 240", i, got)
-		}
-		prev = tc
-	}
-}
-
-func TestPairLatencyNegativePanics(t *testing.T) {
-	m := New(Config{
-		P:           2,
-		NetLatency:  dist.NewDeterministic(1),
-		PairLatency: func(int, int) float64 { return -1 },
-		Seed:        1,
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative pair latency did not panic")
-		}
-	}()
-	m.Send(&Message{Src: 0, Dst: 1, Service: dist.NewDeterministic(1)})
-}
-
 func TestMultipleThreadsRunUntilBlock(t *testing.T) {
 	// Thread scheduling is switch-on-miss (Sparcle-style): a thread
 	// keeps the CPU across consecutive Computes and yields only when it

@@ -6,16 +6,20 @@
 // lookahead, which is what lets the conservative and optimistic cores
 // overlap nodes without breaking the event order.
 //
-// The sharded machine is a restricted sibling of machine.Machine, not a
-// drop-in replacement: one thread per node, the blocking request/reply
-// protocol built in (Request), service times referenced by index into a
-// shared table so events stay flat values, and no Observer, link
-// occupancy, or finite NI queues. Within that envelope it reproduces
-// the same scheduling semantics — atomic handlers, preempt-resume
-// thread priority, the optional protocol processor — and the same
-// per-node measurements (machine.NodeStats), so workloads can switch
-// between the single-threaded engine and the parallel cores and compare
-// like with like.
+// The sharded machine runs one thread per node with the blocking
+// request/reply protocol built in (Request), and references service
+// times by index into a shared table so events stay flat values. It
+// keeps the paper's scheduling semantics — atomic handlers,
+// preempt-resume thread priority, the optional protocol processor —
+// and reports the per-node measurements of machine.NodeStats.
+//
+// Four extras relax the paper's Ch. 2 machine for ablation and
+// inspection: LinkOccupancy serializes each ordered link, NIQueueCap
+// bounds the handler FIFO with NACK and retry, PairLatency gives every
+// ordered pair its own wire time, and an Observer sees the run's
+// structural events. The sequential and conservative cores run them
+// all. The optimistic core refuses the two stateful extras and the
+// Observer: their state lives outside the checkpointed node state.
 package shard
 
 import (
@@ -36,6 +40,8 @@ const (
 	kHandlerDone                  // self: the in-service handler completes
 	kThreadDone                   // self: the current Compute finishes (U0 run token)
 	kReset                        // self: restart steady-state measurements
+	kNackReq                      // a full NI queue bounced a request back to its sender (kReq payload)
+	kNackRep                      // a full NI queue bounced a reply back to its sender (kRep payload)
 )
 
 type actionKind int
@@ -198,6 +204,59 @@ type node struct {
 	prog Program // nil: the node only runs handlers
 	st   nodeState
 	view NodeView
+
+	// x is the state of the extras, nil on the paper's machine: its
+	// sends and arrivals pay one nil check for them.
+	x *extras
+}
+
+// extras is a node's state for the Config extras. Run refuses the
+// stateful ones under the optimistic core, so none of it is
+// checkpointed.
+type extras struct {
+	linkFree []float64 // LinkOccupancy: when this node's link to each destination is next free
+	nacks    int64     // NIQueueCap: messages this node bounced
+	sentSeq  uint64    // Observer: messages this node injected
+	svcStart float64   // Observer: when the in-service handler started
+}
+
+// ObsKind names what an Observation reports.
+type ObsKind uint8
+
+const (
+	// ObsSent: a message entered the network at At. A NACKed
+	// retransmission is not reported again.
+	ObsSent ObsKind = iota
+	// ObsArrived: a message reached its destination's NI queue at At.
+	ObsArrived
+	// ObsHandler: Node ran a handler for the message over [Start, At];
+	// the message had arrived at Arrived.
+	ObsHandler
+	// ObsThread: Node's computation thread ran uninterrupted over
+	// [Start, At], ended by completion or preemption.
+	ObsThread
+)
+
+// Observation is one structural event of a sharded run. Times are
+// simulated cycles.
+type Observation struct {
+	Kind ObsKind
+	Node int
+	// Msg, Src and Dst describe the message of a message observation.
+	// Seq numbers the messages of each source, so (Src, Seq) identifies
+	// a message across its send and its arrival.
+	Msg      machine.Kind
+	Src, Dst int
+	Seq      uint64
+	Arrived  float64
+	Start    float64
+	At       float64
+}
+
+// Observer receives a run's structural events in commit order. It
+// fires on the sequential core only and must not mutate the run.
+type Observer interface {
+	Observe(o Observation)
 }
 
 // Config describes a sharded machine run.
@@ -225,6 +284,25 @@ type Config struct {
 	// Until bounds the run; 0 means run to quiescence.
 	Until float64
 
+	// LinkOccupancy serializes the interconnect: each message occupies
+	// its ordered (src, dst) link for this many cycles before its
+	// propagation latency. 0 is the paper's contention-free network.
+	LinkOccupancy float64
+	// NIQueueCap bounds each node's handler FIFO (queued plus in
+	// service); 0 is the paper's unbounded queue. A message arriving at
+	// a full queue is NACKed back to its sender, which re-injects it
+	// RetryDelay cycles after the NACK's own Latency trip.
+	NIQueueCap int
+	RetryDelay float64
+	// PairLatency, when non-nil, gives each ordered pair of distinct
+	// nodes its own wire time in place of a Latency sample (NACK trips
+	// still sample Latency). Every pair latency must be positive; the
+	// lookahead is the smallest of them and Latency's lower bound.
+	PairLatency func(src, dst int) float64
+	// Observer, when non-nil, receives the run's structural events. It
+	// requires the sequential core.
+	Observer Observer
+
 	// Sync, Jobs, and Window select and tune the synchronization core;
 	// Trace and Metrics are passed through to psim.
 	Sync    psim.Sync
@@ -234,6 +312,10 @@ type Config struct {
 	Metrics *psim.Metrics
 }
 
+// MachineStats is the machine-wide measurement Aggregate returns: the
+// same quantities the single-threaded machine reports.
+type MachineStats = machine.MachineStats
+
 // Result is the outcome of a sharded run.
 type Result struct {
 	// Nodes holds per-node measurements, integrated to the common end
@@ -241,6 +323,9 @@ type Result struct {
 	Nodes []machine.NodeStats
 	// Run reports the synchronization core's statistics.
 	Run psim.RunStats
+	// Nacks counts messages bounced off full NI queues over the whole
+	// run (NIQueueCap only).
+	Nacks int64
 }
 
 // Aggregate folds the per-node measurements machine-wide, exactly as
@@ -292,6 +377,10 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("shard: service %d is nil", i)
 		}
 	}
+	lookahead, err := cfg.extras()
+	if err != nil {
+		return Result{}, err
+	}
 	nodes := make([]*node, cfg.P)
 	lps := make([]psim.LP, cfg.P)
 	for i := range nodes {
@@ -300,12 +389,18 @@ func Run(cfg Config) (Result, error) {
 			n.prog = cfg.Programs[i]
 		}
 		n.view.n = n
+		if cfg.LinkOccupancy > 0 || cfg.NIQueueCap > 0 || cfg.PairLatency != nil || cfg.Observer != nil {
+			n.x = &extras{}
+			if cfg.LinkOccupancy > 0 {
+				n.x.linkFree = make([]float64, cfg.P)
+			}
+		}
 		nodes[i] = n
 		lps[i] = n
 	}
 	rs, err := psim.Run(psim.Config{
 		LPs:       lps,
-		Lookahead: dist.LowerBound(cfg.Latency),
+		Lookahead: lookahead,
 		Sync:      cfg.Sync,
 		Jobs:      cfg.Jobs,
 		Seed:      cfg.Seed,
@@ -325,8 +420,47 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Nodes: make([]machine.NodeStats, cfg.P), Run: rs}
 	for i, n := range nodes {
 		res.Nodes[i] = n.snapshot(end)
+		if n.x != nil {
+			res.Nacks += n.x.nacks
+		}
 	}
 	return res, nil
+}
+
+// extras validates the extras against the chosen core and returns the
+// run's lookahead: Latency's lower bound, lowered to the smallest pair
+// latency when PairLatency is set.
+func (cfg *Config) extras() (float64, error) {
+	switch {
+	// The negated comparisons reject NaN too: NaN >= 0 is false.
+	case !(cfg.LinkOccupancy >= 0) || math.IsInf(cfg.LinkOccupancy, 0):
+		return 0, fmt.Errorf("shard: invalid LinkOccupancy %v", cfg.LinkOccupancy)
+	case cfg.NIQueueCap < 0:
+		return 0, fmt.Errorf("shard: invalid NIQueueCap %d", cfg.NIQueueCap)
+	case !(cfg.RetryDelay >= 0) || math.IsInf(cfg.RetryDelay, 0):
+		return 0, fmt.Errorf("shard: invalid RetryDelay %v", cfg.RetryDelay)
+	case cfg.Sync == psim.SyncOpt && (cfg.LinkOccupancy > 0 || cfg.NIQueueCap > 0):
+		return 0, fmt.Errorf("shard: the opt core cannot roll back LinkOccupancy or NIQueueCap state; use seq or cons")
+	case cfg.Observer != nil && cfg.Sync != psim.SyncSeq:
+		return 0, fmt.Errorf("shard: an Observer needs the seq core, not %v", cfg.Sync)
+	}
+	lookahead := dist.LowerBound(cfg.Latency)
+	if cfg.PairLatency == nil {
+		return lookahead, nil
+	}
+	for src := 0; src < cfg.P; src++ {
+		for dst := 0; dst < cfg.P; dst++ {
+			if src == dst {
+				continue
+			}
+			d := cfg.PairLatency(src, dst)
+			if !(d > 0) || math.IsInf(d, 0) {
+				return 0, fmt.Errorf("shard: pair latency %v for %d->%d, need a positive finite time", d, src, dst)
+			}
+			lookahead = min(lookahead, d)
+		}
+	}
+	return lookahead, nil
 }
 
 // Start implements psim.LP: initialize measurements, arm the stats
@@ -355,6 +489,9 @@ func (n *node) Handle(ctx *psim.Ctx, ev psim.Event) {
 	n.view.ctx = ctx
 	switch ev.Kind {
 	case kReq:
+		if n.x != nil && n.refused(ctx, ev) {
+			return
+		}
 		n.arrive(ctx, hmsg{
 			kind:    machine.KindRequest,
 			src:     ev.Src,
@@ -364,6 +501,9 @@ func (n *node) Handle(ctx *psim.Ctx, ev psim.Event) {
 			arrived: ev.Time,
 		})
 	case kRep:
+		if n.x != nil && n.refused(ctx, ev) {
+			return
+		}
 		n.arrive(ctx, hmsg{
 			kind:    machine.KindReply,
 			src:     ev.Src,
@@ -375,6 +515,10 @@ func (n *node) Handle(ctx *psim.Ctx, ev psim.Event) {
 			reqArr:  ev.Msg.F2,
 			reqDone: ev.Msg.F3,
 		})
+	case kNackReq:
+		n.inject(ctx, int(ev.Src), kReq, ev.Msg)
+	case kNackRep:
+		n.inject(ctx, int(ev.Src), kRep, ev.Msg)
 	case kHandlerDone:
 		n.handlerDone(ctx)
 	case kThreadDone:
@@ -388,6 +532,74 @@ func (n *node) Handle(ctx *psim.Ctx, ev psim.Event) {
 	default:
 		panic(fmt.Sprintf("shard: node %d received unknown event kind %d", ctx.Self(), ev.Kind))
 	}
+}
+
+// refused applies the extras to an arriving message: a full NI queue
+// NACKs it back to its sender, which re-injects it RetryDelay cycles
+// after the NACK's own Latency trip; an accepted one is reported to
+// the observer.
+func (n *node) refused(ctx *psim.Ctx, ev psim.Event) bool {
+	if c := n.cfg.NIQueueCap; c > 0 && n.st.reqPresent+n.st.repPresent >= c {
+		n.x.nacks++
+		kind := kNackReq
+		if ev.Kind == kRep {
+			kind = kNackRep
+		}
+		ctx.Send(int(ev.Src), n.cfg.Latency.Sample(ctx.Rand())+n.cfg.RetryDelay, kind, ev.Msg)
+		return true
+	}
+	n.observe(Observation{Kind: ObsArrived, Node: ctx.Self(), Msg: msgKind(ev.Kind),
+		Src: int(ev.Src), Dst: ctx.Self(), Seq: ev.Msg.U0, At: ev.Time})
+	return false
+}
+
+// msgKind is the handler class of a request or reply event kind.
+func msgKind(kind int32) machine.Kind {
+	if kind == kRep {
+		return machine.KindReply
+	}
+	return machine.KindRequest
+}
+
+// observe reports o to the observer, if there is one.
+func (n *node) observe(o Observation) {
+	if n.cfg.Observer != nil {
+		n.cfg.Observer.Observe(o)
+	}
+}
+
+// send injects a new message from a node with extras; the observer
+// hears of it first. A node without extras sends with one Latency
+// sample drawn from its stream.
+func (n *node) send(ctx *psim.Ctx, dst int, kind int32, m psim.Msg) {
+	if n.cfg.Observer != nil {
+		n.x.sentSeq++
+		m.U0 = n.x.sentSeq
+		n.observe(Observation{Kind: ObsSent, Node: ctx.Self(), Msg: msgKind(kind),
+			Src: ctx.Self(), Dst: dst, Seq: m.U0, At: ctx.Now()})
+	}
+	n.inject(ctx, dst, kind, m)
+}
+
+// inject puts a message on the wire of a node with extras: one wire
+// time (the pair's, or a Latency sample drawn from this node's stream)
+// plus, with LinkOccupancy, the wait for the link and its occupancy.
+// NACKed messages re-enter here. The delay never undercuts the
+// lookahead Run declared; psim's send check enforces it anyway.
+func (n *node) inject(ctx *psim.Ctx, dst int, kind int32, m psim.Msg) {
+	var delay float64
+	if n.cfg.PairLatency != nil {
+		delay = n.cfg.PairLatency(ctx.Self(), dst)
+	} else {
+		delay = n.cfg.Latency.Sample(ctx.Rand())
+	}
+	if occ := n.cfg.LinkOccupancy; occ > 0 {
+		now := ctx.Now()
+		start := max(now, n.x.linkFree[dst])
+		n.x.linkFree[dst] = start + occ
+		delay += start - now + occ
+	}
+	ctx.Send(dst, delay, kind, m)
 }
 
 // Save implements psim.LP: a value copy of the node state (with the
@@ -420,7 +632,7 @@ func (n *node) Restore(snapshot any) {
 	}
 }
 
-// arrive mirrors Machine.arrive for the unbounded-FIFO machine.
+// arrive queues an accepted message and re-dispatches the node.
 func (n *node) arrive(ctx *psim.Ctx, h hmsg) {
 	st := &n.st
 	now := h.arrived
@@ -483,6 +695,9 @@ func (n *node) startHandler(ctx *psim.Ctx) {
 	case machine.KindReply:
 		st.busyRep.Set(now, 1)
 	}
+	if n.x != nil {
+		n.x.svcStart = now
+	}
 	svc := int(st.current.svc)
 	if svc < 0 || svc >= len(n.cfg.Services) {
 		panic(fmt.Sprintf("shard: node %d handler references unknown service %d", ctx.Self(), svc))
@@ -504,13 +719,12 @@ func (n *node) handlerDone(ctx *psim.Ctx) {
 		st.busyReq.Set(now, 0)
 		st.reqResp.Add(now - h.arrived)
 		if h.reply >= 0 {
-			ctx.Send(int(h.src), n.sampleLatency(ctx), kRep, psim.Msg{
-				I0: h.reply,
-				F0: now,
-				F1: h.sent,
-				F2: h.arrived,
-				F3: now,
-			})
+			m := psim.Msg{I0: h.reply, F0: now, F1: h.sent, F2: h.arrived, F3: now}
+			if n.x != nil {
+				n.send(ctx, int(h.src), kRep, m)
+			} else {
+				ctx.Send(int(h.src), n.cfg.Latency.Sample(ctx.Rand()), kRep, m)
+			}
 		}
 	case machine.KindReply:
 		st.repPresent--
@@ -525,6 +739,10 @@ func (n *node) handlerDone(ctx *psim.Ctx) {
 			panic(fmt.Sprintf("shard: node %d reply completed but thread is %v", ctx.Self(), st.tstate))
 		}
 		st.tstate = threadReady
+	}
+	if n.x != nil {
+		n.observe(Observation{Kind: ObsHandler, Node: ctx.Self(), Msg: h.kind,
+			Src: int(h.src), Dst: ctx.Self(), Arrived: h.arrived, Start: n.x.svcStart, At: now})
 	}
 	n.dispatch(ctx)
 }
@@ -543,6 +761,14 @@ func (n *node) preempt(ctx *psim.Ctx) {
 	st.runSeq++
 	st.tstate = threadReady
 	st.threadBusy.Set(now, 0)
+	if n.x != nil {
+		n.observeThread(ctx)
+	}
+}
+
+// observeThread reports the thread slice that ends now.
+func (n *node) observeThread(ctx *psim.Ctx) {
+	n.observe(Observation{Kind: ObsThread, Node: ctx.Self(), Start: n.st.startedAt, At: ctx.Now()})
 }
 
 // giveThreadCPU resumes banked work or advances the program.
@@ -570,6 +796,9 @@ func (n *node) threadDone(ctx *psim.Ctx) {
 	st.remaining = 0
 	st.tstate = threadReady
 	st.threadBusy.Set(ctx.Now(), 0)
+	if n.x != nil {
+		n.observeThread(ctx)
+	}
 	n.advanceThread(ctx)
 }
 
@@ -596,11 +825,12 @@ func (n *node) advanceThread(ctx *psim.Ctx) {
 			if action.reply < 0 || int(action.reply) >= len(n.cfg.Services) {
 				panic(fmt.Sprintf("shard: node %d request references unknown reply service %d", ctx.Self(), action.reply))
 			}
-			ctx.Send(action.dst, n.sampleLatency(ctx), kReq, psim.Msg{
-				I0: action.svc,
-				I1: action.reply,
-				F0: ctx.Now(),
-			})
+			m := psim.Msg{I0: action.svc, I1: action.reply, F0: ctx.Now()}
+			if n.x != nil {
+				n.send(ctx, action.dst, kReq, m)
+			} else {
+				ctx.Send(action.dst, n.cfg.Latency.Sample(ctx.Rand()), kReq, m)
+			}
 			st.tstate = threadBlocked
 			n.dispatch(ctx)
 			return
@@ -612,13 +842,6 @@ func (n *node) advanceThread(ctx *psim.Ctx) {
 			panic(fmt.Sprintf("shard: unknown action kind %d", action.kind))
 		}
 	}
-}
-
-// sampleLatency draws one network trip from this node's stream. The
-// sample can never undercut the declared lookahead (dist.LowerBound is
-// a proven bound); psim's send check enforces it anyway.
-func (n *node) sampleLatency(ctx *psim.Ctx) float64 {
-	return n.cfg.Latency.Sample(ctx.Rand())
 }
 
 // resetStats mirrors Machine.ResetStats for one node.

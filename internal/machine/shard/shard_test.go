@@ -257,3 +257,231 @@ func TestConfigErrors(t *testing.T) {
 		}
 	}
 }
+
+// replyArrival runs the link-occupancy scenario on p nodes and returns
+// when the reply to node p-1's request arrived back there. Node p-1
+// requests node 0 at t=0 (arrival 0+30+40 = 70). Node 0 computes 60
+// cycles, then requests node 1, occupying link 0->1 over [60, 90];
+// at 75 it finishes serving node p-1's request and replies on link
+// 0->(p-1).
+func replyArrival(t *testing.T, p int) float64 {
+	t.Helper()
+	progs := make([]shard.Program, p)
+	progs[0] = &twoPhaseProg{dst: 1, compute: 60, cycles: 1}
+	client := &twoPhaseProg{dst: 0, compute: 0, cycles: 1}
+	progs[p-1] = client
+	for _, sync := range []psim.Sync{psim.SyncSeq, psim.SyncCons} {
+		client.rounds, client.done, client.phase = nil, 0, 0
+		*progs[0].(*twoPhaseProg) = twoPhaseProg{dst: 1, compute: 60, cycles: 1}
+		if _, err := shard.Run(shard.Config{
+			P:             p,
+			Latency:       dist.NewDeterministic(40),
+			Services:      []dist.Distribution{dist.NewDeterministic(5), dist.NewDeterministic(1)},
+			Programs:      progs,
+			LinkOccupancy: 30,
+			Sync:          sync,
+			Jobs:          2,
+			Seed:          1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(client.rounds) != 1 {
+			t.Fatalf("%v: client finished %d rounds, want 1", sync, len(client.rounds))
+		}
+	}
+	return client.rounds[0].RepArrived
+}
+
+// TestLinkOccupancySerializesPairTraffic: the reply shares link 0->1
+// with node 0's own request, so it waits for the link until 90 and
+// arrives at 90+30+40 = 160 instead of 75+30+40 = 145.
+func TestLinkOccupancySerializesPairTraffic(t *testing.T) {
+	if got := replyArrival(t, 2); got != 160 {
+		t.Errorf("reply arrived at %v, want 160 (serialized behind the request on link 0->1)", got)
+	}
+}
+
+// TestLinkOccupancyIndependentLinks: with a third node the reply uses
+// link 0->2, which node 0's request to node 1 does not occupy.
+func TestLinkOccupancyIndependentLinks(t *testing.T) {
+	if got := replyArrival(t, 3); got != 145 {
+		t.Errorf("reply arrived at %v, want 145 (no cross-link serialization)", got)
+	}
+}
+
+// obsCount counts observations by kind.
+type obsCount map[shard.ObsKind]int
+
+func (c obsCount) Observe(o shard.Observation) { c[o.Kind]++ }
+
+// TestFiniteNIQueueNacksAndRetries: capacity 1 and a burst of three
+// requests at t=10. The later two bounce and retry until served, the
+// queue never holds more than one message, and each message is
+// reported sent and arrived exactly once.
+func TestFiniteNIQueueNacksAndRetries(t *testing.T) {
+	build := func(sync psim.Sync, obs shard.Observer) (shard.Config, []*twoPhaseProg) {
+		clients := make([]*twoPhaseProg, 3)
+		progs := make([]shard.Program, 4)
+		for i := range clients {
+			clients[i] = &twoPhaseProg{dst: 3, compute: 0, cycles: 1}
+			progs[i] = clients[i]
+		}
+		return shard.Config{
+			P:          4,
+			Latency:    dist.NewDeterministic(10),
+			Services:   []dist.Distribution{dist.NewDeterministic(100), dist.NewDeterministic(1)},
+			Programs:   progs,
+			NIQueueCap: 1,
+			RetryDelay: 25,
+			Sync:       sync,
+			Jobs:       2,
+			Observer:   obs,
+			Seed:       1,
+		}, clients
+	}
+	obs := obsCount{}
+	cfg, clients := build(psim.SyncSeq, obs)
+	res, err := shard.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range clients {
+		if len(c.rounds) != 1 {
+			t.Fatalf("client %d finished %d rounds, want 1", i, len(c.rounds))
+		}
+	}
+	if res.Nacks == 0 {
+		t.Fatal("expected NACKs with capacity 1 and a burst of 3")
+	}
+	if got := res.Nodes[3].ReqArrivals; got != 3 {
+		t.Errorf("server accepted %d requests, want 3", got)
+	}
+	if got := res.Nodes[3].MaxQueueDepth; got > 1 {
+		t.Errorf("queue depth %d exceeded capacity 1", got)
+	}
+	if obs[shard.ObsSent] != 6 || obs[shard.ObsArrived] != 6 || obs[shard.ObsHandler] != 6 {
+		t.Errorf("observed %d sends, %d arrivals, %d handlers; want 6 each (3 requests, 3 replies)",
+			obs[shard.ObsSent], obs[shard.ObsArrived], obs[shard.ObsHandler])
+	}
+	cons, _ := build(psim.SyncCons, nil)
+	consRes, err := shard.Run(cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consRes.Nacks != res.Nacks || consRes.Run.MaxTime != res.Run.MaxTime {
+		t.Errorf("cons: %d NACKs ending at %v, seq: %d ending at %v",
+			consRes.Nacks, consRes.Run.MaxTime, res.Nacks, res.Run.MaxTime)
+	}
+}
+
+// meshTrace runs the random client/server mesh of TestShardDeterminism
+// with mutate applied and returns its committed trace and NACK count.
+func meshTrace(t *testing.T, mutate func(*shard.Config)) ([]byte, int64) {
+	t.Helper()
+	progs := make([]shard.Program, 8)
+	for i := 0; i < 8; i += 2 {
+		progs[i] = &meshProg{cycles: 30}
+	}
+	var tr psim.Trace
+	cfg := shard.Config{
+		P:        8,
+		Latency:  dist.NewDeterministic(5),
+		Services: []dist.Distribution{dist.NewExponential(3), dist.NewDeterministic(0.5)},
+		Programs: progs,
+		Seed:     99,
+		Trace:    &tr,
+	}
+	mutate(&cfg)
+	res, err := shard.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), res.Nacks
+}
+
+// TestFiniteQueueLargeCapMatchesUnbounded: a cap no queue reaches
+// changes nothing.
+func TestFiniteQueueLargeCapMatchesUnbounded(t *testing.T) {
+	base, _ := meshTrace(t, func(*shard.Config) {})
+	capped, nacks := meshTrace(t, func(c *shard.Config) { c.NIQueueCap, c.RetryDelay = 64, 50 })
+	if nacks != 0 {
+		t.Fatalf("cap 64 produced %d NACKs", nacks)
+	}
+	if !bytes.Equal(base, capped) {
+		t.Fatal("an unreached queue cap changed the committed trace")
+	}
+}
+
+// TestZeroLinkOccupancyUnchanged: extras set to their zero values give
+// the paper's machine, event for event.
+func TestZeroLinkOccupancyUnchanged(t *testing.T) {
+	base, _ := meshTrace(t, func(*shard.Config) {})
+	zero, _ := meshTrace(t, func(c *shard.Config) { c.LinkOccupancy, c.NIQueueCap, c.RetryDelay = 0, 0, 0 })
+	if !bytes.Equal(base, zero) {
+		t.Fatal("zero-valued extras changed the committed trace")
+	}
+}
+
+// TestPairLatencyOverridesNetLatency: each trip takes exactly its
+// pair's wire time, so the contention-free cycle is W + lat(0->1) + So
+// + lat(1->0) + So = 100+15+50+25+50 = 240, on both cores. The
+// lookahead is the smaller pair latency, not Latency's 999.
+func TestPairLatencyOverridesNetLatency(t *testing.T) {
+	for _, sync := range []psim.Sync{psim.SyncSeq, psim.SyncCons, psim.SyncOpt} {
+		prog := &twoPhaseProg{dst: 1, compute: 100, cycles: 3}
+		if _, err := shard.Run(shard.Config{
+			P:        2,
+			Latency:  dist.NewDeterministic(999),
+			Services: []dist.Distribution{dist.NewDeterministic(50), dist.NewDeterministic(50)},
+			PairLatency: func(src, dst int) float64 {
+				if src == 0 {
+					return 15
+				}
+				return 25
+			},
+			Programs: []shard.Program{prog, nil},
+			Sync:     sync,
+			Jobs:     2,
+			Seed:     1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range prog.rounds {
+			if want := 240 * float64(i+1); r.RepDone != want {
+				t.Errorf("%v: round %d ended at %v, want %v", sync, i, r.RepDone, want)
+			}
+		}
+	}
+}
+
+// TestExtrasRejected: a pair latency must be positive and finite, and
+// the opt core refuses the stateful extras and the Observer, which
+// also needs seq.
+func TestExtrasRejected(t *testing.T) {
+	lat := dist.NewDeterministic(10)
+	pair := func(v float64) func(int, int) float64 { return func(int, int) float64 { return v } }
+	cases := []struct {
+		name string
+		cfg  shard.Config
+	}{
+		{"negative pair latency", shard.Config{P: 2, Latency: lat, PairLatency: pair(-1)}},
+		{"zero pair latency", shard.Config{P: 2, Latency: lat, PairLatency: pair(0)}},
+		{"NaN pair latency", shard.Config{P: 2, Latency: lat, PairLatency: pair(math.NaN())}},
+		{"negative link occupancy", shard.Config{P: 2, Latency: lat, LinkOccupancy: -1}},
+		{"NaN retry delay", shard.Config{P: 2, Latency: lat, RetryDelay: math.NaN()}},
+		{"negative queue cap", shard.Config{P: 2, Latency: lat, NIQueueCap: -1}},
+		{"opt link occupancy", shard.Config{P: 2, Latency: lat, LinkOccupancy: 1, Sync: psim.SyncOpt}},
+		{"opt queue cap", shard.Config{P: 2, Latency: lat, NIQueueCap: 4, Sync: psim.SyncOpt}},
+		{"opt observer", shard.Config{P: 2, Latency: lat, Observer: obsCount{}, Sync: psim.SyncOpt}},
+		{"cons observer", shard.Config{P: 2, Latency: lat, Observer: obsCount{}, Sync: psim.SyncCons}},
+	}
+	for _, tc := range cases {
+		if _, err := shard.Run(tc.cfg); err == nil {
+			t.Errorf("%s: Run accepted it", tc.name)
+		}
+	}
+}

@@ -31,8 +31,9 @@ const (
 // network, and the approximations against it at small populations.
 // kinds selects the network: bits 4–5 give the number of centers
 // (1 to 4, with demands d0–d3), and bit j makes center j a delay
-// center. Invalid demands and populations must be rejected with
-// ErrInvalid.
+// center. Invalid demands and populations, and networks with too
+// little demand for a finite throughput N/ΣD, must be rejected with
+// ErrInvalid by every solver.
 func FuzzExact(f *testing.F) {
 	f.Add(8, uint8(0x10), 1.0, 2.0, 0.0, 0.0)         // queueing + queueing
 	f.Add(5, uint8(0x12), 1.0, 2.0, 0.0, 0.0)         // Schweitzer's worst: queueing + delay, N=5
@@ -46,6 +47,8 @@ func FuzzExact(f *testing.F) {
 	f.Add(3, uint8(0x10), 1.0, math.Inf(-1), 0.0, 0.0)
 	f.Add(3, uint8(0x00), math.NaN(), 0.0, 0.0, 0.0)
 	f.Add(3, uint8(0x00), -1.0, 0.0, 0.0, 0.0)
+	f.Add(3, uint8(0x10), 0.0, 0.0, 0.0, 0.0)    // no demand at all
+	f.Add(3, uint8(0x00), 5e-324, 0.0, 0.0, 0.0) // N/ΣD overflows
 	f.Fuzz(func(t *testing.T, n int, kinds uint8, d0, d1, d2, d3 float64) {
 		if n > fuzzMaxN {
 			t.Skip("population beyond the fuzzed range")
@@ -64,6 +67,7 @@ func FuzzExact(f *testing.F) {
 				dmax = math.Max(dmax, d)
 			}
 		}
+		valid = valid && !(n > 0 && math.IsInf(float64(n)/total, 1))
 		res, err := Exact(centers, n)
 		if !valid {
 			if !errors.Is(err, ErrInvalid) {
@@ -72,12 +76,16 @@ func FuzzExact(f *testing.F) {
 			if _, err := Bard(centers, n); !errors.Is(err, ErrInvalid) {
 				t.Fatalf("Bard(%+v, %d): error %v, want ErrInvalid", centers, n, err)
 			}
+			if _, err := Schweitzer(centers, n); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Schweitzer(%+v, %d): error %v, want ErrInvalid", centers, n, err)
+			}
 			return
 		}
 		if err != nil {
 			t.Fatalf("Exact(%+v, %d): %v", centers, n, err)
 		}
-		// A network with no demand at all has no finite throughput.
+		// Outside the demand range the invariant checks themselves can
+		// overflow; with N = 0 and no demand there is nothing to check.
 		if !inRange || !(total > 0) {
 			return
 		}

@@ -117,10 +117,17 @@ func validate(centers []Center, n int) error {
 	if n < 0 {
 		return fmt.Errorf("%w: negative population %d", ErrInvalid, n)
 	}
+	total := 0.0
 	for i, c := range centers {
 		if !validDemand(c.Demand) {
 			return fmt.Errorf("%w: center %d (%s) has demand %v", ErrInvalid, i, c.Name, c.Demand)
 		}
+		total += c.Demand
+	}
+	// N/ΣD bounds every throughput the solvers compute; with no demand
+	// at all, or too little for it to be finite, there is no answer.
+	if n > 0 && math.IsInf(float64(n)/total, 1) {
+		return fmt.Errorf("%w: total demand %v gives no finite throughput at population %d", ErrInvalid, total, n)
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 // Package numeric provides the small set of numerical routines the LoPC
 // solvers need: the fixed-point kernel every AMVA equation system runs
 // on (a bracketed secant for scalar models, Anderson mixing for vector
-// ones), bracketing bisection and Newton's method (for the bound
-// derivation of §5.3), Nelder–Mead (for calibration), and polynomial
+// ones), bracketing bisection (for the bound derivation of §5.3),
+// Nelder–Mead (for calibration), and polynomial
 // utilities (the homogeneous model reduces to a quartic; we solve it by
 // iteration but expose the polynomial machinery for verification).
 package numeric
@@ -61,31 +61,6 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 		}
 	}
 	return lo + (hi-lo)/2, nil
-}
-
-// Newton finds a root of f starting at x0 using derivatives estimated by
-// central differences. It falls back on returning ErrNoConvergence if
-// the iteration stalls; callers needing guarantees should use Bisect.
-func Newton(f func(float64) float64, x0, tol float64, maxIter int) (float64, error) {
-	x := x0
-	for i := 0; i < maxIter; i++ {
-		fx := f(x)
-		if math.Abs(fx) <= tol {
-			return x, nil
-		}
-		h := 1e-6 * (1 + math.Abs(x))
-		d := (f(x+h) - f(x-h)) / (2 * h)
-		//lopc:allow floateq only an exactly-zero derivative makes the Newton step divide by zero
-		if d == 0 || math.IsNaN(d) {
-			return 0, fmt.Errorf("numeric: Newton derivative vanished at x=%v", x)
-		}
-		next := x - fx/d
-		if math.IsNaN(next) || math.IsInf(next, 0) {
-			return 0, fmt.Errorf("numeric: Newton diverged from x=%v", x)
-		}
-		x = next
-	}
-	return x, ErrNoConvergence
 }
 
 // Poly evaluates the polynomial with the given coefficients (c[0] +

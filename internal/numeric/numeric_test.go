@@ -111,22 +111,6 @@ func TestBisectEndpointRoot(t *testing.T) {
 	}
 }
 
-func TestNewtonCubeRoot(t *testing.T) {
-	r, err := Newton(func(x float64) float64 { return x*x*x - 27 }, 5, 1e-10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-3) > 1e-6 {
-		t.Fatalf("root = %v, want 3", r)
-	}
-}
-
-func TestNewtonFlatDerivative(t *testing.T) {
-	if _, err := Newton(func(float64) float64 { return 1 }, 0, 1e-12, 10); err == nil {
-		t.Fatal("flat function should error")
-	}
-}
-
 func TestPolyHorner(t *testing.T) {
 	// 2 + 3x + x² at x = 4 -> 2 + 12 + 16 = 30.
 	if v := Poly([]float64{2, 3, 1}, 4); v != 30 {

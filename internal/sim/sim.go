@@ -71,59 +71,34 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// EventSet is the pluggable pending-event structure of an Engine. Two
-// implementations exist: the default binary heap and the CalendarQueue;
-// both order events by (time, scheduling sequence).
-type EventSet interface {
-	Enqueue(*Event)
-	// Dequeue removes and returns the earliest event, nil when empty.
-	Dequeue() *Event
-	// Peek returns the earliest event without removing it, nil when
-	// empty.
-	Peek() *Event
-	Len() int
-}
-
-// heapSet adapts the binary heap to EventSet.
-type heapSet struct{ q eventQueue }
-
-func (h *heapSet) Enqueue(e *Event) { heap.Push(&h.q, e) }
-
-func (h *heapSet) Dequeue() *Event {
-	if len(h.q) == 0 {
+// pop removes and returns the earliest event, nil when empty.
+func (q *eventQueue) pop() *Event {
+	if len(*q) == 0 {
 		return nil
 	}
-	return heap.Pop(&h.q).(*Event)
+	return heap.Pop(q).(*Event)
 }
 
-func (h *heapSet) Peek() *Event {
-	if len(h.q) == 0 {
+// peek returns the earliest event without removing it, nil when empty.
+func (q eventQueue) peek() *Event {
+	if len(q) == 0 {
 		return nil
 	}
-	return h.q[0]
+	return q[0]
 }
-
-func (h *heapSet) Len() int { return len(h.q) }
 
 // Engine is a discrete-event simulator. The zero value is not ready;
 // use NewEngine.
 type Engine struct {
 	now       Time
 	seq       uint64
-	events    EventSet
+	events    eventQueue
 	processed uint64
 }
 
-// NewEngine returns an engine with the clock at zero, backed by the
-// default binary-heap event set.
+// NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{events: &heapSet{}}
-}
-
-// NewEngineWithEventSet returns an engine using the given event set —
-// e.g. NewCalendarQueue for very large pending populations.
-func NewEngineWithEventSet(es EventSet) *Engine {
-	return &Engine{events: es}
+	return &Engine{}
 }
 
 // Now returns the current simulated time.
@@ -134,7 +109,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events in the calendar, including
 // canceled events not yet discarded.
-func (e *Engine) Pending() int { return e.events.Len() }
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Schedule enqueues fn to run after delay. A zero delay fires at the
 // current instant, after all events already scheduled for it. It panics
@@ -147,7 +122,7 @@ func (e *Engine) Schedule(delay Time, fn func()) *Event {
 	}
 	ev := &Event{time: e.now + delay, seq: e.seq, fn: fn}
 	e.seq++
-	e.events.Enqueue(ev)
+	heap.Push(&e.events, ev)
 	return ev
 }
 
@@ -179,7 +154,7 @@ func (e *Engine) Cancel(ev *Event) {
 // the calendar is empty.
 func (e *Engine) Step() bool {
 	for {
-		ev := e.events.Dequeue()
+		ev := e.events.pop()
 		if ev == nil {
 			return false
 		}
@@ -227,12 +202,12 @@ func (e *Engine) RunWhile(cond func() bool) {
 // discarding canceled events it encounters.
 func (e *Engine) peek() *Event {
 	for {
-		ev := e.events.Peek()
+		ev := e.events.peek()
 		if ev == nil {
 			return nil
 		}
 		if ev.canceled {
-			e.events.Dequeue()
+			e.events.pop()
 			continue
 		}
 		return ev

@@ -17,7 +17,7 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/machine"
+	"repro/internal/machine/shard"
 )
 
 // Track ids within each node's process.
@@ -41,9 +41,9 @@ type Event struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// Tracer implements machine.Observer, accumulating events in memory.
-// Attach it via machine.Config.Observer, run the simulation, then call
-// WriteJSON. The zero value is ready to use.
+// Tracer implements shard.Observer, accumulating events in memory.
+// Attach it as the Observer of a sequential all-to-all run, run the
+// simulation, then call WriteJSON. The zero value is ready to use.
 type Tracer struct {
 	events []Event
 	// MaxEvents caps collection (0 = unlimited); traces of long runs
@@ -68,48 +68,36 @@ func (t *Tracer) add(e Event) {
 	t.events = append(t.events, e)
 }
 
-// MessageSent implements machine.Observer: the start of a flow arrow.
-func (t *Tracer) MessageSent(msg *machine.Message, at float64) {
-	t.add(Event{
-		Name: msg.Kind.String(), Phase: "s", Ts: at,
-		Pid: msg.Src, Tid: tidHandler,
-		ID: fmt.Sprintf("msg%d", msg.ID), Cat: "net",
-	})
-}
-
-// MessageArrived implements machine.Observer: the end of a flow arrow.
-func (t *Tracer) MessageArrived(msg *machine.Message, at float64) {
-	t.add(Event{
-		Name: msg.Kind.String(), Phase: "f", Ts: at,
-		Pid: msg.Dst, Tid: tidHandler,
-		ID: fmt.Sprintf("msg%d", msg.ID), Cat: "net", BP: "e",
-	})
-}
-
-// HandlerStart implements machine.Observer. The slice is emitted at
-// HandlerEnd, when the duration is known; the start is kept implicitly
-// in the message's ServiceStart timestamp.
-func (t *Tracer) HandlerStart(node int, msg *machine.Message, at float64) {}
-
-// HandlerEnd implements machine.Observer.
-func (t *Tracer) HandlerEnd(node int, msg *machine.Message, at float64) {
-	t.add(Event{
-		Name: msg.Kind.String() + " handler", Phase: "X",
-		Ts: msg.ServiceStart, Dur: at - msg.ServiceStart,
-		Pid: node, Tid: tidHandler, Cat: "handler",
-		Args: map[string]any{
-			"src": msg.Src, "dst": msg.Dst, "msg": msg.ID,
-			"queued": msg.ServiceStart - msg.Arrived,
-		},
-	})
-}
-
-// ThreadRun implements machine.Observer.
-func (t *Tracer) ThreadRun(node int, start, end float64) {
-	t.add(Event{
-		Name: "compute", Phase: "X", Ts: start, Dur: end - start,
-		Pid: node, Tid: tidThread, Cat: "thread",
-	})
+// Observe implements shard.Observer: message sends and arrivals become
+// the two ends of a flow arrow, handler service and thread execution
+// become complete slices.
+func (t *Tracer) Observe(o shard.Observation) {
+	switch o.Kind {
+	case shard.ObsSent, shard.ObsArrived:
+		e := Event{
+			Name: o.Msg.String(), Phase: "s", Ts: o.At,
+			Pid: o.Node, Tid: tidHandler,
+			ID: fmt.Sprintf("msg%d.%d", o.Src, o.Seq), Cat: "net",
+		}
+		if o.Kind == shard.ObsArrived {
+			e.Phase, e.BP = "f", "e"
+		}
+		t.add(e)
+	case shard.ObsHandler:
+		t.add(Event{
+			Name: o.Msg.String() + " handler", Phase: "X",
+			Ts: o.Start, Dur: o.At - o.Start,
+			Pid: o.Node, Tid: tidHandler, Cat: "handler",
+			Args: map[string]any{
+				"src": o.Src, "dst": o.Dst, "queued": o.Start - o.Arrived,
+			},
+		})
+	case shard.ObsThread:
+		t.add(Event{
+			Name: "compute", Phase: "X", Ts: o.Start, Dur: o.At - o.Start,
+			Pid: o.Node, Tid: tidThread, Cat: "thread",
+		})
+	}
 }
 
 // WriteJSON emits the trace in Chrome's JSON array format, including
@@ -148,4 +136,4 @@ func writeEvents(w io.Writer, events []Event) error {
 	return enc.Encode(events)
 }
 
-var _ machine.Observer = (*Tracer)(nil)
+var _ shard.Observer = (*Tracer)(nil)

@@ -7,56 +7,60 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/machine"
+	"repro/internal/machine/shard"
 )
+
+// ringProg requests service from the next node around the ring
+// cycles times, computing before each request, then halts.
+type ringProg struct {
+	compute  float64
+	cycles   int
+	done     int
+	awaiting bool
+}
+
+func (p *ringProg) Next(v *shard.NodeView) shard.Action {
+	if p.awaiting {
+		p.awaiting = false
+		return shard.Request((v.Self()+1)%v.N(), 0, 0)
+	}
+	if p.done == p.cycles {
+		return shard.Halt()
+	}
+	p.done++
+	p.awaiting = true
+	return shard.Compute(p.compute)
+}
+
+func (p *ringProg) Save(any) any { return nil }
+func (p *ringProg) Restore(any)  {}
+
+// runShard runs p nodes of ringProg on the sequential core with tr
+// attached.
+func runShard(t *testing.T, tr *Tracer, p int, compute float64) {
+	t.Helper()
+	progs := make([]shard.Program, p)
+	for i := range progs {
+		progs[i] = &ringProg{compute: compute, cycles: 5}
+	}
+	if _, err := shard.Run(shard.Config{
+		P:        p,
+		Latency:  dist.NewDeterministic(40),
+		Services: []dist.Distribution{dist.NewDeterministic(100)},
+		Programs: progs,
+		Seed:     1,
+		Observer: tr,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // runTraced drives a small blocking-request workload with a tracer
 // attached and returns the tracer.
 func runTraced(t *testing.T, maxEvents int) *Tracer {
 	t.Helper()
 	tr := &Tracer{MaxEvents: maxEvents}
-	m := machine.New(machine.Config{
-		P:          4,
-		NetLatency: dist.NewDeterministic(40),
-		Seed:       1,
-		Observer:   tr,
-	})
-	for i := 0; i < 4; i++ {
-		cycles := 0
-		blocked := false
-		i := i
-		m.SetProgram(i, machine.ProgramFunc(func(mm *machine.Machine, self int) machine.Action {
-			if blocked {
-				blocked = false
-				cycles++
-				if cycles >= 5 {
-					return machine.Halt()
-				}
-			}
-			if cycles >= 0 && !blocked {
-				// Alternate compute and blocking request.
-				blocked = true
-				dst := (self + 1) % 4
-				return machine.SendAndBlock(&machine.Message{
-					Src: self, Dst: dst, Kind: machine.KindRequest,
-					Service: dist.NewDeterministic(100),
-					OnComplete: func(mm *machine.Machine, msg *machine.Message) {
-						mm.Send(&machine.Message{
-							Src: msg.Dst, Dst: msg.Src, Kind: machine.KindReply,
-							Service: dist.NewDeterministic(100),
-							OnComplete: func(mm *machine.Machine, r *machine.Message) {
-								mm.Unblock(r.Dst)
-							},
-						})
-					},
-				})
-			}
-			_ = i
-			return machine.Halt()
-		}))
-	}
-	m.Start()
-	m.Run()
+	runShard(t, tr, 4, 0)
 	return tr
 }
 
@@ -114,25 +118,10 @@ func TestTraceHandlerSlicesDoNotOverlapPerNode(t *testing.T) {
 }
 
 func TestTraceThreadSlicesPositive(t *testing.T) {
-	tr := runTraced(t, 0)
-	// This workload has no Compute actions, so thread slices may be
-	// absent; run one with compute to check.
-	tr2 := &Tracer{}
-	m := machine.New(machine.Config{
-		P: 2, NetLatency: dist.NewDeterministic(10), Seed: 2, Observer: tr2,
-	})
-	n := 0
-	m.SetProgram(0, machine.ProgramFunc(func(mm *machine.Machine, self int) machine.Action {
-		if n >= 3 {
-			return machine.Halt()
-		}
-		n++
-		return machine.Compute(50)
-	}))
-	m.Start()
-	m.Run()
+	tr := &Tracer{}
+	runShard(t, tr, 2, 50)
 	found := false
-	for _, e := range tr2.events {
+	for _, e := range tr.events {
 		if e.Tid == tidThread && e.Phase == "X" {
 			found = true
 			if e.Dur <= 0 {
@@ -143,7 +132,6 @@ func TestTraceThreadSlicesPositive(t *testing.T) {
 	if !found {
 		t.Error("no thread slices recorded")
 	}
-	_ = tr
 }
 
 func TestTraceTruncation(t *testing.T) {

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dist"
-	"repro/internal/machine"
+	"repro/internal/machine/shard"
 	"repro/internal/stats"
 )
 
@@ -35,21 +35,20 @@ type AllToAllConfig struct {
 	// Seed roots the run's random streams.
 	Seed uint64
 	// Observer, when non-nil, receives the machine's structural events
-	// (see machine.Observer); internal/trace implements it for
-	// Chrome-trace export.
-	Observer machine.Observer
+	// (see shard.Observer; sequential core only); internal/trace
+	// implements it for Chrome-trace export.
+	Observer shard.Observer
 	// LinkOccupancy, NIQueueCap and RetryDelay relax the paper's Ch. 2
-	// network simplifications (see machine.Config); zero values give
-	// the paper's machine.
+	// network simplifications (see shard.Config); zero values give the
+	// paper's machine.
 	LinkOccupancy float64
 	NIQueueCap    int
 	RetryDelay    float64
-	// PairLatency optionally gives every ordered node pair its own wire
-	// time (see machine.Config.PairLatency).
+	// PairLatency optionally gives every ordered node pair its own
+	// positive wire time (see shard.Config.PairLatency).
 	PairLatency func(src, dst int) float64
-	// Par, when non-nil, runs the workload through the parallel
-	// discrete-event core instead of the single-threaded engine; see
-	// ParSim for the supported envelope.
+	// Par selects the discrete-event core; nil runs the sequential
+	// core. See ParSim.
 	Par *ParSim
 }
 
@@ -90,8 +89,9 @@ type AllToAllResult struct {
 	// Net is the total wire time per cycle (both trips).
 	Net stats.Tally
 	// Machine aggregates node-level measurements (queue lengths,
-	// utilizations) over the measurement window.
-	Machine machine.MachineStats
+	// utilizations), each node's from its own warmup boundary to the
+	// run's last event.
+	Machine shard.MachineStats
 	// X is the system throughput implied by the measured mean cycle
 	// time: P / mean(R).
 	X float64
@@ -100,116 +100,74 @@ type AllToAllResult struct {
 	Nacks int64
 }
 
-// cycleTimestamps carries one in-flight cycle's measurements.
-type cycleTimestamps struct {
-	ready   float64 // previous reply completion (thread became ready)
-	send    float64 // request injection
-	req     *machine.Message
-	rep     *machine.Message
-	repDone float64
-}
-
-// atProgram is the per-node all-to-all driver.
-type atProgram struct {
-	run   *allToAllRun
-	self  int
-	phase int // 0: start, 1: work done -> send, 2: unblocked
-	cycle int
-	cur   cycleTimestamps
-}
-
-// allToAllRun is state shared by all node programs in one run.
-type allToAllRun struct {
-	cfg        AllToAllConfig
-	pattern    Pattern
-	res        *AllToAllResult
-	warmupLeft int // nodes still warming up
-	statsReset bool
-	// machineSnap captures machine-wide stats when the first thread
-	// halts, so the drain phase (nodes finishing at different times)
-	// does not bias the time-averaged queue lengths and utilizations.
-	machineSnap bool
-}
-
 const (
 	phaseStart = iota
 	phaseSend
 	phaseUnblocked
 )
 
-// Next implements machine.Program.
-func (p *atProgram) Next(m *machine.Machine, self int) machine.Action {
-	switch p.phase {
-	case phaseStart:
-		p.cur.ready = m.Now()
-		p.phase = phaseSend
-		return machine.Compute(p.run.cfg.Work.Sample(m.Rand(self)))
-
-	case phaseSend:
-		p.cur.send = m.Now()
-		p.phase = phaseUnblocked
-		req := &machine.Message{
-			Src: self, Dst: p.run.pattern.Dest(m, self),
-			Kind: machine.KindRequest, Service: p.run.cfg.Service,
-		}
-		p.cur.req = req
-		req.OnComplete = func(m *machine.Machine, msg *machine.Message) {
-			rep := &machine.Message{
-				Src: msg.Dst, Dst: msg.Src,
-				Kind: machine.KindReply, Service: p.run.cfg.Service,
-			}
-			p.cur.rep = rep
-			rep.OnComplete = func(m *machine.Machine, rmsg *machine.Message) {
-				p.cur.repDone = rmsg.Done
-				m.Unblock(rmsg.Dst)
-			}
-			m.Send(rep)
-		}
-		return machine.SendAndBlock(req)
-
-	case phaseUnblocked:
-		p.endCycle(m)
-		if p.cycle >= p.run.cfg.WarmupCycles+p.run.cfg.MeasureCycles {
-			if !p.run.machineSnap {
-				p.run.machineSnap = true
-				p.run.res.Machine = m.Stats()
-			}
-			return machine.Halt()
-		}
-		p.phase = phaseSend
-		return machine.Compute(p.run.cfg.Work.Sample(m.Rand(self)))
-
-	default:
-		panic(fmt.Sprintf("workload: invalid all-to-all phase %d", p.phase))
-	}
+// atRun is the immutable configuration shared by every all-to-all node
+// program.
+type atRun struct {
+	work            dist.Distribution
+	warmup, measure int
+	pattern         Pattern
 }
 
-// endCycle records the completed cycle and rolls the timestamps so the
-// next cycle's Rw starts at the reply handler completion (not at the
+// atProg drives one node: compute, a blocking request to the pattern's
+// destination, and the reply that unblocks it. The round-trip
+// timestamps come from the node's CycleInfo; the measurements live in
+// program state so optimistic rollback unwinds them.
+type atProg struct {
+	run                *atRun
+	phase              int
+	cycle              int
+	ready              float64
+	r, rw, rq, ry, net stats.Tally
+}
+
+// Next implements shard.Program.
+func (p *atProg) Next(v *shard.NodeView) shard.Action {
+	switch p.phase {
+	case phaseSend:
+		p.phase = phaseUnblocked
+		return shard.Request(p.run.pattern.Dest(v), 0, 0)
+	case phaseUnblocked:
+		p.endCycle(v)
+		if p.cycle >= p.run.warmup+p.run.measure {
+			return shard.Halt()
+		}
+	default: // first call
+		p.ready = v.Now()
+	}
+	p.phase = phaseSend
+	return shard.Compute(p.run.work.Sample(v.Rand()))
+}
+
+// endCycle records the completed cycle and rolls ready to the reply
+// handler's completion, so the next cycle's Rw starts there (not at the
 // instant the thread regained the CPU, which may be later if request
 // handlers were queued — that wait belongs to the next cycle's Rw, per
 // the BKT decomposition).
-func (p *atProgram) endCycle(m *machine.Machine) {
-	c := &p.cur
-	measured := p.cycle >= p.run.cfg.WarmupCycles
-	if measured {
-		res := p.run.res
-		res.R.Add(c.repDone - c.ready)
-		res.Rw.Add(c.send - c.ready)
-		res.Rq.Add(c.req.Done - c.req.Arrived)
-		res.Ry.Add(c.rep.Done - c.rep.Arrived)
-		res.Net.Add((c.req.Arrived - c.req.Sent) + (c.rep.Arrived - c.rep.Sent))
+func (p *atProg) endCycle(v *shard.NodeView) {
+	c := v.Cycle()
+	if p.cycle >= p.run.warmup {
+		p.r.Add(c.RepDone - p.ready)
+		p.rw.Add(c.ReqSent - p.ready)
+		p.rq.Add(c.ReqDone - c.ReqArrived)
+		p.ry.Add(c.RepDone - c.RepArrived)
+		p.net.Add((c.ReqArrived - c.ReqSent) + (c.RepArrived - c.RepSent))
 	}
 	p.cycle++
-	if p.cycle == p.run.cfg.WarmupCycles {
-		p.run.warmupLeft--
-		if p.run.warmupLeft == 0 && !p.run.statsReset {
-			p.run.statsReset = true
-			m.ResetStats()
-		}
+	if p.cycle == p.run.warmup {
+		v.ResetStats()
 	}
-	p.cur = cycleTimestamps{ready: c.repDone}
+	p.ready = c.RepDone
 }
+
+// Save and Restore implement shard.Program; the state is all values.
+func (p *atProg) Save(reuse any) any   { return saveInto(p, reuse) }
+func (p *atProg) Restore(snapshot any) { *p = *snapshot.(*atProg) }
 
 // RunAllToAll executes one all-to-all simulation and returns the
 // measured statistics.
@@ -217,46 +175,49 @@ func RunAllToAll(cfg AllToAllConfig) (AllToAllResult, error) {
 	if err := cfg.validate(); err != nil {
 		return AllToAllResult{}, err
 	}
-	if cfg.Par != nil {
-		return runAllToAllPar(cfg)
+	run := &atRun{
+		work:    cfg.Work,
+		warmup:  cfg.WarmupCycles,
+		measure: cfg.MeasureCycles,
+		pattern: cfg.Pattern,
 	}
-	pattern := cfg.Pattern
-	if pattern == nil {
-		pattern = UniformPattern{}
+	if run.pattern == nil {
+		run.pattern = UniformPattern{}
 	}
-	m := machine.New(machine.Config{
+	progs := make([]shard.Program, cfg.P)
+	nodes := make([]*atProg, cfg.P)
+	for i := range progs {
+		nodes[i] = &atProg{run: run}
+		progs[i] = nodes[i]
+	}
+	sres, err := cfg.Par.runShard(shard.Config{
 		P:                 cfg.P,
-		NetLatency:        cfg.Latency,
+		Latency:           cfg.Latency,
+		Services:          []dist.Distribution{cfg.Service},
+		Programs:          progs,
 		ProtocolProcessor: cfg.ProtocolProcessor,
 		Seed:              cfg.Seed,
-		Observer:          cfg.Observer,
 		LinkOccupancy:     cfg.LinkOccupancy,
 		NIQueueCap:        cfg.NIQueueCap,
 		RetryDelay:        cfg.RetryDelay,
 		PairLatency:       cfg.PairLatency,
+		Observer:          cfg.Observer,
 	})
-	run := &allToAllRun{
-		cfg:        cfg,
-		pattern:    pattern,
-		res:        &AllToAllResult{},
-		warmupLeft: cfg.P,
+	if err != nil {
+		return AllToAllResult{}, err
 	}
-	if cfg.WarmupCycles == 0 {
-		run.warmupLeft = 0
-		run.statsReset = true
+	var res AllToAllResult
+	for _, p := range nodes {
+		res.R.Merge(&p.r)
+		res.Rw.Merge(&p.rw)
+		res.Rq.Merge(&p.rq)
+		res.Ry.Merge(&p.ry)
+		res.Net.Merge(&p.net)
 	}
-	for i := 0; i < cfg.P; i++ {
-		m.SetProgram(i, &atProgram{run: run, self: i})
-	}
-	m.Start()
-	m.Run()
-	res := run.res
-	if !run.machineSnap {
-		res.Machine = m.Stats()
-	}
+	res.Machine = sres.Aggregate()
+	res.Nacks = sres.Nacks
 	if mean := res.R.Mean(); mean > 0 {
 		res.X = float64(cfg.P) / mean
 	}
-	res.Nacks = m.Nacks()
-	return *res, nil
+	return res, nil
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dist"
-	"repro/internal/machine"
+	"repro/internal/machine/shard"
 	"repro/internal/stats"
 )
 
@@ -34,8 +34,8 @@ type LockConfig struct {
 	WarmupTime, MeasureTime float64
 	// Seed roots the run's random streams.
 	Seed uint64
-	// Par, when non-nil, runs the workload through the parallel
-	// discrete-event core; see ParSim.
+	// Par selects the discrete-event core; nil runs the sequential
+	// core. See ParSim.
 	Par *ParSim
 }
 
@@ -71,104 +71,76 @@ type LockSimResult struct {
 	Acquisitions int64
 }
 
-// lockProgram drives one thread; it is the work-pile client with a
-// fixed destination (the lock node) and a free reply handler.
-type lockProgram struct {
-	run   *lockRun
+// lockProg drives one thread: the work-pile client with a fixed
+// destination (the lock node) and a free reply handler.
+type lockProg struct {
+	run   *wpRun // the lock node is the single "server" at index pc
+	work  dist.Distribution
 	phase int
-	cur   cycleTimestamps
-}
-
-type lockRun struct {
-	cfg   LockConfig
-	res   *LockSimResult
-	inWin func(t float64) bool
+	ready float64
+	r, rs stats.Tally
 	acqs  int64
-	free  dist.Distribution // zero-service reply: the grant carries no work
 }
 
-// Next implements machine.Program.
-func (p *lockProgram) Next(m *machine.Machine, self int) machine.Action {
+// Next implements shard.Program.
+func (p *lockProg) Next(v *shard.NodeView) shard.Action {
 	switch p.phase {
-	case phaseStart:
-		p.cur.ready = m.Now()
-		p.phase = phaseSend
-		return machine.Compute(p.run.cfg.Work.Sample(m.Rand(self)))
-
 	case phaseSend:
-		p.cur.send = m.Now()
 		p.phase = phaseUnblocked
-		req := &machine.Message{
-			Src: self, Dst: p.run.cfg.Threads, // the lock node
-			Kind: machine.KindRequest, Service: p.run.cfg.Critical,
-		}
-		p.cur.req = req
-		req.OnComplete = func(m *machine.Machine, msg *machine.Message) {
-			rep := &machine.Message{
-				Src: msg.Dst, Dst: msg.Src,
-				Kind: machine.KindReply, Service: p.run.free,
-			}
-			p.cur.rep = rep
-			rep.OnComplete = func(m *machine.Machine, rmsg *machine.Message) {
-				p.cur.repDone = rmsg.Done
-				m.Unblock(rmsg.Dst)
-			}
-			m.Send(rep)
-		}
-		return machine.SendAndBlock(req)
-
+		return shard.Request(p.run.pc, 0, 1) // service 0: critical section; reply 1: free grant
 	case phaseUnblocked:
-		c := &p.cur
-		if p.run.inWin(c.repDone) {
-			res := p.run.res
-			res.R.Add(c.repDone - c.ready)
-			res.Rs.Add(c.req.Done - c.req.Arrived)
-			p.run.acqs++
+		c := v.Cycle()
+		if p.run.inWin(c.RepDone) {
+			p.r.Add(c.RepDone - p.ready)
+			p.rs.Add(c.ReqDone - c.ReqArrived)
+			p.acqs++
 		}
-		p.cur = cycleTimestamps{ready: c.repDone}
-		p.phase = phaseSend
-		return machine.Compute(p.run.cfg.Work.Sample(m.Rand(self)))
-
-	default:
-		panic(fmt.Sprintf("workload: invalid lock phase %d", p.phase))
+		p.ready = c.RepDone
+	default: // first call
+		p.ready = v.Now()
 	}
+	p.phase = phaseSend
+	return shard.Compute(p.work.Sample(v.Rand()))
 }
+
+// Save and Restore implement shard.Program.
+func (p *lockProg) Save(reuse any) any   { return saveInto(p, reuse) }
+func (p *lockProg) Restore(snapshot any) { *p = *snapshot.(*lockProg) }
 
 // RunLock executes one coarse-grained lock simulation.
 func RunLock(cfg LockConfig) (LockSimResult, error) {
 	if err := cfg.validate(); err != nil {
 		return LockSimResult{}, err
 	}
-	if cfg.Par != nil {
-		return runLockPar(cfg)
-	}
-	m := machine.New(machine.Config{
-		P:          cfg.Threads + 1,
-		NetLatency: cfg.Handoff,
-		Seed:       cfg.Seed,
-	})
 	end := cfg.WarmupTime + cfg.MeasureTime
-	run := &lockRun{
-		cfg:  cfg,
-		res:  &LockSimResult{},
-		free: dist.NewDeterministic(0),
-		inWin: func(t float64) bool {
-			return t >= cfg.WarmupTime && t <= end
-		},
+	run := &wpRun{pc: cfg.Threads, ps: 1, warmup: cfg.WarmupTime, end: end}
+	progs := make([]shard.Program, cfg.Threads+1)
+	threads := make([]*lockProg, cfg.Threads)
+	for i := range threads {
+		threads[i] = &lockProg{run: run, work: cfg.Work}
+		progs[i] = threads[i]
 	}
-	for i := 0; i < cfg.Threads; i++ {
-		m.SetProgram(i, &lockProgram{run: run})
+	sres, err := cfg.Par.runShard(shard.Config{
+		P:            cfg.Threads + 1,
+		Latency:      cfg.Handoff,
+		Services:     []dist.Distribution{cfg.Critical, dist.NewDeterministic(0)},
+		Programs:     progs,
+		Seed:         cfg.Seed,
+		ResetStatsAt: cfg.WarmupTime,
+		Until:        end,
+	})
+	if err != nil {
+		return LockSimResult{}, err
 	}
-	m.Start()
-	m.RunUntil(cfg.WarmupTime)
-	m.ResetStats()
-	m.RunUntil(end)
-
-	res := run.res
-	res.Acquisitions = run.acqs
-	res.X = float64(run.acqs) / cfg.MeasureTime
-	ns := m.NodeStats(cfg.Threads)
-	res.Q = ns.ReqQueue
-	res.U = ns.UtilReq
-	return *res, nil
+	var res LockSimResult
+	for _, p := range threads {
+		res.R.Merge(&p.r)
+		res.Rs.Merge(&p.rs)
+		res.Acquisitions += p.acqs
+	}
+	res.X = float64(res.Acquisitions) / cfg.MeasureTime
+	lock := &sres.Nodes[cfg.Threads]
+	res.Q = lock.ReqQueue
+	res.U = lock.UtilReq
+	return res, nil
 }

@@ -5,19 +5,19 @@ import (
 	"math"
 
 	"repro/internal/dist"
+	"repro/internal/psim"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// LockFreeConfig describes a CAS-retry run built directly on the
-// discrete-event kernel: Threads threads share one versioned word and
-// loop {compute Work; repeat a retry round of length Round until no
-// other thread committed inside the round; pay Serial; commit}. A round
-// models read-state / compute-new-value / CAS: it fails exactly when
-// the shared version changed between its start and its end — conflicts
-// regenerate the round's work instead of queueing it, the Atalar et
-// al. conflict semantics.
+// LockFreeConfig describes a CAS-retry run on the discrete-event core
+// (one logical process, see lfLP): Threads threads share one versioned
+// word and loop {compute Work; repeat a retry round of length Round
+// until no other thread committed inside the round; pay Serial;
+// commit}. A round models read-state / compute-new-value / CAS: it
+// fails exactly when the shared version changed between its start and
+// its end — conflicts regenerate the round's work instead of queueing
+// it, the Atalar et al. conflict semantics.
 type LockFreeConfig struct {
 	// Threads is the number of contending threads.
 	Threads int
@@ -34,10 +34,9 @@ type LockFreeConfig struct {
 	WarmupTime, MeasureTime float64
 	// Seed roots the per-thread random streams.
 	Seed uint64
-	// Par, when non-nil, runs the workload through the parallel
-	// discrete-event core as a single logical process; see ParSim and
-	// lfLP. Both paths draw identical samples, so the measurements
-	// match the engine-based run exactly.
+	// Par selects the discrete-event core; nil runs the sequential
+	// core. See ParSim. The run is a single logical process, so every
+	// core executes it sequentially.
 	Par *ParSim
 }
 
@@ -74,59 +73,107 @@ type LockFreeSimResult struct {
 	Rounds int64
 }
 
-// lfState is the shared state of one lock-free run.
-type lfState struct {
-	cfg       LockFreeConfig
-	eng       *sim.Engine
-	version   uint64 // the shared versioned word; commits increment it
-	res       *LockFreeSimResult
-	conflicts int64
-	inWin     func(t float64) bool
-}
+// Lock-free event kinds: the single LP schedules every thread's phase
+// transitions as self-events (I0 carries the thread index).
+const (
+	lfRoundStart int32 = iota + 1 // the thread's parallel work finished
+	lfRoundEnd                    // a retry round finished: CAS resolution
+	lfCommitDone                  // the winning CAS's serialization finished
+)
 
-// lfThread drives one thread through compute/retry/commit cycles.
+// lfThread is one thread's state inside the lock-free LP.
 type lfThread struct {
-	st    *lfState
-	r     *rng.Stream
+	r     rng.Stream
 	ready float64 // start of the current cycle
 	v0    uint64  // version observed at the current round's start
 }
 
-func (t *lfThread) startCycle() {
-	t.ready = t.st.eng.Now()
-	t.st.eng.Schedule(t.st.cfg.Work.Sample(t.r), t.startRound)
+// lfLP runs the whole CAS-retry workload as a single logical process:
+// the shared versioned word makes the threads' interactions
+// zero-latency, so there is no lookahead to shard on — but routing the
+// run through psim still gives the committed trace, the core
+// statistics, and one committed event sequence across every core (a
+// one-LP run degenerates to the sequential algorithm by construction).
+// Each thread draws from its own stream of the run's rng.Source.
+type lfLP struct {
+	cfg                    *LockFreeConfig
+	warmup                 float64
+	end                    float64
+	version                uint64 // the shared versioned word; commits increment it
+	threads                []lfThread
+	r                      stats.Tally
+	ops, rounds, conflicts int64
 }
 
-func (t *lfThread) startRound() {
-	t.v0 = t.st.version
-	t.st.eng.Schedule(t.st.cfg.Round.Sample(t.r), t.endRound)
+func (l *lfLP) inWin(t float64) bool {
+	return t >= l.warmup && t <= l.end
 }
 
-func (t *lfThread) endRound() {
-	st := t.st
-	now := st.eng.Now()
-	measured := st.inWin(now)
-	if measured {
-		st.res.Rounds++
+// Start implements psim.LP: each thread begins its first cycle at time
+// zero.
+func (l *lfLP) Start(ctx *psim.Ctx) {
+	for i := range l.threads {
+		t := &l.threads[i]
+		t.ready = 0
+		ctx.Send(ctx.Self(), l.cfg.Work.Sample(&t.r), lfRoundStart, psim.Msg{I0: int32(i)})
 	}
-	if st.version != t.v0 {
-		// Another thread committed inside the window: the CAS fails and
-		// the round's work regenerates.
+}
+
+// Handle implements psim.LP.
+func (l *lfLP) Handle(ctx *psim.Ctx, ev psim.Event) {
+	t := &l.threads[ev.Msg.I0]
+	now := ctx.Now()
+	switch ev.Kind {
+	case lfRoundStart:
+		t.v0 = l.version
+		ctx.Send(ctx.Self(), l.cfg.Round.Sample(&t.r), lfRoundEnd, psim.Msg{I0: ev.Msg.I0})
+	case lfRoundEnd:
+		measured := l.inWin(now)
 		if measured {
-			st.conflicts++
+			l.rounds++
 		}
-		t.startRound()
-		return
+		if l.version != t.v0 {
+			// Another thread committed inside the window: the CAS fails
+			// and the round's work regenerates.
+			if measured {
+				l.conflicts++
+			}
+			t.v0 = l.version
+			ctx.Send(ctx.Self(), l.cfg.Round.Sample(&t.r), lfRoundEnd, psim.Msg{I0: ev.Msg.I0})
+			return
+		}
+		l.version++
+		ctx.Send(ctx.Self(), l.cfg.Serial.Sample(&t.r), lfCommitDone, psim.Msg{I0: ev.Msg.I0})
+	case lfCommitDone:
+		if l.inWin(now) {
+			l.ops++
+			l.r.Add(now - t.ready)
+		}
+		t.ready = now
+		ctx.Send(ctx.Self(), l.cfg.Work.Sample(&t.r), lfRoundStart, psim.Msg{I0: ev.Msg.I0})
+	default:
+		panic(fmt.Sprintf("workload: lock-free LP received unknown event kind %d", ev.Kind))
 	}
-	st.version++
-	st.eng.Schedule(st.cfg.Serial.Sample(t.r), func() {
-		end := st.eng.Now()
-		if st.inWin(end) {
-			st.res.Ops++
-			st.res.R.Add(end - t.ready)
-		}
-		t.startCycle()
-	})
+}
+
+// Save and Restore implement psim.LP. The threads slice is the only
+// reference field; each side copies it into its own backing array.
+func (l *lfLP) Save(reuse any) any {
+	s, _ := reuse.(*lfLP)
+	if s == nil {
+		s = new(lfLP)
+	}
+	threads := s.threads[:0]
+	*s = *l
+	s.threads = append(threads, l.threads...)
+	return s
+}
+
+func (l *lfLP) Restore(snapshot any) {
+	s := snapshot.(*lfLP)
+	threads := l.threads[:0]
+	*l = *s
+	l.threads = append(threads, s.threads...)
 }
 
 // RunLockFree executes one CAS-retry simulation.
@@ -134,29 +181,33 @@ func RunLockFree(cfg LockFreeConfig) (LockFreeSimResult, error) {
 	if err := cfg.validate(); err != nil {
 		return LockFreeSimResult{}, err
 	}
-	if cfg.Par != nil {
-		return runLockFreePar(cfg)
-	}
-	eng := sim.NewEngine()
-	st := &lfState{cfg: cfg, eng: eng, res: &LockFreeSimResult{}}
 	end := cfg.WarmupTime + cfg.MeasureTime
-	st.inWin = func(t float64) bool {
-		return t >= cfg.WarmupTime && t <= end
+	lp := &lfLP{
+		cfg:     &cfg,
+		warmup:  cfg.WarmupTime,
+		end:     end,
+		threads: make([]lfThread, cfg.Threads),
 	}
 	src := rng.NewSource(cfg.Seed)
-	for i := 0; i < cfg.Threads; i++ {
-		th := &lfThread{st: st, r: src.Stream()}
-		eng.Schedule(0, th.startCycle)
+	for i := range lp.threads {
+		lp.threads[i].r = *src.Stream()
 	}
-	eng.RunUntil(end)
-
-	res := st.res
+	psimCfg := psim.Config{LPs: []psim.LP{lp}, Seed: cfg.Seed, Until: end}
+	if err := cfg.Par.apply(&psimCfg); err != nil {
+		return LockFreeSimResult{}, err
+	}
+	rs, err := psim.Run(psimCfg)
+	if err != nil {
+		return LockFreeSimResult{}, err
+	}
+	cfg.Par.finish(rs)
+	res := LockFreeSimResult{R: lp.r, Ops: lp.ops, Rounds: lp.rounds}
 	res.X = float64(res.Ops) / cfg.MeasureTime
 	if res.Rounds > 0 {
-		res.Conflict = float64(st.conflicts) / float64(res.Rounds)
+		res.Conflict = float64(lp.conflicts) / float64(res.Rounds)
 	}
 	if res.Ops > 0 {
 		res.Attempts = float64(res.Rounds) / float64(res.Ops)
 	}
-	return *res, nil
+	return res, nil
 }

@@ -44,6 +44,15 @@ func (c MultiHopConfig) validate() error {
 	return nil
 }
 
+// cycleTimestamps carries one in-flight cycle's measurements.
+type cycleTimestamps struct {
+	ready   float64 // previous reply completion (thread became ready)
+	send    float64 // request injection
+	req     *machine.Message
+	rep     *machine.Message
+	repDone float64
+}
+
 // MultiHopResult holds the measured statistics for a multi-hop run.
 type MultiHopResult struct {
 	// R is the complete cycle time.

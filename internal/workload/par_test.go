@@ -10,18 +10,26 @@ import (
 	"repro/internal/trace"
 )
 
-// parCases is the core/job matrix every workload must agree across.
-var parCases = []struct {
+// parCase is one core and job count of the contract matrix.
+type parCase struct {
 	name string
 	sync string
 	jobs int
-}{
+}
+
+// parCases is the core/job matrix every workload must agree across.
+var parCases = []parCase{
 	{"seq", "seq", 1},
 	{"cons/j1", "cons", 1},
+	{"cons/j2", "cons", 2},
 	{"cons/j8", "cons", 8},
 	{"opt/j1", "opt", 1},
 	{"opt/j8", "opt", 8},
 }
+
+// consCases is the matrix for runs the optimistic core refuses: the
+// all-to-all extras that keep state outside the checkpointed node.
+var consCases = parCases[:4]
 
 // runPar runs one workload under one core and returns its trace bytes,
 // its result, and the core statistics.
@@ -42,14 +50,15 @@ func runPar[T any](t *testing.T, run func(par *ParSim) (T, error), sync string, 
 
 // checkParContract asserts the determinism contract for one workload:
 // byte-identical traces and identical measurements across every core
-// and job count.
-func checkParContract[T any](t *testing.T, run func(par *ParSim) (T, error)) {
+// and job count of cases (which starts with seq), and returns the
+// sequential result.
+func checkParContract[T any](t *testing.T, cases []parCase, run func(par *ParSim) (T, error)) T {
 	t.Helper()
 	wantTrace, wantRes, wantRS := runPar(t, run, "seq", 1)
 	if wantRS.Events == 0 {
 		t.Fatal("sequential run committed no events")
 	}
-	for _, tc := range parCases[1:] {
+	for _, tc := range cases[1:] {
 		gotTrace, gotRes, gotRS := runPar(t, run, tc.sync, tc.jobs)
 		if !bytes.Equal(gotTrace, wantTrace) {
 			t.Errorf("%s: trace differs from sequential (%d vs %d bytes)", tc.name, len(gotTrace), len(wantTrace))
@@ -58,15 +67,16 @@ func checkParContract[T any](t *testing.T, run func(par *ParSim) (T, error)) {
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Errorf("%s: result differs from sequential:\n got %+v\nwant %+v", tc.name, gotRes, wantRes)
 		}
-		if gotRS.Events != wantRS.Events || gotRS.MaxTime != wantRS.MaxTime {
+		if gotRS.Events != wantRS.Events || gotRS.MaxTime != wantRS.MaxTime || !reflect.DeepEqual(gotRS.PerLP, wantRS.PerLP) {
 			t.Errorf("%s: core stats differ: events %d/%d maxtime %v/%v",
 				tc.name, gotRS.Events, wantRS.Events, gotRS.MaxTime, wantRS.MaxTime)
 		}
 	}
+	return wantRes
 }
 
 func TestAllToAllParContract(t *testing.T) {
-	checkParContract(t, func(par *ParSim) (AllToAllResult, error) {
+	checkParContract(t, parCases, func(par *ParSim) (AllToAllResult, error) {
 		return RunAllToAll(AllToAllConfig{
 			P:             8,
 			Work:          dist.NewDeterministic(100),
@@ -81,7 +91,7 @@ func TestAllToAllParContract(t *testing.T) {
 }
 
 func TestAllToAllParProtocolProcessor(t *testing.T) {
-	checkParContract(t, func(par *ParSim) (AllToAllResult, error) {
+	checkParContract(t, parCases, func(par *ParSim) (AllToAllResult, error) {
 		return RunAllToAll(AllToAllConfig{
 			P:                 6,
 			Work:              dist.NewDeterministic(100),
@@ -98,7 +108,7 @@ func TestAllToAllParProtocolProcessor(t *testing.T) {
 }
 
 func TestWorkpileParContract(t *testing.T) {
-	checkParContract(t, func(par *ParSim) (WorkpileResult, error) {
+	checkParContract(t, parCases, func(par *ParSim) (WorkpileResult, error) {
 		return RunWorkpile(WorkpileConfig{
 			P: 8, Ps: 2,
 			Chunk:      dist.NewExponential(200),
@@ -112,7 +122,7 @@ func TestWorkpileParContract(t *testing.T) {
 }
 
 func TestLockParContract(t *testing.T) {
-	checkParContract(t, func(par *ParSim) (LockSimResult, error) {
+	checkParContract(t, parCases, func(par *ParSim) (LockSimResult, error) {
 		return RunLock(LockConfig{
 			Threads:    6,
 			Work:       dist.NewExponential(300),
@@ -126,7 +136,7 @@ func TestLockParContract(t *testing.T) {
 }
 
 func TestLockFreeParContract(t *testing.T) {
-	checkParContract(t, func(par *ParSim) (LockFreeSimResult, error) {
+	checkParContract(t, parCases, func(par *ParSim) (LockFreeSimResult, error) {
 		return RunLockFree(LockFreeConfig{
 			Threads:    6,
 			Work:       dist.NewExponential(200),
@@ -139,60 +149,86 @@ func TestLockFreeParContract(t *testing.T) {
 	})
 }
 
-// TestLockFreeParMatchesEngine pins the single-LP lock-free path to the
-// engine-based path: identical stream construction and identical event
-// ordering make the two draws-for-draw equivalent, so every measurement
-// matches exactly.
-func TestLockFreeParMatchesEngine(t *testing.T) {
-	cfg := LockFreeConfig{
-		Threads:    5,
-		Work:       dist.NewExponential(150),
-		Round:      dist.NewExponential(30),
-		Serial:     dist.NewDeterministic(8),
-		WarmupTime: 300, MeasureTime: 4000,
-		Seed: 21,
-	}
-	eng, err := RunLockFree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Par = &ParSim{Sync: "seq"}
-	par, err := RunLockFree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, eng) {
-		t.Errorf("psim path diverges from engine path:\n psim %+v\n  eng %+v", par, eng)
+// extrasConfig is the all-to-all configuration the extras rows of the
+// contract vary.
+func extrasConfig(par *ParSim) AllToAllConfig {
+	return AllToAllConfig{
+		P:             9,
+		Work:          dist.NewExponential(60),
+		Latency:       dist.NewDeterministic(10),
+		Service:       dist.NewExponential(20),
+		WarmupCycles:  5,
+		MeasureCycles: 40,
+		Seed:          13,
+		Par:           par,
 	}
 }
 
-// TestParRejectsUnsupported checks that the psim path fails fast on
-// machine features outside its envelope.
-func TestParRejectsUnsupported(t *testing.T) {
-	base := AllToAllConfig{
-		P:             4,
-		Work:          dist.NewDeterministic(100),
-		Latency:       dist.NewDeterministic(10),
-		Service:       dist.NewDeterministic(20),
-		MeasureCycles: 5,
-		Par:           &ParSim{},
+func TestAllToAllLinkOccupancyParContract(t *testing.T) {
+	res := checkParContract(t, consCases, func(par *ParSim) (AllToAllResult, error) {
+		cfg := extrasConfig(par)
+		cfg.LinkOccupancy = 15
+		return RunAllToAll(cfg)
+	})
+	if net := res.Net.Mean(); net < 2*(10+15) {
+		t.Fatalf("mean wire time per cycle %v, want at least two trips of latency plus occupancy (50)", net)
 	}
+}
+
+func TestAllToAllNIQueueParContract(t *testing.T) {
+	res := checkParContract(t, consCases, func(par *ParSim) (AllToAllResult, error) {
+		cfg := extrasConfig(par)
+		cfg.Work = dist.NewDeterministic(0)
+		cfg.NIQueueCap, cfg.RetryDelay = 1, 7
+		return RunAllToAll(cfg)
+	})
+	if res.Nacks == 0 {
+		t.Fatal("queue cap 1 at W=0 bounced no message: the row does not exercise NACKs")
+	}
+}
+
+// TestAllToAllPairLatencyParContract runs a 3×3 torus whose one-hop
+// pairs (6 cycles) undercut Latency's 10: the lookahead drops to 6.
+// Pair latencies are stateless, so the optimistic core runs them too.
+func TestAllToAllPairLatencyParContract(t *testing.T) {
+	res := checkParContract(t, parCases, func(par *ParSim) (AllToAllResult, error) {
+		cfg := extrasConfig(par)
+		cfg.PairLatency = func(src, dst int) float64 {
+			dx, dy := src%3-dst%3, src/3-dst/3
+			return 6 * float64(min(dx*dx, 1)+min(dy*dy, 1))
+		}
+		return RunAllToAll(cfg)
+	})
+	if net := res.Net.Mean(); net < 2*6 || net > 2*12 {
+		t.Fatalf("mean wire time per cycle %v, want two torus trips in [12, 24]", net)
+	}
+}
+
+// TestParRejectsUnsupported checks that a run fails fast on a core
+// outside its envelope: the optimistic core refuses the stateful
+// extras and the Observer, which also needs the sequential core.
+func TestParRejectsUnsupported(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*AllToAllConfig)
 	}{
-		{"observer", func(c *AllToAllConfig) { c.Observer = &trace.Tracer{} }},
-		{"link occupancy", func(c *AllToAllConfig) { c.LinkOccupancy = 0.5 }},
-		{"ni queue cap", func(c *AllToAllConfig) { c.NIQueueCap = 4 }},
-		{"retry delay", func(c *AllToAllConfig) { c.RetryDelay = 10 }},
-		{"pair latency", func(c *AllToAllConfig) { c.PairLatency = func(a, b int) float64 { return 1 } }},
+		{"opt link occupancy", func(c *AllToAllConfig) { c.LinkOccupancy, c.Par = 0.5, &ParSim{Sync: "opt"} }},
+		{"opt ni queue cap", func(c *AllToAllConfig) { c.NIQueueCap, c.Par = 4, &ParSim{Sync: "opt"} }},
+		{"opt observer", func(c *AllToAllConfig) { c.Observer, c.Par = &trace.Tracer{}, &ParSim{Sync: "opt"} }},
+		{"cons observer", func(c *AllToAllConfig) { c.Observer, c.Par = &trace.Tracer{}, &ParSim{Sync: "cons"} }},
 		{"bad sync", func(c *AllToAllConfig) { c.Par = &ParSim{Sync: "speculative"} }},
 	}
 	for _, tc := range cases {
-		cfg := base
+		cfg := extrasConfig(nil)
 		tc.mutate(&cfg)
 		if _, err := RunAllToAll(cfg); err == nil {
-			t.Errorf("%s: Par run accepted unsupported config", tc.name)
+			t.Errorf("%s: run accepted an unsupported config", tc.name)
 		}
+	}
+	cfg := extrasConfig(nil)
+	tr := &trace.Tracer{}
+	cfg.Observer = tr
+	if _, err := RunAllToAll(cfg); err != nil || tr.Len() == 0 {
+		t.Errorf("sequential run with an Observer: err %v, %d trace events", err, tr.Len())
 	}
 }

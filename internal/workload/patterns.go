@@ -1,22 +1,29 @@
-// Package workload drives the simulated machine (internal/machine) with
-// the communication patterns the LoPC paper studies — homogeneous
-// all-to-all (Ch. 5), client-server work-pile (Ch. 6), and multi-hop
-// requests (App. A) — and measures exactly the quantities the model
-// predicts: the compute/request cycle time R and its components Rw, Rq,
-// Ry, plus throughput, queue lengths, and utilizations.
+// Package workload drives the simulated machine with the communication
+// patterns the LoPC paper studies — homogeneous all-to-all (Ch. 5),
+// client-server work-pile (Ch. 6), and multi-hop requests (App. A) —
+// and measures exactly the quantities the model predicts: the
+// compute/request cycle time R and its components Rw, Rq, Ry, plus
+// throughput, queue lengths, and utilizations.
+//
+// The all-to-all, work-pile, lock and lock-free workloads run on the
+// discrete-event core (internal/psim, with internal/machine/shard for
+// the machine); see ParSim. Multi-hop, multithreaded, non-blocking and
+// exchange runs use the single-threaded machine (internal/machine).
 package workload
 
 import (
 	"fmt"
 
-	"repro/internal/machine"
+	"repro/internal/machine/shard"
 )
 
 // Pattern chooses the destination of each request a node makes.
-// Implementations must be deterministic given the node's stream.
+// Implementations must be stateless: a destination is a pure function
+// of the node and its random stream, which is what lets the optimistic
+// core replay rolled-back draws identically.
 type Pattern interface {
-	// Dest returns the destination for the next request from self.
-	Dest(m *machine.Machine, self int) int
+	// Dest returns the destination for the next request from v's node.
+	Dest(v *shard.NodeView) int
 	// String names the pattern for experiment logs.
 	String() string
 }
@@ -26,9 +33,9 @@ type Pattern interface {
 type UniformPattern struct{}
 
 // Dest implements Pattern.
-func (UniformPattern) Dest(m *machine.Machine, self int) int {
-	d := m.Rand(self).Intn(m.P() - 1)
-	if d >= self {
+func (UniformPattern) Dest(v *shard.NodeView) int {
+	d := v.Rand().Intn(v.N() - 1)
+	if d >= v.Self() {
 		d++
 	}
 	return d
@@ -44,8 +51,8 @@ func (UniformPattern) String() string { return "uniform" }
 type RingPattern struct{}
 
 // Dest implements Pattern.
-func (RingPattern) Dest(m *machine.Machine, self int) int {
-	return (self + 1) % m.P()
+func (RingPattern) Dest(v *shard.NodeView) int {
+	return (v.Self() + 1) % v.N()
 }
 
 func (RingPattern) String() string { return "ring" }
@@ -55,8 +62,8 @@ func (RingPattern) String() string { return "ring" }
 type ShiftPattern struct{ Offset int }
 
 // Dest implements Pattern.
-func (s ShiftPattern) Dest(m *machine.Machine, self int) int {
-	p := m.P()
+func (s ShiftPattern) Dest(v *shard.NodeView) int {
+	p, self := v.N(), v.Self()
 	d := (self + s.Offset) % p
 	if d < 0 {
 		d += p
@@ -80,12 +87,12 @@ type HotspotPattern struct {
 }
 
 // Dest implements Pattern.
-func (h HotspotPattern) Dest(m *machine.Machine, self int) int {
-	r := m.Rand(self)
+func (h HotspotPattern) Dest(v *shard.NodeView) int {
+	r, self := v.Rand(), v.Self()
 	if h.Hot != self && r.Float64() < h.Bias {
 		return h.Hot
 	}
-	d := r.Intn(m.P() - 1)
+	d := r.Intn(v.N() - 1)
 	if d >= self {
 		d++
 	}

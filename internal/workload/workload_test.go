@@ -36,8 +36,7 @@ func TestAllToAllModelAccuracy(t *testing.T) {
 	// on the parallel engine and assert over the ordered results. The
 	// short tier keeps full fidelity (identical cycle counts) but trims
 	// the sweep to its extremes and runs them through the conservative
-	// core — the parallel path is what the quick tier exercises; the
-	// full tier keeps the legacy engine and the whole sweep.
+	// core; the full tier runs the whole sweep on the sequential core.
 	ws := []float64{0, 64, 512, 2048}
 	var par *ParSim
 	if testing.Short() {

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dist"
-	"repro/internal/machine"
+	"repro/internal/machine/shard"
 	"repro/internal/stats"
 )
 
@@ -38,8 +38,8 @@ type WorkpileConfig struct {
 	WarmupTime, MeasureTime float64
 	// Seed roots the run's random streams.
 	Seed uint64
-	// Par, when non-nil, runs the workload through the parallel
-	// discrete-event core; see ParSim.
+	// Par selects the discrete-event core; nil runs the sequential
+	// core. See ParSim.
 	Par *ParSim
 }
 
@@ -80,114 +80,98 @@ type WorkpileResult struct {
 	ChunksByClient []int64
 }
 
-// wpProgram drives one client.
-type wpProgram struct {
-	run   *workpileRun
-	chunk dist.Distribution
-	phase int
-	cur   cycleTimestamps
+// wpRun is the shared configuration of a work-pile or lock run: pc
+// clients, then ps servers; measurements cover replies completed in
+// [warmup, end].
+type wpRun struct {
+	pc, ps      int
+	warmup, end float64
 }
 
-type workpileRun struct {
-	cfg    WorkpileConfig
-	res    *WorkpileResult
-	inWin  func(t float64) bool
+// inWin reports whether a reply completed at t is measured.
+func (r *wpRun) inWin(t float64) bool { return t >= r.warmup && t <= r.end }
+
+// wpProg drives one client: compute a chunk, then request the next from
+// a uniformly random server.
+type wpProg struct {
+	run    *wpRun
+	chunk  dist.Distribution
+	phase  int
+	ready  float64
+	r, rs  stats.Tally
 	chunks int64
 }
 
-// Next implements machine.Program.
-func (p *wpProgram) Next(m *machine.Machine, self int) machine.Action {
+// Next implements shard.Program.
+func (p *wpProg) Next(v *shard.NodeView) shard.Action {
 	switch p.phase {
-	case phaseStart:
-		p.cur.ready = m.Now()
-		p.phase = phaseSend
-		return machine.Compute(p.chunk.Sample(m.Rand(self)))
-
 	case phaseSend:
-		p.cur.send = m.Now()
 		p.phase = phaseUnblocked
-		// Pick a uniformly random server.
-		pc := p.run.cfg.P - p.run.cfg.Ps
-		dst := pc + m.Rand(self).Intn(p.run.cfg.Ps)
-		req := &machine.Message{
-			Src: self, Dst: dst, Kind: machine.KindRequest, Service: p.run.cfg.Service,
-		}
-		p.cur.req = req
-		req.OnComplete = func(m *machine.Machine, msg *machine.Message) {
-			rep := &machine.Message{
-				Src: msg.Dst, Dst: msg.Src, Kind: machine.KindReply, Service: p.run.cfg.Service,
-			}
-			p.cur.rep = rep
-			rep.OnComplete = func(m *machine.Machine, rmsg *machine.Message) {
-				p.cur.repDone = rmsg.Done
-				m.Unblock(rmsg.Dst)
-			}
-			m.Send(rep)
-		}
-		return machine.SendAndBlock(req)
-
+		return shard.Request(p.run.pc+v.Rand().Intn(p.run.ps), 0, 0)
 	case phaseUnblocked:
-		c := &p.cur
-		if p.run.inWin(c.repDone) {
-			res := p.run.res
-			res.R.Add(c.repDone - c.ready)
-			res.Rs.Add(c.req.Done - c.req.Arrived)
-			p.run.chunks++
-			res.ChunksByClient[self]++
+		c := v.Cycle()
+		if p.run.inWin(c.RepDone) {
+			p.r.Add(c.RepDone - p.ready)
+			p.rs.Add(c.ReqDone - c.ReqArrived)
+			p.chunks++
 		}
-		p.cur = cycleTimestamps{ready: c.repDone}
-		p.phase = phaseSend
-		return machine.Compute(p.chunk.Sample(m.Rand(self)))
-
-	default:
-		panic(fmt.Sprintf("workload: invalid work-pile phase %d", p.phase))
+		p.ready = c.RepDone
+	default: // first call
+		p.ready = v.Now()
 	}
+	p.phase = phaseSend
+	return shard.Compute(p.chunk.Sample(v.Rand()))
 }
+
+// Save and Restore implement shard.Program.
+func (p *wpProg) Save(reuse any) any   { return saveInto(p, reuse) }
+func (p *wpProg) Restore(snapshot any) { *p = *snapshot.(*wpProg) }
 
 // RunWorkpile executes one work-pile simulation.
 func RunWorkpile(cfg WorkpileConfig) (WorkpileResult, error) {
 	if err := cfg.validate(); err != nil {
 		return WorkpileResult{}, err
 	}
-	if cfg.Par != nil {
-		return runWorkpilePar(cfg)
-	}
-	m := machine.New(machine.Config{
-		P:          cfg.P,
-		NetLatency: cfg.Latency,
-		Seed:       cfg.Seed,
-	})
 	end := cfg.WarmupTime + cfg.MeasureTime
 	pc := cfg.P - cfg.Ps
-	run := &workpileRun{
-		cfg: cfg,
-		res: &WorkpileResult{ChunksByClient: make([]int64, pc)},
-		inWin: func(t float64) bool {
-			return t >= cfg.WarmupTime && t <= end
-		},
-	}
-	for i := 0; i < pc; i++ {
+	run := &wpRun{pc: pc, ps: cfg.Ps, warmup: cfg.WarmupTime, end: end}
+	progs := make([]shard.Program, cfg.P)
+	clients := make([]*wpProg, pc)
+	for i := range clients {
 		chunk := cfg.Chunk
 		if cfg.PerClientChunk != nil && cfg.PerClientChunk[i] != nil {
 			chunk = cfg.PerClientChunk[i]
 		}
-		m.SetProgram(i, &wpProgram{run: run, chunk: chunk})
+		clients[i] = &wpProg{run: run, chunk: chunk}
+		progs[i] = clients[i]
 	}
-	m.Start()
-	m.RunUntil(cfg.WarmupTime)
-	m.ResetStats()
-	m.RunUntil(end)
-
-	res := run.res
-	res.Chunks = run.chunks
-	res.X = float64(run.chunks) / cfg.MeasureTime
+	sres, err := cfg.Par.runShard(shard.Config{
+		P:            cfg.P,
+		Latency:      cfg.Latency,
+		Services:     []dist.Distribution{cfg.Service},
+		Programs:     progs,
+		Seed:         cfg.Seed,
+		ResetStatsAt: cfg.WarmupTime,
+		Until:        end,
+	})
+	if err != nil {
+		return WorkpileResult{}, err
+	}
+	res := WorkpileResult{ChunksByClient: make([]int64, pc)}
+	for i, p := range clients {
+		res.R.Merge(&p.r)
+		res.Rs.Merge(&p.rs)
+		res.Chunks += p.chunks
+		res.ChunksByClient[i] = p.chunks
+	}
+	res.X = float64(res.Chunks) / cfg.MeasureTime
 	// Server-side time averages over the measurement window.
 	for s := pc; s < cfg.P; s++ {
-		ns := m.NodeStats(s)
+		ns := &sres.Nodes[s]
 		res.Qs += ns.ReqQueue
 		res.Us += ns.UtilReq
 	}
 	res.Qs /= float64(cfg.Ps)
 	res.Us /= float64(cfg.Ps)
-	return *res, nil
+	return res, nil
 }
