@@ -167,7 +167,7 @@ func Uniform(low, high float64) Distribution { return dist.NewUniform(low, high)
 // squared coefficient of variation (the paper's C² knob).
 func FromMeanSCV(mean, scv float64) Distribution { return dist.FromMeanSCV(mean, scv) }
 
-// --- Simulation (internal/workload on internal/machine/shard and internal/machine) ---
+// --- Simulation (internal/workload and internal/am on internal/machine, over internal/psim) ---
 
 // SimAllToAllConfig configures an all-to-all simulation run.
 type SimAllToAllConfig = workload.AllToAllConfig
@@ -190,12 +190,13 @@ type SimMultiHopResult = workload.MultiHopResult
 // Pattern chooses request destinations in the all-to-all simulator.
 type Pattern = workload.Pattern
 
-// SimPar selects the discrete-event core for an all-to-all, work-pile,
-// lock or lock-free run (Sync: "seq" | "cons" | "opt"; Jobs: worker
-// goroutines) and carries its optional outputs. A nil *SimPar — the
-// zero value of every config — runs the sequential core. Every core
+// SimPar selects the discrete-event core of a simulation run or
+// collective (Sync: "seq" | "cons" | "opt"; Jobs: worker goroutines)
+// and carries its optional outputs. A nil *SimPar — the zero value of
+// every config — runs the sequential core. Every core a run accepts
 // produces byte-identical traces and identical measurements for a
-// fixed config and seed.
+// fixed config and seed; the multi-hop, non-blocking, exchange and
+// multithreaded runs and the collectives need "seq" or "cons".
 type SimPar = workload.ParSim
 
 // SimCoreStats reports parallel-core execution statistics: committed

@@ -149,7 +149,7 @@ func TestJobsByteIdentical(t *testing.T) {
 // when the selected checks report no findings.
 func TestStrictAllows(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-strict-allows", "-checks", "floateq", "./internal/sim"},
+	code := run([]string{"-strict-allows", "-checks", "floateq", "./internal/machine"},
 		filepath.Join("testdata", "fixturemod"), &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
@@ -157,14 +157,14 @@ func TestStrictAllows(t *testing.T) {
 	if stdout.Len() != 0 {
 		t.Errorf("expected no findings on stdout, got:\n%s", stdout.String())
 	}
-	if !strings.Contains(stderr.String(), "stale allow") || !strings.Contains(stderr.String(), "internal/sim/sim.go:29") {
+	if !strings.Contains(stderr.String(), "stale allow") || !strings.Contains(stderr.String(), "internal/machine/machine.go:29") {
 		t.Errorf("stderr does not name the stale allow:\n%s", stderr.String())
 	}
 	// Without the flag the same run is clean: stale allows are advisory
 	// by default.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-checks", "floateq", "./internal/sim"},
+	if code := run([]string{"-checks", "floateq", "./internal/machine"},
 		filepath.Join("testdata", "fixturemod"), &stdout, &stderr); code != 0 {
 		t.Fatalf("without -strict-allows: exit code = %d, want 0\nstderr: %s", code, stderr.String())
 	}

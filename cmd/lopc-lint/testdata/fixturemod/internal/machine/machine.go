@@ -1,9 +1,9 @@
-// Package sim mirrors the simulation package, where every random draw
-// must derive from internal/rng substreams: one legacy math/rand use
+// Package machine mirrors the simulated machine, where every random
+// draw must derive from internal/rng substreams: one legacy math/rand use
 // and one constant-seeded stream, each pinning a rngseam finding, plus
 // a deliberately dead suppression pinning the STALE marker in
 // -report-allows.
-package sim
+package machine
 
 import (
 	"math/rand"

@@ -8,9 +8,9 @@
 //	lopc-sim -workload workpile -P 32 -Ps 8 -W 1500 -So 131 -time 2e6
 //	lopc-sim -workload multihop -hops 3 -P 16 -W 1000 -So 150
 //
-// The alltoall and workpile workloads run on the discrete-event core
-// that -sync selects (seq by default). For them, -metrics FILE
-// additionally writes the core's counters (committed events,
+// Every workload runs on the discrete-event core that -sync selects
+// (seq by default; multihop and multithreaded need seq or cons).
+// -metrics FILE additionally writes the core's counters (committed events,
 // synchronization rounds, rollbacks, rolled-back events) as
 // deterministic Prometheus text exposition at exit, so sweep scripts
 // and CI can scrape a batch run the same way they scrape lopc-serve.
@@ -48,9 +48,9 @@ func main() {
 		hops   = flag.Int("hops", 2, "request hops (multihop)")
 		nthr   = flag.Int("T", 2, "threads per node (multithreaded)")
 		traceF = flag.String("trace", "", "write a Chrome trace (chrome://tracing JSON) of the run to this file (alltoall on the seq core only)")
-		syncF  = flag.String("sync", "seq", "simulation core: seq | cons | opt (alltoall and workpile only)")
+		syncF  = flag.String("sync", "seq", "simulation core: seq | cons | opt (opt: alltoall and workpile only)")
 		jobsF  = flag.Int("j", 1, "worker goroutines for the parallel cores")
-		metF   = flag.String("metrics", "", "write the simulation core's counters as Prometheus text to this file at exit (alltoall and workpile only)")
+		metF   = flag.String("metrics", "", "write the simulation core's counters as Prometheus text to this file at exit")
 		ver    = version.AddFlag(flag.CommandLine)
 	)
 	flag.Parse()
@@ -59,15 +59,12 @@ func main() {
 		return
 	}
 
-	onCore := *wl == "alltoall" || *wl == "workpile"
 	var err error
 	switch {
-	case *syncF != "seq" && !onCore:
-		err = fmt.Errorf("-sync supports only the alltoall and workpile workloads, not %q", *wl)
+	case *traceF != "" && *wl != "alltoall":
+		err = fmt.Errorf("-trace supports only the alltoall workload, not %q", *wl)
 	case *traceF != "" && *syncF != "seq":
 		err = fmt.Errorf("-trace needs -sync seq: the Chrome-trace observer runs on the sequential core only, not %q", *syncF)
-	case *metF != "" && !onCore:
-		err = fmt.Errorf("-metrics supports only the alltoall and workpile workloads, not %q", *wl)
 	default:
 		metricsFile = *metF
 		switch *wl {
@@ -76,9 +73,9 @@ func main() {
 		case "workpile":
 			err = simWorkpile(*p, *ps, *w, *wc2, *st, *so, *c2, *simT, *seed, *syncF, *jobsF)
 		case "multihop":
-			err = simMultiHop(*p, *hops, *w, *st, *so, *c2, *warmup, *cycles, *seed)
+			err = simMultiHop(*p, *hops, *w, *st, *so, *c2, *warmup, *cycles, *seed, *syncF, *jobsF)
 		case "multithreaded":
-			err = simMultithreaded(*p, *nthr, *w, *st, *so, *c2, *warmup, *cycles, *seed)
+			err = simMultithreaded(*p, *nthr, *w, *st, *so, *c2, *warmup, *cycles, *seed, *syncF, *jobsF)
 		default:
 			err = fmt.Errorf("unknown workload %q", *wl)
 		}
@@ -246,7 +243,8 @@ func simWorkpile(p, ps int, w, wc2, st, so, c2, window float64, seed uint64, syn
 	return nil
 }
 
-func simMultiHop(p, hops int, w, st, so, c2 float64, warmup, cycles int, seed uint64) error {
+func simMultiHop(p, hops int, w, st, so, c2 float64, warmup, cycles int, seed uint64, sync string, jobs int) error {
+	par, cs := parFor(sync, jobs)
 	sim, err := repro.SimulateMultiHop(repro.SimMultiHopConfig{
 		P: p, Hops: hops,
 		Work:         repro.Deterministic(w),
@@ -254,8 +252,12 @@ func simMultiHop(p, hops int, w, st, so, c2 float64, warmup, cycles int, seed ui
 		Service:      repro.FromMeanSCV(so, c2),
 		WarmupCycles: warmup, MeasureCycles: cycles,
 		Seed: seed,
+		Par:  par,
 	})
 	if err != nil {
+		return err
+	}
+	if err := reportCore(sync, jobs, cs); err != nil {
 		return err
 	}
 	ws := make([]float64, p)
@@ -278,7 +280,8 @@ func simMultiHop(p, hops int, w, st, so, c2 float64, warmup, cycles int, seed ui
 	return nil
 }
 
-func simMultithreaded(p, nthr int, w, st, so, c2 float64, warmup, cycles int, seed uint64) error {
+func simMultithreaded(p, nthr int, w, st, so, c2 float64, warmup, cycles int, seed uint64, sync string, jobs int) error {
+	par, cs := parFor(sync, jobs)
 	sim, err := repro.SimulateMultithread(repro.SimMultithreadConfig{
 		P: p, T: nthr,
 		Work:         repro.Deterministic(w),
@@ -286,8 +289,12 @@ func simMultithreaded(p, nthr int, w, st, so, c2 float64, warmup, cycles int, se
 		Service:      repro.FromMeanSCV(so, c2),
 		WarmupCycles: warmup, MeasureCycles: cycles,
 		Seed: seed,
+		Par:  par,
 	})
 	if err != nil {
+		return err
+	}
+	if err := reportCore(sync, jobs, cs); err != nil {
 		return err
 	}
 	model, err := repro.Multithreaded(repro.Params{P: p, W: w, St: st, So: so, C2: c2}, nthr)

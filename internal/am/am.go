@@ -25,6 +25,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Config describes the machine a collective runs on.
@@ -40,6 +41,9 @@ type Config struct {
 	SendOverhead float64
 	// Seed roots the run's random streams.
 	Seed uint64
+	// Par selects the discrete-event core; nil runs the sequential
+	// core (see workload.ParSim).
+	Par *workload.ParSim
 }
 
 func (c Config) validate() error {
@@ -122,47 +126,63 @@ type BroadcastResult struct {
 	Predicted float64
 }
 
-type broadcastRun struct {
-	cfg        Config
-	children   [][]int
-	informedAt []float64
-}
-
-// bcastProgram drives one node of the broadcast tree: non-roots block
-// until informed, then every node alternates Compute(sendOverhead) and
-// SendAsync for each child in schedule order.
+// bcastProgram drives one node of the broadcast tree: a non-root
+// blocks until its hook sees the message that informs it, then every
+// node alternates Compute(sendOverhead) and Send for each child in
+// schedule order.
 type bcastProgram struct {
-	run     *broadcastRun
-	blocked bool // still waiting to be informed
-	idx     int  // next child
-	paid    bool // overhead for child idx already spent
+	machine.NoSnapshot
+	cfg        *Config
+	children   []int
+	blocked    bool    // still waiting to be informed
+	idx        int     // next child
+	paid       bool    // overhead for child idx already spent
+	informedAt float64 // when the informing handler completed
 }
 
 // Next implements machine.Program.
-func (p *bcastProgram) Next(m *machine.Machine, self int) machine.Action {
+func (p *bcastProgram) Next(*machine.NodeView) machine.Action {
 	if p.blocked {
 		p.blocked = false
 		return machine.Block()
 	}
-	kids := p.run.children[self]
-	if p.idx >= len(kids) {
+	if p.idx >= len(p.children) {
 		return machine.Halt()
 	}
-	if o := p.run.cfg.SendOverhead; o > 0 && !p.paid {
+	if o := p.cfg.SendOverhead; o > 0 && !p.paid {
 		p.paid = true
 		return machine.Compute(o)
 	}
-	dst := kids[p.idx]
+	dst := p.children[p.idx]
 	p.idx++
 	p.paid = false
-	return machine.SendAsync(&machine.Message{
-		Src: self, Dst: dst, Kind: machine.KindRequest,
-		Service: p.run.cfg.Handler,
-		OnComplete: func(m *machine.Machine, msg *machine.Message) {
-			p.run.informedAt[msg.Dst] = msg.Done
-			m.Unblock(msg.Dst)
-		},
+	return machine.Send(dst, machine.Message{Kind: machine.KindRequest})
+}
+
+// Done implements machine.Hook.
+func (p *bcastProgram) Done(v *machine.NodeView, m machine.Message) {
+	p.informedAt = m.Done
+	v.Wake(0)
+}
+
+// run executes one collective with a program and hook per node.
+func run[T interface {
+	machine.Program
+	machine.Hook
+}](cfg Config, nodes []T) error {
+	progs, hooks := make([]machine.Program, cfg.P), make([]machine.Hook, cfg.P)
+	for i, n := range nodes {
+		progs[i], hooks[i] = n, n
+	}
+	_, err := cfg.Par.Run(machine.Config{
+		P:        cfg.P,
+		Latency:  cfg.Latency,
+		Services: []dist.Distribution{cfg.Handler},
+		Programs: progs,
+		Hooks:    hooks,
+		Seed:     cfg.Seed,
 	})
+	return err
 }
 
 // Broadcast executes the optimal broadcast tree on the machine and
@@ -172,24 +192,22 @@ func Broadcast(cfg Config) (BroadcastResult, error) {
 		return BroadcastResult{}, err
 	}
 	predicted, _, parent := Schedule(cfg.P, cfg.SendOverhead, cfg.Latency.Mean(), cfg.Handler.Mean())
-	children := make([][]int, cfg.P)
+	nodes := make([]*bcastProgram, cfg.P)
+	for i := range nodes {
+		nodes[i] = &bcastProgram{cfg: &cfg, blocked: i != 0}
+	}
 	for i := 1; i < cfg.P; i++ {
-		children[parent[i]] = append(children[parent[i]], i)
+		nodes[parent[i]].children = append(nodes[parent[i]].children, i)
 	}
-	m := machine.New(machine.Config{P: cfg.P, NetLatency: cfg.Latency, Seed: cfg.Seed})
-	run := &broadcastRun{cfg: cfg, children: children, informedAt: make([]float64, cfg.P)}
-	for i := 0; i < cfg.P; i++ {
-		m.SetProgram(i, &bcastProgram{run: run, blocked: i != 0})
+	if err := run(cfg, nodes); err != nil {
+		return BroadcastResult{}, err
 	}
-	m.Start()
-	m.Run()
-	finish := 0.0
-	for _, t := range run.informedAt {
-		if t > finish {
-			finish = t
-		}
+	res := BroadcastResult{InformedAt: make([]float64, cfg.P), Predicted: predicted}
+	for i, p := range nodes {
+		res.InformedAt[i] = p.informedAt
+		res.Finish = max(res.Finish, p.informedAt)
 	}
-	return BroadcastResult{Finish: finish, InformedAt: run.informedAt, Predicted: predicted}, nil
+	return res, nil
 }
 
 // --- Reduction ---
@@ -203,19 +221,6 @@ type ReduceResult struct {
 	// Predicted is the binomial-tree analytical time for deterministic
 	// symmetric costs: ceil(log2 P) · (o + l + h).
 	Predicted float64
-}
-
-type reduceMsgData struct {
-	round int
-	value float64
-}
-
-type reduceRun struct {
-	cfg    Config
-	value  []float64
-	gotRnd [][]bool
-	progs  []*reduceProgram
-	finish float64
 }
 
 // reduceRounds returns node self's receive rounds (ascending) and its
@@ -239,22 +244,27 @@ func reduceRounds(self, p int) (recv []int, send int) {
 }
 
 // reduceProgram drives one node: it waits for each expected receive in
-// round order, then (unless root) sends its combined value up the tree.
+// round order, then (unless root) sends its combined value up the
+// tree. Its hook adds each incoming partial sum, whose tag carries its
+// round.
 type reduceProgram struct {
-	run     *reduceRun
+	machine.NoSnapshot
+	cfg     *Config
 	rounds  []int
 	sendRnd int // -1 for the root
 	stage   int
 	paid    bool
 	waiting int // round blocked on, -1 if none
+	value   float64
+	got     []bool // got[k]: the round-k partial sum arrived
+	finish  float64
 }
 
 // Next implements machine.Program.
-func (p *reduceProgram) Next(m *machine.Machine, self int) machine.Action {
-	run := p.run
+func (p *reduceProgram) Next(v *machine.NodeView) machine.Action {
 	for p.stage < len(p.rounds) {
 		k := p.rounds[p.stage]
-		if !run.gotRnd[self][k] {
+		if !p.got[k] {
 			p.waiting = k
 			return machine.Block()
 		}
@@ -262,31 +272,27 @@ func (p *reduceProgram) Next(m *machine.Machine, self int) machine.Action {
 	}
 	p.waiting = -1
 	if p.sendRnd < 0 {
-		run.finish = m.Now()
+		p.finish = v.Now()
 		return machine.Halt()
 	}
-	if o := run.cfg.SendOverhead; o > 0 && !p.paid {
+	if o := p.cfg.SendOverhead; o > 0 && !p.paid {
 		p.paid = true
 		return machine.Compute(o)
 	}
 	round := p.sendRnd
-	dst := self - 1<<round
-	v := run.value[self]
 	p.sendRnd = -1 // send exactly once, then halt on the next step
-	return machine.SendAsync(&machine.Message{
-		Src: self, Dst: dst, Kind: machine.KindRequest,
-		Service:  run.cfg.Handler,
-		UserData: reduceMsgData{round: round, value: v},
-		OnComplete: func(m *machine.Machine, msg *machine.Message) {
-			d := msg.UserData.(reduceMsgData)
-			run.value[msg.Dst] += d.value
-			run.gotRnd[msg.Dst][d.round] = true
-			if prog := run.progs[msg.Dst]; prog.waiting == d.round {
-				prog.waiting = -1
-				m.Unblock(msg.Dst)
-			}
-		},
-	})
+	return machine.Send(v.Self()-1<<round, machine.Message{Kind: machine.KindRequest, Tag: uint64(round), Val: p.value})
+}
+
+// Done implements machine.Hook.
+func (p *reduceProgram) Done(v *machine.NodeView, m machine.Message) {
+	round := int(m.Tag)
+	p.value += m.Val
+	p.got[round] = true
+	if p.waiting == round {
+		p.waiting = -1
+		v.Wake(0)
+	}
 }
 
 // Reduce executes a binomial-tree sum reduction of values (one per
@@ -299,25 +305,18 @@ func Reduce(cfg Config, values []float64) (ReduceResult, error) {
 		return ReduceResult{}, fmt.Errorf("am: %d values for %d nodes", len(values), cfg.P)
 	}
 	rounds := ceilLog2(cfg.P)
-	m := machine.New(machine.Config{P: cfg.P, NetLatency: cfg.Latency, Seed: cfg.Seed})
-	run := &reduceRun{
-		cfg:    cfg,
-		value:  append([]float64(nil), values...),
-		gotRnd: make([][]bool, cfg.P),
-		progs:  make([]*reduceProgram, cfg.P),
-	}
-	for i := 0; i < cfg.P; i++ {
-		run.gotRnd[i] = make([]bool, rounds+1)
+	nodes := make([]*reduceProgram, cfg.P)
+	for i := range nodes {
 		recv, send := reduceRounds(i, cfg.P)
-		prog := &reduceProgram{run: run, rounds: recv, sendRnd: send, waiting: -1}
-		run.progs[i] = prog
-		m.SetProgram(i, prog)
+		nodes[i] = &reduceProgram{cfg: &cfg, rounds: recv, sendRnd: send, waiting: -1,
+			value: values[i], got: make([]bool, rounds+1)}
 	}
-	m.Start()
-	m.Run()
+	if err := run(cfg, nodes); err != nil {
+		return ReduceResult{}, err
+	}
 	return ReduceResult{
-		Value:     run.value[0],
-		Finish:    run.finish,
+		Value:     nodes[0].value,
+		Finish:    nodes[0].finish,
 		Predicted: float64(rounds) * (cfg.SendOverhead + cfg.Latency.Mean() + cfg.Handler.Mean()),
 	}, nil
 }
@@ -346,79 +345,66 @@ type BarrierResult struct {
 	Tally stats.Tally
 }
 
-type barrierMsgData struct{ round int }
-
-type barrierRun struct {
-	cfg       Config
-	rounds    int
-	iters     int
-	recvCount [][]int
-	progs     []*barrierProgram
-	remaining []int // nodes still inside barrier b (index by barrier)
-	completed []float64
-}
-
 // barrierProgram drives one node through iters dissemination barriers:
 // in round k it sends to (i+2^k) mod P and waits for the round-k
 // message of the current barrier from (i−2^k) mod P. Messages from a
 // node that has raced ahead into the next barrier are accounted for by
-// counting per-round receptions rather than flags.
+// counting per-round receptions rather than flags. Each node records
+// when it left each barrier; a barrier completes when its last node
+// leaves.
 type barrierProgram struct {
-	run     *barrierRun
-	barrier int
-	round   int
-	paid    bool
-	sent    bool
-	waiting int // round blocked on, -1 if none
+	machine.NoSnapshot
+	cfg       *Config
+	rounds    int
+	barrier   int
+	round     int
+	paid      bool
+	sent      bool
+	waiting   int   // round blocked on, -1 if none
+	recvCount []int // messages received per round, over all barriers
+	left      []float64
 }
 
 // Next implements machine.Program.
-func (p *barrierProgram) Next(m *machine.Machine, self int) machine.Action {
-	run := p.run
+func (p *barrierProgram) Next(v *machine.NodeView) machine.Action {
 	for {
-		if p.round == run.rounds {
-			run.remaining[p.barrier]--
-			if run.remaining[p.barrier] == 0 {
-				run.completed = append(run.completed, m.Now())
-			}
+		if p.round == p.rounds {
+			p.left[p.barrier] = v.Now()
 			p.barrier++
 			p.round = 0
-			if p.barrier == run.iters {
+			if p.barrier == len(p.left) {
 				return machine.Halt()
 			}
 			continue
 		}
 		if !p.sent {
-			if o := run.cfg.SendOverhead; o > 0 && !p.paid {
+			if o := p.cfg.SendOverhead; o > 0 && !p.paid {
 				p.paid = true
 				return machine.Compute(o)
 			}
 			p.sent = true
 			p.paid = false
-			dst := (self + 1<<p.round) % run.cfg.P
-			return machine.SendAsync(&machine.Message{
-				Src: self, Dst: dst, Kind: machine.KindRequest,
-				Service:  run.cfg.Handler,
-				UserData: barrierMsgData{round: p.round},
-				OnComplete: func(m *machine.Machine, msg *machine.Message) {
-					d := msg.UserData.(barrierMsgData)
-					run.recvCount[msg.Dst][d.round]++
-					prog := run.progs[msg.Dst]
-					if prog.waiting == d.round && run.recvCount[msg.Dst][d.round] > prog.barrier {
-						prog.waiting = -1
-						m.Unblock(msg.Dst)
-					}
-				},
-			})
+			dst := (v.Self() + 1<<p.round) % p.cfg.P
+			return machine.Send(dst, machine.Message{Kind: machine.KindRequest, Tag: uint64(p.round)})
 		}
 		// Sent; wait for this barrier's message of this round.
-		if run.recvCount[self][p.round] <= p.barrier {
+		if p.recvCount[p.round] <= p.barrier {
 			p.waiting = p.round
 			return machine.Block()
 		}
 		p.waiting = -1
 		p.round++
 		p.sent = false
+	}
+}
+
+// Done implements machine.Hook.
+func (p *barrierProgram) Done(v *machine.NodeView, m machine.Message) {
+	round := int(m.Tag)
+	p.recvCount[round]++
+	if p.waiting == round && p.recvCount[round] > p.barrier {
+		p.waiting = -1
+		v.Wake(0)
 	}
 }
 
@@ -432,33 +418,26 @@ func Barrier(cfg Config, iters int) (BarrierResult, error) {
 		return BarrierResult{}, fmt.Errorf("am: iters = %d", iters)
 	}
 	rounds := ceilLog2(cfg.P)
-	m := machine.New(machine.Config{P: cfg.P, NetLatency: cfg.Latency, Seed: cfg.Seed})
-	run := &barrierRun{
-		cfg: cfg, rounds: rounds, iters: iters,
-		recvCount: make([][]int, cfg.P),
-		progs:     make([]*barrierProgram, cfg.P),
-		remaining: make([]int, iters),
+	nodes := make([]*barrierProgram, cfg.P)
+	for i := range nodes {
+		nodes[i] = &barrierProgram{cfg: &cfg, rounds: rounds, waiting: -1,
+			recvCount: make([]int, rounds+1), left: make([]float64, iters)}
 	}
-	for b := range run.remaining {
-		run.remaining[b] = cfg.P
+	if err := run(cfg, nodes); err != nil {
+		return BarrierResult{}, err
 	}
-	for i := 0; i < cfg.P; i++ {
-		run.recvCount[i] = make([]int, rounds+1)
-		prog := &barrierProgram{run: run, waiting: -1}
-		run.progs[i] = prog
-		m.SetProgram(i, prog)
-	}
-	m.Start()
-	m.Run()
-
 	res := BarrierResult{
 		Rounds:    rounds,
 		Predicted: float64(rounds) * (cfg.SendOverhead + cfg.Latency.Mean() + cfg.Handler.Mean()),
 	}
 	prev := 0.0
-	for _, t := range run.completed {
-		res.Tally.Add(t - prev)
-		prev = t
+	for b := 0; b < iters; b++ {
+		done := 0.0
+		for _, p := range nodes {
+			done = max(done, p.left[b])
+		}
+		res.Tally.Add(done - prev)
+		prev = done
 	}
 	res.PerBarrier = res.Tally.Mean()
 	return res, nil
@@ -477,8 +456,10 @@ type AllReduceResult struct {
 
 // AllReduce combines values at the root by a binomial-tree reduction
 // and redistributes the result along the optimal broadcast tree — the
-// classic reduce-then-broadcast allreduce. The two phases run on one
-// machine, so the broadcast starts exactly when the reduction delivers.
+// classic reduce-then-broadcast allreduce. The phases run back to back
+// as two machine runs (the broadcast seeded with Seed+1), so the finish
+// time is their sum; with cfg.Par set, its trace and statistics end up
+// describing the broadcast phase.
 func AllReduce(cfg Config, values []float64) (AllReduceResult, error) {
 	if err := cfg.validate(); err != nil {
 		return AllReduceResult{}, err

@@ -1,11 +1,15 @@
 package am
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/logp"
+	"repro/internal/psim"
+	"repro/internal/workload"
 )
 
 func detConfig(p int, o, l, h float64) Config {
@@ -327,5 +331,53 @@ func TestAllReduce(t *testing.T) {
 func TestAllReduceErrors(t *testing.T) {
 	if _, err := AllReduce(detConfig(4, 1, 1, 1), []float64{1}); err == nil {
 		t.Error("wrong value count accepted")
+	}
+}
+
+// TestBarrierParContract holds the collectives to the machine's
+// determinism contract: a barrier run with exponential handlers commits
+// a byte-identical trace, the same core statistics and the same result
+// on the sequential core and on the conservative core at every job
+// count. The optimistic core refuses the collectives' hooks.
+func TestBarrierParContract(t *testing.T) {
+	run := func(sync string, jobs int) ([]byte, BarrierResult, psim.RunStats) {
+		var tr psim.Trace
+		var rs psim.RunStats
+		cfg := detConfig(7, 3, 10, 5)
+		cfg.Handler = dist.NewExponential(5)
+		cfg.Seed = 31
+		cfg.Par = &workload.ParSim{Sync: sync, Jobs: jobs, Trace: &tr, Stats: &rs}
+		res, err := Barrier(cfg, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), res, rs
+	}
+	wantTrace, wantRes, wantRS := run("seq", 1)
+	if wantRS.Events == 0 {
+		t.Fatal("sequential run committed no events")
+	}
+	for _, jobs := range []int{1, 2, 8} {
+		gotTrace, gotRes, gotRS := run("cons", jobs)
+		if !bytes.Equal(gotTrace, wantTrace) {
+			t.Errorf("cons/j%d: trace differs from sequential (%d vs %d bytes)", jobs, len(gotTrace), len(wantTrace))
+			continue
+		}
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("cons/j%d: result differs from sequential:\n got %+v\nwant %+v", jobs, gotRes, wantRes)
+		}
+		if gotRS.Events != wantRS.Events || gotRS.MaxTime != wantRS.MaxTime || !reflect.DeepEqual(gotRS.PerLP, wantRS.PerLP) {
+			t.Errorf("cons/j%d: core stats differ: events %d/%d maxtime %v/%v",
+				jobs, gotRS.Events, wantRS.Events, gotRS.MaxTime, wantRS.MaxTime)
+		}
+	}
+	cfg := detConfig(7, 3, 10, 5)
+	cfg.Par = &workload.ParSim{Sync: "opt"}
+	if _, err := Barrier(cfg, 2); err == nil {
+		t.Error("opt core accepted a collective")
 	}
 }

@@ -39,7 +39,8 @@ var DeterministicPackages = []string{
 	"internal/mva",
 	"internal/exp",
 	"internal/workload",
-	"internal/sim",
+	"internal/machine",
+	"internal/am",
 	"internal/rng",
 	"internal/stats",
 	"internal/runner",

@@ -2,36 +2,55 @@
 // paper models (Ch. 2): P processing nodes on a contention-free
 // high-speed interconnect, communicating with Active Messages.
 //
-// Each node runs one computation thread (or several, via AddThread, for
-// the latency-tolerance extension). An arriving message interrupts the
-// running thread and runs its handler atomically to completion; messages
-// that arrive while a handler is running wait in an unbounded hardware
-// FIFO, and when a handler finishes the processor is interrupted again
-// for each queued message before the thread resumes (preempt-resume
-// priority). The machine can instead be configured with a protocol
-// processor per node (the paper's shared-memory variant), in which case
-// handlers run on the protocol processor and never interfere with the
-// computation thread.
+// An arriving message interrupts the running thread and runs its
+// handler atomically to completion; messages that arrive while a
+// handler is running wait in an unbounded hardware FIFO, and the thread
+// resumes only once the queue drains (preempt-resume priority). With a
+// protocol processor per node (the paper's shared-memory variant),
+// handlers run beside the thread and never interfere with it. The
+// paper's authors validated their event-driven simulator, built on
+// these assumptions, against the MIT Alewife hardware within about 1%.
 //
-// The simulator is the stand-in for the paper's validation substrate:
-// the authors report their event-driven simulator, built on exactly
-// these assumptions, matches the MIT Alewife hardware within about 1%
-// for every communication pattern studied.
+// The machine runs on the parallel simulation core: one psim logical
+// process per node, carrying the node's handler processor, its
+// computation threads and its steady-state measurements. The
+// interconnect's guaranteed minimum latency (the paper's wire time St,
+// dist.LowerBound of the latency distribution) becomes the psim
+// lookahead, which is what lets the conservative and optimistic cores
+// overlap nodes without breaking the event order. Service times are
+// referenced by index into a shared table so events stay flat values.
+//
+// A node runs one thread with the blocking request/reply protocol built
+// in (Request), or, for the extensions, several threads (Threads) that
+// send one-way messages (Send), park (Block), and are woken by the
+// node's handler-completion Hook. A Send message carries its workload
+// data in the event payload, so no effect crosses nodes outside a
+// message.
+//
+// Four extras relax the paper's Ch. 2 machine for ablation and
+// inspection: LinkOccupancy serializes each ordered link, NIQueueCap
+// bounds the handler FIFO with NACK and retry, PairLatency gives every
+// ordered pair its own wire time, and an Observer sees the run's
+// structural events. The sequential and conservative cores run every
+// feature. The optimistic core refuses the two stateful extras, the
+// Observer, Threads and Hooks: their state lives outside the
+// checkpointed node state.
 package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dist"
+	"repro/internal/psim"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // Kind distinguishes request handlers from reply handlers. The LoPC
 // equations treat the two classes separately (queue lengths Qq and Qy,
 // utilizations Uq and Uy), so the machine tracks them separately too.
-type Kind int
+type Kind uint8
 
 const (
 	// KindRequest marks messages that run request handlers (Hq).
@@ -51,160 +70,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Message is one active message. The Service distribution is sampled on
-// the destination node when the handler begins service; OnComplete runs
-// at the instant the handler finishes and performs the handler's
-// effects (sending a reply, unblocking the local thread, forwarding a
-// multi-hop request). The machine fills in the four timestamps, from
-// which workloads compute the response-time components of the model
-// (Rq = Done−Arrived for requests, Ry likewise for replies).
-type Message struct {
-	Src, Dst int
-	Kind     Kind
-	Service  dist.Distribution
-	// OnComplete runs on handler completion. It may call Machine.Send
-	// and Machine.Unblock. A nil OnComplete is allowed.
-	OnComplete func(m *Machine, msg *Message)
-	// UserData carries workload-specific context through the handler.
-	UserData any
-
-	// Timestamps, filled in by the machine (simulated cycles).
-	Sent         sim.Time // injection into the network
-	Arrived      sim.Time // arrival at the destination NI queue
-	ServiceStart sim.Time // handler begins execution
-	Done         sim.Time // handler completes
-}
-
-// Action is one step of a computation thread, returned by Program.Next.
-// Construct actions with Compute, SendAndBlock, SendAsync, and Halt.
-type Action struct {
-	kind     actionKind
-	duration float64
-	msg      *Message
-}
-
-type actionKind int
-
-const (
-	actionCompute actionKind = iota
-	actionSendBlock
-	actionSendAsync
-	actionBlock
-	actionHalt
-)
-
-// Compute returns an action that occupies the thread's processor for d
-// cycles of local work. The work is preemptible: message arrivals
-// interrupt it and it resumes where it left off.
-func Compute(d float64) Action {
-	if d < 0 {
-		panic(fmt.Sprintf("machine: negative compute duration %v", d))
-	}
-	return Action{kind: actionCompute, duration: d}
-}
-
-// SendAndBlock returns an action that injects msg and blocks the thread
-// until some handler calls Machine.Unblock on this node — the blocking
-// request of the LoPC model.
-func SendAndBlock(msg *Message) Action { return Action{kind: actionSendBlock, msg: msg} }
-
-// SendAsync returns an action that injects msg and immediately proceeds
-// to the next action (a non-blocking send, used by the model's
-// future-work extension for non-blocking requests).
-func SendAsync(msg *Message) Action { return Action{kind: actionSendAsync, msg: msg} }
-
-// Block returns an action that parks the thread until some handler
-// calls Machine.Unblock on this node, without sending anything.
-// Collective operations use it to wait for incoming messages.
-func Block() Action { return Action{kind: actionBlock} }
-
-// Halt returns an action that terminates the thread.
-func Halt() Action { return Action{kind: actionHalt} }
-
-// Program drives a node's computation thread. Next is called whenever
-// the thread is ready to take its next step: at machine start, after a
-// Compute finishes, after a SendAsync, and after the thread is
-// unblocked following a SendAndBlock (and has regained the processor).
-type Program interface {
-	Next(m *Machine, node int) Action
-}
-
-// ProgramFunc adapts a function to the Program interface.
-type ProgramFunc func(m *Machine, node int) Action
-
-// Next implements Program.
-func (f ProgramFunc) Next(m *Machine, node int) Action { return f(m, node) }
-
-// Config describes the simulated machine in the paper's architectural
-// parameters.
-type Config struct {
-	// P is the number of processing nodes.
-	P int
-	// NetLatency is the per-trip wire time St. The interconnect is
-	// contention-free: trips never interact. Typically deterministic.
-	NetLatency dist.Distribution
-	// ProtocolProcessor selects the shared-memory variant: handlers run
-	// on a dedicated protocol processor and never preempt the thread.
-	ProtocolProcessor bool
-	// Seed roots all random streams (one per node plus one for the
-	// network). The same seed reproduces the identical event trace.
-	Seed uint64
-}
-
-type threadState int
-
-const (
-	threadIdle threadState = iota // no program assigned
-	threadReady
-	threadRunning
-	threadBlocked
-	threadHalted
-)
-
-// thread is one computation context on a node. The paper's machine has
-// exactly one per node; AddThread relaxes that for the multithreading
-// (latency-tolerance) extension.
-type thread struct {
-	id        int
-	program   Program
-	tstate    threadState
-	remaining float64 // remaining cycles of the current Compute
-	startedAt sim.Time
-	event     *sim.Event
-}
-
-// node is the per-node simulator state.
-type node struct {
-	id   int
-	rand *rng.Stream
-
-	// Handler processor state. In interrupt mode this is the CPU in
-	// handler context; in protocol-processor mode it is the separate
-	// protocol processor. current is the in-service handler; handlerQ
-	// holds waiting messages in FIFO order.
-	handlerQ []*Message
-	current  *Message
-
-	// Computation threads. running is the tid of the thread holding
-	// the CPU (-1 when none); ready is the FIFO of runnable tids, with
-	// a preempted thread re-queued at the front (preempt-resume).
-	threads []*thread
-	running int
-	ready   []int
-
-	// Instrumentation. Present counts include the in-service handler.
-	reqPresent, repPresent   int
-	reqQ, repQ               stats.TimeWeighted
-	busyReq, busyRep         stats.TimeWeighted
-	threadBusy               stats.TimeWeighted
-	reqArrivals, repArrivals int64
-	reqResp, repResp         stats.Tally
-	// maxDepth is the largest number of handlers ever present at once
-	// (queued + in service), for checking the paper's unbounded-FIFO
-	// assumption against real NI queue capacities.
-	maxDepth int
-}
-
 // NodeStats is a snapshot of one node's steady-state measurements:
 // the time-averaged queue lengths and utilizations the model's Little's
 // law equations predict, plus per-class handler response-time tallies.
@@ -215,7 +80,7 @@ type NodeStats struct {
 	// UtilReq and UtilRep are the fractions of time a request/reply
 	// handler was in service — the model's Uq and Uy.
 	UtilReq, UtilRep float64
-	// ThreadUtil is the fraction of time the computation thread was
+	// ThreadUtil is the fraction of time a computation thread was
 	// executing.
 	ThreadUtil float64
 	// ReqArrivals and RepArrivals count handler arrivals since the last
@@ -225,425 +90,12 @@ type NodeStats struct {
 	// (arrival to completion) — the model's Rq and Ry.
 	ReqResponse, RepResponse stats.Tally
 	// MaxQueueDepth is the deepest the node's handler queue ever got
-	// (including the handler in service), since machine start — it is
-	// deliberately not reset with the other statistics, because it
-	// checks the unbounded-FIFO assumption over the whole run.
+	// (including the handler in service), since the start of the run —
+	// it is deliberately not reset with the other statistics, because
+	// it checks the unbounded-FIFO assumption over the whole run.
 	MaxQueueDepth int
 	// Elapsed is the measurement window length.
 	Elapsed float64
-}
-
-// Machine is the simulated multiprocessor.
-type Machine struct {
-	cfg       Config
-	eng       *sim.Engine
-	nodes     []*node
-	netStream *rng.Stream
-	started   bool
-	halted    int
-}
-
-// New constructs a machine. It panics on an invalid configuration; a
-// simulation with a malformed machine has no meaningful output.
-func New(cfg Config) *Machine {
-	if cfg.P < 1 {
-		panic(fmt.Sprintf("machine: P = %d, need at least one node", cfg.P))
-	}
-	if cfg.NetLatency == nil {
-		panic("machine: NetLatency distribution is required")
-	}
-	src := rng.NewSource(cfg.Seed)
-	m := &Machine{
-		cfg:       cfg,
-		eng:       sim.NewEngine(),
-		netStream: src.Stream(),
-	}
-	m.nodes = make([]*node, cfg.P)
-	for i := range m.nodes {
-		m.nodes[i] = &node{id: i, rand: src.Stream(), running: -1}
-	}
-	return m
-}
-
-// P returns the number of nodes.
-func (m *Machine) P() int { return m.cfg.P }
-
-// Now returns the current simulated time in cycles.
-func (m *Machine) Now() sim.Time { return m.eng.Now() }
-
-// Engine exposes the event engine for workloads that need to schedule
-// auxiliary events (e.g. measurement epochs).
-func (m *Machine) Engine() *sim.Engine { return m.eng }
-
-// Rand returns the random stream of the given node, for workload
-// decisions (e.g. choosing a destination) that must be reproducible
-// per-node.
-func (m *Machine) Rand(nodeID int) *rng.Stream { return m.nodes[nodeID].rand }
-
-// SetProgram installs the computation-thread program for a node — the
-// paper's one-thread-per-node configuration. It must be called before
-// Start, at most once per node (use AddThread for the multithreaded
-// extension). Nodes without a program idle (the servers of the
-// work-pile pattern have no program; they only run handlers).
-func (m *Machine) SetProgram(nodeID int, p Program) {
-	if len(m.nodes[nodeID].threads) > 0 {
-		panic("machine: SetProgram on a node that already has a thread")
-	}
-	m.AddThread(nodeID, p)
-}
-
-// AddThread adds a computation thread running p to the node and returns
-// its thread id — the multithreading (latency-tolerance) extension of
-// the paper's machine. Scheduling is switch-on-miss, as on Alewife's
-// Sparcle processor: a thread keeps the CPU across consecutive actions
-// and yields only when it blocks or halts; handlers preempt whichever
-// thread is running, and a preempted thread resumes before other ready
-// threads. Blocking replies must wake the right context with
-// UnblockThread. It must be called before Start.
-func (m *Machine) AddThread(nodeID int, p Program) int {
-	if m.started {
-		panic("machine: AddThread after Start")
-	}
-	n := m.nodes[nodeID]
-	t := &thread{id: len(n.threads), program: p, tstate: threadReady}
-	n.threads = append(n.threads, t)
-	return t.id
-}
-
-// Start begins execution: every node with a program has its thread
-// dispatched at time zero.
-func (m *Machine) Start() {
-	if m.started {
-		panic("machine: Start called twice")
-	}
-	m.started = true
-	now := m.eng.Now()
-	for _, n := range m.nodes {
-		n.reqQ.Set(now, 0)
-		n.repQ.Set(now, 0)
-		n.busyReq.Set(now, 0)
-		n.busyRep.Set(now, 0)
-		n.threadBusy.Set(now, 0)
-	}
-	for _, n := range m.nodes {
-		for _, t := range n.threads {
-			n.ready = append(n.ready, t.id)
-		}
-		if len(n.threads) > 0 {
-			n := n
-			m.eng.Schedule(0, func() { m.dispatch(n) })
-		}
-	}
-}
-
-// Send injects a message into the interconnect. The caller must have
-// set Src, Dst, Kind, and Service. Arrival is scheduled after one
-// sampled network trip; the interconnect is contention-free so trips
-// are independent.
-func (m *Machine) Send(msg *Message) {
-	if msg.Dst < 0 || msg.Dst >= m.cfg.P {
-		panic(fmt.Sprintf("machine: send to invalid node %d", msg.Dst))
-	}
-	if msg.Service == nil {
-		panic("machine: message without a service distribution")
-	}
-	msg.Sent = m.eng.Now()
-	m.eng.Schedule(m.cfg.NetLatency.Sample(m.netStream), func() { m.arrive(msg) })
-}
-
-// Unblock marks the node's thread ready after a blocking request
-// completes. It is called by reply-handler OnComplete functions. The
-// thread regains the processor only once no handlers are queued or in
-// service (interrupt mode), per the preempt-resume discipline.
-func (m *Machine) Unblock(nodeID int) {
-	n := m.nodes[nodeID]
-	blocked := -1
-	for _, t := range n.threads {
-		if t.tstate == threadBlocked {
-			if blocked >= 0 {
-				panic(fmt.Sprintf("machine: Unblock(%d) is ambiguous with several blocked threads; use UnblockThread", nodeID))
-			}
-			blocked = t.id
-		}
-	}
-	if blocked < 0 {
-		panic(fmt.Sprintf("machine: Unblock(%d) but no thread is blocked", nodeID))
-	}
-	m.UnblockThread(nodeID, blocked)
-}
-
-// UnblockThread marks a specific thread of a node ready after a
-// blocking request completes — the multithreaded counterpart of
-// Unblock. The thread regains the processor once no handlers are
-// queued or in service (interrupt mode) and the threads ahead of it in
-// the ready queue have run or blocked.
-func (m *Machine) UnblockThread(nodeID, tid int) {
-	n := m.nodes[nodeID]
-	t := n.threads[tid]
-	if t.tstate != threadBlocked {
-		panic(fmt.Sprintf("machine: UnblockThread(%d, %d) but thread is %v", nodeID, tid, t.tstate))
-	}
-	t.tstate = threadReady
-	n.ready = append(n.ready, tid)
-	m.dispatch(n)
-}
-
-// Halted returns the number of threads that have executed Halt.
-func (m *Machine) Halted() int { return m.halted }
-
-// RunUntil advances the simulation to time t.
-func (m *Machine) RunUntil(t sim.Time) { m.eng.RunUntil(t) }
-
-// RunWhile advances the simulation while cond holds and events remain.
-func (m *Machine) RunWhile(cond func() bool) { m.eng.RunWhile(cond) }
-
-// Run advances the simulation until no events remain (all threads
-// halted and all handlers drained).
-func (m *Machine) Run() { m.eng.Run() }
-
-// arrive delivers a message to its destination's NI queue.
-func (m *Machine) arrive(msg *Message) {
-	n := m.nodes[msg.Dst]
-	now := m.eng.Now()
-	msg.Arrived = now
-	switch msg.Kind {
-	case KindRequest:
-		n.reqArrivals++
-		n.reqPresent++
-		n.reqQ.Set(now, float64(n.reqPresent))
-	case KindReply:
-		n.repArrivals++
-		n.repPresent++
-		n.repQ.Set(now, float64(n.repPresent))
-	}
-	n.handlerQ = append(n.handlerQ, msg)
-	if depth := n.reqPresent + n.repPresent; depth > n.maxDepth {
-		n.maxDepth = depth
-	}
-	m.dispatch(n)
-}
-
-// dispatch gives the node's processor(s) to whatever should run next.
-// It is idempotent: callers invoke it after any state change.
-func (m *Machine) dispatch(n *node) {
-	if m.cfg.ProtocolProcessor {
-		// Shared-memory variant: handlers on the protocol processor,
-		// threads on the CPU, independently.
-		if n.current == nil && len(n.handlerQ) > 0 {
-			m.startHandler(n)
-		}
-		if n.running < 0 && len(n.ready) > 0 {
-			m.giveThreadCPU(n)
-		}
-		return
-	}
-	// Interrupt model: handlers have priority and share the CPU with
-	// the threads.
-	if n.current != nil {
-		return // a handler is in service and is atomic
-	}
-	if len(n.handlerQ) > 0 {
-		if n.running >= 0 {
-			m.preempt(n)
-		}
-		m.startHandler(n)
-		return
-	}
-	if n.running < 0 && len(n.ready) > 0 {
-		m.giveThreadCPU(n)
-	}
-}
-
-// startHandler begins service of the next queued message.
-func (m *Machine) startHandler(n *node) {
-	msg := n.handlerQ[0]
-	// Shift rather than re-slice forever; the queue is typically short
-	// and this keeps the backing array from growing without bound.
-	copy(n.handlerQ, n.handlerQ[1:])
-	n.handlerQ = n.handlerQ[:len(n.handlerQ)-1]
-
-	now := m.eng.Now()
-	n.current = msg
-	msg.ServiceStart = now
-	switch msg.Kind {
-	case KindRequest:
-		n.busyReq.Set(now, 1)
-	case KindReply:
-		n.busyRep.Set(now, 1)
-	}
-	service := msg.Service.Sample(n.rand)
-	m.eng.Schedule(service, func() { m.handlerDone(n, msg) })
-}
-
-// handlerDone completes the in-service handler: records measurements,
-// runs the handler's effects, and re-dispatches the processor.
-func (m *Machine) handlerDone(n *node, msg *Message) {
-	now := m.eng.Now()
-	msg.Done = now
-	n.current = nil
-	switch msg.Kind {
-	case KindRequest:
-		n.reqPresent--
-		n.reqQ.Set(now, float64(n.reqPresent))
-		n.busyReq.Set(now, 0)
-		n.reqResp.Add(msg.Done - msg.Arrived)
-	case KindReply:
-		n.repPresent--
-		n.repQ.Set(now, float64(n.repPresent))
-		n.busyRep.Set(now, 0)
-		n.repResp.Add(msg.Done - msg.Arrived)
-	}
-	if msg.OnComplete != nil {
-		msg.OnComplete(m, msg)
-	}
-	m.dispatch(n)
-}
-
-// preempt interrupts the running thread, banking its remaining work
-// and re-queuing it at the head of the ready queue (preempt-resume: it
-// regains the CPU before other ready threads once the handlers drain).
-func (m *Machine) preempt(n *node) {
-	now := m.eng.Now()
-	t := n.threads[n.running]
-	m.eng.Cancel(t.event)
-	t.event = nil
-	elapsed := now - t.startedAt
-	t.remaining -= elapsed
-	if t.remaining < 0 {
-		t.remaining = 0 // floating-point fuzz only
-	}
-	t.tstate = threadReady
-	n.ready = append([]int{t.id}, n.ready...)
-	n.running = -1
-	n.threadBusy.Set(now, 0)
-}
-
-// giveThreadCPU pops the head of the ready queue and resumes or
-// advances it.
-func (m *Machine) giveThreadCPU(n *node) {
-	tid := n.ready[0]
-	n.ready = n.ready[1:]
-	t := n.threads[tid]
-	n.running = tid
-	if t.remaining > 0 {
-		m.startThreadRun(n, t)
-		return
-	}
-	m.advanceThread(n, t)
-}
-
-// startThreadRun runs the thread for its remaining banked work.
-func (m *Machine) startThreadRun(n *node, t *thread) {
-	now := m.eng.Now()
-	t.tstate = threadRunning
-	t.startedAt = now
-	n.threadBusy.Set(now, 1)
-	t.event = m.eng.Schedule(t.remaining, func() { m.threadDone(n, t) })
-}
-
-// threadDone fires when a Compute finishes uninterrupted.
-func (m *Machine) threadDone(n *node, t *thread) {
-	t.remaining = 0
-	t.event = nil
-	t.tstate = threadReady
-	n.threadBusy.Set(m.eng.Now(), 0)
-	// In interrupt mode the CPU is necessarily free of handlers here
-	// (an arrival would have preempted the run); in PP mode threads
-	// never wait for handlers. Either way this thread keeps the CPU
-	// for its next zero-cost actions.
-	m.advanceThread(n, t)
-}
-
-// advanceThread executes the thread's zero-duration actions until it
-// either starts a Compute, blocks, or halts. The thread must hold the
-// CPU (n.running == t.id).
-func (m *Machine) advanceThread(n *node, t *thread) {
-	const maxZeroCostActions = 1 << 20
-	for i := 0; ; i++ {
-		if i == maxZeroCostActions {
-			panic(fmt.Sprintf("machine: node %d program issued %d actions without consuming time", n.id, i))
-		}
-		action := t.program.Next(m, n.id)
-		switch action.kind {
-		case actionCompute:
-			//lopc:allow floateq exactly-zero compute is a no-op action; any positive duration schedules an event
-			if action.duration == 0 {
-				continue
-			}
-			t.remaining = action.duration
-			m.startThreadRun(n, t)
-			return
-		case actionSendBlock:
-			m.Send(action.msg)
-			t.tstate = threadBlocked
-			n.running = -1
-			m.dispatch(n)
-			return
-		case actionBlock:
-			t.tstate = threadBlocked
-			n.running = -1
-			m.dispatch(n)
-			return
-		case actionSendAsync:
-			m.Send(action.msg)
-			continue
-		case actionHalt:
-			t.tstate = threadHalted
-			n.running = -1
-			m.halted++
-			m.dispatch(n)
-			return
-		default:
-			panic(fmt.Sprintf("machine: unknown action kind %d", action.kind))
-		}
-	}
-}
-
-// ResetStats restarts all steady-state measurements at the current
-// simulated time. Experiments call it at the end of warmup.
-func (m *Machine) ResetStats() {
-	now := m.eng.Now()
-	for _, n := range m.nodes {
-		n.reqQ.Reset(now, float64(n.reqPresent))
-		n.repQ.Reset(now, float64(n.repPresent))
-		n.busyReq.Reset(now, boolTo01(n.current != nil && n.current.Kind == KindRequest))
-		n.busyRep.Reset(now, boolTo01(n.current != nil && n.current.Kind == KindReply))
-		n.threadBusy.Reset(now, boolTo01(n.running >= 0))
-		n.reqArrivals, n.repArrivals = 0, 0
-		n.reqResp, n.repResp = stats.Tally{}, stats.Tally{}
-	}
-}
-
-func boolTo01(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// NodeStats returns a measurement snapshot for one node, integrated up
-// to the current simulated time.
-func (m *Machine) NodeStats(nodeID int) NodeStats {
-	n := m.nodes[nodeID]
-	now := m.eng.Now()
-	n.reqQ.Advance(now)
-	n.repQ.Advance(now)
-	n.busyReq.Advance(now)
-	n.busyRep.Advance(now)
-	n.threadBusy.Advance(now)
-	return NodeStats{
-		ReqQueue:      n.reqQ.Mean(),
-		RepQueue:      n.repQ.Mean(),
-		UtilReq:       n.busyReq.Mean(),
-		UtilRep:       n.busyRep.Mean(),
-		ThreadUtil:    n.threadBusy.Mean(),
-		ReqArrivals:   n.reqArrivals,
-		RepArrivals:   n.repArrivals,
-		ReqResponse:   n.reqResp,
-		RepResponse:   n.repResp,
-		MaxQueueDepth: n.maxDepth,
-		Elapsed:       n.reqQ.Elapsed(),
-	}
 }
 
 // MachineStats aggregates NodeStats across all nodes (arithmetic means
@@ -660,33 +112,39 @@ type MachineStats struct {
 	Elapsed       float64
 }
 
-// Stats returns machine-wide aggregated measurements.
-func (m *Machine) Stats() MachineStats {
-	var agg MachineStats
-	for i := range m.nodes {
-		ns := m.NodeStats(i)
-		agg.ReqQueue += ns.ReqQueue
-		agg.RepQueue += ns.RepQueue
-		agg.UtilReq += ns.UtilReq
-		agg.UtilRep += ns.UtilRep
-		agg.ThreadUtil += ns.ThreadUtil
-		agg.ReqArrivals += ns.ReqArrivals
-		agg.RepArrivals += ns.RepArrivals
-		agg.ReqResponse.Merge(&ns.ReqResponse)
-		agg.RepResponse.Merge(&ns.RepResponse)
-		if ns.MaxQueueDepth > agg.MaxQueueDepth {
-			agg.MaxQueueDepth = ns.MaxQueueDepth
-		}
-		agg.Elapsed = ns.Elapsed
-	}
-	p := float64(m.cfg.P)
-	agg.ReqQueue /= p
-	agg.RepQueue /= p
-	agg.UtilReq /= p
-	agg.UtilRep /= p
-	agg.ThreadUtil /= p
-	return agg
-}
+// Event kinds of the machine's psim traffic.
+const (
+	kReq         int32 = iota + 1 // cross-node request (I0 service, I1 reply service, F0 sent)
+	kRep                          // cross-node reply (I0 service, F0 sent, F1-F3 request timestamps)
+	kHandlerDone                  // self: the in-service handler completes
+	kThreadDone                   // self: the current Compute finishes (U0 run token)
+	kReset                        // self: restart steady-state measurements
+	kNackReq                      // a full NI queue bounced a request back to its sender (kReq payload)
+	kNackRep                      // a full NI queue bounced a reply back to its sender (kRep payload)
+	kSendReq                      // one-way Send message, request class (I0 service, I1 thread, U0 tag, F0 sent, F1 value)
+	kSendRep                      // one-way Send message, reply class (kSendReq payload)
+)
+
+type actionKind uint8
+
+const (
+	actionCompute actionKind = iota
+	actionRequest
+	actionHalt
+	actionSendReq // Send of a request-class message
+	actionSendRep // Send of a reply-class message
+	actionBlock
+)
+
+type threadState int
+
+const (
+	threadIdle threadState = iota // no program assigned
+	threadReady
+	threadRunning
+	threadBlocked
+	threadHalted
+)
 
 func (s threadState) String() string {
 	switch s {
@@ -702,5 +160,1056 @@ func (s threadState) String() string {
 		return "halted"
 	default:
 		return fmt.Sprintf("threadState(%d)", int(s))
+	}
+}
+
+// Action is one step of a node's computation thread. Construct
+// with Compute, Request, Send, Block, and Halt.
+type Action struct {
+	kind     actionKind
+	dst      int32
+	duration float64 // Compute: cycles; Send: Message.Val
+	svc      int32
+	reply    int32  // Request: reply service; Send: Message.Thread
+	tag      uint64 // Send: Message.Tag
+}
+
+// Compute occupies the thread for d cycles of preemptible work.
+func Compute(d float64) Action {
+	if d < 0 {
+		panic(fmt.Sprintf("machine: negative compute duration %v", d))
+	}
+	return Action{kind: actionCompute, duration: d}
+}
+
+// Request sends a blocking request to node dst: the request handler
+// runs service svc there, its reply runs service reply back here, and
+// the reply's completion unblocks the thread (the LoPC request/reply
+// round trip). svc and reply index Config.Services.
+func Request(dst int, svc, reply int) Action {
+	return Action{kind: actionRequest, dst: int32(dst), svc: int32(svc), reply: int32(reply)}
+}
+
+// Halt terminates the thread.
+func Halt() Action { return Action{kind: actionHalt} }
+
+// Send injects the one-way message m to node dst and lets the thread
+// go on at once (a non-blocking send). When m's handler completes on
+// dst, dst's Hook sees it.
+func Send(dst int, m Message) Action {
+	kind := actionSendReq
+	if m.Kind == KindReply {
+		kind = actionSendRep
+	}
+	return Action{kind: kind, dst: int32(dst), svc: int32(m.Svc), reply: int32(m.Thread), tag: m.Tag, duration: m.Val}
+}
+
+// Block parks the thread until a hook on its node wakes it with
+// NodeView.Wake.
+func Block() Action { return Action{kind: actionBlock} }
+
+// Message is a one-way active message, sent with the Send action or
+// NodeView.Send. Svc indexes Config.Services. Thread, Tag and Val are
+// the workload's own data (a thread for a reply to wake, a hop count,
+// a round, a value): they travel in the event payload, so a workload's
+// cross-node effects need no state shared between nodes. The machine
+// fills in Src, Dst and the timestamps before the hook sees a message.
+type Message struct {
+	Kind   Kind
+	Svc    int
+	Thread int
+	Tag    uint64
+	Val    float64
+
+	Src, Dst            int
+	Sent, Arrived, Done float64
+}
+
+// Hook runs on a node each time the handler of a Send message
+// completes there, at the completion time. It may send messages and
+// wake the node's blocked threads through v; the node re-dispatches
+// its processor after the hook returns.
+type Hook interface {
+	Done(v *NodeView, m Message)
+}
+
+// CycleInfo reports the timestamps of the thread's most recent
+// completed request/reply round trip, for workload measurements.
+type CycleInfo struct {
+	ReqSent, ReqArrived, ReqDone float64
+	RepSent, RepArrived, RepDone float64
+}
+
+// Program drives one node's computation thread. Next is called
+// whenever the thread is ready for its next step: at start, after a
+// Compute finishes, and after a request's reply unblocks it. Save and
+// Restore snapshot the program's mutable state for the optimistic core
+// (programs that never run optimistically may return nil and ignore),
+// under psim.LP's contract: reuse is nil or a snapshot this program's
+// Save returned earlier that the kernel has discarded, which Save may
+// overwrite and return, and Restore must not retain its argument.
+type Program interface {
+	Next(v *NodeView) Action
+	Save(reuse any) any
+	Restore(snapshot any)
+}
+
+// NoSnapshot gives a program that never runs on the optimistic core
+// (one on a node with a Hook or several threads, which that core
+// refuses) the Save and Restore of Program: they do nothing.
+type NoSnapshot struct{}
+
+// Save implements Program.
+func (NoSnapshot) Save(any) any { return nil }
+
+// Restore implements Program.
+func (NoSnapshot) Restore(any) {}
+
+// NodeView is a program's window onto its node during Next, and a
+// hook's during Done.
+type NodeView struct {
+	n   *node
+	ctx *psim.Ctx
+}
+
+// Now returns the node's current simulated time.
+func (v *NodeView) Now() float64 { return v.ctx.Now() }
+
+// Self returns the node index.
+func (v *NodeView) Self() int { return v.ctx.Self() }
+
+// N returns the number of nodes.
+func (v *NodeView) N() int { return v.ctx.N() }
+
+// Rand returns the node's private random stream.
+func (v *NodeView) Rand() *rng.Stream { return v.ctx.Rand() }
+
+// Cycle returns the timestamps of the most recent completed round trip.
+func (v *NodeView) Cycle() CycleInfo { return v.n.st.cycle }
+
+// ResetStats restarts this node's steady-state measurements at the
+// current time, which a program calls at its own warmup boundary.
+func (v *NodeView) ResetStats() { v.n.resetStats(v.ctx.Now()) }
+
+// Stats returns this node's measurements integrated to the current
+// time, for a program that closes its own measurement window.
+func (v *NodeView) Stats() NodeStats { return v.n.snapshot(v.ctx.Now()) }
+
+// Thread returns the index of the thread whose Next is running (0 on a
+// single-thread node).
+func (v *NodeView) Thread() int {
+	if v.n.mt == nil {
+		return 0
+	}
+	return v.n.mt.cur
+}
+
+// Send injects the one-way message m to node dst now; hooks use it to
+// forward a request or answer one.
+func (v *NodeView) Send(dst int, m Message) {
+	kind := kSendReq
+	if m.Kind == KindReply {
+		kind = kSendRep
+	}
+	v.n.sendMsg(v.ctx, dst, kind, int32(m.Svc), int32(m.Thread), m.Tag, m.Val)
+}
+
+// Wake makes the node's blocked thread tid ready. It joins the back of
+// the ready queue and runs once no handler holds the processor and the
+// threads ahead of it have blocked or halted. Waking a thread that is
+// not blocked panics.
+func (v *NodeView) Wake(tid int) {
+	n := v.n
+	st := &n.st
+	if n.mt == nil {
+		if tid != 0 || st.tstate != threadBlocked {
+			panic(fmt.Sprintf("machine: node %d wakes thread %d, which is not blocked (thread 0 is %v)", v.Self(), tid, st.tstate))
+		}
+		st.tstate = threadReady
+		return
+	}
+	if tid < 0 || tid >= len(n.mt.state) || n.mt.state[tid] != threadBlocked {
+		panic(fmt.Sprintf("machine: node %d wakes thread %d, which is not blocked", v.Self(), tid))
+	}
+	n.mt.state[tid] = threadReady
+	n.mt.ready = append(n.mt.ready, tid)
+	if st.tstate == threadBlocked {
+		st.tstate = threadReady
+	}
+}
+
+// hmsg is one handler-processor message in a node's NI queue.
+type hmsg struct {
+	kind    Kind
+	oneway  bool // a Send message: its completion runs the node's hook
+	src     int32
+	svc     int32 // service selector for this handler
+	reply   int32 // requests: reply service selector (< 0: no reply); Send: Message.Thread
+	sent    float64
+	arrived float64
+	reqSent float64 // replies: the originating request's timestamps; Send: Message.Val
+	reqArr  float64
+	reqDone float64
+	tag     uint64 // Send: Message.Tag
+}
+
+// nodeState is the mutable per-node simulator state. Everything is a
+// value except the handler queue, which Save and Restore copy element
+// by element, so an optimistic snapshot is a struct copy plus one
+// slice copy.
+type nodeState struct {
+	handlerQ  []hmsg
+	current   hmsg
+	inService bool
+
+	tstate    threadState
+	remaining float64
+	startedAt float64
+	runSeq    uint64
+	cycle     CycleInfo
+
+	reqPresent, repPresent   int
+	reqQ, repQ               stats.TimeWeighted
+	busyReq, busyRep         stats.TimeWeighted
+	threadBusy               stats.TimeWeighted
+	reqArrivals, repArrivals int64
+	reqResp, repResp         stats.Tally
+	maxDepth                 int
+}
+
+// snap is one optimistic checkpoint of a node.
+type snap struct {
+	st   nodeState
+	prog any
+}
+
+// node is the psim.LP for one machine node.
+type node struct {
+	cfg  *Config
+	prog Program // the thread program holding the CPU; nil: the node only runs handlers
+	hook Hook
+	st   nodeState
+	view NodeView
+
+	// mt schedules a node with several threads, nil otherwise. Run
+	// refuses it under the optimistic core, so it is not checkpointed.
+	mt *threads
+
+	// x is the state of the extras, nil on the paper's machine: its
+	// sends and arrivals pay one nil check for them.
+	x *extras
+}
+
+// extras is a node's state for the Config extras. Run refuses the
+// stateful ones under the optimistic core, so none of it is
+// checkpointed.
+type extras struct {
+	linkFree []float64 // LinkOccupancy: when this node's link to each destination is next free
+	nacks    int64     // NIQueueCap: messages this node bounced
+	sentSeq  uint64    // Observer: messages this node injected
+	svcStart float64   // Observer: when the in-service handler started
+}
+
+// threads is the scheduler of a node with several thread programs:
+// a FIFO ready queue in which a preempted thread goes back to the
+// front, so it resumes before the others once the handlers drain.
+// Only that thread can have banked work, so the node-level remaining,
+// startedAt and runSeq serve every thread; st.tstate summarizes the
+// threads for dispatch (running while one computes, ready while the
+// queue is non-empty and none holds the CPU, blocked otherwise).
+type threads struct {
+	progs []Program
+	state []threadState
+	ready []int
+	cur   int // the thread holding the CPU
+}
+
+// pop gives the CPU to the head of the ready queue.
+func (t *threads) pop() Program {
+	t.cur = t.ready[0]
+	copy(t.ready, t.ready[1:])
+	t.ready = t.ready[:len(t.ready)-1]
+	t.state[t.cur] = threadRunning
+	return t.progs[t.cur]
+}
+
+// ObsKind names what an Observation reports.
+type ObsKind uint8
+
+const (
+	// ObsSent: a message entered the network at At. A NACKed
+	// retransmission is not reported again.
+	ObsSent ObsKind = iota
+	// ObsArrived: a message reached its destination's NI queue at At.
+	ObsArrived
+	// ObsHandler: Node ran a handler for the message over [Start, At];
+	// the message had arrived at Arrived.
+	ObsHandler
+	// ObsThread: Node's computation thread ran uninterrupted over
+	// [Start, At], ended by completion or preemption.
+	ObsThread
+)
+
+// Observation is one structural event of a run. Times are
+// simulated cycles.
+type Observation struct {
+	Kind ObsKind
+	Node int
+	// Msg, Src and Dst describe the message of a message observation.
+	// Seq numbers the messages of each source, so (Src, Seq) identifies
+	// a message across its send and its arrival.
+	Msg      Kind
+	Src, Dst int
+	Seq      uint64
+	Arrived  float64
+	Start    float64
+	At       float64
+}
+
+// Observer receives a run's structural events in commit order. It
+// fires on the sequential core only and must not mutate the run.
+type Observer interface {
+	Observe(o Observation)
+}
+
+// Config describes a machine run.
+type Config struct {
+	// P is the number of nodes (one LP each).
+	P int
+	// Latency is the cross-node network latency; its guaranteed lower
+	// bound (dist.LowerBound) is the parallel lookahead. The paper's
+	// deterministic wire time St gives lookahead St.
+	Latency dist.Distribution
+	// Services is the table of handler service-time distributions that
+	// Request actions reference by index.
+	Services []dist.Distribution
+	// Programs holds one thread program per node; nil entries are
+	// handler-only nodes (the servers of the work-pile pattern).
+	Programs []Program
+	// Threads, in place of Programs, gives node i the len(Threads[i])
+	// thread programs of the multithreading extension, scheduled
+	// switch-on-block: a thread keeps the CPU until it blocks or halts,
+	// handlers preempt it, and it then resumes before other ready
+	// threads. A node with several threads cannot use Request; its
+	// threads Send and Block, and the hook wakes them.
+	Threads [][]Program
+	// Hooks holds one handler-completion hook per node (nil entries:
+	// none), run when a Send message's handler completes.
+	Hooks []Hook
+	// ProtocolProcessor selects the shared-memory variant: handlers run
+	// beside the thread instead of preempting it.
+	ProtocolProcessor bool
+	// Seed roots the per-node random substreams.
+	Seed uint64
+	// ResetStatsAt, when positive, restarts every node's steady-state
+	// measurements at that time (the warmup boundary).
+	ResetStatsAt float64
+	// Until bounds the run; 0 means run to quiescence.
+	Until float64
+
+	// LinkOccupancy serializes the interconnect: each message occupies
+	// its ordered (src, dst) link for this many cycles before its
+	// propagation latency. 0 is the paper's contention-free network.
+	LinkOccupancy float64
+	// NIQueueCap bounds each node's handler FIFO (queued plus in
+	// service); 0 is the paper's unbounded queue. A message arriving at
+	// a full queue is NACKed back to its sender, which re-injects it
+	// RetryDelay cycles after the NACK's own Latency trip.
+	NIQueueCap int
+	RetryDelay float64
+	// PairLatency, when non-nil, gives each ordered pair of distinct
+	// nodes its own wire time in place of a Latency sample (NACK trips
+	// still sample Latency). Every pair latency must be positive; the
+	// lookahead is the smallest of them and Latency's lower bound.
+	PairLatency func(src, dst int) float64
+	// Observer, when non-nil, receives the run's structural events. It
+	// requires the sequential core.
+	Observer Observer
+
+	// Sync, Jobs, and Window select and tune the synchronization core;
+	// Trace and Metrics are passed through to psim.
+	Sync    psim.Sync
+	Jobs    int
+	Window  float64
+	Trace   *psim.Trace
+	Metrics *psim.Metrics
+}
+
+// Result is the outcome of a run.
+type Result struct {
+	// Nodes holds per-node measurements, integrated to the common end
+	// time (Until, or the last committed event under quiescence).
+	Nodes []NodeStats
+	// Run reports the synchronization core's statistics.
+	Run psim.RunStats
+	// Nacks counts messages bounced off full NI queues over the whole
+	// run (NIQueueCap only).
+	Nacks int64
+}
+
+// Aggregate folds the per-node measurements machine-wide: arithmetic
+// means of per-node time averages, merged response tallies, summed
+// arrival counts.
+func (r *Result) Aggregate() MachineStats {
+	var agg MachineStats
+	for i := range r.Nodes {
+		ns := &r.Nodes[i]
+		agg.ReqQueue += ns.ReqQueue
+		agg.RepQueue += ns.RepQueue
+		agg.UtilReq += ns.UtilReq
+		agg.UtilRep += ns.UtilRep
+		agg.ThreadUtil += ns.ThreadUtil
+		agg.ReqArrivals += ns.ReqArrivals
+		agg.RepArrivals += ns.RepArrivals
+		agg.ReqResponse.Merge(&ns.ReqResponse)
+		agg.RepResponse.Merge(&ns.RepResponse)
+		if ns.MaxQueueDepth > agg.MaxQueueDepth {
+			agg.MaxQueueDepth = ns.MaxQueueDepth
+		}
+		agg.Elapsed = ns.Elapsed
+	}
+	p := float64(len(r.Nodes))
+	agg.ReqQueue /= p
+	agg.RepQueue /= p
+	agg.UtilReq /= p
+	agg.UtilRep /= p
+	agg.ThreadUtil /= p
+	return agg
+}
+
+// Run executes the machine under the configured psim core and
+// returns per-node measurements plus core statistics. For a fixed seed
+// the committed event sequence — and therefore every measurement — is
+// identical across cores and job counts.
+func Run(cfg Config) (Result, error) {
+	if cfg.P < 1 {
+		return Result{}, fmt.Errorf("machine: P = %d, need at least one node", cfg.P)
+	}
+	if cfg.Latency == nil {
+		return Result{}, fmt.Errorf("machine: Latency distribution is required")
+	}
+	if len(cfg.Programs) != 0 && len(cfg.Programs) != cfg.P {
+		return Result{}, fmt.Errorf("machine: %d programs for %d nodes", len(cfg.Programs), cfg.P)
+	}
+	switch {
+	case cfg.Threads != nil && len(cfg.Programs) != 0:
+		return Result{}, fmt.Errorf("machine: set Programs or Threads, not both")
+	case cfg.Threads != nil && len(cfg.Threads) != cfg.P:
+		return Result{}, fmt.Errorf("machine: thread programs for %d nodes, want %d", len(cfg.Threads), cfg.P)
+	case len(cfg.Hooks) != 0 && len(cfg.Hooks) != cfg.P:
+		return Result{}, fmt.Errorf("machine: %d hooks for %d nodes", len(cfg.Hooks), cfg.P)
+	case cfg.Sync == psim.SyncOpt && (cfg.Threads != nil || len(cfg.Hooks) != 0):
+		return Result{}, fmt.Errorf("machine: the opt core cannot roll back Threads or Hooks state; use seq or cons")
+	}
+	for i, s := range cfg.Services {
+		if s == nil {
+			return Result{}, fmt.Errorf("machine: service %d is nil", i)
+		}
+	}
+	lookahead, err := cfg.extras()
+	if err != nil {
+		return Result{}, err
+	}
+	nodes := make([]*node, cfg.P)
+	lps := make([]psim.LP, cfg.P)
+	for i := range nodes {
+		n := &node{cfg: &cfg}
+		if len(cfg.Programs) != 0 {
+			n.prog = cfg.Programs[i]
+		}
+		if cfg.Threads != nil {
+			switch ts := cfg.Threads[i]; len(ts) {
+			case 0:
+			case 1:
+				n.prog = ts[0]
+			default:
+				n.mt = &threads{progs: ts, state: make([]threadState, len(ts))}
+			}
+		}
+		if len(cfg.Hooks) != 0 {
+			n.hook = cfg.Hooks[i]
+		}
+		n.view.n = n
+		if cfg.LinkOccupancy > 0 || cfg.NIQueueCap > 0 || cfg.PairLatency != nil || cfg.Observer != nil {
+			n.x = &extras{}
+			if cfg.LinkOccupancy > 0 {
+				n.x.linkFree = make([]float64, cfg.P)
+			}
+		}
+		nodes[i] = n
+		lps[i] = n
+	}
+	rs, err := psim.Run(psim.Config{
+		LPs:       lps,
+		Lookahead: lookahead,
+		Sync:      cfg.Sync,
+		Jobs:      cfg.Jobs,
+		Seed:      cfg.Seed,
+		Until:     cfg.Until,
+		Window:    cfg.Window,
+		Trace:     cfg.Trace,
+		Metrics:   cfg.Metrics,
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	end := cfg.Until
+	//lopc:allow floateq the exact zero value is the "run to completion" sentinel; any positive until passes through
+	if end == 0 || math.IsInf(end, 1) {
+		end = rs.MaxTime
+	}
+	res := Result{Nodes: make([]NodeStats, cfg.P), Run: rs}
+	for i, n := range nodes {
+		res.Nodes[i] = n.snapshot(end)
+		if n.x != nil {
+			res.Nacks += n.x.nacks
+		}
+	}
+	return res, nil
+}
+
+// extras validates the extras against the chosen core and returns the
+// run's lookahead: Latency's lower bound, lowered to the smallest pair
+// latency when PairLatency is set.
+func (cfg *Config) extras() (float64, error) {
+	switch {
+	// The negated comparisons reject NaN too: NaN >= 0 is false.
+	case !(cfg.LinkOccupancy >= 0) || math.IsInf(cfg.LinkOccupancy, 0):
+		return 0, fmt.Errorf("machine: invalid LinkOccupancy %v", cfg.LinkOccupancy)
+	case cfg.NIQueueCap < 0:
+		return 0, fmt.Errorf("machine: invalid NIQueueCap %d", cfg.NIQueueCap)
+	case !(cfg.RetryDelay >= 0) || math.IsInf(cfg.RetryDelay, 0):
+		return 0, fmt.Errorf("machine: invalid RetryDelay %v", cfg.RetryDelay)
+	case cfg.Sync == psim.SyncOpt && (cfg.LinkOccupancy > 0 || cfg.NIQueueCap > 0):
+		return 0, fmt.Errorf("machine: the opt core cannot roll back LinkOccupancy or NIQueueCap state; use seq or cons")
+	case cfg.Observer != nil && cfg.Sync != psim.SyncSeq:
+		return 0, fmt.Errorf("machine: an Observer needs the seq core, not %v", cfg.Sync)
+	}
+	lookahead := dist.LowerBound(cfg.Latency)
+	if cfg.PairLatency == nil {
+		return lookahead, nil
+	}
+	for src := 0; src < cfg.P; src++ {
+		for dst := 0; dst < cfg.P; dst++ {
+			if src == dst {
+				continue
+			}
+			d := cfg.PairLatency(src, dst)
+			if !(d > 0) || math.IsInf(d, 0) {
+				return 0, fmt.Errorf("machine: pair latency %v for %d->%d, need a positive finite time", d, src, dst)
+			}
+			lookahead = min(lookahead, d)
+		}
+	}
+	return lookahead, nil
+}
+
+// Start implements psim.LP: initialize measurements, arm the stats
+// reset, and launch the thread.
+func (n *node) Start(ctx *psim.Ctx) {
+	n.view.ctx = ctx
+	st := &n.st
+	st.reqQ.Set(0, 0)
+	st.repQ.Set(0, 0)
+	st.busyReq.Set(0, 0)
+	st.busyRep.Set(0, 0)
+	st.threadBusy.Set(0, 0)
+	if at := n.cfg.ResetStatsAt; at > 0 {
+		ctx.Send(ctx.Self(), at, kReset, psim.Msg{})
+	}
+	if n.mt != nil {
+		for i := range n.mt.progs {
+			n.mt.state[i] = threadReady
+			n.mt.ready = append(n.mt.ready, i)
+		}
+		st.tstate = threadReady
+		n.dispatch(ctx)
+		return
+	}
+	if n.prog == nil {
+		st.tstate = threadIdle
+		return
+	}
+	st.tstate = threadReady
+	n.dispatch(ctx)
+}
+
+// Handle implements psim.LP.
+func (n *node) Handle(ctx *psim.Ctx, ev psim.Event) {
+	n.view.ctx = ctx
+	switch ev.Kind {
+	case kReq:
+		if n.x != nil && n.refused(ctx, ev) {
+			return
+		}
+		n.arrive(ctx, hmsg{
+			kind:    KindRequest,
+			src:     ev.Src,
+			svc:     ev.Msg.I0,
+			reply:   ev.Msg.I1,
+			sent:    ev.Msg.F0,
+			arrived: ev.Time,
+		})
+	case kRep:
+		if n.x != nil && n.refused(ctx, ev) {
+			return
+		}
+		n.arrive(ctx, hmsg{
+			kind:    KindReply,
+			src:     ev.Src,
+			svc:     ev.Msg.I0,
+			reply:   -1,
+			sent:    ev.Msg.F0,
+			arrived: ev.Time,
+			reqSent: ev.Msg.F1,
+			reqArr:  ev.Msg.F2,
+			reqDone: ev.Msg.F3,
+		})
+	case kSendReq, kSendRep:
+		n.arrive(ctx, hmsg{
+			kind:    msgKind(ev.Kind),
+			src:     ev.Src,
+			svc:     ev.Msg.I0,
+			reply:   ev.Msg.I1,
+			oneway:  true,
+			sent:    ev.Msg.F0,
+			arrived: ev.Time,
+			reqSent: ev.Msg.F1,
+			tag:     ev.Msg.U0,
+		})
+	case kNackReq:
+		n.inject(ctx, int(ev.Src), kReq, ev.Msg)
+	case kNackRep:
+		n.inject(ctx, int(ev.Src), kRep, ev.Msg)
+	case kHandlerDone:
+		n.handlerDone(ctx)
+	case kThreadDone:
+		// The run token invalidates completions of preempted runs (psim
+		// has no event cancellation; the resumed run carries a new token).
+		if ev.Msg.U0 == n.st.runSeq && n.st.tstate == threadRunning {
+			n.threadDone(ctx)
+		}
+	case kReset:
+		n.resetStats(ev.Time)
+	default:
+		panic(fmt.Sprintf("machine: node %d received unknown event kind %d", ctx.Self(), ev.Kind))
+	}
+}
+
+// refused applies the extras to an arriving message: a full NI queue
+// NACKs it back to its sender, which re-injects it RetryDelay cycles
+// after the NACK's own Latency trip; an accepted one is reported to
+// the observer.
+func (n *node) refused(ctx *psim.Ctx, ev psim.Event) bool {
+	if c := n.cfg.NIQueueCap; c > 0 && n.st.reqPresent+n.st.repPresent >= c {
+		n.x.nacks++
+		kind := kNackReq
+		if ev.Kind == kRep {
+			kind = kNackRep
+		}
+		ctx.Send(int(ev.Src), n.cfg.Latency.Sample(ctx.Rand())+n.cfg.RetryDelay, kind, ev.Msg)
+		return true
+	}
+	n.observe(Observation{Kind: ObsArrived, Node: ctx.Self(), Msg: msgKind(ev.Kind),
+		Src: int(ev.Src), Dst: ctx.Self(), Seq: ev.Msg.U0, At: ev.Time})
+	return false
+}
+
+// msgKind is the handler class of a request or reply event kind.
+func msgKind(kind int32) Kind {
+	if kind == kRep || kind == kSendRep {
+		return KindReply
+	}
+	return KindRequest
+}
+
+// observe reports o to the observer, if there is one.
+func (n *node) observe(o Observation) {
+	if n.cfg.Observer != nil {
+		n.cfg.Observer.Observe(o)
+	}
+}
+
+// send injects a new message from a node with extras; the observer
+// hears of it first. A node without extras sends with one Latency
+// sample drawn from its stream.
+func (n *node) send(ctx *psim.Ctx, dst int, kind int32, m psim.Msg) {
+	if n.cfg.Observer != nil {
+		n.x.sentSeq++
+		m.U0 = n.x.sentSeq
+		n.observe(Observation{Kind: ObsSent, Node: ctx.Self(), Msg: msgKind(kind),
+			Src: ctx.Self(), Dst: dst, Seq: m.U0, At: ctx.Now()})
+	}
+	n.inject(ctx, dst, kind, m)
+}
+
+// inject puts a message on the wire of a node with extras: one wire
+// time (the pair's, or a Latency sample drawn from this node's stream)
+// plus, with LinkOccupancy, the wait for the link and its occupancy.
+// NACKed messages re-enter here. The delay never undercuts the
+// lookahead Run declared; psim's send check enforces it anyway.
+func (n *node) inject(ctx *psim.Ctx, dst int, kind int32, m psim.Msg) {
+	var delay float64
+	if n.cfg.PairLatency != nil {
+		delay = n.cfg.PairLatency(ctx.Self(), dst)
+	} else {
+		delay = n.cfg.Latency.Sample(ctx.Rand())
+	}
+	if occ := n.cfg.LinkOccupancy; occ > 0 {
+		now := ctx.Now()
+		start := max(now, n.x.linkFree[dst])
+		n.x.linkFree[dst] = start + occ
+		delay += start - now + occ
+	}
+	ctx.Send(dst, delay, kind, m)
+}
+
+// sendMsg injects a one-way Send message. The NI-queue bound and the
+// observer account only Request traffic, so they refuse these.
+func (n *node) sendMsg(ctx *psim.Ctx, dst int, kind int32, svc, thread int32, tag uint64, val float64) {
+	if n.cfg.NIQueueCap > 0 || n.cfg.Observer != nil {
+		panic(fmt.Sprintf("machine: node %d sends a one-way message, which NIQueueCap and the Observer do not support", ctx.Self()))
+	}
+	m := psim.Msg{I0: svc, I1: thread, U0: tag, F0: ctx.Now(), F1: val}
+	if n.x != nil {
+		n.inject(ctx, dst, kind, m)
+		return
+	}
+	ctx.Send(dst, n.cfg.Latency.Sample(ctx.Rand()), kind, m)
+}
+
+// Save implements psim.LP: a value copy of the node state (with the
+// handler queue copied into the snapshot's own backing array) plus the
+// program's snapshot. A reused snapshot keeps its queue array and hands
+// its program snapshot back to the program.
+func (n *node) Save(reuse any) any {
+	s, _ := reuse.(*snap)
+	if s == nil {
+		s = new(snap)
+	}
+	q := s.st.handlerQ[:0]
+	s.st = n.st
+	s.st.handlerQ = append(q, n.st.handlerQ...)
+	if n.prog != nil {
+		s.prog = n.prog.Save(s.prog)
+	}
+	return s
+}
+
+// Restore implements psim.LP. The queue is copied into the node's own
+// array, so the snapshot is not retained.
+func (n *node) Restore(snapshot any) {
+	s := snapshot.(*snap)
+	q := n.st.handlerQ[:0]
+	n.st = s.st
+	n.st.handlerQ = append(q, s.st.handlerQ...)
+	if n.prog != nil {
+		n.prog.Restore(s.prog)
+	}
+}
+
+// arrive queues an accepted message and re-dispatches the node.
+func (n *node) arrive(ctx *psim.Ctx, h hmsg) {
+	st := &n.st
+	now := h.arrived
+	switch h.kind {
+	case KindRequest:
+		st.reqArrivals++
+		st.reqPresent++
+		st.reqQ.Set(now, float64(st.reqPresent))
+	case KindReply:
+		st.repArrivals++
+		st.repPresent++
+		st.repQ.Set(now, float64(st.repPresent))
+	}
+	st.handlerQ = append(st.handlerQ, h)
+	if depth := st.reqPresent + st.repPresent; depth > st.maxDepth {
+		st.maxDepth = depth
+	}
+	n.dispatch(ctx)
+}
+
+// dispatch gives the node's processor to whatever should run next: in
+// interrupt mode queued handlers first (preempting a running thread),
+// then a ready thread; with a protocol processor, each independently.
+func (n *node) dispatch(ctx *psim.Ctx) {
+	st := &n.st
+	if n.cfg.ProtocolProcessor {
+		if !st.inService && len(st.handlerQ) > 0 {
+			n.startHandler(ctx)
+		}
+		if st.tstate == threadReady {
+			n.giveThreadCPU(ctx)
+		}
+		return
+	}
+	if st.inService {
+		return // the in-service handler is atomic
+	}
+	if len(st.handlerQ) > 0 {
+		if st.tstate == threadRunning {
+			n.preempt(ctx)
+		}
+		n.startHandler(ctx)
+		return
+	}
+	if st.tstate == threadReady {
+		n.giveThreadCPU(ctx)
+	}
+}
+
+// startHandler begins service of the next queued message; completion
+// is a self-event after the sampled service time.
+func (n *node) startHandler(ctx *psim.Ctx) {
+	st := &n.st
+	st.current = st.handlerQ[0]
+	copy(st.handlerQ, st.handlerQ[1:])
+	st.handlerQ = st.handlerQ[:len(st.handlerQ)-1]
+	st.inService = true
+	now := ctx.Now()
+	switch st.current.kind {
+	case KindRequest:
+		st.busyReq.Set(now, 1)
+	case KindReply:
+		st.busyRep.Set(now, 1)
+	}
+	if n.x != nil {
+		n.x.svcStart = now
+	}
+	svc := int(st.current.svc)
+	if svc < 0 || svc >= len(n.cfg.Services) {
+		panic(fmt.Sprintf("machine: node %d handler references unknown service %d", ctx.Self(), svc))
+	}
+	ctx.Send(ctx.Self(), n.cfg.Services[svc].Sample(ctx.Rand()), kHandlerDone, psim.Msg{})
+}
+
+// handlerDone completes the in-service handler: measurements, then the
+// handler's effects (a Send message's hook, a request's reply, a
+// reply's unblock).
+func (n *node) handlerDone(ctx *psim.Ctx) {
+	st := &n.st
+	now := ctx.Now()
+	h := st.current
+	st.inService = false
+	switch h.kind {
+	case KindRequest:
+		st.reqPresent--
+		st.reqQ.Set(now, float64(st.reqPresent))
+		st.busyReq.Set(now, 0)
+		st.reqResp.Add(now - h.arrived)
+	case KindReply:
+		st.repPresent--
+		st.repQ.Set(now, float64(st.repPresent))
+		st.busyRep.Set(now, 0)
+		st.repResp.Add(now - h.arrived)
+	}
+	switch {
+	case h.oneway:
+		if n.hook != nil {
+			n.hook.Done(&n.view, Message{
+				Kind: h.kind, Svc: int(h.svc), Thread: int(h.reply), Tag: h.tag, Val: h.reqSent,
+				Src: int(h.src), Dst: ctx.Self(), Sent: h.sent, Arrived: h.arrived, Done: now,
+			})
+		}
+	case h.kind == KindRequest:
+		if h.reply >= 0 {
+			m := psim.Msg{I0: h.reply, F0: now, F1: h.sent, F2: h.arrived, F3: now}
+			if n.x != nil {
+				n.send(ctx, int(h.src), kRep, m)
+			} else {
+				ctx.Send(int(h.src), n.cfg.Latency.Sample(ctx.Rand()), kRep, m)
+			}
+		}
+	default:
+		st.cycle = CycleInfo{
+			ReqSent: h.reqSent, ReqArrived: h.reqArr, ReqDone: h.reqDone,
+			RepSent: h.sent, RepArrived: h.arrived, RepDone: now,
+		}
+		if st.tstate != threadBlocked {
+			panic(fmt.Sprintf("machine: node %d reply completed but thread is %v", ctx.Self(), st.tstate))
+		}
+		st.tstate = threadReady
+	}
+	if n.x != nil {
+		n.observe(Observation{Kind: ObsHandler, Node: ctx.Self(), Msg: h.kind,
+			Src: int(h.src), Dst: ctx.Self(), Arrived: h.arrived, Start: n.x.svcStart, At: now})
+	}
+	n.dispatch(ctx)
+}
+
+// preempt interrupts the running thread: bank the remaining work,
+// invalidate the pending completion event, and mark the thread ready so
+// it resumes once the handlers drain — on a node with several threads,
+// from the front of the ready queue (preempt-resume).
+func (n *node) preempt(ctx *psim.Ctx) {
+	st := &n.st
+	now := ctx.Now()
+	st.remaining -= now - st.startedAt
+	if st.remaining < 0 {
+		st.remaining = 0 // floating-point fuzz only
+	}
+	st.runSeq++
+	st.tstate = threadReady
+	if t := n.mt; t != nil {
+		t.state[t.cur] = threadReady
+		t.ready = append(t.ready, 0)
+		copy(t.ready[1:], t.ready)
+		t.ready[0] = t.cur
+	}
+	st.threadBusy.Set(now, 0)
+	if n.x != nil {
+		n.observeThread(ctx)
+	}
+}
+
+// observeThread reports the thread slice that ends now.
+func (n *node) observeThread(ctx *psim.Ctx) {
+	n.observe(Observation{Kind: ObsThread, Node: ctx.Self(), Start: n.st.startedAt, At: ctx.Now()})
+}
+
+// giveThreadCPU resumes banked work or advances the program.
+func (n *node) giveThreadCPU(ctx *psim.Ctx) {
+	if n.mt != nil {
+		n.prog = n.mt.pop()
+	}
+	if n.st.remaining > 0 {
+		n.startThreadRun(ctx)
+		return
+	}
+	n.advanceThread(ctx)
+}
+
+// startThreadRun runs the thread for its remaining banked work.
+func (n *node) startThreadRun(ctx *psim.Ctx) {
+	st := &n.st
+	now := ctx.Now()
+	st.tstate = threadRunning
+	st.startedAt = now
+	st.threadBusy.Set(now, 1)
+	ctx.Send(ctx.Self(), st.remaining, kThreadDone, psim.Msg{U0: st.runSeq})
+}
+
+// threadDone fires when a Compute finishes uninterrupted.
+func (n *node) threadDone(ctx *psim.Ctx) {
+	st := &n.st
+	st.remaining = 0
+	st.tstate = threadReady
+	st.threadBusy.Set(ctx.Now(), 0)
+	if n.x != nil {
+		n.observeThread(ctx)
+	}
+	n.advanceThread(ctx)
+}
+
+// advanceThread executes the program's zero-duration actions until it
+// starts a Compute, blocks, or halts.
+func (n *node) advanceThread(ctx *psim.Ctx) {
+	st := &n.st
+	const maxZeroCostActions = 1 << 20
+	for i := 0; ; i++ {
+		if i == maxZeroCostActions {
+			panic(fmt.Sprintf("machine: node %d program issued %d actions without consuming time", ctx.Self(), i))
+		}
+		action := n.prog.Next(&n.view)
+		switch action.kind {
+		case actionCompute:
+			//lopc:allow floateq exactly-zero compute is a no-op action; any positive duration schedules an event
+			if action.duration == 0 {
+				continue
+			}
+			st.remaining = action.duration
+			n.startThreadRun(ctx)
+			return
+		case actionRequest:
+			if n.mt != nil {
+				panic(fmt.Sprintf("machine: node %d has several threads; Request needs one (use Send and Block)", ctx.Self()))
+			}
+			if action.reply < 0 || int(action.reply) >= len(n.cfg.Services) {
+				panic(fmt.Sprintf("machine: node %d request references unknown reply service %d", ctx.Self(), action.reply))
+			}
+			m := psim.Msg{I0: action.svc, I1: action.reply, F0: ctx.Now()}
+			if n.x != nil {
+				n.send(ctx, int(action.dst), kReq, m)
+			} else {
+				ctx.Send(int(action.dst), n.cfg.Latency.Sample(ctx.Rand()), kReq, m)
+			}
+			st.tstate = threadBlocked
+			n.dispatch(ctx)
+			return
+		case actionSendReq, actionSendRep:
+			kind := kSendReq
+			if action.kind == actionSendRep {
+				kind = kSendRep
+			}
+			n.sendMsg(ctx, int(action.dst), kind, action.svc, action.reply, action.tag, action.duration)
+		case actionBlock:
+			n.park(threadBlocked)
+			n.dispatch(ctx)
+			return
+		case actionHalt:
+			n.park(threadHalted)
+			n.dispatch(ctx)
+			return
+		default:
+			panic(fmt.Sprintf("machine: unknown action kind %d", action.kind))
+		}
+	}
+}
+
+// park takes the CPU's thread off it: blocked until a wake, or halted.
+// On a node with several threads the next ready one follows.
+func (n *node) park(s threadState) {
+	t := n.mt
+	if t == nil {
+		n.st.tstate = s
+		return
+	}
+	t.state[t.cur] = s
+	if len(t.ready) > 0 {
+		n.st.tstate = threadReady
+	} else {
+		n.st.tstate = threadBlocked
+	}
+}
+
+// resetStats restarts the node's steady-state measurements at now.
+func (n *node) resetStats(now float64) {
+	st := &n.st
+	st.reqQ.Reset(now, float64(st.reqPresent))
+	st.repQ.Reset(now, float64(st.repPresent))
+	st.busyReq.Reset(now, boolTo01(st.inService && st.current.kind == KindRequest))
+	st.busyRep.Reset(now, boolTo01(st.inService && st.current.kind == KindReply))
+	st.threadBusy.Reset(now, boolTo01(st.tstate == threadRunning))
+	st.reqArrivals, st.repArrivals = 0, 0
+	st.reqResp, st.repResp = stats.Tally{}, stats.Tally{}
+}
+
+func boolTo01(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// snapshot returns the node's measurements integrated to end.
+func (n *node) snapshot(end float64) NodeStats {
+	st := &n.st
+	st.reqQ.Advance(end)
+	st.repQ.Advance(end)
+	st.busyReq.Advance(end)
+	st.busyRep.Advance(end)
+	st.threadBusy.Advance(end)
+	return NodeStats{
+		ReqQueue:      st.reqQ.Mean(),
+		RepQueue:      st.repQ.Mean(),
+		UtilReq:       st.busyReq.Mean(),
+		UtilRep:       st.busyRep.Mean(),
+		ThreadUtil:    st.threadBusy.Mean(),
+		ReqArrivals:   st.reqArrivals,
+		RepArrivals:   st.repArrivals,
+		ReqResponse:   st.reqResp,
+		RepResponse:   st.repResp,
+		MaxQueueDepth: st.maxDepth,
+		Elapsed:       st.reqQ.Elapsed(),
 	}
 }

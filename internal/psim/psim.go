@@ -4,8 +4,7 @@
 // runtime-switchable synchronization cores.
 //
 //   - SyncSeq processes events one at a time in global timestamp order —
-//     the determinism oracle, equivalent to the single-threaded
-//     internal/sim discipline.
+//     the determinism oracle.
 //   - SyncCons is a conservative core in the Chandy–Misra–Bryant
 //     family: the guaranteed minimum cross-LP delay (the lookahead —
 //     for the LoPC machine, the network latency St) bounds how far any

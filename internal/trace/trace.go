@@ -17,7 +17,7 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/machine/shard"
+	"repro/internal/machine"
 )
 
 // Track ids within each node's process.
@@ -41,7 +41,7 @@ type Event struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// Tracer implements shard.Observer, accumulating events in memory.
+// Tracer implements machine.Observer, accumulating events in memory.
 // Attach it as the Observer of a sequential all-to-all run, run the
 // simulation, then call WriteJSON. The zero value is ready to use.
 type Tracer struct {
@@ -68,22 +68,22 @@ func (t *Tracer) add(e Event) {
 	t.events = append(t.events, e)
 }
 
-// Observe implements shard.Observer: message sends and arrivals become
+// Observe implements machine.Observer: message sends and arrivals become
 // the two ends of a flow arrow, handler service and thread execution
 // become complete slices.
-func (t *Tracer) Observe(o shard.Observation) {
+func (t *Tracer) Observe(o machine.Observation) {
 	switch o.Kind {
-	case shard.ObsSent, shard.ObsArrived:
+	case machine.ObsSent, machine.ObsArrived:
 		e := Event{
 			Name: o.Msg.String(), Phase: "s", Ts: o.At,
 			Pid: o.Node, Tid: tidHandler,
 			ID: fmt.Sprintf("msg%d.%d", o.Src, o.Seq), Cat: "net",
 		}
-		if o.Kind == shard.ObsArrived {
+		if o.Kind == machine.ObsArrived {
 			e.Phase, e.BP = "f", "e"
 		}
 		t.add(e)
-	case shard.ObsHandler:
+	case machine.ObsHandler:
 		t.add(Event{
 			Name: o.Msg.String() + " handler", Phase: "X",
 			Ts: o.Start, Dur: o.At - o.Start,
@@ -92,7 +92,7 @@ func (t *Tracer) Observe(o shard.Observation) {
 				"src": o.Src, "dst": o.Dst, "queued": o.Start - o.Arrived,
 			},
 		})
-	case shard.ObsThread:
+	case machine.ObsThread:
 		t.add(Event{
 			Name: "compute", Phase: "X", Ts: o.Start, Dur: o.At - o.Start,
 			Pid: o.Node, Tid: tidThread, Cat: "thread",
@@ -136,4 +136,4 @@ func writeEvents(w io.Writer, events []Event) error {
 	return enc.Encode(events)
 }
 
-var _ shard.Observer = (*Tracer)(nil)
+var _ machine.Observer = (*Tracer)(nil)

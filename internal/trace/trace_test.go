@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/machine/shard"
+	"repro/internal/machine"
 )
 
 // ringProg requests service from the next node around the ring
@@ -19,17 +19,17 @@ type ringProg struct {
 	awaiting bool
 }
 
-func (p *ringProg) Next(v *shard.NodeView) shard.Action {
+func (p *ringProg) Next(v *machine.NodeView) machine.Action {
 	if p.awaiting {
 		p.awaiting = false
-		return shard.Request((v.Self()+1)%v.N(), 0, 0)
+		return machine.Request((v.Self()+1)%v.N(), 0, 0)
 	}
 	if p.done == p.cycles {
-		return shard.Halt()
+		return machine.Halt()
 	}
 	p.done++
 	p.awaiting = true
-	return shard.Compute(p.compute)
+	return machine.Compute(p.compute)
 }
 
 func (p *ringProg) Save(any) any { return nil }
@@ -39,11 +39,11 @@ func (p *ringProg) Restore(any)  {}
 // attached.
 func runShard(t *testing.T, tr *Tracer, p int, compute float64) {
 	t.Helper()
-	progs := make([]shard.Program, p)
+	progs := make([]machine.Program, p)
 	for i := range progs {
 		progs[i] = &ringProg{compute: compute, cycles: 5}
 	}
-	if _, err := shard.Run(shard.Config{
+	if _, err := machine.Run(machine.Config{
 		P:        p,
 		Latency:  dist.NewDeterministic(40),
 		Services: []dist.Distribution{dist.NewDeterministic(100)},

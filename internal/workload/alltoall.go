@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dist"
-	"repro/internal/machine/shard"
+	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
@@ -35,17 +35,17 @@ type AllToAllConfig struct {
 	// Seed roots the run's random streams.
 	Seed uint64
 	// Observer, when non-nil, receives the machine's structural events
-	// (see shard.Observer; sequential core only); internal/trace
+	// (see machine.Observer; sequential core only); internal/trace
 	// implements it for Chrome-trace export.
-	Observer shard.Observer
+	Observer machine.Observer
 	// LinkOccupancy, NIQueueCap and RetryDelay relax the paper's Ch. 2
-	// network simplifications (see shard.Config); zero values give the
+	// network simplifications (see machine.Config); zero values give the
 	// paper's machine.
 	LinkOccupancy float64
 	NIQueueCap    int
 	RetryDelay    float64
 	// PairLatency optionally gives every ordered node pair its own
-	// positive wire time (see shard.Config.PairLatency).
+	// positive wire time (see machine.Config.PairLatency).
 	PairLatency func(src, dst int) float64
 	// Par selects the discrete-event core; nil runs the sequential
 	// core. See ParSim.
@@ -91,7 +91,7 @@ type AllToAllResult struct {
 	// Machine aggregates node-level measurements (queue lengths,
 	// utilizations), each node's from its own warmup boundary to the
 	// run's last event.
-	Machine shard.MachineStats
+	Machine machine.MachineStats
 	// X is the system throughput implied by the measured mean cycle
 	// time: P / mean(R).
 	X float64
@@ -104,6 +104,7 @@ const (
 	phaseStart = iota
 	phaseSend
 	phaseUnblocked
+	phaseBlock // multi-hop and multithread: sent, block next
 )
 
 // atRun is the immutable configuration shared by every all-to-all node
@@ -126,22 +127,22 @@ type atProg struct {
 	r, rw, rq, ry, net stats.Tally
 }
 
-// Next implements shard.Program.
-func (p *atProg) Next(v *shard.NodeView) shard.Action {
+// Next implements machine.Program.
+func (p *atProg) Next(v *machine.NodeView) machine.Action {
 	switch p.phase {
 	case phaseSend:
 		p.phase = phaseUnblocked
-		return shard.Request(p.run.pattern.Dest(v), 0, 0)
+		return machine.Request(p.run.pattern.Dest(v), 0, 0)
 	case phaseUnblocked:
 		p.endCycle(v)
 		if p.cycle >= p.run.warmup+p.run.measure {
-			return shard.Halt()
+			return machine.Halt()
 		}
 	default: // first call
 		p.ready = v.Now()
 	}
 	p.phase = phaseSend
-	return shard.Compute(p.run.work.Sample(v.Rand()))
+	return machine.Compute(p.run.work.Sample(v.Rand()))
 }
 
 // endCycle records the completed cycle and rolls ready to the reply
@@ -149,7 +150,7 @@ func (p *atProg) Next(v *shard.NodeView) shard.Action {
 // instant the thread regained the CPU, which may be later if request
 // handlers were queued — that wait belongs to the next cycle's Rw, per
 // the BKT decomposition).
-func (p *atProg) endCycle(v *shard.NodeView) {
+func (p *atProg) endCycle(v *machine.NodeView) {
 	c := v.Cycle()
 	if p.cycle >= p.run.warmup {
 		p.r.Add(c.RepDone - p.ready)
@@ -165,7 +166,7 @@ func (p *atProg) endCycle(v *shard.NodeView) {
 	p.ready = c.RepDone
 }
 
-// Save and Restore implement shard.Program; the state is all values.
+// Save and Restore implement machine.Program; the state is all values.
 func (p *atProg) Save(reuse any) any   { return saveInto(p, reuse) }
 func (p *atProg) Restore(snapshot any) { *p = *snapshot.(*atProg) }
 
@@ -184,13 +185,13 @@ func RunAllToAll(cfg AllToAllConfig) (AllToAllResult, error) {
 	if run.pattern == nil {
 		run.pattern = UniformPattern{}
 	}
-	progs := make([]shard.Program, cfg.P)
+	progs := make([]machine.Program, cfg.P)
 	nodes := make([]*atProg, cfg.P)
 	for i := range progs {
 		nodes[i] = &atProg{run: run}
 		progs[i] = nodes[i]
 	}
-	sres, err := cfg.Par.runShard(shard.Config{
+	sres, err := cfg.Par.Run(machine.Config{
 		P:                 cfg.P,
 		Latency:           cfg.Latency,
 		Services:          []dist.Distribution{cfg.Service},

@@ -35,6 +35,9 @@ type ExchangeConfig struct {
 	Barrier bool
 	// Seed roots the run's random streams.
 	Seed uint64
+	// Par selects the discrete-event core; nil runs the sequential
+	// core. See ParSim.
+	Par *ParSim
 }
 
 func (c ExchangeConfig) validate() error {
@@ -104,27 +107,6 @@ func meanRange(xs []float64, from, to int) float64 {
 	return sum / float64(to-from)
 }
 
-type exMsgData struct {
-	round   int
-	barrier int // -1 for data messages
-}
-
-type exchangeRun struct {
-	cfg       ExchangeConfig
-	barRounds int
-	// dataRecv[node][round] counts puts received; barRecv[node][round]
-	// counts per dissemination step.
-	dataRecv [][]int
-	barRecv  [][][]int
-	// remaining / dataRemaining count nodes yet to finish the round /
-	// its data phase.
-	remaining     []int
-	dataRemaining []int
-	roundEnd      []float64
-	dataEnd       []float64
-	progs         []*exchangeProgram
-}
-
 type exPhase int
 
 const (
@@ -134,21 +116,36 @@ const (
 	exWaitBar
 )
 
+// exchangeProgram drives one node through the rounds. Its hook counts
+// the node's incoming puts and barrier messages, whose tag carries
+// their round and barrier step, and wakes the thread when the message
+// it waits for has arrived. Each node records when it finished each
+// round's data phase and each round; the run's round ends are the
+// maxima over nodes.
 type exchangeProgram struct {
-	run     *exchangeRun
-	round   int
-	phase   exPhase
-	k       int // next data destination offset (1..P-1)
-	br      int // current barrier step
-	paid    bool
-	waitKey [2]int // {round, barrier-step or -1} when blocked
-	blocked bool
+	machine.NoSnapshot
+	cfg       *ExchangeConfig
+	barRounds int
+	round     int
+	phase     exPhase
+	k         int  // next data destination offset (1..P-1)
+	br        int  // current barrier step
+	paid      bool // the send overhead of the next message is spent
+	blocked   bool
+	// dataRecv[round] counts puts received; barRecv[round][step]
+	// counts barrier messages per dissemination step.
+	dataRecv          []int
+	barRecv           [][]int
+	dataEnd, roundEnd []float64
 }
 
+// exTag encodes a message's round and barrier step (-1 for a put).
+func exTag(round, step int) uint64 { return uint64(round)<<32 | uint64(step+1) }
+
 // Next implements machine.Program.
-func (p *exchangeProgram) Next(m *machine.Machine, self int) machine.Action {
-	run := p.run
-	cfg := run.cfg
+func (p *exchangeProgram) Next(v *machine.NodeView) machine.Action {
+	cfg := p.cfg
+	self := v.Self()
 	for {
 		switch p.phase {
 		case exSendData:
@@ -163,28 +160,22 @@ func (p *exchangeProgram) Next(m *machine.Machine, self int) machine.Action {
 			p.paid = false
 			dst := (self + p.k) % cfg.P
 			p.k++
-			return machine.SendAsync(p.dataMsg(self, dst))
+			return machine.Send(dst, machine.Message{Kind: machine.KindRequest, Tag: exTag(p.round, -1)})
 
 		case exWaitData:
-			if run.dataRecv[self][p.round] < cfg.P-1 {
+			if !p.arrived() {
 				p.blocked = true
-				p.waitKey = [2]int{p.round, -1}
 				return machine.Block()
 			}
-			run.dataRemaining[p.round]--
-			if run.dataRemaining[p.round] == 0 {
-				run.dataEnd[p.round] = m.Now()
-			}
+			p.dataEnd[p.round] = v.Now()
 			if cfg.Barrier {
 				p.phase = exSendBar
 				p.br = 0
 				continue
 			}
-			p.endRound(m, self)
-			if p.round == cfg.Rounds {
+			if p.endRound(v) {
 				return machine.Halt()
 			}
-			continue
 
 		case exSendBar:
 			if cfg.SendOverhead > 0 && !p.paid {
@@ -194,26 +185,22 @@ func (p *exchangeProgram) Next(m *machine.Machine, self int) machine.Action {
 			p.paid = false
 			dst := (self + 1<<p.br) % cfg.P
 			p.phase = exWaitBar
-			return machine.SendAsync(p.barMsg(self, dst))
+			return machine.Send(dst, machine.Message{Kind: machine.KindRequest, Tag: exTag(p.round, p.br)})
 
 		case exWaitBar:
-			if run.barRecv[self][p.round][p.br] < 1 {
+			if !p.arrived() {
 				p.blocked = true
-				p.waitKey = [2]int{p.round, p.br}
 				return machine.Block()
 			}
-			run.barRecv[self][p.round][p.br]--
+			p.barRecv[p.round][p.br]--
 			p.br++
-			if p.br < run.barRounds {
+			if p.br < p.barRounds {
 				p.phase = exSendBar
 				continue
 			}
-			p.endRound(m, self)
-			if p.round == cfg.Rounds {
+			if p.endRound(v) {
 				return machine.Halt()
 			}
-			p.phase = exSendData
-			continue
 
 		default:
 			panic(fmt.Sprintf("workload: invalid exchange phase %d", p.phase))
@@ -221,62 +208,35 @@ func (p *exchangeProgram) Next(m *machine.Machine, self int) machine.Action {
 	}
 }
 
-// endRound advances the program into the next round and updates the
-// global completion bookkeeping.
-func (p *exchangeProgram) endRound(m *machine.Machine, self int) {
-	run := p.run
-	run.remaining[p.round]--
-	if run.remaining[p.round] == 0 {
-		run.roundEnd[p.round] = m.Now()
+// arrived reports whether the message the program waits for is in.
+func (p *exchangeProgram) arrived() bool {
+	if p.phase == exWaitData {
+		return p.dataRecv[p.round] >= p.cfg.P-1
 	}
+	return p.barRecv[p.round][p.br] >= 1
+}
+
+// endRound records the round's end and moves to the next; it reports
+// whether that was the last round.
+func (p *exchangeProgram) endRound(v *machine.NodeView) bool {
+	p.roundEnd[p.round] = v.Now()
 	p.round++
 	p.phase = exSendData
 	p.k = 1
+	return p.round == p.cfg.Rounds
 }
 
-func (p *exchangeProgram) dataMsg(self, dst int) *machine.Message {
-	run := p.run
-	return &machine.Message{
-		Src: self, Dst: dst, Kind: machine.KindRequest, Service: run.cfg.Handler,
-		UserData: exMsgData{round: p.round, barrier: -1},
-		OnComplete: func(m *machine.Machine, msg *machine.Message) {
-			d := msg.UserData.(exMsgData)
-			run.dataRecv[msg.Dst][d.round]++
-			run.maybeUnblock(m, msg.Dst)
-		},
-	}
-}
-
-func (p *exchangeProgram) barMsg(self, dst int) *machine.Message {
-	run := p.run
-	return &machine.Message{
-		Src: self, Dst: dst, Kind: machine.KindRequest, Service: run.cfg.Handler,
-		UserData: exMsgData{round: p.round, barrier: p.br},
-		OnComplete: func(m *machine.Machine, msg *machine.Message) {
-			d := msg.UserData.(exMsgData)
-			run.barRecv[msg.Dst][d.round][d.barrier]++
-			run.maybeUnblock(m, msg.Dst)
-		},
-	}
-}
-
-// maybeUnblock wakes a node's program if the message it waits for has
-// arrived.
-func (r *exchangeRun) maybeUnblock(m *machine.Machine, node int) {
-	prog := r.progs[node]
-	if !prog.blocked {
-		return
-	}
-	round, br := prog.waitKey[0], prog.waitKey[1]
-	var ready bool
-	if br < 0 {
-		ready = r.dataRecv[node][round] >= r.cfg.P-1
+// Done implements machine.Hook.
+func (p *exchangeProgram) Done(v *machine.NodeView, m machine.Message) {
+	round, step := int(m.Tag>>32), int(m.Tag&(1<<32-1))-1
+	if step < 0 {
+		p.dataRecv[round]++
 	} else {
-		ready = r.barRecv[node][round][br] >= 1
+		p.barRecv[round][step]++
 	}
-	if ready {
-		prog.blocked = false
-		m.Unblock(node)
+	if p.blocked && p.arrived() {
+		p.blocked = false
+		v.Wake(0)
 	}
 }
 
@@ -289,50 +249,53 @@ func RunExchange(cfg ExchangeConfig) (ExchangeResult, error) {
 	for 1<<barRounds < cfg.P {
 		barRounds++
 	}
-	m := machine.New(machine.Config{P: cfg.P, NetLatency: cfg.Latency, Seed: cfg.Seed})
-	run := &exchangeRun{
-		cfg:           cfg,
-		barRounds:     barRounds,
-		dataRecv:      make([][]int, cfg.P),
-		barRecv:       make([][][]int, cfg.P),
-		remaining:     make([]int, cfg.Rounds),
-		dataRemaining: make([]int, cfg.Rounds),
-		roundEnd:      make([]float64, cfg.Rounds),
-		dataEnd:       make([]float64, cfg.Rounds),
-		progs:         make([]*exchangeProgram, cfg.P),
-	}
-	for r := range run.remaining {
-		run.remaining[r] = cfg.P
-		run.dataRemaining[r] = cfg.P
-	}
-	for i := 0; i < cfg.P; i++ {
-		run.dataRecv[i] = make([]int, cfg.Rounds+1)
-		run.barRecv[i] = make([][]int, cfg.Rounds+1)
-		for r := range run.barRecv[i] {
-			run.barRecv[i][r] = make([]int, barRounds+1)
+	progs, hooks, nodes := make([]machine.Program, cfg.P), make([]machine.Hook, cfg.P), make([]*exchangeProgram, cfg.P)
+	for i := range nodes {
+		p := &exchangeProgram{
+			cfg:       &cfg,
+			barRounds: barRounds,
+			k:         1,
+			dataRecv:  make([]int, cfg.Rounds+1),
+			barRecv:   make([][]int, cfg.Rounds+1),
+			dataEnd:   make([]float64, cfg.Rounds),
+			roundEnd:  make([]float64, cfg.Rounds),
 		}
-		prog := &exchangeProgram{run: run, k: 1}
-		run.progs[i] = prog
-		m.SetProgram(i, prog)
+		for r := range p.barRecv {
+			p.barRecv[r] = make([]int, barRounds+1)
+		}
+		nodes[i], progs[i], hooks[i] = p, p, p
 	}
-	m.Start()
-	m.Run()
+	if _, err := cfg.Par.Run(machine.Config{
+		P:        cfg.P,
+		Latency:  cfg.Latency,
+		Services: []dist.Distribution{cfg.Handler},
+		Programs: progs,
+		Hooks:    hooks,
+		Seed:     cfg.Seed,
+	}); err != nil {
+		return ExchangeResult{}, err
+	}
 
 	res := ExchangeResult{
-		RoundEnd:         run.roundEnd,
+		RoundEnd:         make([]float64, cfg.Rounds),
 		RoundTime:        make([]float64, cfg.Rounds),
 		DataTime:         make([]float64, cfg.Rounds),
-		Total:            run.roundEnd[cfg.Rounds-1],
 		SchedulePerRound: float64(cfg.P-1)*cfg.SendOverhead + cfg.Latency.Mean() + cfg.Handler.Mean(),
 	}
 	if cfg.Barrier {
 		res.BarrierPerRound = float64(barRounds) * (cfg.SendOverhead + cfg.Latency.Mean() + cfg.Handler.Mean())
 	}
 	prev := 0.0
-	for r, end := range run.roundEnd {
-		res.RoundTime[r] = end - prev
-		res.DataTime[r] = run.dataEnd[r] - prev
-		prev = end
+	for r := range res.RoundEnd {
+		dataEnd := 0.0
+		for _, p := range nodes {
+			res.RoundEnd[r] = max(res.RoundEnd[r], p.roundEnd[r])
+			dataEnd = max(dataEnd, p.dataEnd[r])
+		}
+		res.RoundTime[r] = res.RoundEnd[r] - prev
+		res.DataTime[r] = dataEnd - prev
+		prev = res.RoundEnd[r]
 	}
+	res.Total = prev
 	return res, nil
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dist"
-	"repro/internal/machine/shard"
+	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
@@ -82,12 +82,12 @@ type lockProg struct {
 	acqs  int64
 }
 
-// Next implements shard.Program.
-func (p *lockProg) Next(v *shard.NodeView) shard.Action {
+// Next implements machine.Program.
+func (p *lockProg) Next(v *machine.NodeView) machine.Action {
 	switch p.phase {
 	case phaseSend:
 		p.phase = phaseUnblocked
-		return shard.Request(p.run.pc, 0, 1) // service 0: critical section; reply 1: free grant
+		return machine.Request(p.run.pc, 0, 1) // service 0: critical section; reply 1: free grant
 	case phaseUnblocked:
 		c := v.Cycle()
 		if p.run.inWin(c.RepDone) {
@@ -100,10 +100,10 @@ func (p *lockProg) Next(v *shard.NodeView) shard.Action {
 		p.ready = v.Now()
 	}
 	p.phase = phaseSend
-	return shard.Compute(p.work.Sample(v.Rand()))
+	return machine.Compute(p.work.Sample(v.Rand()))
 }
 
-// Save and Restore implement shard.Program.
+// Save and Restore implement machine.Program.
 func (p *lockProg) Save(reuse any) any   { return saveInto(p, reuse) }
 func (p *lockProg) Restore(snapshot any) { *p = *snapshot.(*lockProg) }
 
@@ -114,13 +114,13 @@ func RunLock(cfg LockConfig) (LockSimResult, error) {
 	}
 	end := cfg.WarmupTime + cfg.MeasureTime
 	run := &wpRun{pc: cfg.Threads, ps: 1, warmup: cfg.WarmupTime, end: end}
-	progs := make([]shard.Program, cfg.Threads+1)
+	progs := make([]machine.Program, cfg.Threads+1)
 	threads := make([]*lockProg, cfg.Threads)
 	for i := range threads {
 		threads[i] = &lockProg{run: run, work: cfg.Work}
 		progs[i] = threads[i]
 	}
-	sres, err := cfg.Par.runShard(shard.Config{
+	sres, err := cfg.Par.Run(machine.Config{
 		P:            cfg.Threads + 1,
 		Latency:      cfg.Handoff,
 		Services:     []dist.Distribution{cfg.Critical, dist.NewDeterministic(0)},

@@ -26,6 +26,9 @@ type MultiHopConfig struct {
 	WarmupCycles, MeasureCycles int
 	// Seed roots the run's random streams.
 	Seed uint64
+	// Par selects the discrete-event core; nil runs the sequential
+	// core. See ParSim.
+	Par *ParSim
 }
 
 func (c MultiHopConfig) validate() error {
@@ -44,15 +47,6 @@ func (c MultiHopConfig) validate() error {
 	return nil
 }
 
-// cycleTimestamps carries one in-flight cycle's measurements.
-type cycleTimestamps struct {
-	ready   float64 // previous reply completion (thread became ready)
-	send    float64 // request injection
-	req     *machine.Message
-	rep     *machine.Message
-	repDone float64
-}
-
 // MultiHopResult holds the measured statistics for a multi-hop run.
 type MultiHopResult struct {
 	// R is the complete cycle time.
@@ -67,91 +61,77 @@ type MultiHopResult struct {
 	X float64
 }
 
-type mhProgram struct {
-	run   *multiHopRun
-	phase int
-	cycle int
-	cur   cycleTimestamps
-	hopRq []float64 // per-hop response times of the in-flight cycle
-}
-
-type multiHopRun struct {
-	cfg MultiHopConfig
-	res *MultiHopResult
+// mhProg drives one node: compute, send the cycle's first hop and
+// block; its hook forwards other nodes' hops, answers final hops, and
+// takes its own replies. A hop's message carries the originator, the
+// hop number and whether the originator's cycle is measured, so each
+// node tallies the hops it serves.
+type mhProg struct {
+	machine.NoSnapshot
+	cfg                *MultiHopConfig
+	phase              int
+	cycle              int
+	ready, send, reply float64
+	r, rw, rq, ry      stats.Tally
 }
 
 // Next implements machine.Program.
-func (p *mhProgram) Next(m *machine.Machine, self int) machine.Action {
+func (p *mhProg) Next(v *machine.NodeView) machine.Action {
 	switch p.phase {
-	case phaseStart:
-		p.cur.ready = m.Now()
-		p.phase = phaseSend
-		return machine.Compute(p.run.cfg.Work.Sample(m.Rand(self)))
-
 	case phaseSend:
-		p.cur.send = m.Now()
+		p.send = v.Now()
+		p.phase = phaseBlock
+		measured := p.cycle >= p.cfg.WarmupCycles
+		return machine.Send(UniformPattern{}.Dest(v), hopMsg(v.Self(), 1, measured))
+	case phaseBlock:
 		p.phase = phaseUnblocked
-		p.hopRq = p.hopRq[:0]
-		return machine.SendAndBlock(p.buildHop(m, self, self, 1))
-
+		return machine.Block()
 	case phaseUnblocked:
-		p.endCycle()
-		if p.cycle >= p.run.cfg.WarmupCycles+p.run.cfg.MeasureCycles {
+		if p.cycle >= p.cfg.WarmupCycles {
+			p.r.Add(p.reply - p.ready)
+			p.rw.Add(p.send - p.ready)
+		}
+		p.cycle++
+		p.ready = p.reply
+		if p.cycle >= p.cfg.WarmupCycles+p.cfg.MeasureCycles {
 			return machine.Halt()
 		}
-		p.phase = phaseSend
-		return machine.Compute(p.run.cfg.Work.Sample(m.Rand(self)))
-
-	default:
-		panic(fmt.Sprintf("workload: invalid multi-hop phase %d", p.phase))
+	default: // first call
+		p.ready = v.Now()
 	}
+	p.phase = phaseSend
+	return machine.Compute(p.cfg.Work.Sample(v.Rand()))
 }
 
-// buildHop constructs the request message for hop number `hop` (1-based)
-// leaving node `from`, on behalf of originator `origin`. The randomness
-// for destination choice is drawn from the *sending* node's stream, so
-// forwarding decisions are reproducible.
-func (p *mhProgram) buildHop(m *machine.Machine, origin, from, hop int) *machine.Message {
-	// Uniformly random node different from the sender.
-	dst := m.Rand(from).Intn(m.P() - 1)
-	if dst >= from {
-		dst++
-	}
-	msg := &machine.Message{
-		Src: from, Dst: dst, Kind: machine.KindRequest, Service: p.run.cfg.Service,
-	}
-	msg.OnComplete = func(m *machine.Machine, done *machine.Message) {
-		p.hopRq = append(p.hopRq, done.Done-done.Arrived)
-		if hop < p.run.cfg.Hops {
-			m.Send(p.buildHop(m, origin, done.Dst, hop+1))
-			return
+// Done implements machine.Hook.
+func (p *mhProg) Done(v *machine.NodeView, m machine.Message) {
+	origin, hop, measured := int(m.Tag>>32), int(m.Tag>>1)&(1<<31-1), m.Tag&1 == 1
+	if m.Kind == machine.KindReply {
+		if measured {
+			p.ry.Add(m.Done - m.Arrived)
 		}
-		rep := &machine.Message{
-			Src: done.Dst, Dst: origin, Kind: machine.KindReply, Service: p.run.cfg.Service,
-		}
-		p.cur.rep = rep
-		rep.OnComplete = func(m *machine.Machine, rmsg *machine.Message) {
-			p.cur.repDone = rmsg.Done
-			m.Unblock(origin)
-		}
-		m.Send(rep)
+		p.reply = m.Done
+		v.Wake(0)
+		return
 	}
-	return msg
+	if measured {
+		p.rq.Add(m.Done - m.Arrived)
+	}
+	if hop < p.cfg.Hops {
+		v.Send(UniformPattern{}.Dest(v), hopMsg(origin, hop+1, measured))
+		return
+	}
+	m.Kind = machine.KindReply
+	v.Send(origin, m)
 }
 
-func (p *mhProgram) endCycle() {
-	c := &p.cur
-	if p.cycle >= p.run.cfg.WarmupCycles {
-		res := p.run.res
-		res.R.Add(c.repDone - c.ready)
-		res.Rw.Add(c.send - c.ready)
-		for _, rq := range p.hopRq {
-			res.RqPerHop.Add(rq)
-		}
-		res.Ry.Add(c.rep.Done - c.rep.Arrived)
+// hopMsg is hop number hop of origin's request.
+func hopMsg(origin, hop int, measured bool) machine.Message {
+	tag := uint64(origin)<<32 | uint64(hop)<<1
+	if measured {
+		tag |= 1
 	}
-	p.cycle++
-	p.cur = cycleTimestamps{ready: c.repDone}
+	return machine.Message{Kind: machine.KindRequest, Tag: tag}
 }
 
 // RunMultiHop executes one multi-hop simulation.
@@ -159,20 +139,30 @@ func RunMultiHop(cfg MultiHopConfig) (MultiHopResult, error) {
 	if err := cfg.validate(); err != nil {
 		return MultiHopResult{}, err
 	}
-	m := machine.New(machine.Config{
-		P:          cfg.P,
-		NetLatency: cfg.Latency,
-		Seed:       cfg.Seed,
-	})
-	run := &multiHopRun{cfg: cfg, res: &MultiHopResult{}}
-	for i := 0; i < cfg.P; i++ {
-		m.SetProgram(i, &mhProgram{run: run})
+	progs, hooks, nodes := make([]machine.Program, cfg.P), make([]machine.Hook, cfg.P), make([]*mhProg, cfg.P)
+	for i := range nodes {
+		nodes[i] = &mhProg{cfg: &cfg}
+		progs[i], hooks[i] = nodes[i], nodes[i]
 	}
-	m.Start()
-	m.Run()
-	res := run.res
+	if _, err := cfg.Par.Run(machine.Config{
+		P:        cfg.P,
+		Latency:  cfg.Latency,
+		Services: []dist.Distribution{cfg.Service},
+		Programs: progs,
+		Hooks:    hooks,
+		Seed:     cfg.Seed,
+	}); err != nil {
+		return MultiHopResult{}, err
+	}
+	var res MultiHopResult
+	for _, p := range nodes {
+		res.R.Merge(&p.r)
+		res.Rw.Merge(&p.rw)
+		res.RqPerHop.Merge(&p.rq)
+		res.Ry.Merge(&p.ry)
+	}
 	if mean := res.R.Mean(); mean > 0 {
 		res.X = float64(cfg.P) / mean
 	}
-	return *res, nil
+	return res, nil
 }

@@ -22,6 +22,9 @@ type MultithreadConfig struct {
 	WarmupCycles, MeasureCycles int
 	// Seed roots the run's random streams.
 	Seed uint64
+	// Par selects the discrete-event core; nil runs the sequential
+	// core. See ParSim.
+	Par *ParSim
 }
 
 func (c MultithreadConfig) validate() error {
@@ -50,85 +53,88 @@ type MultithreadResult struct {
 	// XNode is the node-level cycle rate T/mean(R) implied by Little's
 	// law on the closed per-node population.
 	XNode float64
-	// ThreadUtil is the measured CPU fraction spent running threads.
+	// ThreadUtil is the measured CPU fraction spent running threads,
+	// averaged over nodes, each from time zero until its first thread
+	// halts.
 	ThreadUtil float64
-	// HandlerUtil is the measured CPU fraction spent in handlers.
+	// HandlerUtil is the measured CPU fraction spent in handlers, over
+	// the same per-node windows.
 	HandlerUtil float64
 }
 
-type mtProgram struct {
-	run   *multithreadRun
-	tid   int
-	phase int
-	cycle int
-	cur   cycleTimestamps
+// mtNode is one node of the multithreaded workload: its threads, the
+// hook that answers requests and wakes the thread a reply is for, and
+// the node's tallies. The measurement window closes when the node's
+// first thread halts.
+type mtNode struct {
+	cfg       *MultithreadConfig
+	threads   []mtThread
+	r, rq, ry stats.Tally
+	window    machine.NodeStats
+	closed    bool
 }
 
-type multithreadRun struct {
-	cfg     MultithreadConfig
-	res     *MultithreadResult
-	snapped bool
+// mtThread is one thread's program: compute, send a request carrying
+// the thread's id, and block until the reply wakes it.
+type mtThread struct {
+	machine.NoSnapshot
+	node         *mtNode
+	phase        int
+	cycle        int
+	ready, reply float64
 }
 
 // Next implements machine.Program.
-func (p *mtProgram) Next(m *machine.Machine, self int) machine.Action {
-	cfg := p.run.cfg
+func (p *mtThread) Next(v *machine.NodeView) machine.Action {
+	n := p.node
 	switch p.phase {
-	case phaseStart:
-		p.cur.ready = m.Now()
-		p.phase = phaseSend
-		return machine.Compute(cfg.Work.Sample(m.Rand(self)))
-
 	case phaseSend:
-		p.cur.send = m.Now()
+		p.phase = phaseBlock
+		m := machine.Message{Kind: machine.KindRequest, Thread: v.Thread()}
+		if p.cycle >= n.cfg.WarmupCycles {
+			m.Tag = 1
+		}
+		return machine.Send(UniformPattern{}.Dest(v), m)
+	case phaseBlock:
 		p.phase = phaseUnblocked
-		dst := m.Rand(self).Intn(cfg.P - 1)
-		if dst >= self {
-			dst++
-		}
-		tid := p.tid
-		req := &machine.Message{
-			Src: self, Dst: dst, Kind: machine.KindRequest, Service: cfg.Service,
-		}
-		p.cur.req = req
-		req.OnComplete = func(m *machine.Machine, msg *machine.Message) {
-			rep := &machine.Message{
-				Src: msg.Dst, Dst: msg.Src, Kind: machine.KindReply, Service: cfg.Service,
-			}
-			p.cur.rep = rep
-			rep.OnComplete = func(m *machine.Machine, rmsg *machine.Message) {
-				p.cur.repDone = rmsg.Done
-				m.UnblockThread(rmsg.Dst, tid)
-			}
-			m.Send(rep)
-		}
-		return machine.SendAndBlock(req)
-
+		return machine.Block()
 	case phaseUnblocked:
-		c := &p.cur
-		if p.cycle >= cfg.WarmupCycles {
-			res := p.run.res
-			res.R.Add(c.repDone - c.ready)
-			res.Rq.Add(c.req.Done - c.req.Arrived)
-			res.Ry.Add(c.rep.Done - c.rep.Arrived)
+		if p.cycle >= n.cfg.WarmupCycles {
+			n.r.Add(p.reply - p.ready)
 		}
 		p.cycle++
-		p.cur = cycleTimestamps{ready: c.repDone}
-		if p.cycle >= cfg.WarmupCycles+cfg.MeasureCycles {
-			if !p.run.snapped {
-				p.run.snapped = true
-				s := m.Stats()
-				p.run.res.ThreadUtil = s.ThreadUtil
-				p.run.res.HandlerUtil = s.UtilReq + s.UtilRep
+		p.ready = p.reply
+		if p.cycle >= n.cfg.WarmupCycles+n.cfg.MeasureCycles {
+			if !n.closed {
+				n.closed = true
+				n.window = v.Stats()
 			}
 			return machine.Halt()
 		}
-		p.phase = phaseSend
-		return machine.Compute(cfg.Work.Sample(m.Rand(self)))
-
-	default:
-		panic(fmt.Sprintf("workload: invalid multithread phase %d", p.phase))
+	default: // first call
+		p.ready = v.Now()
 	}
+	p.phase = phaseSend
+	return machine.Compute(n.cfg.Work.Sample(v.Rand()))
+}
+
+// Done implements machine.Hook: a request is answered with a reply for
+// the same thread; a reply wakes its thread.
+func (n *mtNode) Done(v *machine.NodeView, m machine.Message) {
+	measured := m.Tag == 1
+	if m.Kind == machine.KindRequest {
+		if measured {
+			n.rq.Add(m.Done - m.Arrived)
+		}
+		m.Kind = machine.KindReply
+		v.Send(m.Src, m)
+		return
+	}
+	if measured {
+		n.ry.Add(m.Done - m.Arrived)
+	}
+	n.threads[m.Thread].reply = m.Done
+	v.Wake(m.Thread)
 }
 
 // RunMultithread executes the multithreaded all-to-all workload.
@@ -136,23 +142,38 @@ func RunMultithread(cfg MultithreadConfig) (MultithreadResult, error) {
 	if err := cfg.validate(); err != nil {
 		return MultithreadResult{}, err
 	}
-	m := machine.New(machine.Config{
-		P:          cfg.P,
-		NetLatency: cfg.Latency,
-		Seed:       cfg.Seed,
-	})
-	run := &multithreadRun{cfg: cfg, res: &MultithreadResult{}}
-	for i := 0; i < cfg.P; i++ {
-		for j := 0; j < cfg.T; j++ {
-			prog := &mtProgram{run: run}
-			prog.tid = m.AddThread(i, prog)
+	nodes := make([]*mtNode, cfg.P)
+	threads := make([][]machine.Program, cfg.P)
+	hooks := make([]machine.Hook, cfg.P)
+	for i := range nodes {
+		n := &mtNode{cfg: &cfg, threads: make([]mtThread, cfg.T)}
+		threads[i] = make([]machine.Program, cfg.T)
+		for j := range n.threads {
+			n.threads[j].node = n
+			threads[i][j] = &n.threads[j]
 		}
+		nodes[i], hooks[i] = n, n
 	}
-	m.Start()
-	m.Run()
-	res := run.res
+	if _, err := cfg.Par.Run(machine.Config{
+		P:        cfg.P,
+		Latency:  cfg.Latency,
+		Services: []dist.Distribution{cfg.Service},
+		Threads:  threads,
+		Hooks:    hooks,
+		Seed:     cfg.Seed,
+	}); err != nil {
+		return MultithreadResult{}, err
+	}
+	var res MultithreadResult
+	for _, n := range nodes {
+		res.R.Merge(&n.r)
+		res.Rq.Merge(&n.rq)
+		res.Ry.Merge(&n.ry)
+		res.ThreadUtil += n.window.ThreadUtil / float64(cfg.P)
+		res.HandlerUtil += (n.window.UtilReq + n.window.UtilRep) / float64(cfg.P)
+	}
 	if mean := res.R.Mean(); mean > 0 {
 		res.XNode = float64(cfg.T) / mean
 	}
-	return *res, nil
+	return res, nil
 }

@@ -26,6 +26,9 @@ type NonBlockingConfig struct {
 	ProtocolProcessor bool
 	// Seed roots the run's random streams.
 	Seed uint64
+	// Par selects the discrete-event core; nil runs the sequential
+	// core. See ParSim.
+	Par *ParSim
 }
 
 func (c NonBlockingConfig) validate() error {
@@ -54,89 +57,75 @@ type NonBlockingResult struct {
 	// Rq and Ry are handler response times (arrival to completion).
 	Rq, Ry stats.Tally
 	// HandlerUtil is the measured fraction of processor time spent in
-	// handlers over the measurement window.
+	// handlers, averaged over nodes, each over its own window: from its
+	// thread's last warmup send until the thread halts.
 	HandlerUtil float64
 }
 
-type nbProgram struct {
-	run      *nonBlockingRun
-	sends    int
-	working  bool // a Compute was just issued; next step is the send
-	lastSend float64
-	started  bool
-}
-
-type nonBlockingRun struct {
-	cfg        NonBlockingConfig
-	res        *NonBlockingResult
-	warmupLeft int
-	statsReset bool
-	snapped    bool
+// nbProg drives one node: compute, fire a request, repeat. Its hook
+// answers other nodes' requests and takes its own replies; a request
+// carries its send time and whether it is measured, and its reply
+// carries them home. The node's measurement window opens at its own
+// warmup boundary and closes when its thread halts.
+type nbProg struct {
+	machine.NoSnapshot
+	cfg                    *NonBlockingConfig
+	sends                  int
+	working                bool // a Compute was just issued; next step is the send
+	started                bool
+	lastSend               float64
+	cycle, latency, rq, ry stats.Tally
+	handlerUtil            float64
 }
 
 // Next implements machine.Program.
-func (p *nbProgram) Next(m *machine.Machine, self int) machine.Action {
-	cfg := p.run.cfg
+func (p *nbProg) Next(v *machine.NodeView) machine.Action {
+	cfg := p.cfg
 	if !p.working {
 		// Start (or continue with) a work period.
 		if p.sends >= cfg.WarmupCycles+cfg.MeasureCycles {
-			if !p.run.snapped {
-				p.run.snapped = true
-				p.run.res.HandlerUtil = handlerUtil(m)
-			}
+			s := v.Stats()
+			p.handlerUtil = s.UtilReq + s.UtilRep
 			return machine.Halt()
 		}
 		p.working = true
-		return machine.Compute(cfg.Work.Sample(m.Rand(self)))
+		return machine.Compute(cfg.Work.Sample(v.Rand()))
 	}
 
 	// Work finished: fire the request and loop back to working state.
 	p.working = false
-	now := m.Now()
-	measured := p.sends >= cfg.WarmupCycles
-	if p.started && measured {
-		p.run.res.CycleTime.Add(now - p.lastSend)
+	now := v.Now()
+	m := machine.Message{Kind: machine.KindRequest, Val: now}
+	if p.sends >= cfg.WarmupCycles {
+		m.Tag = 1
+		if p.started {
+			p.cycle.Add(now - p.lastSend)
+		}
 	}
 	p.started = true
 	p.lastSend = now
 	p.sends++
-	if p.sends == cfg.WarmupCycles && cfg.WarmupCycles > 0 {
-		p.run.warmupLeft--
-		if p.run.warmupLeft == 0 && !p.run.statsReset {
-			p.run.statsReset = true
-			m.ResetStats()
-		}
+	if p.sends == cfg.WarmupCycles {
+		v.ResetStats()
 	}
-
-	dst := m.Rand(self).Intn(cfg.P - 1)
-	if dst >= self {
-		dst++
-	}
-	sent := now
-	run := p.run
-	return machine.SendAsync(&machine.Message{
-		Src: self, Dst: dst, Kind: machine.KindRequest, Service: cfg.Service,
-		OnComplete: func(m *machine.Machine, msg *machine.Message) {
-			if measured {
-				run.res.Rq.Add(msg.Done - msg.Arrived)
-			}
-			m.Send(&machine.Message{
-				Src: msg.Dst, Dst: msg.Src, Kind: machine.KindReply, Service: cfg.Service,
-				OnComplete: func(m *machine.Machine, rmsg *machine.Message) {
-					if measured {
-						run.res.Ry.Add(rmsg.Done - rmsg.Arrived)
-						run.res.Latency.Add(rmsg.Done - sent)
-					}
-				},
-			})
-		},
-	})
+	return machine.Send(UniformPattern{}.Dest(v), m)
 }
 
-// handlerUtil reads the machine-wide handler utilization.
-func handlerUtil(m *machine.Machine) float64 {
-	s := m.Stats()
-	return s.UtilReq + s.UtilRep
+// Done implements machine.Hook.
+func (p *nbProg) Done(v *machine.NodeView, m machine.Message) {
+	measured := m.Tag == 1
+	if m.Kind == machine.KindRequest {
+		if measured {
+			p.rq.Add(m.Done - m.Arrived)
+		}
+		m.Kind = machine.KindReply
+		v.Send(m.Src, m)
+		return
+	}
+	if measured {
+		p.ry.Add(m.Done - m.Arrived)
+		p.latency.Add(m.Done - m.Val)
+	}
 }
 
 // RunNonBlocking executes the non-blocking workload.
@@ -144,28 +133,32 @@ func RunNonBlocking(cfg NonBlockingConfig) (NonBlockingResult, error) {
 	if err := cfg.validate(); err != nil {
 		return NonBlockingResult{}, err
 	}
-	m := machine.New(machine.Config{
+	progs, hooks, nodes := make([]machine.Program, cfg.P), make([]machine.Hook, cfg.P), make([]*nbProg, cfg.P)
+	for i := range nodes {
+		nodes[i] = &nbProg{cfg: &cfg}
+		progs[i], hooks[i] = nodes[i], nodes[i]
+	}
+	if _, err := cfg.Par.Run(machine.Config{
 		P:                 cfg.P,
-		NetLatency:        cfg.Latency,
+		Latency:           cfg.Latency,
+		Services:          []dist.Distribution{cfg.Service},
+		Programs:          progs,
+		Hooks:             hooks,
 		ProtocolProcessor: cfg.ProtocolProcessor,
 		Seed:              cfg.Seed,
-	})
-	run := &nonBlockingRun{cfg: cfg, res: &NonBlockingResult{}, warmupLeft: cfg.P}
-	if cfg.WarmupCycles == 0 {
-		run.warmupLeft = 0
-		run.statsReset = true
+	}); err != nil {
+		return NonBlockingResult{}, err
 	}
-	for i := 0; i < cfg.P; i++ {
-		m.SetProgram(i, &nbProgram{run: run})
-	}
-	m.Start()
-	m.Run()
-	res := run.res
-	if !run.snapped {
-		res.HandlerUtil = handlerUtil(m)
+	var res NonBlockingResult
+	for _, p := range nodes {
+		res.CycleTime.Merge(&p.cycle)
+		res.Latency.Merge(&p.latency)
+		res.Rq.Merge(&p.rq)
+		res.Ry.Merge(&p.ry)
+		res.HandlerUtil += p.handlerUtil / float64(cfg.P)
 	}
 	if mean := res.CycleTime.Mean(); mean > 0 {
 		res.X = 1 / mean
 	}
-	return *res, nil
+	return res, nil
 }

@@ -1,13 +1,13 @@
 package workload
 
 import (
-	"repro/internal/machine/shard"
+	"repro/internal/machine"
 	"repro/internal/psim"
 )
 
-// ParSim selects the discrete-event core that runs the all-to-all,
-// work-pile, lock and lock-free workloads (internal/psim, with the
-// sharded machine of internal/machine/shard). A nil Par runs the
+// ParSim selects the discrete-event core that runs a workload or
+// collective (internal/psim, with the machine of internal/machine;
+// lock-free runs one LP of its own). A nil Par runs the
 // sequential core; setting one picks the core, its job count, and its
 // optional outputs. The determinism contract guarantees that for a
 // fixed seed every core at every job count commits the identical event
@@ -19,7 +19,8 @@ import (
 // The optimistic core accepts only stateless patterns (their
 // destinations are pure functions of the node's stream) and refuses
 // the all-to-all extras that keep state outside the checkpointed node
-// (LinkOccupancy, NIQueueCap) and the Observer.
+// (LinkOccupancy, NIQueueCap), the Observer, and the hook-driven
+// multi-hop, multithread, non-blocking, exchange and collective runs.
 type ParSim struct {
 	// Sync names the synchronization core: "seq", "cons", or "opt".
 	// Empty means "seq".
@@ -76,14 +77,14 @@ func (p *ParSim) finish(rs psim.RunStats) {
 	}
 }
 
-// runShard runs a sharded machine under the selected core.
-func (p *ParSim) runShard(cfg shard.Config) (shard.Result, error) {
+// Run runs the machine under the selected core.
+func (p *ParSim) Run(cfg machine.Config) (machine.Result, error) {
 	var sel psim.Config
 	if err := p.apply(&sel); err != nil {
-		return shard.Result{}, err
+		return machine.Result{}, err
 	}
 	cfg.Sync, cfg.Jobs, cfg.Window, cfg.Trace, cfg.Metrics = sel.Sync, sel.Jobs, sel.Window, sel.Trace, sel.Metrics
-	res, err := shard.Run(cfg)
+	res, err := machine.Run(cfg)
 	if err == nil {
 		p.finish(res.Run)
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"reflect"
 	"testing"
 
@@ -58,6 +59,7 @@ func checkParContract[T any](t *testing.T, cases []parCase, run func(par *ParSim
 	if wantRS.Events == 0 {
 		t.Fatal("sequential run committed no events")
 	}
+	t.Logf("committed trace sha256 %x (%d events)", sha256.Sum256(wantTrace), wantRS.Events)
 	for _, tc := range cases[1:] {
 		gotTrace, gotRes, gotRS := runPar(t, run, tc.sync, tc.jobs)
 		if !bytes.Equal(gotTrace, wantTrace) {
@@ -149,6 +151,75 @@ func TestLockFreeParContract(t *testing.T) {
 	})
 }
 
+// The multi-hop, multithread, non-blocking and exchange drivers use the
+// machine's hooks and several threads per node, which the optimistic
+// core refuses: they run the seq and cons rows.
+
+func TestMultiHopParContract(t *testing.T) {
+	res := checkParContract(t, consCases, func(par *ParSim) (MultiHopResult, error) {
+		return RunMultiHop(MultiHopConfig{
+			P: 6, Hops: 3,
+			Work:         dist.NewExponential(80),
+			Latency:      dist.NewDeterministic(10),
+			Service:      dist.NewExponential(20),
+			WarmupCycles: 4, MeasureCycles: 30,
+			Seed: 17,
+			Par:  par,
+		})
+	})
+	if n := res.RqPerHop.N(); n != 6*30*3 {
+		t.Fatalf("recorded %d hop responses, want %d", n, 6*30*3)
+	}
+}
+
+func TestMultithreadParContract(t *testing.T) {
+	res := checkParContract(t, consCases, func(par *ParSim) (MultithreadResult, error) {
+		return RunMultithread(MultithreadConfig{
+			P: 5, T: 3,
+			Work:         dist.NewExponential(60),
+			Latency:      dist.NewDeterministic(10),
+			Service:      dist.NewExponential(20),
+			WarmupCycles: 4, MeasureCycles: 25,
+			Seed: 19,
+			Par:  par,
+		})
+	})
+	if n := res.R.N(); n != 5*3*25 {
+		t.Fatalf("recorded %d thread cycles, want %d", n, 5*3*25)
+	}
+}
+
+func TestNonBlockingParContract(t *testing.T) {
+	for _, pp := range []bool{false, true} {
+		checkParContract(t, consCases, func(par *ParSim) (NonBlockingResult, error) {
+			return RunNonBlocking(NonBlockingConfig{
+				P:            6,
+				Work:         dist.NewExponential(50),
+				Latency:      dist.NewDeterministic(10),
+				Service:      dist.NewExponential(20),
+				WarmupCycles: 5, MeasureCycles: 40,
+				ProtocolProcessor: pp,
+				Seed:              23,
+				Par:               par,
+			})
+		})
+	}
+}
+
+func TestExchangeParContract(t *testing.T) {
+	checkParContract(t, consCases, func(par *ParSim) (ExchangeResult, error) {
+		return RunExchange(ExchangeConfig{
+			P: 6, Rounds: 5,
+			SendOverhead: 3,
+			Latency:      dist.NewDeterministic(10),
+			Handler:      dist.NewExponential(4),
+			Barrier:      true,
+			Seed:         29,
+			Par:          par,
+		})
+	})
+}
+
 // extrasConfig is the all-to-all configuration the extras rows of the
 // contract vary.
 func extrasConfig(par *ParSim) AllToAllConfig {
@@ -206,7 +277,8 @@ func TestAllToAllPairLatencyParContract(t *testing.T) {
 
 // TestParRejectsUnsupported checks that a run fails fast on a core
 // outside its envelope: the optimistic core refuses the stateful
-// extras and the Observer, which also needs the sequential core.
+// extras, the Observer (which also needs the sequential core), and the
+// hook-driven drivers.
 func TestParRejectsUnsupported(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -223,6 +295,31 @@ func TestParRejectsUnsupported(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := RunAllToAll(cfg); err == nil {
 			t.Errorf("%s: run accepted an unsupported config", tc.name)
+		}
+	}
+	// The optimistic core refuses hooks and several threads per node.
+	opt := &ParSim{Sync: "opt"}
+	d := dist.NewDeterministic(10)
+	for name, run := range map[string]func() error{
+		"opt multihop": func() error {
+			_, err := RunMultiHop(MultiHopConfig{P: 4, Hops: 2, Work: d, Latency: d, Service: d, MeasureCycles: 2, Par: opt})
+			return err
+		},
+		"opt multithread": func() error {
+			_, err := RunMultithread(MultithreadConfig{P: 4, T: 2, Work: d, Latency: d, Service: d, MeasureCycles: 2, Par: opt})
+			return err
+		},
+		"opt nonblocking": func() error {
+			_, err := RunNonBlocking(NonBlockingConfig{P: 4, Work: d, Latency: d, Service: d, MeasureCycles: 2, Par: opt})
+			return err
+		},
+		"opt exchange": func() error {
+			_, err := RunExchange(ExchangeConfig{P: 4, Rounds: 2, Latency: d, Handler: d, Par: opt})
+			return err
+		},
+	} {
+		if err := run(); err == nil {
+			t.Errorf("%s: run accepted an unsupported config", name)
 		}
 	}
 	cfg := extrasConfig(nil)

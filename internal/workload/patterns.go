@@ -5,16 +5,17 @@
 // compute/request cycle time R and its components Rw, Rq, Ry, plus
 // throughput, queue lengths, and utilizations.
 //
-// The all-to-all, work-pile, lock and lock-free workloads run on the
-// discrete-event core (internal/psim, with internal/machine/shard for
-// the machine); see ParSim. Multi-hop, multithreaded, non-blocking and
-// exchange runs use the single-threaded machine (internal/machine).
+// Every workload runs on the discrete-event core (internal/psim, with
+// internal/machine for the machine); see ParSim. Multi-hop,
+// multithreaded, non-blocking and exchange runs keep each node's
+// measurements in its own program and carry their cross-node data in
+// the messages, so they need no state shared between nodes.
 package workload
 
 import (
 	"fmt"
 
-	"repro/internal/machine/shard"
+	"repro/internal/machine"
 )
 
 // Pattern chooses the destination of each request a node makes.
@@ -23,7 +24,7 @@ import (
 // core replay rolled-back draws identically.
 type Pattern interface {
 	// Dest returns the destination for the next request from v's node.
-	Dest(v *shard.NodeView) int
+	Dest(v *machine.NodeView) int
 	// String names the pattern for experiment logs.
 	String() string
 }
@@ -33,7 +34,7 @@ type Pattern interface {
 type UniformPattern struct{}
 
 // Dest implements Pattern.
-func (UniformPattern) Dest(v *shard.NodeView) int {
+func (UniformPattern) Dest(v *machine.NodeView) int {
 	d := v.Rand().Intn(v.N() - 1)
 	if d >= v.Self() {
 		d++
@@ -51,7 +52,7 @@ func (UniformPattern) String() string { return "uniform" }
 type RingPattern struct{}
 
 // Dest implements Pattern.
-func (RingPattern) Dest(v *shard.NodeView) int {
+func (RingPattern) Dest(v *machine.NodeView) int {
 	return (v.Self() + 1) % v.N()
 }
 
@@ -62,7 +63,7 @@ func (RingPattern) String() string { return "ring" }
 type ShiftPattern struct{ Offset int }
 
 // Dest implements Pattern.
-func (s ShiftPattern) Dest(v *shard.NodeView) int {
+func (s ShiftPattern) Dest(v *machine.NodeView) int {
 	p, self := v.N(), v.Self()
 	d := (self + s.Offset) % p
 	if d < 0 {
@@ -87,7 +88,7 @@ type HotspotPattern struct {
 }
 
 // Dest implements Pattern.
-func (h HotspotPattern) Dest(v *shard.NodeView) int {
+func (h HotspotPattern) Dest(v *machine.NodeView) int {
 	r, self := v.Rand(), v.Self()
 	if h.Hot != self && r.Float64() < h.Bias {
 		return h.Hot

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dist"
-	"repro/internal/machine/shard"
+	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
@@ -102,12 +102,12 @@ type wpProg struct {
 	chunks int64
 }
 
-// Next implements shard.Program.
-func (p *wpProg) Next(v *shard.NodeView) shard.Action {
+// Next implements machine.Program.
+func (p *wpProg) Next(v *machine.NodeView) machine.Action {
 	switch p.phase {
 	case phaseSend:
 		p.phase = phaseUnblocked
-		return shard.Request(p.run.pc+v.Rand().Intn(p.run.ps), 0, 0)
+		return machine.Request(p.run.pc+v.Rand().Intn(p.run.ps), 0, 0)
 	case phaseUnblocked:
 		c := v.Cycle()
 		if p.run.inWin(c.RepDone) {
@@ -120,10 +120,10 @@ func (p *wpProg) Next(v *shard.NodeView) shard.Action {
 		p.ready = v.Now()
 	}
 	p.phase = phaseSend
-	return shard.Compute(p.chunk.Sample(v.Rand()))
+	return machine.Compute(p.chunk.Sample(v.Rand()))
 }
 
-// Save and Restore implement shard.Program.
+// Save and Restore implement machine.Program.
 func (p *wpProg) Save(reuse any) any   { return saveInto(p, reuse) }
 func (p *wpProg) Restore(snapshot any) { *p = *snapshot.(*wpProg) }
 
@@ -135,7 +135,7 @@ func RunWorkpile(cfg WorkpileConfig) (WorkpileResult, error) {
 	end := cfg.WarmupTime + cfg.MeasureTime
 	pc := cfg.P - cfg.Ps
 	run := &wpRun{pc: pc, ps: cfg.Ps, warmup: cfg.WarmupTime, end: end}
-	progs := make([]shard.Program, cfg.P)
+	progs := make([]machine.Program, cfg.P)
 	clients := make([]*wpProg, pc)
 	for i := range clients {
 		chunk := cfg.Chunk
@@ -145,7 +145,7 @@ func RunWorkpile(cfg WorkpileConfig) (WorkpileResult, error) {
 		clients[i] = &wpProg{run: run, chunk: chunk}
 		progs[i] = clients[i]
 	}
-	sres, err := cfg.Par.runShard(shard.Config{
+	sres, err := cfg.Par.Run(machine.Config{
 		P:            cfg.P,
 		Latency:      cfg.Latency,
 		Services:     []dist.Distribution{cfg.Service},
