@@ -154,17 +154,21 @@ type LogP = logp.Params
 // Distribution generates non-negative times and reports exact moments.
 type Distribution = dist.Distribution
 
-// Deterministic returns the constant distribution at v (C² = 0).
+// Deterministic returns the constant distribution at v (C² = 0). It
+// panics unless v is finite and non-negative.
 func Deterministic(v float64) Distribution { return dist.NewDeterministic(v) }
 
 // Exponential returns the exponential distribution with mean m (C² = 1).
+// It panics unless m is finite and positive.
 func Exponential(m float64) Distribution { return dist.NewExponential(m) }
 
-// Uniform returns the uniform distribution on [low, high].
+// Uniform returns the uniform distribution on [low, high]. It panics
+// unless 0 <= low <= high < +Inf.
 func Uniform(low, high float64) Distribution { return dist.NewUniform(low, high) }
 
 // FromMeanSCV returns a distribution with the exact requested mean and
-// squared coefficient of variation (the paper's C² knob).
+// squared coefficient of variation (the paper's C² knob). It panics
+// unless both are finite, scv >= 0 and mean > 0 (or both are zero).
 func FromMeanSCV(mean, scv float64) Distribution { return dist.FromMeanSCV(mean, scv) }
 
 // --- Simulation (internal/workload and internal/am on internal/machine, over internal/psim) ---

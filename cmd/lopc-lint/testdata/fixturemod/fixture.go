@@ -10,7 +10,7 @@ func BadCompare(a, b float64) bool {
 	return a == b
 }
 
-// BadSolve uses w before validating it.
+// BadSolve uses w unvalidated; only a run-time test can reject it.
 func BadSolve(w float64) (float64, error) {
 	return w * 2, nil
 }

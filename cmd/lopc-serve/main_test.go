@@ -5,11 +5,15 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/leakguard"
 )
 
 func TestVersionFlag(t *testing.T) {
@@ -31,11 +35,18 @@ func TestBadFlag(t *testing.T) {
 
 // TestServeLifecycle drives the real daemon in-process: start on an
 // ephemeral port, answer one solve, then deliver a real SIGTERM and
-// require a clean (exit 0) drain.
+// require a clean (exit 0) drain that leaves no goroutine behind.
 func TestServeLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sends SIGTERM to the test process; skipped in -short")
 	}
+	// The signal package starts its watcher goroutine on first use and
+	// keeps it for the life of the process: start it before the
+	// baseline.
+	warm := make(chan os.Signal, 1)
+	signal.Notify(warm, syscall.SIGUSR1)
+	signal.Stop(warm)
+	base := runtime.NumGoroutine()
 	ready := make(chan string, 1)
 	done := make(chan int, 1)
 	var errb bytes.Buffer
@@ -82,6 +93,8 @@ func TestServeLifecycle(t *testing.T) {
 	if !strings.Contains(errb.String(), "clean shutdown") {
 		t.Errorf("stderr missing clean-shutdown line: %s", errb.String())
 	}
+	http.DefaultClient.CloseIdleConnections()
+	leakguard.Settle(t, base, "a clean shutdown")
 }
 
 // TestServeObservabilityLifecycle drives the daemon with every

@@ -52,7 +52,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("am: P = %d", c.P)
 	case c.Latency == nil || c.Handler == nil:
 		return fmt.Errorf("am: nil distribution in config")
-	case c.SendOverhead < 0 || math.IsNaN(c.SendOverhead):
+	// The negated comparison rejects NaN too: NaN >= 0 is false.
+	case !(c.SendOverhead >= 0) || math.IsInf(c.SendOverhead, 0):
 		return fmt.Errorf("am: invalid send overhead %v", c.SendOverhead)
 	}
 	return nil

@@ -100,6 +100,15 @@ func (f *Fake) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
+// Pending reports how many After channels have not fired yet. A test
+// that advances the clock to trip a timer another goroutine arms waits
+// for the timer to be armed first.
+func (f *Fake) Pending() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.waiters)
+}
+
 // fire delivers to every waiter whose deadline has passed. Callers
 // hold f.mu; the channels are buffered so delivery never blocks.
 func (f *Fake) fire() {

@@ -40,6 +40,9 @@ func TestFakeAfter(t *testing.T) {
 		t.Fatalf("After fired at %v before Advance", got)
 	default:
 	}
+	if n := f.Pending(); n != 1 {
+		t.Errorf("Pending = %d with one timer armed, want 1", n)
+	}
 	f.Advance(30 * time.Second)
 	select {
 	case got := <-ch:
@@ -54,6 +57,9 @@ func TestFakeAfter(t *testing.T) {
 		}
 	default:
 		t.Fatal("After did not fire once the deadline passed")
+	}
+	if n := f.Pending(); n != 0 {
+		t.Errorf("Pending = %d after the timer fired, want 0", n)
 	}
 }
 

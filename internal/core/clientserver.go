@@ -34,10 +34,12 @@ func (p ClientServerParams) Validate() error {
 		return fmt.Errorf("core: client-server needs P >= 2, got %d", p.P)
 	case p.Ps < 1 || p.Ps >= p.P:
 		return fmt.Errorf("core: need 1 <= Ps < P, got Ps=%d P=%d", p.Ps, p.P)
-	case p.W < 0 || p.St < 0 || p.C2 < 0:
-		return fmt.Errorf("core: negative parameter in %+v", p)
-	case p.So <= 0:
-		return fmt.Errorf("core: So = %v; handlers must take positive time", p.So)
+	// The negated comparisons reject NaN too: NaN >= 0 is false.
+	case !(p.W >= 0) || !(p.St >= 0) || !(p.C2 >= 0) ||
+		math.IsInf(p.W, 0) || math.IsInf(p.St, 0) || math.IsInf(p.C2, 0):
+		return fmt.Errorf("core: negative or non-finite parameter in %+v", p)
+	case !(p.So > 0) || math.IsInf(p.So, 0):
+		return fmt.Errorf("core: So = %v; handlers must take positive, finite time", p.So)
 	}
 	return nil
 }

@@ -131,6 +131,95 @@ func FuzzLockFree(f *testing.F) {
 	})
 }
 
+// checkFinite fails t unless every value is finite.
+func checkFinite(t *testing.T, what string, vals ...float64) {
+	t.Helper()
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("%s: value %d of %v is not finite", what, i, vals)
+		}
+	}
+}
+
+// checkRel fails t unless got is within 1e-9 of want, relatively.
+func checkRel(t *testing.T, what, name string, got, want float64) {
+	t.Helper()
+	if math.Abs(got-want) > 1e-9*math.Abs(want) {
+		t.Fatalf("%s: %s = %v, want %v", what, name, got, want)
+	}
+}
+
+// FuzzNonBlocking: the non-blocking solver rejects its input or returns
+// a finite solution on the conservation-law throughput X = 1/(W + 2So)
+// (1/W with the protocol processor), with Latency = 2St + Rq + Ry,
+// Outstanding = X·Latency (Little's law) and handler utilization in
+// [0, 1).
+func FuzzNonBlocking(f *testing.F) {
+	f.Add(32, 1000.0, 40.0, 200.0, 0.0, false)
+	f.Add(2, 0.0, 0.0, 1.0, 1.0, false)
+	f.Add(64, 1000.0, 10.0, 100.0, 4.0, true)
+	f.Add(8, 300.0, 40.0, 200.0, 1.0, true)
+	f.Add(16, 6e307, 1.0, 6e307, 0.0, false)
+	f.Fuzz(func(t *testing.T, p int, w, st, so, c2 float64, pp bool) {
+		params := Params{P: p, W: w, St: st, So: so, C2: c2, ProtocolProcessor: pp}
+		res, err := NonBlocking(params)
+		if err != nil {
+			return
+		}
+		what := fmt.Sprintf("NonBlocking(%+v)", params)
+		checkFinite(t, what, res.X, res.CycleTime, res.Rq, res.Ry, res.Latency, res.Outstanding, res.HandlerUtil)
+		if pp {
+			checkRel(t, what, "X·W", res.X*w, 1)
+		} else {
+			checkRel(t, what, "X·(W+2So)", res.X*(w+2*so), 1)
+		}
+		checkRel(t, what, "CycleTime·X", res.CycleTime*res.X, 1)
+		checkRel(t, what, "Latency", res.Latency, 2*st+res.Rq+res.Ry)
+		checkRel(t, what, "Outstanding", res.Outstanding, res.X*res.Latency)
+		if !(res.HandlerUtil >= 0 && res.HandlerUtil < 1) {
+			t.Fatalf("%s: handler utilization %v outside [0, 1)", what, res.HandlerUtil)
+		}
+	})
+}
+
+// FuzzMultithreaded: the multithreaded solver rejects its input or
+// returns a finite solution under the conservation bound
+// XNode <= 1/(W + 2So), with XThread·T = XNode, CycleTime = 1/XThread,
+// handler utilization in [0, 1) and CPU utilization at most 1. Thread
+// counts above 64 are folded into 1..64: each evaluation runs exact
+// MVA over the node's T threads.
+func FuzzMultithreaded(f *testing.F) {
+	f.Add(32, 1, 256.0, 40.0, 200.0, 0.0)
+	f.Add(32, 4, 1024.0, 40.0, 200.0, 1.0)
+	f.Add(2, 8, 0.0, 0.0, 1.0, 0.0)
+	f.Add(64, 64, 10.0, 100.0, 50.0, 4.0)
+	f.Add(8, 0, 1000.0, 40.0, 200.0, 0.0)
+	f.Fuzz(func(t *testing.T, p, threads int, w, st, so, c2 float64) {
+		if threads > 64 {
+			threads = 1 + threads%64
+		}
+		params := Params{P: p, W: w, St: st, So: so, C2: c2}
+		res, err := Multithreaded(params, threads)
+		if err != nil {
+			return
+		}
+		what := fmt.Sprintf("Multithreaded(%+v, T=%d)", params, threads)
+		checkFinite(t, what, res.XNode, res.XThread, res.CycleTime, res.Rh, res.HandlerUtil, res.CPUUtil, res.Bound)
+		checkRel(t, what, "Bound", res.Bound, 1/(w+2*so))
+		if res.XNode > res.Bound*(1+1e-9) {
+			t.Fatalf("%s: XNode %v above the conservation bound %v", what, res.XNode, res.Bound)
+		}
+		checkRel(t, what, "XThread·T", res.XThread*float64(threads), res.XNode)
+		checkRel(t, what, "CycleTime", res.CycleTime, 1/res.XThread)
+		if !(res.HandlerUtil >= 0 && res.HandlerUtil < 1) {
+			t.Fatalf("%s: handler utilization %v outside [0, 1)", what, res.HandlerUtil)
+		}
+		if res.CPUUtil > 1+1e-9 {
+			t.Fatalf("%s: CPU utilization %v above 1", what, res.CPUUtil)
+		}
+	})
+}
+
 // generalFuzzParams maps fuzz arguments onto a general model: P in
 // [2, 32], and one of four shapes (shape mod 4): the homogeneous
 // all-to-all visits, a work-pile split with P/4 servers, two-hop

@@ -54,13 +54,13 @@ func (p GeneralParams) Validate() error {
 			return fmt.Errorf("core: len(V[%d]) = %d, want P = %d", c, len(row), p.P)
 		}
 		for k, v := range row {
-			if v < 0 || math.IsNaN(v) {
+			if !(v >= 0) || math.IsInf(v, 0) {
 				return fmt.Errorf("core: V[%d][%d] = %v", c, k, v)
 			}
 		}
 	}
 	for c, w := range p.W {
-		if w < 0 || math.IsNaN(w) {
+		if !(w >= 0) || math.IsInf(w, 0) {
 			return fmt.Errorf("core: W[%d] = %v", c, w)
 		}
 	}
@@ -68,12 +68,13 @@ func (p GeneralParams) Validate() error {
 		return fmt.Errorf("core: len(So) = %d, want 1 or P = %d", len(p.So), p.P)
 	}
 	for k, so := range p.So {
-		if so <= 0 || math.IsNaN(so) {
+		if !(so > 0) || math.IsInf(so, 0) {
 			return fmt.Errorf("core: So[%d] = %v", k, so)
 		}
 	}
-	if p.St < 0 || p.C2 < 0 {
-		return fmt.Errorf("core: negative St or C² in %+v", p)
+	// The negated comparisons reject NaN too: NaN >= 0 is false.
+	if !(p.St >= 0) || !(p.C2 >= 0) || math.IsInf(p.St, 0) || math.IsInf(p.C2, 0) {
+		return fmt.Errorf("core: negative or non-finite St or C² in %+v", p)
 	}
 	return nil
 }

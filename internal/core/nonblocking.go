@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // NonBlockingResult is the model's solution for the non-blocking
@@ -61,10 +62,11 @@ func NonBlocking(p Params) (NonBlockingResult, error) {
 			return NonBlockingResult{}, fmt.Errorf("core: protocol processor saturated: 2So/W = %v >= 1", 2*p.So/p.W)
 		}
 	} else {
-		if p.W+2*p.So <= 0 {
-			return NonBlockingResult{}, fmt.Errorf("core: non-blocking model needs W + 2So > 0")
+		cycle := p.W + 2*p.So
+		if cycle <= 0 || math.IsInf(cycle, 0) {
+			return NonBlockingResult{}, fmt.Errorf("core: non-blocking model needs 0 < W + 2So < +Inf, got %v", cycle)
 		}
-		x = 1 / (p.W + 2*p.So)
+		x = 1 / cycle
 	}
 
 	// Handler response times at the fixed per-node arrival rate: unlike
@@ -90,6 +92,9 @@ func NonBlocking(p Params) (NonBlockingResult, error) {
 	rq, ry := rh, rh
 
 	latency := 2*p.St + rq + ry
+	if math.IsInf(latency*x, 0) {
+		return NonBlockingResult{}, fmt.Errorf("core: non-blocking latency overflows at %+v", p)
+	}
 	return NonBlockingResult{
 		X:           x,
 		CycleTime:   1 / x,

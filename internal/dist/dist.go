@@ -40,11 +40,13 @@ type Deterministic struct {
 	Value float64
 }
 
-// NewDeterministic returns the constant distribution at v. It panics if
-// v is negative: service and work times are durations.
+// NewDeterministic returns the constant distribution at v. It panics
+// unless v is finite and non-negative: service and work times are
+// durations.
 func NewDeterministic(v float64) Deterministic {
-	if v < 0 {
-		panic(fmt.Sprintf("dist: negative deterministic value %v", v))
+	// The negated comparisons reject NaN too: NaN >= 0 is false.
+	if !(v >= 0) || math.IsInf(v, 1) {
+		panic(fmt.Sprintf("dist: invalid deterministic value %v", v))
 	}
 	return Deterministic{Value: v}
 }
@@ -66,10 +68,11 @@ type Exponential struct {
 	MeanValue float64
 }
 
-// NewExponential returns an exponential distribution with mean m.
+// NewExponential returns an exponential distribution with mean m. It
+// panics unless m is finite and positive.
 func NewExponential(m float64) Exponential {
-	if m <= 0 {
-		panic(fmt.Sprintf("dist: non-positive exponential mean %v", m))
+	if !(m > 0) || math.IsInf(m, 1) {
+		panic(fmt.Sprintf("dist: invalid exponential mean %v", m))
 	}
 	return Exponential{MeanValue: m}
 }
@@ -90,9 +93,10 @@ type Uniform struct {
 	Low, High float64
 }
 
-// NewUniform returns the uniform distribution on [low, high].
+// NewUniform returns the uniform distribution on [low, high]. It
+// panics unless 0 <= low <= high < +Inf.
 func NewUniform(low, high float64) Uniform {
-	if low < 0 || high < low {
+	if !(low >= 0) || !(high >= low) || math.IsInf(high, 1) {
 		panic(fmt.Sprintf("dist: invalid uniform bounds [%v, %v]", low, high))
 	}
 	return Uniform{Low: low, High: high}
@@ -133,8 +137,8 @@ func NewErlang(k int, mean float64) Erlang {
 	if k < 1 {
 		panic(fmt.Sprintf("dist: Erlang shape %d < 1", k))
 	}
-	if mean <= 0 {
-		panic(fmt.Sprintf("dist: non-positive Erlang mean %v", mean))
+	if !(mean > 0) || math.IsInf(mean, 1) {
+		panic(fmt.Sprintf("dist: invalid Erlang mean %v", mean))
 	}
 	return Erlang{K: k, MeanValue: mean}
 }
@@ -186,10 +190,10 @@ type HyperExp2 struct {
 // hyperexponential with the requested mean and SCV. It panics unless
 // scv > 1 (use Erlang or Exponential otherwise).
 func NewHyperExp2Balanced(mean, scv float64) HyperExp2 {
-	if mean <= 0 {
-		panic(fmt.Sprintf("dist: non-positive hyperexponential mean %v", mean))
+	if !(mean > 0) || math.IsInf(mean, 1) {
+		panic(fmt.Sprintf("dist: invalid hyperexponential mean %v", mean))
 	}
-	if scv <= 1 {
+	if !(scv > 1) || math.IsInf(scv, 1) {
 		panic(fmt.Sprintf("dist: hyperexponential requires SCV > 1, got %v", scv))
 	}
 	// Balanced means: p1/λ1 = p2/λ2 = mean/2. Then
@@ -241,10 +245,10 @@ type ErlangMix struct {
 // NewErlangMix constructs the Erlang mixture matching the requested
 // mean and SCV with 0 < scv < 1.
 func NewErlangMix(mean, scv float64) ErlangMix {
-	if mean <= 0 {
-		panic(fmt.Sprintf("dist: non-positive ErlangMix mean %v", mean))
+	if !(mean > 0) || math.IsInf(mean, 1) {
+		panic(fmt.Sprintf("dist: invalid ErlangMix mean %v", mean))
 	}
-	if scv <= 0 || scv >= 1 {
+	if !(scv > 0 && scv < 1) {
 		panic(fmt.Sprintf("dist: ErlangMix requires 0 < SCV < 1, got %v", scv))
 	}
 	// Choose k with 1/(k+1) <= scv < 1/k, mix Erlang-k and Erlang-(k+1).
@@ -327,19 +331,19 @@ func LowerBound(d Distribution) float64 {
 //	scv > 1:    balanced-means two-phase hyperexponential
 //
 // This is the single knob the paper calls C² and is how experiment
-// sweeps construct handler-time distributions. It panics on negative
-// scv or non-positive mean (a zero mean with zero scv is allowed and
-// yields Deterministic(0)).
+// sweeps construct handler-time distributions. It panics unless scv is
+// finite and non-negative and mean finite and positive (a zero mean
+// with zero scv is allowed and yields Deterministic(0)).
 func FromMeanSCV(mean, scv float64) Distribution {
-	if scv < 0 {
-		panic(fmt.Sprintf("dist: negative SCV %v", scv))
+	if !(scv >= 0) || math.IsInf(scv, 1) {
+		panic(fmt.Sprintf("dist: invalid SCV %v", scv))
 	}
 	//lopc:allow floateq zero is an exact sentinel: only literal (0, 0) selects the degenerate distribution
 	if mean == 0 && scv == 0 {
 		return Deterministic{Value: 0}
 	}
-	if mean <= 0 {
-		panic(fmt.Sprintf("dist: non-positive mean %v with SCV %v", mean, scv))
+	if !(mean > 0) || math.IsInf(mean, 1) {
+		panic(fmt.Sprintf("dist: invalid mean %v with SCV %v", mean, scv))
 	}
 	switch {
 	//lopc:allow floateq the C² knob selects families at exact sentinels; near-zero SCV legitimately picks a high-k Erlang

@@ -203,6 +203,45 @@ func TestFromMeanSCVPanics(t *testing.T) {
 	}
 }
 
+// TestConstructorsRejectNonFinite: every constructor refuses NaN and
+// ±Inf in each float argument, as it refuses out-of-range values. A
+// NaN mean that got through would reach the simulator as a NaN event
+// delay.
+func TestConstructorsRejectNonFinite(t *testing.T) {
+	rows := []struct {
+		name  string
+		build func(x float64)
+	}{
+		{"NewDeterministic(x)", func(x float64) { NewDeterministic(x) }},
+		{"NewExponential(x)", func(x float64) { NewExponential(x) }},
+		{"NewUniform(x, 10)", func(x float64) { NewUniform(x, 10) }},
+		{"NewUniform(1, x)", func(x float64) { NewUniform(1, x) }},
+		{"NewErlang(2, x)", func(x float64) { NewErlang(2, x) }},
+		{"NewHyperExp2Balanced(x, 4)", func(x float64) { NewHyperExp2Balanced(x, 4) }},
+		{"NewHyperExp2Balanced(10, x)", func(x float64) { NewHyperExp2Balanced(10, x) }},
+		{"NewErlangMix(x, 0.3)", func(x float64) { NewErlangMix(x, 0.3) }},
+		{"NewErlangMix(10, x)", func(x float64) { NewErlangMix(10, x) }},
+		{"FromMeanSCV(x, 0.5)", func(x float64) { FromMeanSCV(x, 0.5) }},
+		{"FromMeanSCV(10, x)", func(x float64) { FromMeanSCV(10, x) }},
+		{"NewLognormalMeanSCV(x, 1)", func(x float64) { NewLognormalMeanSCV(x, 1) }},
+		{"NewLognormalMeanSCV(10, x)", func(x float64) { NewLognormalMeanSCV(10, x) }},
+		{"NewLomaxMeanSCV(x, 2)", func(x float64) { NewLomaxMeanSCV(x, 2) }},
+		{"NewLomaxMeanSCV(10, x)", func(x float64) { NewLomaxMeanSCV(10, x) }},
+	}
+	for _, r := range rows {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with x = %v did not panic", r.name, x)
+					}
+				}()
+				r.build(x)
+			}()
+		}
+	}
+}
+
 func TestStringerOutputs(t *testing.T) {
 	ds := []Distribution{
 		NewDeterministic(1), NewExponential(1), NewUniform(0, 2),

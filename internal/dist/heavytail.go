@@ -20,10 +20,10 @@ type Lognormal struct {
 // squared coefficient of variation (any scv > 0 is representable:
 // σ² = ln(1+scv), μ = ln mean − σ²/2).
 func NewLognormalMeanSCV(mean, scv float64) Lognormal {
-	if mean <= 0 {
-		panic(fmt.Sprintf("dist: non-positive lognormal mean %v", mean))
+	if !(mean > 0) || math.IsInf(mean, 1) {
+		panic(fmt.Sprintf("dist: invalid lognormal mean %v", mean))
 	}
-	if scv <= 0 {
+	if !(scv > 0) || math.IsInf(scv, 1) {
 		panic(fmt.Sprintf("dist: lognormal requires SCV > 0, got %v", scv))
 	}
 	sigma2 := math.Log(1 + scv)
@@ -55,10 +55,10 @@ type Lomax struct {
 // is always above 1, so scv > 1 is required; α = 2·scv/(scv−1) and
 // λ = mean·(α−1).
 func NewLomaxMeanSCV(mean, scv float64) Lomax {
-	if mean <= 0 {
-		panic(fmt.Sprintf("dist: non-positive Lomax mean %v", mean))
+	if !(mean > 0) || math.IsInf(mean, 1) {
+		panic(fmt.Sprintf("dist: invalid Lomax mean %v", mean))
 	}
-	if scv <= 1 {
+	if !(scv > 1) || math.IsInf(scv, 1) {
 		panic(fmt.Sprintf("dist: Lomax requires SCV > 1, got %v", scv))
 	}
 	alpha := 2 * scv / (scv - 1)

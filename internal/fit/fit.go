@@ -53,8 +53,9 @@ func AllToAll(obs []Observation, p int, c2 float64) (Result, error) {
 // CheckAllToAll reports whether AllToAll can fit obs on a p-node
 // machine with handler variability c2: p must be at least 2 (the
 // smallest all-to-all machine), c2 finite and non-negative, and there
-// must be at least three observations, each with positive R and
-// non-negative W.
+// must be at least three observations, each with finite positive R,
+// finite non-negative W, and finite non-negative Rq (0 when not
+// measured).
 func CheckAllToAll(obs []Observation, p int, c2 float64) error {
 	if p < 2 {
 		return fmt.Errorf("fit: all-to-all needs at least 2 processors, got P = %d", p)
@@ -66,7 +67,9 @@ func CheckAllToAll(obs []Observation, p int, c2 float64) error {
 		return fmt.Errorf("fit: need at least 3 observations, got %d", len(obs))
 	}
 	for _, o := range obs {
-		if o.R <= 0 || o.W < 0 {
+		// The negated comparisons reject NaN too: NaN >= 0 is false.
+		if !(o.R > 0) || !(o.W >= 0) || !(o.Rq >= 0) ||
+			math.IsInf(o.R, 0) || math.IsInf(o.W, 0) || math.IsInf(o.Rq, 0) {
 			return fmt.Errorf("fit: invalid observation %+v", o)
 		}
 	}

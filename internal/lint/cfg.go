@@ -1,7 +1,7 @@
 package lint
 
 // Intraprocedural control-flow graphs for the flow-sensitive analyzers
-// (goroutineleak, waitgroup, loopcapture, lockbalance, sendclosed).
+// (lockbalance, deadlock).
 // Built from go/ast alone — no x/tools — so the suite keeps working in
 // the offline build environment.
 //
@@ -14,11 +14,9 @@ package lint
 // are NOT descended into: each closure gets its own CFG, because its
 // body runs at an unrelated time (possibly on another goroutine).
 //
-// Defer statements appear as ordinary nodes at their registration point
-// and are also collected in CFG.Defers in source order, since their
-// calls conceptually run on every path that exits after registration;
-// analyzers that care (lockbalance, waitgroup) fold deferred calls into
-// their transfer functions.
+// Defer statements appear as ordinary nodes at their registration
+// point; their calls conceptually run on every path that exits after
+// registration, and lockbalance folds them into its transfer function.
 
 import (
 	"go/ast"
@@ -41,9 +39,6 @@ type CFG struct {
 	Entry, Exit *Block
 	// Blocks lists every block in creation (source) order; IDs index it.
 	Blocks []*Block
-	// Defers are the defer statements of the body in source order,
-	// excluding those inside nested function literals.
-	Defers []*ast.DeferStmt
 }
 
 // NewCFG builds the control-flow graph of a function body.
@@ -281,7 +276,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.DeferStmt:
 		b.add(s)
-		b.g.Defers = append(b.g.Defers, s)
 
 	case *ast.ExprStmt:
 		b.add(s)

@@ -1,9 +1,9 @@
 package lint
 
-// Shared type- and AST-level helpers for the concurrency analyzers:
-// recognizing sync.Mutex/RWMutex/WaitGroup method calls, building
-// stable per-object state keys for the dataflow facts, and classifying
-// channel operations.
+// Shared type- and AST-level helpers for the lock analyzers
+// (lockbalance, deadlock): recognizing sync.Mutex/RWMutex/WaitGroup
+// method calls and building stable per-object state keys for the
+// dataflow facts.
 
 import (
 	"fmt"
@@ -165,153 +165,4 @@ func exprKey(pkg *Package, e ast.Expr) (string, types.Object) {
 			return "", nil
 		}
 	}
-}
-
-// chanOf resolves e to a tracked channel lvalue: its state key, root
-// object, and whether its type is (or is assignable to) a channel.
-func chanOf(pkg *Package, e ast.Expr) (string, types.Object, bool) {
-	t := pkg.Info.TypeOf(e)
-	if t == nil {
-		return "", nil, false
-	}
-	if _, ok := t.Underlying().(*types.Chan); !ok {
-		return "", nil, false
-	}
-	key, root := exprKey(pkg, e)
-	return key, root, key != ""
-}
-
-// isBuiltinCall reports whether call invokes the predeclared builtin of
-// the given name (close, len, ...), with shadowing resolved by go/types.
-func isBuiltinCall(pkg *Package, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, isBuiltin := pkg.Info.Uses[id].(*types.Builtin)
-	return isBuiltin
-}
-
-// containsLockType reports whether t (or a field/element of it,
-// recursively) is a sync.Mutex, sync.RWMutex, sync.WaitGroup, sync.Once
-// or sync.Cond — i.e. whether copying a value of type t copies a lock.
-func containsLockType(t types.Type) bool {
-	return containsLockRec(t, 0)
-}
-
-func containsLockRec(t types.Type, depth int) bool {
-	if t == nil || depth > 6 {
-		return false
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond":
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), depth+1)
-	}
-	return false
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// declaredOutside reports whether obj is declared outside the node
-// span [from, to] — i.e. captured by a closure occupying that span.
-// Package-level and imported objects count as outside.
-func declaredOutside(obj types.Object, fn ast.Node) bool {
-	if obj == nil {
-		return false
-	}
-	return obj.Pos() < fn.Pos() || obj.Pos() > fn.End()
-}
-
-// blockHasNode reports whether block blk contains a node for which
-// pred holds, scanning shallowly (not into nested closures).
-func blockHasNode(blk *Block, pred func(ast.Node) bool) bool {
-	found := false
-	for _, n := range blk.Nodes {
-		walkBlockNode(n, func(c ast.Node) bool {
-			if found {
-				return false
-			}
-			if pred(c) {
-				found = true
-				return false
-			}
-			return true
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-// pathMissing reports whether some path from `from` (starting AFTER
-// node index fromIdx in that block) to the CFG's exit avoids every
-// node satisfying isCover. It is the "does a join/release reach every
-// exit path" query the concurrency analyzers share: a true result
-// means at least one execution path escapes without passing a covering
-// node.
-func pathMissing(g *CFG, from *Block, fromIdx int, isCover func(ast.Node) bool) bool {
-	// Nodes after the starting point in the starting block.
-	for i := fromIdx + 1; i < len(from.Nodes); i++ {
-		if coverIn(from.Nodes[i], isCover) {
-			return false
-		}
-	}
-	seen := map[*Block]bool{from: true}
-	stack := append([]*Block(nil), from.Succs...)
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[blk] {
-			continue
-		}
-		seen[blk] = true
-		if blk == g.Exit {
-			return true
-		}
-		if blockHasNode(blk, isCover) {
-			continue // every path through this block is covered
-		}
-		stack = append(stack, blk.Succs...)
-	}
-	return false
-}
-
-// coverIn reports whether node n (scanned shallowly) satisfies pred.
-func coverIn(n ast.Node, pred func(ast.Node) bool) bool {
-	found := false
-	walkBlockNode(n, func(c ast.Node) bool {
-		if found {
-			return false
-		}
-		if pred(c) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -2,10 +2,10 @@ package lint
 
 // A small forward-dataflow framework over the CFGs of cfg.go: a fact
 // lattice, a per-node transfer function, and a deterministic worklist
-// solver. The concurrency analyzers instantiate it with finite
-// bit-set lattices (lock states, channel states, WaitGroup deltas), so
-// fixpoints are reached quickly; a hard iteration cap guards against a
-// non-monotone transfer function spinning.
+// solver. The lock analyzers instantiate it with finite bit-set
+// lattices (lock states, held sets), so fixpoints are reached quickly;
+// a hard iteration cap guards against a non-monotone transfer function
+// spinning.
 
 import "go/ast"
 
@@ -73,11 +73,11 @@ func Forward(g *CFG, entry Fact, transfer Transfer) map[*Block]Fact {
 
 // --- bit-set state facts -------------------------------------------------
 //
-// Most analyzers track, per interesting object (a mutex, a channel, a
-// WaitGroup), a SET of abstract values the object may hold on some path
-// reaching the program point. stateFact maps a stable object key to a
-// bitmask of possible values; Join is elementwise union, and a key
-// absent from the map means "not yet touched on this path".
+// The lock analyzers track, per mutex, a SET of abstract values the
+// mutex may hold on some path reaching the program point. stateFact
+// maps a stable object key to a bitmask of possible values; Join is
+// elementwise union, and a key absent from the map means "not yet
+// touched on this path".
 
 // stateFact maps object keys to bitmasks of possible abstract values.
 type stateFact map[string]uint8

@@ -53,13 +53,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		{"floateq", &FloatEq{}},
 		{"convergeloop", &ConvergeLoop{Scope: everywhere}},
-		{"paramvalidate", &ParamValidate{ReportScope: everywhere}},
 		{"errdiscard", &ErrDiscard{}},
 		{"lockbalance", &LockBalance{}},
-		{"sendclosed", &SendClosed{}},
-		{"waitgroup", &WaitGroup{}},
-		{"goroutineleak", &GoroutineLeak{}},
-		{"loopcapture", &LoopCapture{}},
 		{"deadlock", &Deadlock{}},
 		{"detflow", &DetFlow{SinkScope: everywhere, ResultScope: everywhere}},
 		{"clockseam", &ClockSeam{Scope: everywhere}},

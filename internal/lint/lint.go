@@ -2,7 +2,7 @@
 // AST- and type-based analyzers enforcing the invariants the LoPC
 // reproduction's correctness rests on but no compiler checks.
 //
-// The suite machine-checks three families of invariants:
+// The suite machine-checks four families of invariants:
 //
 //   - Determinism. The parallel run engine (internal/runner) guarantees
 //     byte-identical output for every worker count only if the packages
@@ -11,10 +11,17 @@
 //     an output (detflow).
 //   - Float safety. The AMVA fixed-point solvers (Eqs. 5.1–5.10,
 //     A.1–A.10) compare iterates with tolerances, never == (floateq),
-//     bound every convergence loop and guard it against NaN
-//     (convergeloop), and reject NaN/Inf/negative parameters at every
-//     exported entry point (paramvalidate).
+//     and bound every convergence loop and guard it against NaN
+//     (convergeloop).
 //   - Error hygiene. No error return is silently dropped (errdiscard).
+//   - Lock discipline. Every Lock is released on every path
+//     (lockbalance) and the module acquires its locks in one global
+//     order (deadlock).
+//
+// What a test run shows better is left to tests: the facade's
+// entry-point table rejects NaN/Inf/negative parameters at run time,
+// and goroutine-count assertions at every spawn site catch a goroutine
+// that outlives its call.
 //
 // Analyzers use only the standard library (go/ast, go/parser, go/types,
 // go/importer) so the suite builds offline. Findings can be suppressed
@@ -65,21 +72,15 @@ type Analyzer interface {
 }
 
 // All returns the full suite in reporting order: the numerical and
-// hygiene checks first, then the CFG/dataflow-based concurrency
-// checks guarding the parallel runner, then the interprocedural
-// call-graph checks, then the determinism-contract checks built on
-// the taint engine and the clock/rng seams.
+// hygiene checks first, then the lock checks (CFG/dataflow-based
+// lockbalance, interprocedural deadlock), then the determinism-contract
+// checks built on the taint engine and the clock/rng seams.
 func All() []Analyzer {
 	return []Analyzer{
 		&FloatEq{},
 		&ConvergeLoop{},
-		&ParamValidate{},
 		&ErrDiscard{},
-		&GoroutineLeak{},
-		&WaitGroup{},
-		&LoopCapture{},
 		&LockBalance{},
-		&SendClosed{},
 		&Deadlock{},
 		&DetFlow{},
 		&ClockSeam{},

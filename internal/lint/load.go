@@ -49,7 +49,7 @@ type Loader struct {
 	loading map[string]bool
 	std     types.Importer
 	// funcs indexes every function declaration across loaded packages,
-	// for interprocedural analyses (paramvalidate, callgraph).
+	// for the interprocedural call graph.
 	funcs map[*types.Func]*FuncSource
 	// cg caches the interprocedural call graph; cgGen records how many
 	// packages were loaded when it was built, so loading further
@@ -307,9 +307,6 @@ func (l *Loader) indexFuncs(pkg *Package) {
 		}
 	}
 }
-
-// FuncSourceOf returns the declaration of obj if it was loaded.
-func (l *Loader) FuncSourceOf(obj *types.Func) *FuncSource { return l.funcs[obj] }
 
 // funcRef describes a resolved function reference.
 type funcRef struct {

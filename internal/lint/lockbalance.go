@@ -23,10 +23,9 @@ import (
 //     path to the function's exit,
 //   - an Unlock on a path where the mutex is not held (runtime panic),
 //   - a deferred Unlock left to fire after the mutex was already
-//     released (double-unlock panic at return),
-//   - a lock-bearing value (sync.Mutex/RWMutex/WaitGroup/Once/Cond, or
-//     a struct containing one) passed by value into a goroutine — the
-//     copy splits the lock from the state it guards.
+//     released (double-unlock panic at return).
+//
+// A lock copied into a goroutine by value is go vet's copylocks check.
 //
 // RLock/RUnlock pairs are tracked separately; recursive RLock is legal
 // and not flagged, but a read lock missing its RUnlock on some path is.
@@ -37,7 +36,7 @@ type LockBalance struct{}
 
 func (*LockBalance) Name() string { return "lockbalance" }
 func (*LockBalance) Doc() string {
-	return "every mutex Lock must be released on every path; no double-Lock, stray Unlock, or lock copied into a goroutine"
+	return "every mutex Lock must be released on every path; no double-Lock or stray Unlock"
 }
 
 // Abstract per-mutex states (bit positions in a stateFact mask).
@@ -54,7 +53,6 @@ func (a *LockBalance) Check(l *Loader, pkg *Package) []Diagnostic {
 		funcNodes(f, func(fn ast.Node, body *ast.BlockStmt) {
 			out = append(out, a.checkFunc(l, pkg, body)...)
 		})
-		out = append(out, a.checkGoCopies(l, pkg, f)...)
 	}
 	return out
 }
@@ -296,34 +294,6 @@ func (a *LockBalance) recordLockSites(pkg *Package, n ast.Node, sites map[string
 			}
 		}
 	}
-}
-
-// checkGoCopies flags lock-bearing values passed by value into a
-// goroutine's function call.
-func (a *LockBalance) checkGoCopies(l *Loader, pkg *Package, f *ast.File) []Diagnostic {
-	var out []Diagnostic
-	ast.Inspect(f, func(n ast.Node) bool {
-		gs, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		for _, arg := range gs.Call.Args {
-			t := pkg.Info.TypeOf(arg)
-			if t == nil {
-				continue
-			}
-			if containsLockType(t) {
-				out = append(out, Diagnostic{
-					Pos:   l.Fset.Position(arg.Pos()),
-					Check: a.Name(),
-					Message: fmt.Sprintf("goroutine receives a %s by value; the copy splits the lock from the state it guards — pass a pointer",
-						t.String()),
-				})
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // sortedKeys returns the fact's keys in sorted order, for

@@ -168,13 +168,6 @@ const orderKinds = uint8(1<<taintMapOrder | 1<<taintChanOrder)
 
 // --- the source/sink/sanitizer registry ----------------------------------
 
-// sourceSpec marks a package-level function as a taint source.
-type sourceSpec struct {
-	pkgPath string
-	name    string
-	kind    taintKind
-}
-
 // taintSources is the source registry. internal/clock is exempt at the
 // engine level: the package exists to wrap these calls.
 var taintSources = func() map[[2]string]taintKind {

@@ -1,6 +1,6 @@
 // Package lockbalance is the fixture for the lockbalance analyzer:
-// path-sensitive Lock/Unlock balance, double-Lock, stray Unlock,
-// deferred double-unlock, and locks copied into goroutines.
+// path-sensitive Lock/Unlock balance, double-Lock, stray Unlock and
+// deferred double-unlock.
 package lockbalance
 
 import "sync"
@@ -45,13 +45,6 @@ func (c *counter) DeferThenUnlock() int {
 	c.n++
 	c.mu.Unlock()
 	return c.n
-}
-
-// CopyIntoGoroutine passes the lock-bearing struct by value.
-func (c *counter) CopyIntoGoroutine(other counter) {
-	go func(cc counter) { // the argument below is the finding
-		_ = cc
-	}(other) // want "by value"
 }
 
 // LockerLeak reaches the mutex through a sync.Locker interface; the

@@ -8,8 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/leakguard"
 	"repro/internal/obs"
 	"repro/internal/psim"
 )
@@ -550,26 +550,15 @@ func TestWorkerGoexitReachesCaller(t *testing.T) {
 // returns, normally or by panic.
 func TestNoWorkerOutlivesRun(t *testing.T) {
 	base := runtime.NumGoroutine()
-	settled := func(what string) {
-		t.Helper()
-		// A joined worker has signalled its exit; give the runtime a
-		// moment to retire the goroutine itself.
-		for i := 0; runtime.NumGoroutine() > base; i++ {
-			if i == 5000 {
-				t.Fatalf("after %s: %d goroutines, want %d", what, runtime.NumGoroutine(), base)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	for _, sync := range []psim.Sync{psim.SyncCons, psim.SyncOpt} {
 		runToyWorkers(t, 16, sync, 4, 0, 4)
-		settled(sync.String() + " return")
+		leakguard.Settle(t, base, sync.String()+" return")
 		if runRecover(func() {
 			_, _, _ = psim.RunWorkers(psim.Config{LPs: lateLast(), Lookahead: 1, Sync: sync, Jobs: 4, Until: 10}, 4)
 		}) == nil {
 			t.Fatalf("%v: send below lookahead did not panic", sync)
 		}
-		settled(sync.String() + " panic")
+		leakguard.Settle(t, base, sync.String()+" panic")
 	}
 }
 

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/leakguard"
 	"repro/internal/trace"
 )
 
@@ -414,4 +416,38 @@ func TestDoCtxDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
+}
+
+// TestMapJoinsWorkers: Map's workers have all exited by the time it
+// returns, on the success, task-error and cancel paths alike.
+func TestMapJoinsWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	if _, err := Map(100, Options{Jobs: 8}, func(i int) (int, error) { return i, nil }); err != nil {
+		t.Fatal(err)
+	}
+	leakguard.Settle(t, base, "a completed Map")
+
+	boom := errors.New("boom")
+	if _, err := Map(100, Options{Jobs: 8}, func(i int) (int, error) {
+		if i == 10 {
+			return 0, boom
+		}
+		return i, nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the task error", err)
+	}
+	leakguard.Settle(t, base, "a failed Map")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := MapCtx(ctx, 1000, Options{Jobs: 8}, func(i int) (int, error) {
+		if i == 5 {
+			cancel()
+		}
+		<-ctx.Done()
+		return i, nil
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	leakguard.Settle(t, base, "a canceled MapCtx")
 }

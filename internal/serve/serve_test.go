@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/leakguard"
 )
 
 // newTestServer builds a Server on a fake clock and mounts it on an
@@ -389,7 +391,10 @@ func TestDrainTimeout(t *testing.T) {
 
 	drained := make(chan bool, 1)
 	go func() { drained <- s.Drain(time.Minute) }()
-	waitFor(t, func() bool { return s.draining.Load() })
+	// Advance only once both timers are armed, the queued request's
+	// queue-wait timer and Drain's budget; a timer armed after the
+	// Advance would never fire.
+	waitFor(t, func() bool { return fake.Pending() == 2 })
 	fake.Advance(2 * time.Minute)
 	select {
 	case ok := <-drained:
@@ -401,6 +406,26 @@ func TestDrainTimeout(t *testing.T) {
 	}
 	release()
 	<-reqDone
+}
+
+// TestDrainJoinsItsWaiter: Drain's waiter goroutine exits when Drain
+// completes cleanly, and after a timed-out Drain it exits as soon as
+// the last in-flight request finishes.
+func TestDrainJoinsItsWaiter(t *testing.T) {
+	fake := clock.NewFake(time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC))
+	base := runtime.NumGoroutine()
+	if !New(Config{Clock: fake}).Drain(time.Hour) {
+		t.Fatal("drain of an idle server timed out")
+	}
+	leakguard.Settle(t, base, "a clean drain")
+
+	s := New(Config{Clock: fake})
+	s.active.Add(1) // one request in flight
+	if s.Drain(0) {
+		t.Fatal("drain reported success with a request still in flight")
+	}
+	s.active.Done()
+	leakguard.Settle(t, base, "a timed-out drain's last request")
 }
 
 // postNoT is post for goroutines that must not call t.Fatal.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dist"
 	"repro/internal/machine"
@@ -48,8 +49,9 @@ func (c ExchangeConfig) validate() error {
 		return fmt.Errorf("workload: Rounds = %d", c.Rounds)
 	case c.Latency == nil || c.Handler == nil:
 		return fmt.Errorf("workload: nil distribution in config")
-	case c.SendOverhead < 0:
-		return fmt.Errorf("workload: negative send overhead %v", c.SendOverhead)
+	// The negated comparison rejects NaN too: NaN >= 0 is false.
+	case !(c.SendOverhead >= 0) || math.IsInf(c.SendOverhead, 0):
+		return fmt.Errorf("workload: invalid send overhead %v", c.SendOverhead)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fit"
+	"repro/internal/leakguard"
 )
 
 // benchThreads returns the thread counts the real-runtime tests sweep:
@@ -235,5 +236,21 @@ func TestTreiberSmoke(t *testing.T) {
 	}
 	if m.Elapsed <= 0 {
 		t.Errorf("elapsed %v", m.Elapsed)
+	}
+}
+
+// TestRunJoinsWorkers: RunMutex, RunCAS and RunTreiber have joined
+// their goroutines by the time they return. The calibration is fixed,
+// not measured, so the runs are short and nothing here depends on
+// wall-clock timing.
+func TestRunJoinsWorkers(t *testing.T) {
+	cal := Calibration{SpinsPerNs: 0.01}
+	cfg := Config{Threads: 4, Work: time.Microsecond, Critical: time.Microsecond, OpsPerThread: 50, Seed: 1}
+	base := runtime.NumGoroutine()
+	for _, drive := range []func(Config, Calibration) (Measurement, error){RunMutex, RunCAS, RunTreiber} {
+		if _, err := drive(cfg, cal); err != nil {
+			t.Fatal(err)
+		}
+		leakguard.Settle(t, base, "a lockbench run")
 	}
 }

@@ -54,8 +54,8 @@ type MultithreadResult struct {
 	// law on the closed per-node population.
 	XNode float64
 	// ThreadUtil is the measured CPU fraction spent running threads,
-	// averaged over nodes, each from time zero until its first thread
-	// halts.
+	// averaged over nodes, each over its own window: from its last
+	// thread's last warmup cycle until its first thread halts.
 	ThreadUtil float64
 	// HandlerUtil is the measured CPU fraction spent in handlers, over
 	// the same per-node windows.
@@ -64,12 +64,14 @@ type MultithreadResult struct {
 
 // mtNode is one node of the multithreaded workload: its threads, the
 // hook that answers requests and wakes the thread a reply is for, and
-// the node's tallies. The measurement window closes when the node's
-// first thread halts.
+// the node's tallies. The measurement window opens when the node's
+// last thread finishes its warmup cycles and closes when its first
+// thread halts.
 type mtNode struct {
 	cfg       *MultithreadConfig
 	threads   []mtThread
 	r, rq, ry stats.Tally
+	warm      int // threads past their warmup cycles
 	window    machine.NodeStats
 	closed    bool
 }
@@ -104,6 +106,11 @@ func (p *mtThread) Next(v *machine.NodeView) machine.Action {
 		}
 		p.cycle++
 		p.ready = p.reply
+		if p.cycle == n.cfg.WarmupCycles {
+			if n.warm++; n.warm == len(n.threads) {
+				v.ResetStats()
+			}
+		}
 		if p.cycle >= n.cfg.WarmupCycles+n.cfg.MeasureCycles {
 			if !n.closed {
 				n.closed = true
