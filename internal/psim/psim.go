@@ -283,9 +283,10 @@ type Config struct {
 	// Zero (or +Inf) means run to quiescence.
 	Until float64
 	// Window is the optimistic core's speculation bound beyond GVT;
-	// <= 0 means 8× Lookahead. A larger window exposes more parallelism
+	// zero means 8× Lookahead. A larger window exposes more parallelism
 	// and risks longer rollbacks; the bound itself is what keeps
-	// cascade rollbacks finite.
+	// cascade rollbacks finite, so a negative, NaN or infinite window
+	// is an error.
 	Window float64
 	// Trace, when non-nil, collects the committed event trace — the
 	// byte-comparable artifact of the determinism contract.
@@ -455,7 +456,7 @@ func run(cfg Config, maxWorkers int) (*kernel, error) {
 		return nil, fmt.Errorf("psim: invalid sync core %d", int(cfg.Sync))
 	case math.IsNaN(cfg.Until) || cfg.Until < 0:
 		return nil, fmt.Errorf("psim: invalid until %v", cfg.Until)
-	case math.IsNaN(cfg.Window) || cfg.Window < 0:
+	case !(cfg.Window >= 0) || math.IsInf(cfg.Window, 0):
 		return nil, fmt.Errorf("psim: invalid window %v", cfg.Window)
 	}
 	for i, lp := range cfg.LPs {

@@ -584,6 +584,40 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestWindowValidation: zero is the default window, 8× the lookahead,
+// and a window that is negative, NaN or infinite — which would leave
+// cascade rollbacks unbounded — is refused.
+func TestWindowValidation(t *testing.T) {
+	run := func(window float64) ([]byte, error) {
+		var tr psim.Trace
+		_, err := psim.Run(psim.Config{
+			LPs: toyLPs(8, 1), Lookahead: 1, Sync: psim.SyncOpt, Jobs: 2,
+			Seed: 42, Until: 40, Window: window, Trace: &tr,
+		})
+		var buf bytes.Buffer
+		if err == nil {
+			_, err = tr.WriteTo(&buf)
+		}
+		return buf.Bytes(), err
+	}
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := run(w); err == nil {
+			t.Errorf("window %v: Run accepted it", w)
+		}
+	}
+	def, err := run(0)
+	if err != nil {
+		t.Fatalf("window 0: %v", err)
+	}
+	eight, err := run(8)
+	if err != nil {
+		t.Fatalf("window 8: %v", err)
+	}
+	if !bytes.Equal(def, eight) || len(def) == 0 {
+		t.Errorf("window 0 committed a different trace (%d bytes) than window 8 (%d bytes)", len(def), len(eight))
+	}
+}
+
 // TestParseSync round-trips the CLI spellings.
 func TestParseSync(t *testing.T) {
 	for _, s := range []psim.Sync{psim.SyncSeq, psim.SyncCons, psim.SyncOpt} {

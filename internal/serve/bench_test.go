@@ -304,7 +304,6 @@ func BenchmarkServeStages(b *testing.B) {
 	} {
 		hit := newCachedHit(b, c.path, c.body)
 		rt := routeAt(c.path)
-		tag := rt.info().tag
 		body := &replayBody{}
 		// decode reads the body into a fresh request, as a handler does.
 		decode := func() {
@@ -318,7 +317,7 @@ func BenchmarkServeStages(b *testing.B) {
 			b.Fatal(err)
 		}
 		kw := &keyWriter{}
-		key := append([]byte(nil), kw.key(tag, p)...)
+		key := append([]byte(nil), rt.keyOf(kw, p)...)
 		data, _, err := hit.s.cache.get(key, func() ([]byte, error) { return nil, errors.New("not cached") })
 		if err != nil {
 			b.Fatal(err)
@@ -330,7 +329,7 @@ func BenchmarkServeStages(b *testing.B) {
 			run  func()
 		}{
 			{"decode", decode},
-			{"key", func() { kw.key(tag, p) }},
+			{"key", func() { rt.keyOf(kw, p) }},
 			{"lookup", func() {
 				_, _, _ = hit.s.cache.get(key, func() ([]byte, error) { return nil, errors.New("not cached") })
 			}},

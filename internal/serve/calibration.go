@@ -43,6 +43,8 @@ type whatifRequest struct {
 	ScaleW     float64 `json:"scale_w"`
 }
 
+var whatifPlan = newRequestPlan[whatifRequest]()
+
 // whatifPoint is one solved operating point.
 type whatifPoint struct {
 	Ps int `json:"ps"`
@@ -73,7 +75,7 @@ type whatifResponse struct {
 
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	var req whatifRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, whatifPlan, &req) {
 		return
 	}
 	f, ok := s.calib.Params()

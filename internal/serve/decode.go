@@ -7,28 +7,29 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Request bodies are read once into a pooled buffer and decoded by a
-// strict single-pass JSON reader. One reflective reader fills any
-// request struct from its fields' json tags, and it accepts and rejects
-// exactly what json.Decoder with DisallowUnknownFields plus a
-// trailing-data check does, leaving the same values behind
-// (FuzzDecodeMatchesEncodingJSON holds it to that):
+// strict single-pass JSON reader. It fills a request struct through the
+// struct's request plan (route.go), compiled once per type, and it
+// accepts and rejects exactly what json.Decoder with
+// DisallowUnknownFields plus a trailing-data check does, leaving the
+// same values behind (FuzzDecodeMatchesEncodingJSON holds it to that):
 //
-//   - a key matches a field's tag exactly or by bytes.EqualFold; any
-//     other key is an unknown-field error;
+//   - a key matches a field's tag exactly or, failing that, by
+//     bytes.EqualFold; any other key is an unknown-field error;
 //   - null leaves a number, bool or string as it was and resets a slice
 //     to nil;
 //   - a repeated key wins last, and an array decodes into the slice it
 //     replaces element by element, as encoding/json does;
-//   - numbers follow the JSON grammar and parse with strconv at the
-//     field's type, so 1.5 or 1e2 for an int, or 1e999 for a float, is
-//     a type error;
+//   - numbers follow the JSON grammar and are converted in the same pass
+//     that scans them, with strconv as the fallback for the literals the
+//     fast paths cannot decide (number.go), so 1.5 or 1e2 for an int, or
+//     1e999 for a float, is a type error;
 //   - type errors and unknown keys do not stop the read: the rest of the
 //     body must still be well-formed, a syntax error anywhere takes
 //     precedence, and otherwise the first such error is reported;
@@ -90,10 +91,10 @@ func (d *decoder) free() {
 	decoderPool.Put(d)
 }
 
-// decode reads the loaded body into dst, a pointer to a request
-// struct: one JSON value, then nothing but whitespace.
-func (d *decoder) decode(dst any) error {
-	d.value(reflect.ValueOf(dst).Elem())
+// decode reads the loaded body into the request struct at p, whose
+// plan is o: one JSON value, then nothing but whitespace.
+func (d *decoder) decode(o *op, p unsafe.Pointer) error {
+	d.read(o, p)
 	if d.syntax != nil {
 		return d.syntax
 	}
@@ -105,6 +106,11 @@ func (d *decoder) decode(dst any) error {
 		return errTrailing
 	}
 	return nil
+}
+
+// decode reads the body loaded into d into *dst.
+func (pl *requestPlan[T]) decode(d *decoder, dst *T) error {
+	return d.decode(&pl.op, unsafe.Pointer(dst))
 }
 
 func (d *decoder) ok() bool { return d.syntax == nil }
@@ -164,48 +170,74 @@ func (d *decoder) literal(word string) {
 	}
 }
 
-// number consumes one number literal and returns its bytes, or nil
-// after a syntax error.
-func (d *decoder) number() []byte {
+// number consumes one number literal and scans it into n, which must
+// be zero (see number.go); it reports false after a syntax error.
+func (d *decoder) number(n *num) bool {
 	b, start := d.data, d.off
-	if d.off < len(b) && b[d.off] == '-' {
-		d.off++
+	i := start
+	if i < len(b) && b[i] == '-' {
+		n.neg = true
+		i++
 	}
+	// dp is the decimal point's place, counted in significant digits.
+	var dp int
 	switch {
-	case d.off < len(b) && b[d.off] == '0':
-		d.off++
-	case d.off < len(b) && isDigit(b[d.off]):
-		d.digits()
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && isDigit(b[i]):
+		first := i
+		i, _ = n.fold(b, i)
+		dp = i - first
 	default:
+		d.off = i
 		d.unexpected("in numeric literal")
-		return nil
+		return false
 	}
-	if d.off < len(b) && b[d.off] == '.' {
-		d.off++
-		if d.off >= len(b) || !isDigit(b[d.off]) {
+	n.integer = true
+	if i < len(b) && b[i] == '.' {
+		i++
+		if i >= len(b) || !isDigit(b[i]) {
+			d.off = i
 			d.unexpected("after decimal point in numeric literal")
-			return nil
+			return false
 		}
-		d.digits()
+		var lead int
+		i, lead = n.fold(b, i)
+		dp -= lead
+		n.integer = false
 	}
-	if d.off < len(b) && (b[d.off] == 'e' || b[d.off] == 'E') {
-		d.off++
-		if d.off < len(b) && (b[d.off] == '+' || b[d.off] == '-') {
-			d.off++
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		neg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			neg = b[i] == '-'
+			i++
 		}
-		if d.off >= len(b) || !isDigit(b[d.off]) {
+		if i >= len(b) || !isDigit(b[i]) {
+			d.off = i
 			d.unexpected("in exponent of numeric literal")
-			return nil
+			return false
 		}
-		d.digits()
+		// Past 10000 the exponent only needs to be huge, as strconv
+		// reads it too.
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if neg {
+			e = -e
+		}
+		dp += e
+		n.integer = false
 	}
-	return b[start:d.off]
-}
-
-func (d *decoder) digits() {
-	for d.off < len(d.data) && isDigit(d.data[d.off]) {
-		d.off++
+	if n.man != 0 {
+		n.exp10 = dp - n.kept
 	}
+	d.off = i
+	n.lit = b[start:i]
+	return true
 }
 
 // str consumes one string literal and returns it, quotes included.
@@ -376,7 +408,7 @@ func (d *decoder) skip() {
 	case c == 'n':
 		d.literal("null")
 	case c == '-' || isDigit(c):
-		d.number()
+		d.number(new(num))
 	default:
 		d.unexpected("looking for beginning of value")
 	}
@@ -419,50 +451,41 @@ func (d *decoder) mismatch(want string) {
 	d.typeError(got, want)
 }
 
-// value reads one JSON value into v, a settable value of a type
-// wireFields accepts. A scalar is read into a copy that starts out as
-// v's value, so null leaves v as it was.
-func (d *decoder) value(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Int:
-		n := int(v.Int())
-		d.int(&n)
-		v.SetInt(int64(n))
-	case reflect.Float64:
-		f := v.Float()
-		d.float(&f)
-		v.SetFloat(f)
-	case reflect.Bool:
-		b := v.Bool()
-		d.bool(&b)
-		v.SetBool(b)
-	case reflect.String:
-		s := v.String()
-		d.string(&s)
-		v.SetString(s)
-	case reflect.Slice:
-		d.slice(v)
-	case reflect.Struct:
-		d.object(v)
+// read reads one JSON value into the value at p, whose plan is o.
+func (d *decoder) read(o *op, p unsafe.Pointer) {
+	switch o.kind {
+	case opInt:
+		d.int((*int)(p))
+	case opFloat:
+		d.float((*float64)(p))
+	case opBool:
+		d.bool((*bool)(p))
+	case opString:
+		d.string((*string)(p))
+	case opFloats:
+		d.floats((*[]float64)(p))
+	case opFloatRows:
+		readSlice(d, (*[][]float64)(p), (*decoder).floats)
+	case opSlice:
+		d.slice(o, p)
+	case opStruct:
+		d.object(o, p)
 	}
 }
 
-// object reads an object into the struct v, matching each key against
-// the fields' json tags. null leaves the struct as it was.
-func (d *decoder) object(v reflect.Value) {
+// object reads an object into the struct at p, matching each key
+// against the fields' json tags. null leaves the struct as it was.
+func (d *decoder) object(o *op, p unsafe.Pointer) {
 	switch d.peek() {
 	case 'n':
 		d.literal("null")
 	case '{':
-		fields := wireFields(v.Type())
 		outer := d.field
 		d.members(func(key []byte) {
 			d.field = key
-			for i, name := range fields {
-				if keyIs(key, name) {
-					d.value(v.Field(i))
-					return
-				}
+			if f := o.field(key); f != nil {
+				d.read(&f.op, unsafe.Add(p, f.off))
+				return
 			}
 			if d.err == nil {
 				d.err = fmt.Errorf("unknown field %q", key)
@@ -475,21 +498,70 @@ func (d *decoder) object(v reflect.Value) {
 	}
 }
 
-// keyIs reports whether an object key names the field tagged name:
-// an exact match or, as encoding/json allows, a case-folded one.
-func keyIs(key []byte, name string) bool {
-	return string(key) == name || bytes.EqualFold(key, []byte(name))
+// field returns the field an object key names: the one whose tag it
+// matches exactly, or else, as encoding/json allows, the first whose
+// tag it matches case-folded. It returns nil for an unknown key.
+func (o *op) field(key []byte) *field {
+	for i := range o.fields {
+		if string(key) == o.fields[i].name {
+			return &o.fields[i]
+		}
+	}
+	for i := range o.fields {
+		if bytes.EqualFold(key, []byte(o.fields[i].name)) {
+			return &o.fields[i]
+		}
+	}
+	return nil
 }
 
-// slice reads an array into the slice v the way encoding/json does:
-// element i decodes into the slice's existing element i where there is
-// one (within its capacity, too), the slice is cut to the array's
-// length, an empty array leaves a fresh empty non-nil slice, and null
-// leaves nil. Growth keeps every element the slice held up to its
-// capacity, so the values a repeated key decodes into do not depend on
-// how far the capacity grows; it starts at 8 to spare small arrays the
-// doublings.
-func (d *decoder) slice(v reflect.Value) {
+// readSlice reads an array into *s the way encoding/json does: element
+// i decodes, through elem, into the slice's existing element i where
+// there is one (within its capacity, too), the slice is cut to the
+// array's length, an empty array leaves a fresh empty non-nil slice,
+// and null leaves nil. Growth keeps every element the slice held up to
+// its capacity, so the values a repeated key decodes into do not depend
+// on how far the capacity grows; it starts at 8 to spare small arrays
+// the doublings.
+func readSlice[T any](d *decoder, s *[]T, elem func(*decoder, *T)) {
+	switch d.peek() {
+	case 'n':
+		d.literal("null")
+		*s = nil
+		return
+	case '[':
+	default:
+		d.mismatch("array")
+		return
+	}
+	// While reading, v spans the whole capacity: the elements past the
+	// slice's length are reused in place all the same.
+	v := (*s)[:cap(*s)]
+	i := 0
+	d.elements(func() {
+		if i == len(v) {
+			v = slices.Grow(v, max(i, 8))
+			v = v[:cap(v)]
+		}
+		elem(d, &v[i])
+		i++
+	})
+	if i == 0 {
+		// A fresh empty slice: it has no spare capacity, so no old
+		// element can resurface.
+		*s = []T{}
+		return
+	}
+	*s = v[:i]
+}
+
+func (d *decoder) floats(s *[]float64) { readSlice(d, s, (*decoder).float) }
+
+// slice reads an array into a slice of any other element type, the
+// slice at p whose plan is o, with readSlice's semantics; reflect grows
+// it, and o.elem reads each element in place.
+func (d *decoder) slice(o *op, p unsafe.Pointer) {
+	v := reflect.NewAt(o.slice, p).Elem()
 	switch d.peek() {
 	case 'n':
 		d.literal("null")
@@ -500,8 +572,6 @@ func (d *decoder) slice(v reflect.Value) {
 		d.mismatch("array")
 		return
 	}
-	// While reading, v spans its whole capacity: the elements past its
-	// length are reused in place all the same.
 	i := 0
 	v.SetLen(v.Cap())
 	d.elements(func() {
@@ -509,14 +579,12 @@ func (d *decoder) slice(v reflect.Value) {
 			v.Grow(max(i, 8))
 			v.SetLen(v.Cap())
 		}
-		d.value(v.Index(i))
+		d.read(o.elem, v.Index(i).Addr().UnsafePointer())
 		i++
 	})
 	if i == 0 {
-		// A fresh empty slice: its spare capacity is zero, as a grown
-		// one's would be, so no old element can resurface.
-		v.SetZero()
-		v.Grow(1)
+		v.Set(reflect.MakeSlice(o.slice, 0, 0))
+		return
 	}
 	v.SetLen(i)
 }
@@ -526,16 +594,16 @@ func (d *decoder) int(p *int) {
 	case c == 'n':
 		d.literal("null")
 	case c == '-' || isDigit(c):
-		lit := d.number()
-		if lit == nil {
+		var n num
+		if !d.number(&n) {
 			return
 		}
-		n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-		if err != nil {
-			d.typeError("number "+string(lit), "int")
+		v, ok := n.int()
+		if !ok {
+			d.typeError("number "+string(n.lit), "int")
 			return
 		}
-		*p = int(n)
+		*p = v
 	default:
 		d.mismatch("int")
 	}
@@ -546,13 +614,13 @@ func (d *decoder) float(p *float64) {
 	case c == 'n':
 		d.literal("null")
 	case c == '-' || isDigit(c):
-		lit := d.number()
-		if lit == nil {
+		var n num
+		if !d.number(&n) {
 			return
 		}
-		v, err := strconv.ParseFloat(string(lit), 64)
-		if err != nil {
-			d.typeError("number "+string(lit), "float64")
+		v, ok := n.float()
+		if !ok {
+			d.typeError("number "+string(n.lit), "float64")
 			return
 		}
 		*p = v
@@ -587,43 +655,5 @@ func (d *decoder) string(p *string) {
 		}
 	default:
 		d.mismatch("string")
-	}
-}
-
-var wireFieldCache sync.Map // reflect.Type → []string
-
-// wireFields returns the json tag names of request struct type t's
-// fields, in field order. It panics on a field the reader cannot fill:
-// an untagged or unexported one, or one whose type is not int, float64,
-// bool, string, a slice of a readable type or a request struct.
-func wireFields(t reflect.Type) []string {
-	if names, ok := wireFieldCache.Load(t); ok {
-		return names.([]string)
-	}
-	names := make([]string, t.NumField())
-	for i := range names {
-		f := t.Field(i)
-		names[i], _, _ = strings.Cut(f.Tag.Get("json"), ",")
-		if names[i] == "" || !f.IsExported() {
-			panic(fmt.Sprintf("serve: request field %s.%s needs a json tag and an exported name", t, f.Name))
-		}
-		checkWireType(f.Type)
-	}
-	cached, _ := wireFieldCache.LoadOrStore(t, names)
-	return cached.([]string)
-}
-
-func checkWireType(t reflect.Type) {
-	switch t {
-	case reflect.TypeFor[int](), reflect.TypeFor[float64](), reflect.TypeFor[bool](), reflect.TypeFor[string]():
-		return
-	}
-	switch t.Kind() {
-	case reflect.Slice:
-		checkWireType(t.Elem())
-	case reflect.Struct:
-		wireFields(t)
-	default:
-		panic(fmt.Sprintf("serve: the request reader cannot fill a %s", t))
 	}
 }

@@ -28,6 +28,13 @@ func FuzzRequestDecoding(f *testing.F) {
 	f.Add("/v1/workpile", `{"p":32,"ps":8,"w":1500,"st":40,"so":131}`)
 	f.Add("/v1/bounds", `{"p":32,"ps":0,"w":1500,"so":131}`)
 	f.Add("/v1/general", `{"p":2,"w":[1,1],"v":[[0,1],[1,0]],"so":[5]}`)
+	// Each branch of the one-pass number read: the exact path, the
+	// Eisel–Lemire path, a truncated 25-digit mantissa, -0, the strconv
+	// fallback (1e999), and ints spelled as floats.
+	f.Add("/v1/general", `{"p":2,"w":[1.4285714285714285e-1,1E+2],"v":[[-0.0,1],[0.1428571428571428571428571,0]],"so":[5]}`)
+	f.Add("/v1/general", `{"p":2,"w":[1,1e999],"v":[[0,1],[1,0]],"so":[5]}`)
+	f.Add("/v1/general", `{"p":1e2,"w":[1,1],"v":[[0,1],[1,0]],"so":[5]}`)
+	f.Add("/v1/alltoall", `{"p":1.5,"w":1000,"so":200}`)
 	f.Add("/v1/fit", `{"p":16,"observations":[{"w":0,"r":900},{"w":512,"r":1400},{"w":2048,"r":2950}]}`)
 	f.Add("/v1/sweep", `{"points":[`+validAllToAll+`],"jobs":2}`)
 	f.Add("/v1/sweep", `{"points":[],"jobs":-9}`)
@@ -74,28 +81,41 @@ func FuzzRequestDecoding(f *testing.F) {
 	})
 }
 
-// decodeTargets are the request types the /v1 endpoints decode.
-var decodeTargets = []struct {
-	name string
-	new  func() any
-}{
-	{"alltoall", func() any { return new(alltoallRequest) }},
-	{"workpile", func() any { return new(workpileRequest) }},
-	{"general", func() any { return new(generalRequest) }},
-	{"fit", func() any { return new(fitRequest) }},
-	{"sweep", func() any { return new(sweepRequest) }},
-	{"lock", func() any { return new(lockRequest) }},
-	{"whatif", func() any { return new(whatifRequest) }},
+// decodeTarget is one request type the /v1 endpoints decode: decode
+// reads a body into a fresh value of it with the server's reader,
+// reference with encoding/json.
+type decodeTarget struct {
+	name              string
+	decode, reference func(body []byte) (any, error)
+}
+
+func target[T any](name string) decodeTarget {
+	pl := newRequestPlan[T]()
+	return decodeTarget{
+		name:      name,
+		decode:    func(body []byte) (any, error) { v := new(T); return v, decodeBody(body, pl, v) },
+		reference: func(body []byte) (any, error) { v := new(T); return v, referenceDecode(body, v) },
+	}
+}
+
+var decodeTargets = []decodeTarget{
+	target[alltoallRequest]("alltoall"),
+	target[workpileRequest]("workpile"),
+	target[generalRequest]("general"),
+	target[fitRequest]("fit"),
+	target[sweepRequest]("sweep"),
+	target[lockRequest]("lock"),
+	target[whatifRequest]("whatif"),
 }
 
 // decodeBody runs the server's decoder over body as decodeRequest does.
-func decodeBody(body []byte, dst any) error {
+func decodeBody[T any](body []byte, pl *requestPlan[T], dst *T) error {
 	d := decoderPool.Get().(*decoder)
 	defer d.free()
 	if err := d.load(bytes.NewReader(body)); err != nil {
 		return err
 	}
-	return d.decode(dst)
+	return pl.decode(d, dst)
 }
 
 // referenceDecode is the decoding the server's reader replaces:
@@ -159,6 +179,10 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 		`{"p":1.5}`, `{"p":1e2}`, `{"p":-0}`, `{"p":9223372036854775808}`, `{"p":-9223372036854775808}`,
 		`{"w":-1e-400}`, `{"w":1E+2}`, `{"w":.5}`, `{"w":-}`, `{"w":1.}`, `{"w":1e}`, `{"w":01}`,
 		`{"w":Infinity}`, `{"w":NaN}`, `{"w":0x10}`, `{"w":1_000}`, `{"w":+1}`,
+		// Each branch of the one-pass number read.
+		`{"w":1.4285714285714285e-1}`, `{"w":-0.0}`, `{"so":[-0.0,1E+2]}`,
+		`{"v":[[0.1428571428571428571428571]]}`, `{"v":[[1e999]]}`, `{"w":[1e-999,1e2]}`,
+		`{"p":-1e2}`, `{"p":123456789012345678}`, `{"jobs":1.0}`,
 		// Kinds a field cannot hold.
 		`{"p":"1"}`, `{"p":true}`, `{"p":[1]}`, `{"p":{}}`, `{"w":[1,"x",3]}`,
 		`{"priority":1}`, `{"protocol_processor":"true"}`, `{"v":[1]}`, `{"observations":{}}`,
@@ -176,9 +200,8 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, target := range decodeTargets {
-			got, want := target.new(), target.new()
-			errGot := decodeBody(body, got)
-			errWant := referenceDecode(body, want)
+			got, errGot := target.decode(body)
+			want, errWant := target.reference(body)
 			if (errGot == nil) != (errWant == nil) {
 				t.Fatalf("%s %q: reader error %v, encoding/json error %v", target.name, body, errGot, errWant)
 			}

@@ -25,11 +25,11 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodeRequest parses one JSON request body strictly into dst, a
-// pointer to a request struct (see decode.go): POST only, unknown
+// decodeRequest parses one JSON request body strictly into the request
+// struct dst through its plan pl (see decode.go): POST only, unknown
 // fields rejected, trailing garbage rejected. It writes the error
 // response itself and reports whether the handler should go on.
-func decodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
+func decodeRequest[T any](w http.ResponseWriter, r *http.Request, pl *requestPlan[T], dst *T) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		_ = writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST with a JSON body"})
@@ -38,7 +38,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
 	d := decoderPool.Get().(*decoder)
 	err := d.load(r.Body)
 	if err == nil {
-		err = d.decode(dst)
+		err = pl.decode(d, dst)
 	}
 	d.free()
 	switch {
@@ -389,6 +389,8 @@ type sweepRequest struct {
 	Jobs   int               `json:"jobs"` // fan-out width; clamped to the server cap
 }
 
+var sweepPlan = newRequestPlan[sweepRequest]()
+
 type sweepResponse struct {
 	Points  int               `json:"points"`
 	Jobs    int               `json:"jobs"`
@@ -397,7 +399,7 @@ type sweepResponse struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, sweepPlan, &req) {
 		return
 	}
 	if len(req.Points) == 0 {

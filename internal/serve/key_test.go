@@ -210,7 +210,7 @@ func TestKeyFieldPerturbation(t *testing.T) {
 		info := e.info()
 		t.Run(strings.TrimPrefix(info.path, "/v1/"), func(t *testing.T) {
 			fresh := func() any { return sampleParams(t, e) } // a new, unshared base value
-			key := func(v any) string { return string(new(keyWriter).key(info.tag, v)) }
+			key := func(v any) string { return string(e.(testRoute).keyOf(new(keyWriter), v)) }
 			base := key(fresh())
 			for _, m := range []struct {
 				what  string
@@ -231,5 +231,65 @@ func TestKeyFieldPerturbation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// quantizeLog10 is the oracle TestQuantizeMatchesLog10 holds quantize
+// to: the same rounding with the decimal exponent taken from
+// math.Log10 for every value.
+func quantizeLog10(v float64) float64 {
+	//lopc:allow floateq zero is an exact sentinel: only literal 0 has no magnitude to take the log of
+	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return v
+	}
+	exp := int(math.Floor(math.Log10(math.Abs(v))))
+	scale := pow10[8-exp-pow10Min]
+	if math.IsInf(scale, 0) {
+		return v
+	}
+	q := math.Round(v*scale) / scale
+	//lopc:allow floateq exactly-zero or infinite q means the scaling over/underflowed at the float64 edges; keep v
+	if q == 0 || math.IsInf(q, 0) {
+		return v
+	}
+	return q
+}
+
+// TestQuantizeMatchesLog10: quantize, which takes its decimal exponent
+// from the float's binary one, keys every float exactly as the Log10
+// oracle does. Drawn: random bit patterns, every decade, the four
+// neighbours either side of each power of ten from 1e-300 to 1e300,
+// and points at relative distances 1e-16 to 1e-9 from each, where
+// math.Log10's rounding decides the exponent.
+func TestQuantizeMatchesLog10(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		for _, x := range []float64{v, -v} {
+			if got, want := quantize(x), quantizeLog10(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("quantize(%v) = %v, Log10 oracle %v", x, got, want)
+			}
+		}
+	}
+	r := rng.New(0x71756e74)
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Float64frombits(r.Uint64()))
+	}
+	for k := -324; k <= 308; k++ {
+		p := math.Pow(10, float64(k))
+		check(p)
+		up, down := p, p
+		for i := 0; i < 4; i++ {
+			up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, 0)
+			check(up)
+			check(down)
+		}
+		if k < -300 || k > 300 {
+			continue
+		}
+		for e := -16.0; e <= -9; e += 0.125 {
+			d := math.Pow(10, e)
+			check(p * (1 + d))
+			check(p * (1 - d))
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 )
 
 // route is one cached solve endpoint. Q is its wire request and P the
@@ -20,6 +21,8 @@ type route[Q, P any] struct {
 	routeInfo
 	params func(*Q) (P, error)
 	solve  func(*Server, P) (any, error)
+	req    *requestPlan[Q]
+	keys   *keyPlan[P]
 }
 
 // routeInfo is the part of a route that does not depend on its types.
@@ -35,14 +38,16 @@ func (ri *routeInfo) info() *routeInfo { return ri }
 // it.
 type endpoint interface {
 	info() *routeInfo
-	// check panics unless the key walker and the request reader handle
-	// the route's types.
-	check()
 	serve(s *Server, w http.ResponseWriter, r *http.Request)
 }
 
+// newRoute compiles the route's request and key plans; it panics unless
+// the decoder and the key writer handle its types.
 func newRoute[Q, P any](info routeInfo, params func(*Q) (P, error), solve func(*Server, P) (any, error)) *route[Q, P] {
-	return &route[Q, P]{routeInfo: info, params: params, solve: solve}
+	return &route[Q, P]{
+		routeInfo: info, params: params, solve: solve,
+		req: newRequestPlan[Q](), keys: newKeyPlan[P](),
+	}
 }
 
 // allToAll is the /v1/alltoall route; /v1/sweep solves its points
@@ -62,23 +67,17 @@ var solveRoutes = routeTable(
 	newRoute(routeInfo{path: "/v1/lockfree", admit: true}, (*lockRequest).lockFreeParams, solveLockFree),
 )
 
-// routeTable tags each route with its index and checks its types.
+// routeTable tags each route with its index.
 func routeTable(routes ...endpoint) []endpoint {
 	for i, e := range routes {
 		e.info().tag = byte(i)
-		e.check()
 	}
 	return routes
 }
 
-func (rt *route[Q, P]) check() {
-	wireFields(reflect.TypeFor[Q]())
-	checkKeyType(reflect.TypeFor[P]())
-}
-
 func (rt *route[Q, P]) serve(s *Server, w http.ResponseWriter, r *http.Request) {
 	var q Q
-	if !decodeRequest(w, r, &q) {
+	if !decodeRequest(w, r, rt.req, &q) {
 		return
 	}
 	p, err := rt.params(&q)
@@ -101,7 +100,7 @@ func (rt *route[Q, P]) serve(s *Server, w http.ResponseWriter, r *http.Request) 
 func (rt *route[Q, P]) cached(s *Server, ctx context.Context, p P, admit bool) ([]byte, outcome, error) {
 	k := newKeyWriter()
 	defer k.free()
-	return s.cache.get(k.key(rt.tag, &p), func() ([]byte, error) {
+	return s.cache.get(rt.keys.key(k, rt.tag, &p), func() ([]byte, error) {
 		if !admit {
 			return rt.render(s, p)
 		}
@@ -138,4 +137,105 @@ func (s *Server) admit(ctx context.Context, solve func() ([]byte, error)) ([]byt
 	defer release()
 	defer s.beginService(ctx)()
 	return solve()
+}
+
+// A plan is a type compiled once, when its route or handler is set up,
+// for the two walks a request makes over its values: the decoder reads
+// a request struct from JSON through its request plan, and the key
+// writer encodes a params struct through its key plan. Every op knows
+// its value's kind and reaches struct fields by offset, and float64
+// slices and matrices have typed loops, so neither walk consults
+// reflect per value. Only slices of other element types (structs, in
+// /v1/fit's observations and /v1/sweep's points) go through reflect, to
+// grow them and to find each element.
+
+// opKind is what an op reads or writes.
+type opKind uint8
+
+const (
+	opInt       opKind = iota // int; in a key plan any type of kind int
+	opFloat                   // float64
+	opBool                    // bool
+	opString                  // string; request plans only
+	opFloats                  // []float64
+	opFloatRows               // [][]float64
+	opSlice                   // a slice of any other element type
+	opStruct                  // a struct
+)
+
+// op is the compiled walk over one value.
+type op struct {
+	kind   opKind
+	slice  reflect.Type // opSlice: the slice type
+	elem   *op          // opSlice: the element's op
+	fields []field      // opStruct: the fields, in order
+}
+
+// field is one struct field of an opStruct.
+type field struct {
+	name string  // the json tag, in a request plan
+	off  uintptr // the field's offset in its struct
+	op   op
+}
+
+// requestPlan is the compiled reader of request struct type T.
+type requestPlan[T any] struct{ op op }
+
+// keyPlan is the compiled key writer of params type T.
+type keyPlan[T any] struct{ op op }
+
+// newRequestPlan compiles T's request plan. It panics on a field the
+// decoder cannot fill: an untagged or unexported one, or one whose type
+// is not int, float64, bool, string, a slice of a readable type or a
+// request struct.
+func newRequestPlan[T any]() *requestPlan[T] {
+	return &requestPlan[T]{compile(reflect.TypeFor[T](), true)}
+}
+
+// newKeyPlan compiles T's key plan. It panics unless the key writer
+// encodes every value of T: ints, float64s and bools, and slices and
+// structs of them.
+func newKeyPlan[T any]() *keyPlan[T] { return &keyPlan[T]{compile(reflect.TypeFor[T](), false)} }
+
+// compile builds t's op for a request plan (wire) or a key plan.
+func compile(t reflect.Type, wire bool) op {
+	k := t.Kind()
+	if wire && k != reflect.Slice && k != reflect.Struct && t.PkgPath() != "" {
+		panic(fmt.Sprintf("serve: the request reader cannot fill a %s", t))
+	}
+	switch {
+	case k == reflect.Int:
+		return op{kind: opInt}
+	case k == reflect.Float64:
+		return op{kind: opFloat}
+	case k == reflect.Bool:
+		return op{kind: opBool}
+	case k == reflect.String && wire:
+		return op{kind: opString}
+	case k == reflect.Slice:
+		elem := compile(t.Elem(), wire)
+		switch elem.kind {
+		case opFloat:
+			return op{kind: opFloats}
+		case opFloats:
+			return op{kind: opFloatRows}
+		}
+		return op{kind: opSlice, slice: t, elem: &elem}
+	case k == reflect.Struct:
+		fields := make([]field, t.NumField())
+		for i := range fields {
+			f := t.Field(i)
+			fields[i] = field{off: f.Offset, op: compile(f.Type, wire)}
+			if wire {
+				fields[i].name, _, _ = strings.Cut(f.Tag.Get("json"), ",")
+				if fields[i].name == "" || !f.IsExported() {
+					panic(fmt.Sprintf("serve: request field %s.%s needs a json tag and an exported name", t, f.Name))
+				}
+			}
+		}
+		return op{kind: opStruct, fields: fields}
+	case wire:
+		panic(fmt.Sprintf("serve: the request reader cannot fill a %s", t))
+	}
+	panic(fmt.Sprintf("serve: a cache key cannot encode a %s", t))
 }

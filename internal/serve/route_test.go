@@ -30,6 +30,7 @@ type testRoute interface {
 	endpoint
 	decodeFresh(r io.Reader) (any, error)
 	parse(body []byte) (any, error)
+	keyOf(k *keyWriter, p any) []byte
 	solveParsed(s *Server, p any) (any, error)
 	paramsType() reflect.Type
 }
@@ -45,8 +46,12 @@ func (rt *route[Q, P]) decodeFresh(r io.Reader) (any, error) {
 	if err := d.load(r); err != nil {
 		return nil, err
 	}
-	return q, d.decode(q)
+	return q, rt.req.decode(d, q)
 }
+
+// keyOf renders into k the key of the params p points to, which must be
+// of the route's params type.
+func (rt *route[Q, P]) keyOf(k *keyWriter, p any) []byte { return rt.keys.key(k, rt.tag, p.(*P)) }
 
 // parse decodes body and validates it into the route's params as serve
 // does, returning a pointer to them.
@@ -98,7 +103,7 @@ func routeKey(path string, p any) string {
 	if got := reflect.TypeOf(p).Elem(); got != rt.paramsType() {
 		panic(fmt.Sprintf("routeKey %s: params of type %s, want %s", path, got, rt.paramsType()))
 	}
-	return string(new(keyWriter).key(rt.info().tag, p))
+	return string(rt.keyOf(new(keyWriter), p))
 }
 
 // TestRouteTableTags: every route's tag is its index in the table, no
@@ -115,5 +120,41 @@ func TestRouteTableTags(t *testing.T) {
 		}
 		seen[info.path] = true
 		sampleParams(t, e)
+	}
+}
+
+// TestPlansRejectUnhandledTypes: a type the decoder or the key writer
+// cannot walk fails when its plan is compiled, at set-up, not in the
+// middle of a request.
+func TestPlansRejectUnhandledTypes(t *testing.T) {
+	type count int
+	for name, compile := range map[string]func(){
+		"request: untagged field": func() { newRequestPlan[struct{ P int }]() },
+		"request: named int": func() {
+			newRequestPlan[struct {
+				N count `json:"n"`
+			}]()
+		},
+		"request: map": func() {
+			newRequestPlan[struct {
+				M map[string]int `json:"m"`
+			}]()
+		},
+		"request: nested untagged": func() {
+			newRequestPlan[struct {
+				S []struct{ X int } `json:"s"`
+			}]()
+		},
+		"key: string":  func() { newKeyPlan[struct{ S string }]() },
+		"key: pointer": func() { newKeyPlan[struct{ P *float64 }]() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: compiled without a panic", name)
+				}
+			}()
+			compile()
+		}()
 	}
 }

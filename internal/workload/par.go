@@ -29,7 +29,8 @@ type ParSim struct {
 	// GOMAXPROCS. Jobs never affects results, only wall-clock time.
 	Jobs int
 	// Window overrides the optimistic core's speculation window beyond
-	// GVT; <= 0 means 8x the lookahead.
+	// GVT; zero means 8x the lookahead, and a negative, NaN or infinite
+	// window is an error (psim.Config.Window).
 	Window float64
 	// Trace, when non-nil, collects the committed event trace — the
 	// byte-comparable artifact of the determinism contract.
