@@ -194,8 +194,10 @@ func simAllToAll(p int, w, st, so, c2 float64, warmup, cycles int, seed uint64, 
 	line("thread Rw", sim.Rw.Mean(), model.Rw)
 	line("request Rq", sim.Rq.Mean(), model.Rq)
 	line("reply Ry", sim.Ry.Mean(), model.Ry)
-	fmt.Printf("  %-18s %12.3f %12.3f\n", "queue Qq", sim.Machine.ReqQueue, model.Qq)
-	fmt.Printf("  %-18s %12.3f %12.3f\n", "utilization Uq", sim.Machine.UtilReq, model.Uq)
+	// The simulated Qq and Uq follow from Little's law over the
+	// measured cycles (see workload.AllToAllResult.Machine).
+	fmt.Printf("  %-18s %12.3f %12.3f\n", "queue Qq (Rq/R)", sim.Machine.ReqQueue, model.Qq)
+	fmt.Printf("  %-18s %12.3f %12.3f\n", "util Uq (So/R)", sim.Machine.UtilReq, model.Uq)
 	fmt.Printf("  measured cycles: %d; contention-free estimate: %.1f\n",
 		sim.R.N(), model.ContentionFree)
 	return nil

@@ -2,6 +2,8 @@ package am
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -360,6 +362,12 @@ func TestBarrierParContract(t *testing.T) {
 	wantTrace, wantRes, wantRS := run("seq", 1)
 	if wantRS.Events == 0 {
 		t.Fatal("sequential run committed no events")
+	}
+	// The committed event set is pinned, as in workload's ParContract
+	// tests.
+	const wantSHA = "ea59633e90476d3212b59b2f1d5d4940b52bbb0fbae0afee9d207865528e43b2"
+	if got := fmt.Sprintf("%x", sha256.Sum256(wantTrace)); got != wantSHA {
+		t.Errorf("sequential trace sha256 %s (%d events), pinned %s", got, wantRS.Events, wantSHA)
 	}
 	for _, jobs := range []int{1, 2, 8} {
 		gotTrace, gotRes, gotRS := run("cons", jobs)

@@ -735,7 +735,7 @@ func (n *node) Start(ctx *psim.Ctx) {
 }
 
 // Handle implements psim.LP.
-func (n *node) Handle(ctx *psim.Ctx, ev psim.Event) {
+func (n *node) Handle(ctx *psim.Ctx, ev *psim.Event) {
 	n.view.ctx = ctx
 	switch ev.Kind {
 	case kReq:
@@ -800,7 +800,7 @@ func (n *node) Handle(ctx *psim.Ctx, ev psim.Event) {
 // NACKs it back to its sender, which re-injects it RetryDelay cycles
 // after the NACK's own Latency trip; an accepted one is reported to
 // the observer.
-func (n *node) refused(ctx *psim.Ctx, ev psim.Event) bool {
+func (n *node) refused(ctx *psim.Ctx, ev *psim.Event) bool {
 	if c := n.cfg.NIQueueCap; c > 0 && n.st.reqPresent+n.st.repPresent >= c {
 		n.x.nacks++
 		kind := kNackReq

@@ -19,7 +19,7 @@ func (l *benchLP) Start(c *Ctx) {
 	c.Send(c.Self(), 0, 1, Msg{})
 }
 
-func (l *benchLP) Handle(c *Ctx, ev Event) {
+func (l *benchLP) Handle(c *Ctx, ev *Event) {
 	l.hops++
 	next := (c.Self() + 1) % c.N()
 	if next == c.Self() {

@@ -49,25 +49,25 @@ func (d *driver) drain(j int, g headSum) {
 			bound = math.Min(g.min2+la, g.min1+2*la)
 		}
 		if h.Time < bound {
-			r.drainWindow(bound, k.until)
+			r.drainWindow(bound, k.until, &d.ws[j].cur)
 			d.post(j, &r.ctx)
 		}
 	}
 }
 
 // drainWindow processes the LP's pending events with Time strictly
-// below bound (and no later than until), in local key order. This is
-// the per-LP event loop of the conservative core; it touches nothing
-// outside its own LP.
-func (r *lpRun) drainWindow(bound, until float64) {
+// below bound (and no later than until), in local key order, handing
+// each to the LP in cur. This is the per-LP event loop of the
+// conservative core; it touches nothing outside its own LP and cur.
+func (r *lpRun) drainWindow(bound, until float64, cur *Event) {
 	c := &r.ctx
 	for {
 		h := r.pq.head()
 		if h == nil || h.Time >= bound || h.Time > until {
 			return
 		}
-		ev := r.pq.pop()
-		c.commit(&ev)
-		r.lp.Handle(c, ev)
+		*cur = r.pq.pop()
+		c.commit(cur)
+		r.lp.Handle(c, cur)
 	}
 }

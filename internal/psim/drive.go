@@ -63,7 +63,11 @@ type worker struct {
 	out [][]Event
 	// dirty reports that delivery flagged a straggler in this block.
 	dirty bool
-	_     [64]byte
+	// cur holds the event this worker's LP is handling; Handle gets a
+	// pointer to it (a pointer to a local would escape through the
+	// interface call and allocate once per event).
+	cur Event
+	_   [64]byte
 }
 
 // headSum summarizes LP heads over a range in index order: the minimum
@@ -137,7 +141,21 @@ func (k *kernel) runParallel(w int, opt bool) {
 		r := &k.lps[i]
 		r.ctx.q = &r.pq
 	}
-	k.boot()
+	// Boot every LP at time zero, then queue the boot sends in source
+	// LP index order. (Queue order does not depend on insertion order —
+	// keys are unique — but doing it deterministically anyway makes the
+	// invariant local.)
+	for i := range k.lps {
+		r := &k.lps[i]
+		r.lp.Start(&r.ctx)
+	}
+	for i := range k.lps {
+		c := &k.lps[i].ctx
+		for i := range c.out {
+			k.lps[c.out[i].Dst].pq.push(&c.out[i])
+		}
+		c.out = c.out[:0]
+	}
 
 	n := len(k.lps)
 	d := &driver{k: k, w: w, lo: make([]int, w+1), owner: make([]int32, n), ws: make([]worker, w)}

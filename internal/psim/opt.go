@@ -88,25 +88,25 @@ func (d *driver) speculate(j int, gvt float64) {
 		if h == nil || h.Time >= bound || h.Time > k.until {
 			continue
 		}
-		k.drainSpec(r, o, bound)
+		k.drainSpec(r, o, bound, &d.ws[j].cur)
 		o.outLog = append(o.outLog, r.ctx.out...)
 		d.post(j, &r.ctx)
 	}
 }
 
 // drainSpec is drainWindow with a checkpoint before every event: the
-// speculative per-LP loop of the optimistic core. Each checkpoint
-// recycles a snapshot the LP returned earlier and the kernel has since
-// discarded, so Save allocates only while the LP's live snapshot count
-// is growing.
-func (k *kernel) drainSpec(r *lpRun, o *optLP, bound float64) {
+// speculative per-LP loop of the optimistic core, handing each event
+// to the LP in cur. Each checkpoint recycles a snapshot the LP
+// returned earlier and the kernel has since discarded, so Save
+// allocates only while the LP's live snapshot count is growing.
+func (k *kernel) drainSpec(r *lpRun, o *optLP, bound float64, cur *Event) {
 	c := &r.ctx
 	for {
 		h := r.pq.head()
 		if h == nil || h.Time >= bound || h.Time > k.until {
 			return
 		}
-		ev := r.pq.pop()
+		*cur = r.pq.pop()
 		var reuse any
 		if n := len(o.free); n > 0 {
 			reuse = o.free[n-1]
@@ -123,9 +123,9 @@ func (k *kernel) drainSpec(r *lpRun, o *optLP, bound float64) {
 			// ends, before any rollback can happen, so they count.
 			outLen: o.outBase + uint64(len(o.outLog)) + uint64(len(c.out)),
 		})
-		o.done = append(o.done, ev)
-		c.commit(&ev)
-		r.lp.Handle(c, ev)
+		o.done = append(o.done, *cur)
+		c.commit(cur)
+		r.lp.Handle(c, cur)
 	}
 }
 

@@ -131,7 +131,11 @@ type LP interface {
 	// it may run speculatively and be undone by Restore, so it must not
 	// touch state outside the LP (shared immutable configuration is
 	// fine). Distinct LPs may run concurrently on different workers.
-	Handle(ctx *Ctx, ev Event)
+	//
+	// ev points into storage the kernel owns and reuses once Handle
+	// returns: Handle must not retain the pointer (copy the event to
+	// keep it) and must not modify the event.
+	Handle(ctx *Ctx, ev *Event)
 	// Save returns a snapshot of the LP's mutable state; Restore
 	// reinstates one. Only the optimistic core calls them. LPs that
 	// will never run optimistically may implement them as no-ops.
@@ -158,8 +162,8 @@ type Ctx struct {
 	rand      rng.Stream
 	sendSeq   uint64
 	processed uint64
-	q         *evHeap // destination of self-sends (per-LP, or the global queue under SyncSeq)
-	out       []Event // cross-LP sends buffered for the next barrier
+	q         *evHeap // destination of self-sends under the parallel cores; nil under SyncSeq
+	out       []Event // sends buffered for the next barrier; under SyncSeq, every send until Handle returns
 	rec       []Record
 }
 
@@ -201,10 +205,11 @@ func (c *Ctx) Send(dst int, delay float64, kind int32, m Msg) {
 	}
 	c.sendSeq++
 	if int32(dst) == c.id {
-		c.q.push(&ev)
-		return
-	}
-	if delay < c.lookahead {
+		if c.q != nil {
+			c.q.push(&ev)
+			return
+		}
+	} else if delay < c.lookahead {
 		panic(fmt.Sprintf("psim: LP %d sends to LP %d with delay %v below the declared lookahead %v",
 			c.id, dst, delay, c.lookahead))
 	}
@@ -413,9 +418,9 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// lpRun is the kernel's per-LP slot: the model LP, its context, and its
-// pending-event queue (unused under SyncSeq, which pools all events in
-// one global queue).
+// lpRun is the kernel's per-LP slot: the model LP, its context, and
+// its pending-event queue under the parallel cores. SyncSeq leaves pq
+// empty: it pools all events in one global keyQueue.
 type lpRun struct {
 	lp  LP
 	ctx Ctx
@@ -501,30 +506,6 @@ func run(cfg Config, maxWorkers int) (*kernel, error) {
 
 	k.finish()
 	return k, nil
-}
-
-// deliver drains every LP's outbox into the destination queues, in
-// source LP index order. (Queue order does not depend on insertion
-// order — keys are unique — but doing it deterministically anyway makes
-// the invariant local.)
-func (k *kernel) deliver() {
-	for i := range k.lps {
-		c := &k.lps[i].ctx
-		for i := range c.out {
-			k.lps[c.out[i].Dst].ctx.q.push(&c.out[i])
-		}
-		c.out = c.out[:0]
-	}
-}
-
-// boot runs every LP's Start at time zero and delivers boot sends.
-func (k *kernel) boot() {
-	for i := range k.lps {
-		r := &k.lps[i]
-		r.ctx.now = 0
-		r.lp.Start(&r.ctx)
-	}
-	k.deliver()
 }
 
 // finish folds per-LP counters into RunStats, publishes metrics, and

@@ -35,7 +35,7 @@ func (l *toyLP) Start(c *psim.Ctx) {
 	c.Send(dst, l.lookahead*(1+c.Rand().Float64()), 1, psim.Msg{})
 }
 
-func (l *toyLP) Handle(c *psim.Ctx, ev psim.Event) {
+func (l *toyLP) Handle(c *psim.Ctx, ev *psim.Event) {
 	l.handled++
 	l.hash = l.hash*0x9e3779b97f4a7c15 + math.Float64bits(ev.Time) ^ uint64(ev.Src)<<32 ^ ev.Seq
 	r := c.Rand()
@@ -202,7 +202,7 @@ func (tieLP) Start(c *psim.Ctx) {
 	}
 }
 
-func (tieLP) Handle(c *psim.Ctx, ev psim.Event) {
+func (tieLP) Handle(c *psim.Ctx, ev *psim.Event) {
 	switch ev.Kind {
 	case 0: // token
 		c.Send((c.Self()+c.N()/2)%c.N(), 1, 0, psim.Msg{})
@@ -273,7 +273,7 @@ func (l *histLP) Start(c *psim.Ctx) {
 	c.Send(c.Rand().Intn(l.st.n), 1+c.Rand().Float64(), 1, psim.Msg{})
 }
 
-func (l *histLP) Handle(c *psim.Ctx, ev psim.Event) {
+func (l *histLP) Handle(c *psim.Ctx, ev *psim.Event) {
 	s := &l.st
 	if len(s.hist) == 6 {
 		copy(s.hist, s.hist[1:])
@@ -398,10 +398,10 @@ type orderLP struct {
 	got *[]psim.Event
 }
 
-func (l *orderLP) Start(*psim.Ctx)                   {}
-func (l *orderLP) Handle(_ *psim.Ctx, ev psim.Event) { *l.got = append(*l.got, ev) }
-func (l *orderLP) Save(any) any                      { return nil }
-func (l *orderLP) Restore(any)                       {}
+func (l *orderLP) Start(*psim.Ctx)                    {}
+func (l *orderLP) Handle(_ *psim.Ctx, ev *psim.Event) { *l.got = append(*l.got, *ev) }
+func (l *orderLP) Save(any) any                       { return nil }
+func (l *orderLP) Restore(any)                        {}
 
 // seederLP schedules a fixed fan of same-timestamp events from Start
 // so the tie-break order (Time, Dst, Src, Seq) is observable.
@@ -471,7 +471,7 @@ func (l *lateLP) Start(c *psim.Ctx) {
 	c.Send(c.Self(), 0.1, 0, psim.Msg{})
 }
 
-func (l *lateLP) Handle(c *psim.Ctx, ev psim.Event) {
+func (l *lateLP) Handle(c *psim.Ctx, ev *psim.Event) {
 	l.count++
 	if l.count == 3 {
 		c.Send(l.dst, 0.5, 0, psim.Msg{}) // below the declared lookahead of 1
@@ -530,8 +530,8 @@ func runRecover(f func()) (r any) {
 // exitLP calls runtime.Goexit from its first event.
 type exitLP struct{ orderLP }
 
-func (exitLP) Start(c *psim.Ctx)            { c.Send(c.Self(), 1, 0, psim.Msg{}) }
-func (exitLP) Handle(*psim.Ctx, psim.Event) { runtime.Goexit() }
+func (exitLP) Start(c *psim.Ctx)             { c.Send(c.Self(), 1, 0, psim.Msg{}) }
+func (exitLP) Handle(*psim.Ctx, *psim.Event) { runtime.Goexit() }
 
 // TestWorkerGoexitReachesCaller checks that model code ending a worker
 // goroutine with runtime.Goexit stops the run with a panic in the

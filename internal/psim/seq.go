@@ -13,16 +13,25 @@ package psim
 // which is why finish() sorts the trace into key order before
 // serializing it. The parallel cores reproduce the identical committed
 // set, so the sorted serializations coincide byte for byte.
+//
+// Handlers get a pointer into the queue's slab: nothing is pushed while
+// a handler runs, because every send, self-sends included, waits in an
+// outbox until Handle returns. Push order does not matter — keys are
+// unique — so that changes no commit. One handler runs at a time, so
+// every LP shares one outbox.
 func (k *kernel) runSeq() {
-	var q evHeap
+	var q keyQueue
+	var out []Event
 	for i := range k.lps {
-		// One global queue; the commit log is kept globally too (the
-		// per-LP logs of the parallel cores are not needed here). The
-		// log itself is allocated by Run before dispatch.
-		k.lps[i].ctx.q = &q
-		k.lps[i].ctx.recOn = false
+		// The commit log is kept globally (the per-LP logs of the
+		// parallel cores are not needed here). The log itself is
+		// allocated by Run before dispatch.
+		r := &k.lps[i]
+		r.ctx.recOn = false
+		r.ctx.out = out
+		r.lp.Start(&r.ctx)
+		out = q.pushOut(&r.ctx)
 	}
-	k.boot()
 	for {
 		h := q.head()
 		if h == nil || h.Time > k.until {
@@ -31,18 +40,21 @@ func (k *kernel) runSeq() {
 		ev := q.pop()
 		r := &k.lps[ev.Dst]
 		c := &r.ctx
-		c.commit(&ev)
+		c.commit(ev)
 		if k.rec != nil {
 			k.rec = append(k.rec, Record{Time: ev.Time, Src: ev.Src, Dst: ev.Dst, Kind: ev.Kind, Seq: ev.Seq})
 		}
+		c.out = out
 		r.lp.Handle(c, ev)
-		// Cross-LP sends were buffered in the LP's outbox; in the
-		// sequential core they go straight back into the global queue.
-		if len(c.out) > 0 {
-			for i := range c.out {
-				q.push(&c.out[i])
-			}
-			c.out = c.out[:0]
-		}
+		out = q.pushOut(c)
 	}
+}
+
+// pushOut queues an LP's outbox and returns it emptied, for reuse.
+func (q *keyQueue) pushOut(c *Ctx) []Event {
+	for i := range c.out {
+		q.push(&c.out[i])
+	}
+	c.out = c.out[:0]
+	return c.out
 }

@@ -120,7 +120,7 @@ func (l *lfLP) Start(ctx *psim.Ctx) {
 }
 
 // Handle implements psim.LP.
-func (l *lfLP) Handle(ctx *psim.Ctx, ev psim.Event) {
+func (l *lfLP) Handle(ctx *psim.Ctx, ev *psim.Event) {
 	t := &l.threads[ev.Msg.I0]
 	now := ctx.Now()
 	switch ev.Kind {

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -50,16 +51,24 @@ func runPar[T any](t *testing.T, run func(par *ParSim) (T, error), sync string, 
 }
 
 // checkParContract asserts the determinism contract for one workload:
-// byte-identical traces and identical measurements across every core
-// and job count of cases (which starts with seq), and returns the
-// sequential result.
-func checkParContract[T any](t *testing.T, cases []parCase, run func(par *ParSim) (T, error)) T {
+// the sequential trace's sha256 is wantSHA, and the traces are
+// byte-identical and the measurements identical across every core and
+// job count of cases (which starts with seq). It returns the sequential
+// result.
+//
+// The pinned hashes hold each workload's committed event set fixed: a
+// change to the kernel's queues or to event passing must commit the
+// same events, not just the same events on every core. A change that
+// alters a model on purpose re-pins them and says why.
+func checkParContract[T any](t *testing.T, cases []parCase, wantSHA string, run func(par *ParSim) (T, error)) T {
 	t.Helper()
 	wantTrace, wantRes, wantRS := runPar(t, run, "seq", 1)
 	if wantRS.Events == 0 {
 		t.Fatal("sequential run committed no events")
 	}
-	t.Logf("committed trace sha256 %x (%d events)", sha256.Sum256(wantTrace), wantRS.Events)
+	if got := fmt.Sprintf("%x", sha256.Sum256(wantTrace)); got != wantSHA {
+		t.Errorf("sequential trace sha256 %s (%d events), pinned %s", got, wantRS.Events, wantSHA)
+	}
 	for _, tc := range cases[1:] {
 		gotTrace, gotRes, gotRS := runPar(t, run, tc.sync, tc.jobs)
 		if !bytes.Equal(gotTrace, wantTrace) {
@@ -78,7 +87,7 @@ func checkParContract[T any](t *testing.T, cases []parCase, run func(par *ParSim
 }
 
 func TestAllToAllParContract(t *testing.T) {
-	checkParContract(t, parCases, func(par *ParSim) (AllToAllResult, error) {
+	checkParContract(t, parCases, "06dbe8481917d486ed84f681f9b5a4c170af45d4332ee70020a0f2190aa27350", func(par *ParSim) (AllToAllResult, error) {
 		return RunAllToAll(AllToAllConfig{
 			P:             8,
 			Work:          dist.NewDeterministic(100),
@@ -93,7 +102,7 @@ func TestAllToAllParContract(t *testing.T) {
 }
 
 func TestAllToAllParProtocolProcessor(t *testing.T) {
-	checkParContract(t, parCases, func(par *ParSim) (AllToAllResult, error) {
+	checkParContract(t, parCases, "ba28a099273636a5c8b2d6d6f0216deeb14f037018773065212cc4eadc360a7b", func(par *ParSim) (AllToAllResult, error) {
 		return RunAllToAll(AllToAllConfig{
 			P:                 6,
 			Work:              dist.NewDeterministic(100),
@@ -110,7 +119,7 @@ func TestAllToAllParProtocolProcessor(t *testing.T) {
 }
 
 func TestWorkpileParContract(t *testing.T) {
-	checkParContract(t, parCases, func(par *ParSim) (WorkpileResult, error) {
+	checkParContract(t, parCases, "972965668008f6c6fa3b26034633a3086d372488476a5ed19c68ddb813112f5f", func(par *ParSim) (WorkpileResult, error) {
 		return RunWorkpile(WorkpileConfig{
 			P: 8, Ps: 2,
 			Chunk:      dist.NewExponential(200),
@@ -124,7 +133,7 @@ func TestWorkpileParContract(t *testing.T) {
 }
 
 func TestLockParContract(t *testing.T) {
-	checkParContract(t, parCases, func(par *ParSim) (LockSimResult, error) {
+	checkParContract(t, parCases, "5d2155c7eb849f75d4c1257000a3cc92676e3cfcc0b54c85da90c10e05625a0d", func(par *ParSim) (LockSimResult, error) {
 		return RunLock(LockConfig{
 			Threads:    6,
 			Work:       dist.NewExponential(300),
@@ -138,7 +147,7 @@ func TestLockParContract(t *testing.T) {
 }
 
 func TestLockFreeParContract(t *testing.T) {
-	checkParContract(t, parCases, func(par *ParSim) (LockFreeSimResult, error) {
+	checkParContract(t, parCases, "10dc423b0855b3514b118ad0266244499d450b6bfd76665992ce102289b29570", func(par *ParSim) (LockFreeSimResult, error) {
 		return RunLockFree(LockFreeConfig{
 			Threads:    6,
 			Work:       dist.NewExponential(200),
@@ -156,7 +165,7 @@ func TestLockFreeParContract(t *testing.T) {
 // core refuses: they run the seq and cons rows.
 
 func TestMultiHopParContract(t *testing.T) {
-	res := checkParContract(t, consCases, func(par *ParSim) (MultiHopResult, error) {
+	res := checkParContract(t, consCases, "37bf8ad2fc72b77276ccf53529a6d7099e1a6c7d4c44ea4bf2fe4d7439bb01bd", func(par *ParSim) (MultiHopResult, error) {
 		return RunMultiHop(MultiHopConfig{
 			P: 6, Hops: 3,
 			Work:         dist.NewExponential(80),
@@ -173,7 +182,7 @@ func TestMultiHopParContract(t *testing.T) {
 }
 
 func TestMultithreadParContract(t *testing.T) {
-	res := checkParContract(t, consCases, func(par *ParSim) (MultithreadResult, error) {
+	res := checkParContract(t, consCases, "d6854efe38d0dc864867f45078c1aade8c89bacc44c101c68e4bcd87f24735e6", func(par *ParSim) (MultithreadResult, error) {
 		return RunMultithread(MultithreadConfig{
 			P: 5, T: 3,
 			Work:         dist.NewExponential(60),
@@ -190,15 +199,21 @@ func TestMultithreadParContract(t *testing.T) {
 }
 
 func TestNonBlockingParContract(t *testing.T) {
-	for _, pp := range []bool{false, true} {
-		checkParContract(t, consCases, func(par *ParSim) (NonBlockingResult, error) {
+	for _, tc := range []struct {
+		pp  bool
+		sha string
+	}{
+		{false, "191f8f5a152544b97f5b076670a46cca85ec326117075eaaae18c29776696dcf"},
+		{true, "679397576428cd9528cb86a3171a1b2920adc3c8c8a57ce0cf9c056f5f420b88"},
+	} {
+		checkParContract(t, consCases, tc.sha, func(par *ParSim) (NonBlockingResult, error) {
 			return RunNonBlocking(NonBlockingConfig{
 				P:            6,
 				Work:         dist.NewExponential(50),
 				Latency:      dist.NewDeterministic(10),
 				Service:      dist.NewExponential(20),
 				WarmupCycles: 5, MeasureCycles: 40,
-				ProtocolProcessor: pp,
+				ProtocolProcessor: tc.pp,
 				Seed:              23,
 				Par:               par,
 			})
@@ -207,7 +222,7 @@ func TestNonBlockingParContract(t *testing.T) {
 }
 
 func TestExchangeParContract(t *testing.T) {
-	checkParContract(t, consCases, func(par *ParSim) (ExchangeResult, error) {
+	checkParContract(t, consCases, "617cd88d5d2ca0435ebe066f97b3dfee2900d848455925be3595953555298d1e", func(par *ParSim) (ExchangeResult, error) {
 		return RunExchange(ExchangeConfig{
 			P: 6, Rounds: 5,
 			SendOverhead: 3,
@@ -236,7 +251,7 @@ func extrasConfig(par *ParSim) AllToAllConfig {
 }
 
 func TestAllToAllLinkOccupancyParContract(t *testing.T) {
-	res := checkParContract(t, consCases, func(par *ParSim) (AllToAllResult, error) {
+	res := checkParContract(t, consCases, "763480f50e69c109bea0175a85229cb8c847122ee5bd2143d955fcb6fd424c04", func(par *ParSim) (AllToAllResult, error) {
 		cfg := extrasConfig(par)
 		cfg.LinkOccupancy = 15
 		return RunAllToAll(cfg)
@@ -247,7 +262,7 @@ func TestAllToAllLinkOccupancyParContract(t *testing.T) {
 }
 
 func TestAllToAllNIQueueParContract(t *testing.T) {
-	res := checkParContract(t, consCases, func(par *ParSim) (AllToAllResult, error) {
+	res := checkParContract(t, consCases, "f99a22547c762a7cfaf23dff3dee1d4b00570a0f1e00b8cb362835e2a914d051", func(par *ParSim) (AllToAllResult, error) {
 		cfg := extrasConfig(par)
 		cfg.Work = dist.NewDeterministic(0)
 		cfg.NIQueueCap, cfg.RetryDelay = 1, 7
@@ -262,7 +277,7 @@ func TestAllToAllNIQueueParContract(t *testing.T) {
 // pairs (6 cycles) undercut Latency's 10: the lookahead drops to 6.
 // Pair latencies are stateless, so the optimistic core runs them too.
 func TestAllToAllPairLatencyParContract(t *testing.T) {
-	res := checkParContract(t, parCases, func(par *ParSim) (AllToAllResult, error) {
+	res := checkParContract(t, parCases, "7e150a4df2af90af548383666a6d5db51eb6941857370916a3dc3271ce0bc7f6", func(par *ParSim) (AllToAllResult, error) {
 		cfg := extrasConfig(par)
 		cfg.PairLatency = func(src, dst int) float64 {
 			dx, dy := src%3-dst%3, src/3-dst/3
