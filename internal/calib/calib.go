@@ -11,7 +11,7 @@
 // latency minus wait minus service, ≈ the model's two network trips).
 // Every Window service samples it closes a window: service moments give
 // So and C² directly, and fit.ClientServerWindow inverts the AMVA model
-// — the same Nelder–Mead machinery as the offline fits — to recover
+// — the same least-squares kernel as the offline fits — to recover
 // (W, St) from the window's throughput, mean server response, and mean
 // overhead.
 //
@@ -259,7 +259,7 @@ func New(cfg Config) *Estimator {
 // ObserveService records one service-time sample (microseconds). The
 // Window-th sample closes the current window and runs the refit and
 // drift detector synchronously on the calling goroutine — a bounded
-// amount of work (one Nelder–Mead fit over a closed-form model) every
+// amount of work (one least-squares fit over a closed-form model) every
 // Window requests.
 func (e *Estimator) ObserveService(v float64) {
 	if math.IsNaN(v) || v < 0 {

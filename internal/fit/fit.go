@@ -43,9 +43,9 @@ type Result struct {
 	RelRMSE float64
 }
 
-// AllToAll fits (St, So) to all-to-all observations on a P-node machine
-// with handler variability c2. At least three observations spanning
-// different W values are required (two parameters plus a residual check).
+// AllToAll fits (St, So) to three or more all-to-all observations on a
+// P-node machine with handler variability c2. A fit the least-squares
+// kernel cannot finish in its step cap fails with numeric.ErrNoConvergence.
 func AllToAll(obs []Observation, p int, c2 float64) (Result, error) {
 	return AllToAllObserved(obs, p, c2, nil)
 }
@@ -77,88 +77,55 @@ func CheckAllToAll(obs []Observation, p int, c2 float64) error {
 }
 
 // AllToAllObserved is AllToAll reporting every model solve the
-// optimizer's loss evaluations make to observer (which may be nil) —
-// a fit is a long sequence of all-to-all solves, and the convergence
-// trace shows how the solver behaves as the optimizer roams the
-// (St, So) plane.
+// optimizer's residual evaluations make to observer (which may be nil):
+// the convergence trace shows how the solver behaves as the optimizer
+// roams the (St, So) plane.
 func AllToAllObserved(obs []Observation, p int, c2 float64, observer obspkg.SolveObserver) (Result, error) {
 	if err := CheckAllToAll(obs, p, c2); err != nil {
 		return Result{}, err
 	}
-	meanR := 0.0
+	// The start splits the smallest fixed overhead evenly.
+	meanR, minOverhead := 0.0, math.Inf(1)
 	for _, o := range obs {
 		meanR += o.R
+		minOverhead = math.Min(minOverhead, o.R-o.W)
 	}
 	meanR /= float64(len(obs))
-
-	// Optimize in log space so St, So stay positive, seeded from crude
-	// closed-form guesses: at large W the model tends to
-	// R ≈ W + 2St + 3So, and the fixed overhead R − W at the smallest W
-	// is ≈ 2St + 3.45·So.
-	//
-	// Successive loss evaluations are neighbouring points of the (St,
-	// So) plane, so each W's solve starts from the R the previous
-	// evaluation found at that W (clipped into the new point's Eq.
-	// 5.11–5.12 bracket by the solver).
-	warm := make([]float64, len(obs))
-	loss := func(x []float64) float64 {
-		st, so := math.Exp(x[0]), math.Exp(x[1])
-		sum := 0.0
-		for i, o := range obs {
-			res, err := core.AllToAllFrom(core.Params{P: p, W: o.W, St: st, So: so, C2: c2}, warm[i], observer)
-			if err != nil {
-				return math.Inf(1)
-			}
-			warm[i] = res.R
-			d := res.R - o.R
-			sum += d * d
-			if o.Rq > 0 {
-				dq := res.Rq - o.Rq
-				sum += dq * dq
-			}
-		}
-		return sum
-	}
-	// Initial guess: split the smallest fixed overhead evenly.
-	minOverhead := math.Inf(1)
-	for _, o := range obs {
-		if v := o.R - o.W; v < minOverhead {
-			minOverhead = v
-		}
-	}
 	if minOverhead <= 0 {
 		minOverhead = meanR * 0.1
 	}
-	x0 := []float64{math.Log(minOverhead / 4), math.Log(minOverhead / 4)}
-	best, fBest, err := numeric.NelderMead(loss, x0, numeric.DefaultNelderMeadOpts())
-	if err != nil && math.IsInf(fBest, 1) {
+
+	// Fit St ≥ 0 and So > 0 (core.Params.Validate's rules; So's bound
+	// is 1e-12 of the mean cycle, as So = 0 is infeasible) from crude
+	// closed-form guesses: at large W the model tends to R ≈ W + 2St +
+	// 3So, and the fixed overhead R − W at the smallest W is ≈ 2St +
+	// 3.45·So.
+	//
+	// Successive residual evaluations are neighbouring points of the
+	// (St, So) plane, so each W's solve starts from the R the previous
+	// evaluation found at that W (clipped into the new point's Eq.
+	// 5.11–5.12 bracket by the solver).
+	warm := make([]float64, len(obs))
+	residuals := func(x, r []float64) bool {
+		for i, o := range obs {
+			res, err := core.AllToAllFrom(core.Params{P: p, W: o.W, St: x[0], So: x[1], C2: c2}, warm[i], observer)
+			if err != nil {
+				return false
+			}
+			warm[i] = res.R
+			r[2*i], r[2*i+1] = res.R-o.R, 0
+			if o.Rq > 0 { // an unmeasured Rq leaves its residual at 0
+				r[2*i+1] = res.Rq - o.Rq
+			}
+		}
+		return true
+	}
+	lo := []float64{0, 1e-12 * meanR}
+	x := []float64{minOverhead / 4, math.Max(minOverhead/4, lo[1])}
+	loss, _, err := numeric.LeastSquares(residuals, x, lo, 2*len(obs))
+	if err != nil {
 		return Result{}, fmt.Errorf("fit: optimization failed: %w", err)
 	}
-	rmse := math.Sqrt(fBest / float64(len(obs)))
-	return Result{
-		St:      math.Exp(best[0]),
-		So:      math.Exp(best[1]),
-		RMSE:    rmse,
-		RelRMSE: rmse / meanR,
-	}, nil
-}
-
-// RoundTrip fits (St, So) from contention-free round-trip measurements
-// alone (a single-client microbenchmark): R = W + 2St + 2So is a line
-// in W with intercept 2St + 2So, so the two parameters cannot be
-// separated without contention data; RoundTrip therefore returns the
-// combined overhead per round trip. It exists to document why the
-// all-to-all sweep is the right calibration experiment.
-func RoundTrip(obs []Observation) (overhead float64, err error) {
-	if len(obs) < 1 {
-		return 0, fmt.Errorf("fit: need at least 1 observation")
-	}
-	sum := 0.0
-	for _, o := range obs {
-		if o.R <= o.W {
-			return 0, fmt.Errorf("fit: observation %+v has R <= W", o)
-		}
-		sum += o.R - o.W
-	}
-	return sum / float64(len(obs)), nil
+	rmse := math.Sqrt(loss / float64(len(obs)))
+	return Result{St: x[0], So: x[1], RMSE: rmse, RelRMSE: rmse / meanR}, nil
 }

@@ -1,6 +1,7 @@
 package fit
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -25,13 +26,16 @@ func modelObservations(t *testing.T, p int, st, so, c2 float64, ws []float64) []
 	return obs
 }
 
-// TestFitWarmStartConverges: the loss evaluations warm-start each solve
-// from the previous evaluation's R, so the loss must still be a smooth
-// function of (St, So): if a solve returned wherever it started (any
-// point within the solver's tolerance), the loss on a 1%-noise sweep
-// would carry noise far above Nelder–Mead's 1e-10 spread test, and the
-// optimizer would run to its 20000-step cap (about 320k solves) instead
-// of converging in a few hundred.
+// TestFitWarmStartConverges: the residual evaluations warm-start each
+// solve from the previous evaluation's R, so the residuals must still
+// be a smooth function of (St, So): if a solve returned wherever it
+// started (any point within the solver's tolerance), the forward
+// differences of a 1%-noise sweep would be noise, steps would stop
+// lowering the loss, and the least-squares kernel would end far from
+// the optimum or run to its cap. A smooth fit takes about 70 solves
+// (each step solves the four W settings at x, at two Jacobian probes
+// and at the trial point); 250 is a cap that a fit at Nelder–Mead's
+// cost, about 490, would fail.
 func TestFitWarmStartConverges(t *testing.T) {
 	r := rng.New(3)
 	u := func(a, b float64) float64 { return a + (b-a)*r.Float64() }
@@ -51,9 +55,28 @@ func TestFitWarmStartConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if count.solves > 2000 || math.Abs(res.So-so) > 0.1*so {
+		if count.solves > 250 || math.Abs(res.So-so) > 0.1*so {
 			t.Errorf("St=%v So=%v: fit %+v after %d solves", st, so, res, count.solves)
 		}
+	}
+}
+
+// TestFitStOnBound: on the serve-cold draws where St is not identified
+// (the sweep's best fit puts all the fixed overhead into So), the fit
+// ends with St exactly on its bound, 0, at a loss no higher than the
+// Nelder–Mead reference's, which drove St towards 1e-8 in log space.
+func TestFitStOnBound(t *testing.T) {
+	for _, seed := range []uint64{133, 148, 154} {
+		obs := serveColdDraw(t, seed)
+		res, err := AllToAll(obs, 32, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _, _ := refAllToAll(obs, 32, 0)
+		if res.St > 0 || ref[0] > 1e-6 {
+			t.Errorf("seed %d: St = %v (reference %v), want exactly 0 against a reference near it", seed, res.St, ref[0])
+		}
+		notWorse(t, "boundary draw", allToAllLoss(obs, 32, 0), []float64{res.St, res.So}, ref)
 	}
 }
 
@@ -154,7 +177,7 @@ func TestFitErrors(t *testing.T) {
 		t.Error("negative R accepted")
 	}
 	// P < 2 has no all-to-all machine: rejected up front, not after a
-	// Nelder-Mead run whose every loss evaluation fails.
+	// least-squares run whose every residual evaluation fails.
 	three := []Observation{{W: 0, R: 900}, {W: 512, R: 1400}, {W: 2048, R: 2950}}
 	for _, p := range []int{1, 0, -3} {
 		if err := CheckAllToAll(three, p, 0); err == nil {
@@ -167,6 +190,26 @@ func TestFitErrors(t *testing.T) {
 	if err := CheckAllToAll(three, 16, 0); err != nil {
 		t.Errorf("valid arguments rejected: %v", err)
 	}
+}
+
+// RoundTrip fits (St, So) from contention-free round-trip measurements
+// alone (a single-client microbenchmark): R = W + 2St + 2So is a line
+// in W with intercept 2St + 2So, so the two parameters cannot be
+// separated without contention data; RoundTrip therefore returns the
+// combined overhead per round trip. It documents, as a test, why the
+// all-to-all sweep is the right calibration experiment.
+func RoundTrip(obs []Observation) (overhead float64, err error) {
+	if len(obs) < 1 {
+		return 0, fmt.Errorf("fit: need at least 1 observation")
+	}
+	sum := 0.0
+	for _, o := range obs {
+		if o.R <= o.W {
+			return 0, fmt.Errorf("fit: observation %+v has R <= W", o)
+		}
+		sum += o.R - o.W
+	}
+	return sum / float64(len(obs)), nil
 }
 
 func TestRoundTripOverhead(t *testing.T) {

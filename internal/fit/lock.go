@@ -39,12 +39,6 @@ type LockResult struct {
 // pair still reproduces the measurement, which is all the
 // model-vs-measured contract needs.
 func Lock(obs []LockObservation, so, c2 float64) (LockResult, error) {
-	if so <= 0 || math.IsNaN(so) || math.IsInf(so, 0) {
-		return LockResult{}, fmt.Errorf("fit: invalid service time So = %v", so)
-	}
-	if c2 < 0 || math.IsNaN(c2) || math.IsInf(c2, 0) {
-		return LockResult{}, fmt.Errorf("fit: invalid variability C² = %v", c2)
-	}
 	return lockFit(obs, so, c2, nil, func(n int, w, st float64, o obspkg.SolveObserver) (float64, error) {
 		res, err := core.LockObserved(core.LockParams{Threads: n, W: w, St: st, So: so, C2: c2}, o)
 		return res.X, err
@@ -55,12 +49,6 @@ func Lock(obs []LockObservation, so, c2 float64) (LockResult, error) {
 // throughput sweep, holding (So, C2) fixed, with the same conventions
 // as Lock.
 func LockFree(obs []LockObservation, so, c2 float64) (LockResult, error) {
-	if so <= 0 || math.IsNaN(so) || math.IsInf(so, 0) {
-		return LockResult{}, fmt.Errorf("fit: invalid service time So = %v", so)
-	}
-	if c2 < 0 || math.IsNaN(c2) || math.IsInf(c2, 0) {
-		return LockResult{}, fmt.Errorf("fit: invalid variability C² = %v", c2)
-	}
 	return lockFit(obs, so, c2, nil, func(n int, w, st float64, o obspkg.SolveObserver) (float64, error) {
 		res, err := core.LockFreeObserved(core.LockFreeParams{Threads: n, W: w, St: st, So: so, C2: c2}, o)
 		return res.X, err
@@ -68,8 +56,8 @@ func LockFree(obs []LockObservation, so, c2 float64) (LockResult, error) {
 }
 
 // lockFit is the shared optimizer: minimize the sum of squared
-// relative throughput residuals over (W, St), in log space so both
-// stay positive.
+// relative throughput residuals over W ≥ 0 and St ≥ 0, failing with
+// numeric.ErrNoConvergence as AllToAll does.
 func lockFit(obs []LockObservation, so, c2 float64, observer obspkg.SolveObserver, model func(n int, w, st float64, o obspkg.SolveObserver) (float64, error)) (LockResult, error) {
 	if so <= 0 || math.IsNaN(so) || math.IsInf(so, 0) {
 		return LockResult{}, fmt.Errorf("fit: invalid service time So = %v", so)
@@ -85,36 +73,27 @@ func lockFit(obs []LockObservation, so, c2 float64, observer obspkg.SolveObserve
 			return LockResult{}, fmt.Errorf("fit: invalid observation %+v", o)
 		}
 	}
-	loss := func(x []float64) float64 {
-		w, st := math.Exp(x[0]), math.Exp(x[1])
-		sum := 0.0
-		for _, o := range obs {
-			xm, err := model(o.Threads, w, st, observer)
+	residuals := func(x, r []float64) bool {
+		for i, o := range obs {
+			xm, err := model(o.Threads, x[0], x[1], observer)
 			if err != nil {
-				return math.Inf(1)
+				return false
 			}
-			d := (xm - o.X) / o.X
-			sum += d * d
+			r[i] = (xm - o.X) / o.X
 		}
-		return sum
+		return true
 	}
 	// Seed from the least-loaded observation: its cycle is roughly
 	// Threads/X, of which So (and a trip pair) is known; start with the
 	// remainder as W and a small St.
 	guessW := so
 	for _, o := range obs {
-		if cyc := float64(o.Threads)/o.X - so; cyc > guessW {
-			guessW = cyc
-		}
+		guessW = math.Max(guessW, float64(o.Threads)/o.X-so)
 	}
-	x0 := []float64{math.Log(guessW), math.Log(so / 4)}
-	best, fBest, err := numeric.NelderMead(loss, x0, numeric.DefaultNelderMeadOpts())
-	if err != nil && math.IsInf(fBest, 1) {
+	x := []float64{guessW, so / 4}
+	loss, _, err := numeric.LeastSquares(residuals, x, []float64{0, 0}, len(obs))
+	if err != nil {
 		return LockResult{}, fmt.Errorf("fit: optimization failed: %w", err)
 	}
-	return LockResult{
-		W:       math.Exp(best[0]),
-		St:      math.Exp(best[1]),
-		RelRMSE: math.Sqrt(fBest / float64(len(obs))),
-	}, nil
+	return LockResult{W: x[0], St: x[1], RelRMSE: math.Sqrt(loss / float64(len(obs)))}, nil
 }

@@ -32,20 +32,37 @@ func lockSimSweep(t *testing.T) []LockObservation {
 	return obs
 }
 
+// lockModelSweep solves the lock model (free: the lock-free one) across
+// the thread sweep 1–16 and returns its throughputs as observations.
+func lockModelSweep(t testing.TB, w, st, so, c2 float64, free bool) []LockObservation {
+	t.Helper()
+	var obs []LockObservation
+	for _, n := range []int{1, 2, 4, 8, 16} {
+		var x float64
+		var err error
+		if free {
+			var res core.LockFreeResult
+			res, err = core.LockFree(core.LockFreeParams{Threads: n, W: w, St: st, So: so, C2: c2})
+			x = res.X
+		} else {
+			var res core.LockResult
+			res, err = core.Lock(core.LockParams{Threads: n, W: w, St: st, So: so, C2: c2})
+			x = res.X
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs = append(obs, LockObservation{Threads: n, X: x})
+	}
+	return obs
+}
+
 // TestLockFitRecoversParameters: generate a synthetic sweep from known
 // lock-model parameters and check the fit recovers them (and
 // reproduces the curve essentially exactly).
 func TestLockFitRecoversParameters(t *testing.T) {
 	trueW, trueSt, so, c2 := 900.0, 25.0, 100.0, 1.0
-	var obs []LockObservation
-	for _, n := range []int{1, 2, 4, 8, 16} {
-		res, err := core.Lock(core.LockParams{Threads: n, W: trueW, St: trueSt, So: so, C2: c2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		obs = append(obs, LockObservation{Threads: n, X: res.X})
-	}
-	fit, err := Lock(obs, so, c2)
+	fit, err := Lock(lockModelSweep(t, trueW, trueSt, so, c2, false), so, c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +79,7 @@ func TestLockFitRecoversParameters(t *testing.T) {
 // TestLockFreeFitRecoversParameters: the conflict-model analogue.
 func TestLockFreeFitRecoversParameters(t *testing.T) {
 	trueW, trueSt, so, c2 := 500.0, 8.0, 60.0, 1.0
-	var obs []LockObservation
-	for _, n := range []int{1, 2, 4, 8, 16} {
-		res, err := core.LockFree(core.LockFreeParams{Threads: n, W: trueW, St: trueSt, So: so, C2: c2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		obs = append(obs, LockObservation{Threads: n, X: res.X})
-	}
-	fit, err := LockFree(obs, so, c2)
+	fit, err := LockFree(lockModelSweep(t, trueW, trueSt, so, c2, true), so, c2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ type WindowObs struct {
 	// the model's two network trips, so Overhead ≈ 2·St. Zero means
 	// unmeasured, which pins St at 0: means of X and Rs alone cannot
 	// separate St from W (they trade off along W + 2St, the same
-	// degeneracy RoundTrip documents for contention-free sweeps).
+	// degeneracy a contention-free sweep has, R = W + 2St + 2So).
 	Overhead float64
 }
 
@@ -71,7 +71,7 @@ type WindowFit struct {
 	// (squared relative residuals of throughput, server response, and —
 	// when measured — overhead).
 	Loss float64 `json:"loss"`
-	// Method records how the point was found: "neldermead" when the
+	// Method records how the point was found: "leastsquares" when the
 	// optimizer improved on the closed-form start, "moments" when the
 	// closed-form moment inversion already minimized the objective.
 	Method string `json:"method"`
@@ -79,13 +79,14 @@ type WindowFit struct {
 
 // ClientServerWindow refits (W, St, So, C²) to one live-traffic window.
 // So and C² come straight from the service-sample moments; (W, St) are
-// found by Nelder–Mead in log space so the client-server AMVA model
-// reproduces the window's observed throughput and server response, with
-// the measured per-request overhead anchoring 2·St. The closed-form
-// moment inversion (W from the cycle identity P_c/X = W + 2St + Rs + So)
-// seeds the simplex and stands in wherever the optimizer cannot improve
-// on it, so every valid window yields a usable fit. Solves made by the
-// loss evaluations are reported to observer (which may be nil).
+// found by bounded least squares (W, St ≥ 0) so the client-server AMVA
+// model reproduces the window's observed throughput and server
+// response, with the measured per-request overhead anchoring 2·St. The
+// closed-form moment inversion (W from the cycle identity
+// P_c/X = W + 2St + Rs + So) is the optimizer's start and stands in
+// wherever the optimizer cannot improve on it, so every valid window
+// yields a usable fit. Solves made by the residual evaluations are
+// reported to observer (which may be nil).
 func ClientServerWindow(w WindowObs, observer obspkg.SolveObserver) (WindowFit, error) {
 	if err := w.Validate(); err != nil {
 		return WindowFit{}, err
@@ -95,60 +96,46 @@ func ClientServerWindow(w WindowObs, observer obspkg.SolveObserver) (WindowFit, 
 
 	// Closed-form start: St from the measured overhead (two trips per
 	// request), W from the cycle identity, floored at a small positive
-	// value so the log-space simplex always has a seed.
+	// value.
 	st0 := w.Overhead / 2
 	w0 := pc/w.X - 2*st0 - rs - w.So
 	if !(w0 > 0) {
 		w0 = w.So / 100
 	}
 
-	residuals := func(wt, st float64) float64 {
+	// The fit is over (W, St), or over W alone when there is no overhead
+	// stream: St is then pinned at st0 = 0.
+	xs := [2]float64{w0, st0}
+	x := xs[:]
+	if w.Overhead <= 0 {
+		x = xs[:1]
+	}
+	residuals := func(x, r []float64) bool {
+		st := st0
+		if len(x) > 1 {
+			st = x[1]
+		}
 		res, err := core.ClientServerObserved(core.ClientServerParams{
-			P: w.P, Ps: w.Ps, W: wt, St: st, So: w.So, C2: w.C2,
+			P: w.P, Ps: w.Ps, W: x[0], St: st, So: w.So, C2: w.C2,
 		}, observer)
 		if err != nil {
-			return math.Inf(1)
+			return false
 		}
-		dx := (res.X - w.X) / w.X
-		dr := (res.Rs - rs) / rs
-		sum := dx*dx + dr*dr
-		if w.Overhead > 0 {
-			do := (2*st - w.Overhead) / w.Overhead
-			sum += do * do
+		r[0] = (res.X - w.X) / w.X
+		r[1] = (res.Rs - rs) / rs
+		if len(x) > 1 {
+			r[2] = (2*st - w.Overhead) / w.Overhead
 		}
-		return sum
+		return true
 	}
-
-	var best []float64
-	var fBest float64
-	var err error
-	if w.Overhead > 0 {
-		loss := func(x []float64) float64 { return residuals(math.Exp(x[0]), math.Exp(x[1])) }
-		best, fBest, err = numeric.NelderMead(loss, []float64{math.Log(w0), math.Log(st0)}, numeric.DefaultNelderMeadOpts())
-	} else {
-		// No overhead stream: St is pinned at 0 and only W is free.
-		loss := func(x []float64) float64 { return residuals(math.Exp(x[0]), 0) }
-		best, fBest, err = numeric.NelderMead(loss, []float64{math.Log(w0)}, numeric.DefaultNelderMeadOpts())
-		if err == nil {
-			best = append(best, math.Inf(-1)) // exp(-Inf) = 0: the pinned St
-		}
-	}
-
-	f0 := residuals(w0, st0)
-	switch {
-	case err == nil && !math.IsInf(fBest, 1) && fBest <= f0:
-		return WindowFit{
-			W: math.Exp(best[0]), St: math.Exp(best[1]),
-			So: w.So, C2: w.C2, Loss: fBest, Method: "neldermead",
-		}, nil
-	case !math.IsInf(f0, 1):
-		// The optimizer failed or regressed; the moment inversion is a
-		// feasible point and keeps the estimator live.
-		return WindowFit{W: w0, St: st0, So: w.So, C2: w.C2, Loss: f0, Method: "moments"}, nil
-	default:
-		if err == nil {
-			err = fmt.Errorf("objective infeasible at every probed point")
-		}
+	loss, _, err := numeric.LeastSquares(residuals, x, []float64{0, 0}[:len(x)], len(x)+1)
+	if math.IsInf(loss, 1) {
 		return WindowFit{}, fmt.Errorf("fit: no feasible (W, St) for window %+v: %w", w, err)
 	}
+	method := "leastsquares"
+	//lopc:allow floateq the optimizer returns its start unchanged, bit for bit, when no step lowered the loss
+	if xs[0] == w0 && xs[1] == st0 {
+		method = "moments"
+	}
+	return WindowFit{W: xs[0], St: xs[1], So: w.So, C2: w.C2, Loss: loss, Method: method}, nil
 }

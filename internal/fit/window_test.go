@@ -10,7 +10,7 @@ import (
 
 // windowFrom solves the model at truth and packages its observables the
 // way a live-traffic window would see them (exact means, no noise).
-func windowFrom(t *testing.T, truth core.ClientServerParams, withOverhead bool) WindowObs {
+func windowFrom(t testing.TB, truth core.ClientServerParams, withOverhead bool) WindowObs {
 	t.Helper()
 	res, err := core.ClientServer(truth)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestClientServerWindowRecoversTruth(t *testing.T) {
 	within("St", got.St, truth.St, 0.01)
 	within("So", got.So, truth.So, 1e-12)
 	within("C2", got.C2, truth.C2, 1e-12)
-	if got.Method != "neldermead" && got.Loss > 1e-6 {
+	if got.Method != "leastsquares" && got.Loss > 1e-6 {
 		t.Errorf("fit ended at loss %v via %q; want a near-zero optimum", got.Loss, got.Method)
 	}
 }

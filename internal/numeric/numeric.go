@@ -1,8 +1,8 @@
 // Package numeric provides the small set of numerical routines the LoPC
 // solvers need: the fixed-point kernel every AMVA equation system runs
 // on (a bracketed secant for scalar models, Anderson mixing for vector
-// ones), bracketing bisection (for the bound derivation of §5.3),
-// Nelder–Mead (for calibration), and polynomial
+// ones), bracketing bisection (for the bound derivation of §5.3), a
+// bounded least-squares kernel (for calibration), and polynomial
 // utilities (the homogeneous model reduces to a quartic; we solve it by
 // iteration but expose the polynomial machinery for verification).
 package numeric

@@ -96,10 +96,10 @@ type AllToAllResult struct {
 	// and UtilReq is the mean measured request-handler service ÷
 	// mean R, the service being the nodes' request-handler busy time
 	// over the handlers they completed; RepQueue and UtilRep are the
-	// same for replies. (Time averages integrated to the run's last
-	// event would count the idle tail after early nodes halt: 80% low
-	// on Qq under a 0.2 hotspot.) ThreadUtil is still such a time
-	// average.
+	// same for replies, and ThreadUtil is the mean measured compute per
+	// cycle ÷ mean R. (Time averages integrated to the run's last event
+	// would count the idle tail after early nodes halt: 80% low on Qq
+	// and 41% on ThreadUtil under a 0.2 hotspot.)
 	Machine machine.MachineStats
 	// X is the system throughput implied by the measured mean cycle
 	// time: P / mean(R).
@@ -229,17 +229,19 @@ func RunAllToAll(cfg AllToAllConfig) (AllToAllResult, error) {
 	if mean := res.R.Mean(); mean > 0 {
 		res.X = float64(cfg.P) / mean
 		// Each node's busy time is its utilization times its window.
-		var reqBusy, repBusy float64
+		var reqBusy, repBusy, compute float64
 		for i := range sres.Nodes {
 			ns := &sres.Nodes[i]
 			reqBusy += ns.UtilReq * ns.Elapsed
 			repBusy += ns.UtilRep * ns.Elapsed
+			compute += ns.ThreadUtil * ns.Elapsed
 		}
 		m := &res.Machine
 		m.ReqQueue = res.Rq.Mean() / mean
 		m.RepQueue = res.Ry.Mean() / mean
 		m.UtilReq = reqBusy / float64(max(m.ReqResponse.N(), 1)) / mean
 		m.UtilRep = repBusy / float64(max(m.RepResponse.N(), 1)) / mean
+		m.ThreadUtil = compute / float64(res.R.N()) / mean
 	}
 	return res, nil
 }

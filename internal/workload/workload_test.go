@@ -172,6 +172,26 @@ func TestAllToAllMachineAveragesFirstHalt(t *testing.T) {
 	}
 }
 
+// TestAllToAllThreadUtilPerCycle: the thread utilization is the mean
+// measured compute per cycle over the mean cycle, so with deterministic
+// work it reads W/mean R even under a hotspot, where a time average to
+// the run's last event read 0.216 against 0.367.
+func TestAllToAllThreadUtilPerCycle(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		cfg := stdAllToAll(512, seed)
+		cfg.WarmupCycles, cfg.MeasureCycles = 100, 1000
+		cfg.Pattern = HotspotPattern{Hot: 0, Bias: 0.2}
+		sim, err := RunAllToAll(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 512 / sim.R.Mean()
+		if got := sim.Machine.ThreadUtil; math.Abs(got/want-1) > 0.02 {
+			t.Errorf("seed %d: ThreadUtil %.4f, W/mean R %.4f", seed, got, want)
+		}
+	}
+}
+
 func TestAllToAllCycleIdentity(t *testing.T) {
 	// Per-cycle identity: R = Rw + net + Rq + Ry holds in the mean
 	// because the five tallies cover the cycle exactly.
