@@ -1,6 +1,6 @@
 // Command lopc-lint runs the repository's static-analysis suite
-// (internal/lint) over the module: determinism, float-safety and
-// AMVA-convergence invariants the compiler cannot check.
+// (internal/lint) over the module: clock and rng seam, float-safety,
+// error and lock invariants the compiler cannot check.
 //
 // Usage:
 //

@@ -1,33 +1,13 @@
 // Package core mirrors a deterministic solver package, violating the
-// package-scoped checks.
+// package-scoped checks: it reads the wall clock, which clockseam
+// flags. Whether its results are pure functions of their inputs is
+// checked at run time, not by the suite.
 package core
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
-// Seed reads the wall clock.
+// Seed reads the wall clock. The line numbers above are kept so the
+// finding stays on the line the goldens pin.
 func Seed() int64 {
 	return time.Now().UnixNano()
-}
-
-// Iterate runs a fixed-point loop with no iteration cap.
-func Iterate(f func(float64) float64, x float64) float64 {
-	for {
-		next := f(x)
-		if math.Abs(next-x) < 1e-12 {
-			return next
-		}
-		x = next
-	}
-}
-
-// Sum accumulates map values in iteration order.
-func Sum(m map[int]float64) float64 {
-	s := 0.0
-	for _, v := range m {
-		s += v
-	}
-	return s
 }

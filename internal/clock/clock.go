@@ -5,8 +5,7 @@
 // throttling, ETA estimates — exactly reproducible.
 //
 // This is the one sanctioned home for time.Now: the clockseam analyzer
-// (internal/lint) forbids direct wall-clock access everywhere else, and
-// the detflow taint engine treats this package's wrappers as clean.
+// (internal/lint) forbids direct wall-clock access everywhere else.
 package clock
 
 import (

@@ -18,12 +18,12 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // wallClockFuncs are the time package functions that read or schedule
-// against the wall clock. It is the one list of them: clockseam flags
-// every call outside internal/clock, and the taint engine's source
-// registry (taint.go) marks each call's result wall-clock tainted.
+// against the wall clock; clockseam flags every call outside
+// internal/clock.
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "AfterFunc": true, "Tick": true, "NewTicker": true, "NewTimer": true,
@@ -74,6 +74,12 @@ func (a *ClockSeam) Check(l *Loader, pkg *Package) []Diagnostic {
 		})
 	}
 	return out
+}
+
+// clockExempt reports whether pkg is the sanctioned home for direct
+// wall-clock calls.
+func clockExempt(pkg *Package) bool {
+	return pkg.Path == "internal/clock" || strings.HasSuffix(pkg.Path, "/internal/clock")
 }
 
 // timerType reports whether t is time.Timer or time.Ticker (possibly

@@ -52,11 +52,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 		analyzer Analyzer
 	}{
 		{"floateq", &FloatEq{}},
-		{"convergeloop", &ConvergeLoop{Scope: everywhere}},
 		{"errdiscard", &ErrDiscard{}},
 		{"lockbalance", &LockBalance{}},
 		{"deadlock", &Deadlock{}},
-		{"detflow", &DetFlow{SinkScope: everywhere, ResultScope: everywhere}},
 		{"clockseam", &ClockSeam{Scope: everywhere}},
 		{"rngseam", &RngSeam{Scope: everywhere}},
 	}

@@ -4,24 +4,24 @@
 //
 // The suite machine-checks four families of invariants:
 //
-//   - Determinism. The parallel run engine (internal/runner) guarantees
-//     byte-identical output for every worker count only if the packages
-//     it fans out never consult wall clocks (clockseam), the global
-//     math/rand source (rngseam), or let unordered map iteration reach
-//     an output (detflow).
+//   - Determinism seams. The parallel run engine (internal/runner)
+//     guarantees byte-identical output for every worker count only if
+//     the packages it fans out never consult wall clocks (clockseam)
+//     or the global math/rand source (rngseam).
 //   - Float safety. The AMVA fixed-point solvers (Eqs. 5.1–5.10,
-//     A.1–A.10) compare iterates with tolerances, never == (floateq),
-//     and bound every convergence loop and guard it against NaN
-//     (convergeloop).
+//     A.1–A.10) compare iterates with tolerances, never == (floateq).
 //   - Error hygiene. No error return is silently dropped (errdiscard).
 //   - Lock discipline. Every Lock is released on every path
 //     (lockbalance) and the module acquires its locks in one global
 //     order (deadlock).
 //
 // What a test run shows better is left to tests: the facade's
-// entry-point table rejects NaN/Inf/negative parameters at run time,
-// and goroutine-count assertions at every spawn site catch a goroutine
-// that outlives its call.
+// entry-point table rejects NaN/Inf/negative parameters at run time;
+// goroutine-count assertions at every spawn site catch a goroutine
+// that outlives its call; every byte-stable output has a row that
+// renders it twenty times in one process and requires identical bytes
+// (internal/detguard), which is what catches a map-order leak; and the
+// numeric kernels' rows pin their iteration caps and NaN handling.
 //
 // Analyzers use only the standard library (go/ast, go/parser, go/types,
 // go/importer) so the suite builds offline. Findings can be suppressed
@@ -73,16 +73,14 @@ type Analyzer interface {
 
 // All returns the full suite in reporting order: the numerical and
 // hygiene checks first, then the lock checks (CFG/dataflow-based
-// lockbalance, interprocedural deadlock), then the determinism-contract
-// checks built on the taint engine and the clock/rng seams.
+// lockbalance, interprocedural deadlock), then the clock and rng
+// seams.
 func All() []Analyzer {
 	return []Analyzer{
 		&FloatEq{},
-		&ConvergeLoop{},
 		&ErrDiscard{},
 		&LockBalance{},
 		&Deadlock{},
-		&DetFlow{},
 		&ClockSeam{},
 		&RngSeam{},
 	}
@@ -383,32 +381,4 @@ func calleeOf(pkg *Package, call *ast.CallExpr) *funcRef {
 		return funcRefOf(pkg, f.Sel)
 	}
 	return nil
-}
-
-// isPkgCall reports whether call invokes the package-level function
-// pkgPath.name.
-func isPkgCall(pkg *Package, call *ast.CallExpr, pkgPath, name string) bool {
-	ref := calleeOf(pkg, call)
-	return ref != nil && ref.pkgPath == pkgPath && ref.name == name && ref.recv == nil
-}
-
-// containsCallTo reports whether any call to pkgPath.name appears in
-// the subtree rooted at n.
-func containsCallTo(pkg *Package, n ast.Node, pkgPath string, names ...string) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := c.(*ast.CallExpr); ok {
-			for _, name := range names {
-				if isPkgCall(pkg, call, pkgPath, name) {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
 }

@@ -54,3 +54,32 @@ func TestDiagnosticString(t *testing.T) {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
+
+// TestStaleAllowDetection pins RunWithStale's dead-suppression
+// reporting: an allow whose check ran but suppressed nothing is
+// reported; the same allow is NOT reported when its check did not run.
+func TestStaleAllowDetection(t *testing.T) {
+	l, pkg := loadFixture(t, "stale")
+	// floateq runs and the allow on a clean line suppresses nothing.
+	diags, stale := RunWithStale(l, []*Package{pkg}, []Analyzer{&FloatEq{}})
+	if len(diags) != 0 {
+		t.Fatalf("unexpected diagnostics: %v", diags)
+	}
+	if len(stale) != 1 {
+		t.Fatalf("want exactly one stale allow, got %d: %v", len(stale), stale)
+	}
+	if stale[0].Check != "floateq" {
+		t.Errorf("stale allow names check %q, want floateq", stale[0].Check)
+	}
+	// The same package under an analyzer set that does not include
+	// floateq: the allow is out of scope, not stale.
+	_, stale = RunWithStale(l, []*Package{pkg}, []Analyzer{&ErrDiscard{}})
+	if len(stale) != 0 {
+		t.Errorf("allow for a check that did not run reported stale: %v", stale)
+	}
+	// An allow that does suppress a finding is never stale.
+	_, stale = RunWithStale(l, []*Package{pkg}, []Analyzer{&ClockSeam{}})
+	if len(stale) != 0 {
+		t.Errorf("exercised allow reported stale: %v", stale)
+	}
+}

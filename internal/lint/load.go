@@ -57,10 +57,6 @@ type Loader struct {
 	// Loader) invalidates the cache instead of serving stale edges.
 	cg    *CallGraph
 	cgGen int
-	// taint caches the interprocedural taint engine, invalidated by
-	// generation exactly like the call graph.
-	taint    *TaintEngine
-	taintGen int
 }
 
 // FuncSource ties a function object to its declaration.

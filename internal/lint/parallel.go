@@ -2,8 +2,7 @@ package lint
 
 // Parallel analysis driver. Package analysis is embarrassingly parallel
 // once the shared interprocedural structures — the call graph, function
-// facts, the lock-order graph, the taint summaries — exist: analyzer
-// Checks only read them. RunParallel therefore warms every lazily-built
+// facts, the lock-order graph — exist: analyzer Checks only read them. RunParallel therefore warms every lazily-built
 // structure single-threaded, fans the per-package work out through
 // internal/runner (the same bounded pool the experiment engine uses),
 // and merges results in package order. The merge plus the canonical
@@ -16,15 +15,13 @@ import (
 )
 
 // Warm builds every lazily-cached interprocedural structure — the call
-// graph, per-function facts, the deadlock lock-order graph, and the
-// taint-summary fixed point — so subsequent analyzer Checks only read
-// shared state. Safe to call redundantly; each structure is
-// generation-cached.
+// graph, per-function facts and the deadlock lock-order graph — so
+// subsequent analyzer Checks only read shared state. Safe to call
+// redundantly; each structure is generation-cached.
 func (l *Loader) Warm() {
 	g := l.CallGraph()
 	g.Facts()
 	g.lockOrderGraph()
-	l.Taint()
 }
 
 // RunParallel is RunWithStale with the per-package analysis fanned out

@@ -21,6 +21,46 @@ import (
 	"go/ast"
 )
 
+// DeterministicPackages are the package-path suffixes whose output the
+// parallel run engine (internal/runner) promises is bit-identical for
+// every worker count. rngseam covers them; their outputs' run-twice
+// rows (internal/detguard) check the promise itself.
+var DeterministicPackages = []string{
+	"internal/core",
+	"internal/mva",
+	"internal/exp",
+	"internal/workload",
+	"internal/machine",
+	"internal/am",
+	"internal/rng",
+	"internal/stats",
+	"internal/runner",
+	// The telemetry layer instruments the deterministic solvers, so it
+	// must be deterministic itself: wall times come from an injected
+	// clock.Clock, never a direct time.Now.
+	"internal/obs",
+	// The parallel simulation core's whole contract is byte-identical
+	// committed traces for every core and job count.
+	"internal/psim",
+}
+
+// suffixScope matches a package path against a list of path suffixes
+// ("internal/core" matches both "repro/internal/core" and a fixture's
+// "fix/internal/core").
+func suffixScope(suffixes []string) func(pkgPath string) bool {
+	return func(pkgPath string) bool {
+		for _, s := range suffixes {
+			if pkgPath == s || underPrefix(pkgPath, s) {
+				return true
+			}
+			if n := len(pkgPath) - len(s); n > 0 && pkgPath[n-1] == '/' && pkgPath[n:] == s {
+				return true
+			}
+		}
+		return false
+	}
+}
+
 // RngSeam flags math/rand use and constant-seeded internal/rng streams
 // in the deterministic packages.
 type RngSeam struct {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/detguard"
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/psim"
@@ -135,29 +136,44 @@ func TestPreemptResume(t *testing.T) {
 	}
 }
 
+// meshConfig is a random client/server mesh: even nodes request
+// service from random odd nodes, with exponential request handlers.
+func meshConfig() machine.Config {
+	const p = 8
+	progs := make([]machine.Program, p)
+	for i := 0; i < p; i++ {
+		if i%2 == 0 {
+			progs[i] = &meshProg{cycles: 30}
+		}
+	}
+	return machine.Config{
+		P:       p,
+		Latency: dist.NewDeterministic(5),
+		Services: []dist.Distribution{
+			dist.NewExponential(3),
+			dist.NewDeterministic(0.5),
+		},
+		Programs:     progs,
+		Seed:         99,
+		ResetStatsAt: 50,
+	}
+}
+
+// TestOutputsRepeat renders the mesh's result and its machine-wide
+// aggregate detguard.Runs times; each rendering must be byte-identical.
+func TestOutputsRepeat(t *testing.T) {
+	detguard.Check(t, []detguard.Row{
+		{Name: "Run", Render: detguard.Value(func() (any, error) {
+			res, err := machine.Run(meshConfig())
+			return []any{res, res.Aggregate(), machine.KindRequest.String(), machine.KindReply.String()}, err
+		})},
+	})
+}
+
 // TestShardDeterminism runs a random client/server mesh under every
 // core and checks byte-identical traces and identical measurements.
 func TestShardDeterminism(t *testing.T) {
-	build := func() machine.Config {
-		const p = 8
-		progs := make([]machine.Program, p)
-		for i := 0; i < p; i++ {
-			if i%2 == 0 {
-				progs[i] = &meshProg{cycles: 30}
-			}
-		}
-		return machine.Config{
-			P:       p,
-			Latency: dist.NewDeterministic(5),
-			Services: []dist.Distribution{
-				dist.NewExponential(3),
-				dist.NewDeterministic(0.5),
-			},
-			Programs:     progs,
-			Seed:         99,
-			ResetStatsAt: 50,
-		}
-	}
+	build := meshConfig
 	run := func(sync psim.Sync, jobs int) ([]byte, machine.Result) {
 		cfg := build()
 		cfg.Sync = sync

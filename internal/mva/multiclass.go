@@ -2,6 +2,7 @@ package mva
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/numeric"
 	"repro/internal/obs"
@@ -38,15 +39,20 @@ func (p MultiParams) validate() error {
 		if len(row) != len(p.Centers) {
 			return fmt.Errorf("%w: class %d has %d demands for %d centers", ErrInvalid, c, len(row), len(p.Centers))
 		}
+		if p.N[c] < 0 {
+			return fmt.Errorf("%w: N[%d] = %d", ErrInvalid, c, p.N[c])
+		}
+		total := 0.0
 		for k, d := range row {
 			if !validDemand(d) {
 				return fmt.Errorf("%w: demand[%d][%d] = %v", ErrInvalid, c, k, d)
 			}
+			total += d
 		}
-	}
-	for c, n := range p.N {
-		if n < 0 {
-			return fmt.Errorf("%w: N[%d] = %d", ErrInvalid, c, n)
+		// N[c]/ΣD[c] bounds the class's throughput; a class with no
+		// demand, or too little for it to be finite, has no answer.
+		if p.N[c] > 0 && math.IsInf(float64(p.N[c])/total, 1) {
+			return fmt.Errorf("%w: class %d's total demand %v gives no finite throughput at population %d", ErrInvalid, c, total, p.N[c])
 		}
 	}
 	return nil
@@ -151,11 +157,7 @@ func MultiExact(p MultiParams) (MultiResult, error) {
 				}
 				total += r[c][k]
 			}
-			if total > 0 {
-				x[c] = float64(pop[c]) / total
-			} else {
-				x[c] = 0
-			}
+			x[c] = float64(pop[c]) / total
 		}
 		for k := 0; k < K; k++ {
 			for c := 0; c < C; c++ {
@@ -166,17 +168,19 @@ func MultiExact(p MultiParams) (MultiResult, error) {
 		}
 		qTot[idx] = q
 	}
-	return multiFinish(p, r, x, qTot[pi.size-1]), nil
+	return multiFinish(p, r, x), nil
 }
 
-// multiFinish packages the final-population quantities.
-func multiFinish(p MultiParams, r [][]float64, x []float64, qTot []float64) MultiResult {
+// multiFinish packages the final-population quantities. QTotal[k] is
+// Σ_c Q[c][k] of the returned queues, not the solver's last iterate, so
+// the two always agree.
+func multiFinish(p MultiParams, r [][]float64, x []float64) MultiResult {
 	C, K := len(p.N), len(p.Centers)
 	res := MultiResult{
 		X:         make([]float64, C),
 		R:         make([][]float64, C),
 		Q:         make([][]float64, C),
-		QTotal:    append([]float64(nil), qTot...),
+		QTotal:    make([]float64, K),
 		CycleTime: make([]float64, C),
 	}
 	for c := 0; c < C; c++ {
@@ -188,6 +192,11 @@ func multiFinish(p MultiParams, r [][]float64, x []float64, qTot []float64) Mult
 		}
 		if x[c] > 0 {
 			res.CycleTime[c] = float64(p.N[c]) / x[c]
+		}
+	}
+	for k := 0; k < K; k++ {
+		for c := 0; c < C; c++ {
+			res.QTotal[k] += res.Q[c][k]
 		}
 	}
 	return res
@@ -279,13 +288,7 @@ func multiApproximate(p MultiParams, est func(qTot, qSelf float64, nc int) float
 	if err != nil {
 		return MultiResult{}, stats, fmt.Errorf("mva: multiclass approximation: %w", err)
 	}
-	qTot := make([]float64, K)
-	for k := 0; k < K; k++ {
-		for c := 0; c < C; c++ {
-			qTot[k] += q[c*K+k]
-		}
-	}
-	res := multiFinish(p, r, x, qTot)
+	res := multiFinish(p, r, x)
 	res.Solve = stats
 	return res, stats, nil
 }

@@ -119,13 +119,7 @@ func multiApproximateRef(p MultiParams, est func(qTot, qSelf float64, nc int) fl
 			return MultiResult{}, fmt.Errorf("mva: multiclass approximation diverged (delta = %v)", delta)
 		}
 		if delta < 1e-14 {
-			qTot := make([]float64, K)
-			for k := 0; k < K; k++ {
-				for c := 0; c < C; c++ {
-					qTot[k] += q[c][k]
-				}
-			}
-			return multiFinish(p, r, x, qTot), nil
+			return multiFinish(p, r, x), nil
 		}
 	}
 	return MultiResult{}, fmt.Errorf("mva: multiclass approximation did not converge")

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -110,6 +111,56 @@ func TestLeastSquaresInfeasible(t *testing.T) {
 	nan := func(x, r []float64) bool { r[0] = math.NaN(); return true }
 	if _, _, err := LeastSquares(nan, []float64{1}, []float64{0}, 1); err == nil {
 		t.Error("NaN residual at the start accepted")
+	}
+}
+
+// TestLeastSquaresStepCap: r(x) = sign(x)·|x|^0.51 has its only zero
+// at a root where the residual is barely steeper than √x, so each
+// step overshoots to the other side and lowers the loss by a few
+// percent: after 1000 accepted steps the run is still making progress
+// and ends with ErrNoConvergence, leaving in x the best point found.
+func TestLeastSquaresStepCap(t *testing.T) {
+	f := func(x, r []float64) bool {
+		r[0] = math.Copysign(math.Pow(math.Abs(x[0]), 0.51), x[0])
+		return true
+	}
+	x := []float64{1}
+	loss, evals, err := LeastSquares(f, x, []float64{math.Inf(-1)}, 1)
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("ended at %v with loss %v, error %v; want ErrNoConvergence", x, loss, err)
+	}
+	r := []float64{0}
+	f(x, r)
+	if !(loss < 1) || loss != r[0]*r[0] || evals != 1+2*lsMaxIter {
+		t.Errorf("ended at %v with loss %v (recomputed %v) after %d evaluations; want the last of %d accepted steps, below the start's 1",
+			x, loss, r[0]*r[0], evals, lsMaxIter)
+	}
+}
+
+// TestLeastSquaresResidualTurnsNaN: the residual x − 3 turns NaN past
+// x = 2, after a feasible start at 0. The first Gauss–Newton step
+// lands on 3 and must be rejected, as must every later step past 2:
+// the run ends finite, inside the region where the residual is defined.
+func TestLeastSquaresResidualTurnsNaN(t *testing.T) {
+	nans := 0
+	f := func(x, r []float64) bool {
+		r[0] = x[0] - 3
+		if x[0] > 2 {
+			nans++
+			r[0] = math.NaN()
+		}
+		return true
+	}
+	x := []float64{0}
+	loss, _, err := LeastSquares(f, x, []float64{math.Inf(-1)}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nans == 0 {
+		t.Fatal("no step reached the NaN region")
+	}
+	if !(x[0] <= 2) || x[0] < 2-1e-5 || loss != (x[0]-3)*(x[0]-3) {
+		t.Errorf("ended at %v with loss %v; want the edge 2 from below, loss 1", x, loss)
 	}
 }
 

@@ -30,12 +30,21 @@ func Zero(x, tol float64) bool {
 
 // Bisect finds a root of f on [lo, hi], where f(lo) and f(hi) must have
 // opposite signs (or one of them be zero). It returns a point where |hi
-// - lo| has shrunk below tol.
+// - lo| has shrunk below tol. A NaN from f at an endpoint or a midpoint
+// has no sign and is an error, as are a NaN endpoint and a NaN or
+// negative tol; a bracket still wider than tol after 200 halvings ends
+// the run with ErrNoConvergence.
 func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
+	if math.IsNaN(lo) || math.IsNaN(hi) || !(tol >= 0) {
+		return 0, fmt.Errorf("numeric: Bisect needs a bracket and a tolerance >= 0 (lo %v, hi %v, tol %v)", lo, hi, tol)
+	}
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	flo, fhi := f(lo), f(hi)
+	if math.IsNaN(flo) || math.IsNaN(fhi) {
+		return 0, fmt.Errorf("numeric: Bisect f is NaN at an endpoint: f(%v)=%v, f(%v)=%v", lo, flo, hi, fhi)
+	}
 	//lopc:allow floateq exact zero means the endpoint IS the root; any nonzero value keeps bisecting
 	if flo == 0 {
 		return lo, nil
@@ -50,15 +59,20 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 	for i := 0; i < 200 && hi-lo > tol; i++ {
 		mid := lo + (hi-lo)/2
 		fm := f(mid)
+		switch {
+		case math.IsNaN(fm):
+			return 0, fmt.Errorf("numeric: Bisect f is NaN at %v inside [%v, %v]", mid, lo, hi)
 		//lopc:allow floateq exact zero is a lucky exact root; the sign test below handles every other value
-		if fm == 0 {
+		case fm == 0:
 			return mid, nil
-		}
-		if flo*fm < 0 {
+		case flo*fm < 0:
 			hi = mid
-		} else {
+		default:
 			lo, flo = mid, fm
 		}
+	}
+	if hi-lo > tol {
+		return lo + (hi-lo)/2, fmt.Errorf("numeric: Bisect bracket [%v, %v] still wider than %v after 200 halvings: %w", lo, hi, tol, ErrNoConvergence)
 	}
 	return lo + (hi-lo)/2, nil
 }
@@ -114,7 +128,6 @@ func PolyRealRootsIn(c []float64, lo, hi float64) []float64 {
 	var roots []float64
 	f := func(x float64) float64 { return Poly(c, x) }
 	const tol = 1e-12
-	//lopc:allow convergeloop sweep over finitely many critical-point intervals, not a fixed-point iteration
 	for i := 0; i+1 < len(pts); i++ {
 		a, b := pts[i], pts[i+1]
 		fa, fb := f(a), f(b)

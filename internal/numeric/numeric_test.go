@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -108,6 +109,56 @@ func TestBisectEndpointRoot(t *testing.T) {
 	r, err := Bisect(func(x float64) float64 { return x }, 0, 5, 1e-12)
 	if err != nil || r != 0 {
 		t.Fatalf("root = %v err = %v, want 0, nil", r, err)
+	}
+}
+
+// TestBisectRejectsNaN: a NaN from f carries no sign, so a bracket
+// holding one is no bracket, and a NaN or negative tol is no stopping
+// rule. Each row is f(x) = x − 0.3 on [0, 1], broken in one place; a
+// bisection that read NaN as "not negative" would walk to 0.99999… and
+// return it as the root.
+func TestBisectRejectsNaN(t *testing.T) {
+	nanAt := func(at float64) func(float64) float64 {
+		return func(x float64) float64 {
+			if x == at {
+				return math.NaN()
+			}
+			return x - 0.3
+		}
+	}
+	cases := []struct {
+		name   string
+		f      func(float64) float64
+		lo, hi float64
+		tol    float64
+	}{
+		{"NaN at lo", nanAt(0), 0, 1, 1e-12},
+		{"NaN at hi", nanAt(1), 0, 1, 1e-12},
+		{"NaN at the first midpoint", nanAt(0.5), 0, 1, 1e-12},
+		{"NaN at a later midpoint", nanAt(0.25), 0, 1, 1e-12},
+		{"NaN tol", nanAt(-1), 0, 1, math.NaN()},
+		{"negative tol", nanAt(-1), 0, 1, -1e-12},
+		{"NaN endpoint", nanAt(-1), math.NaN(), 1, 1e-12},
+	}
+	for _, c := range cases {
+		if r, err := Bisect(c.f, c.lo, c.hi, c.tol); err == nil {
+			t.Errorf("%s: root %v, nil error", c.name, r)
+		}
+	}
+}
+
+// TestBisectStepCap: 200 halvings cannot shrink a bracket of width
+// 2e300 below 1e-3, so the run ends at the cap with ErrNoConvergence
+// instead of a root that does not meet tol.
+func TestBisectStepCap(t *testing.T) {
+	r, err := Bisect(func(x float64) float64 { return x - 0.3 }, -1e300, 1e300, 1e-3)
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("root %v, error %v; want ErrNoConvergence", r, err)
+	}
+	// The same function on a bracket the cap allows converges.
+	r, err = Bisect(func(x float64) float64 { return x - 0.3 }, -1e30, 1e30, 1e-3)
+	if err != nil || math.Abs(r-0.3) > 1e-3 {
+		t.Fatalf("root %v, error %v; want 0.3", r, err)
 	}
 }
 

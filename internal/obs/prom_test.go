@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/detguard"
 )
 
 // TestWritePrometheusGolden pins the full exposition byte-for-byte:
@@ -47,22 +51,23 @@ lopc_requests_total{route="/mva"} 1
 	}
 }
 
-// TestWritePrometheusDeterministic: same state, byte-identical output.
+// TestWritePrometheusDeterministic renders the exposition of a fresh
+// registry detguard.Runs times; each must be byte-identical. Every
+// family has eight series, registered out of order, and every series
+// four labels, so neither the series order of a family nor the key
+// order inside a label signature may follow map order.
 func TestWritePrometheusDeterministic(t *testing.T) {
-	r := NewRegistry()
-	for _, route := range []string{"/c", "/a", "/b"} {
-		r.Counter("lopc_x_total", "h", Labels{"route": route}).Inc()
-	}
-	var a, b strings.Builder
-	if err := r.WritePrometheus(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("two expositions of identical state differ:\n%s\nvs\n%s", a.String(), b.String())
-	}
+	detguard.Repeat(t, func(w io.Writer) error {
+		r := NewRegistry()
+		for i, route := range []string{"/h", "/c", "/a", "/f", "/b", "/g", "/d", "/e"} {
+			labels := Labels{"route": route, "method": "POST", "code": fmt.Sprint(200 + i), "zone": "z" + route[1:]}
+			r.Counter("lopc_x_total", "h", labels).Add(int64(i + 1))
+			r.Gauge("lopc_x_in_flight", "h", labels).Set(int64(i))
+			r.GaugeFunc("lopc_x_ratio", "h", labels, func() float64 { return float64(i) / 7 })
+			r.Histogram("lopc_x_us", "h", labels, []float64{1, 4, 16}).Observe(float64(i * i))
+		}
+		return r.WritePrometheus(w)
+	})
 }
 
 // TestPrometheusEscaping: HELP newlines/backslashes and label-value
