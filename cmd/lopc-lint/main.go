@@ -1,10 +1,10 @@
 // Command lopc-lint runs the repository's static-analysis suite
-// (internal/lint) over the module: clock and rng seam, float-safety,
-// error and lock invariants the compiler cannot check.
+// (internal/lint) over the module: clock and rng seam, float-safety
+// and error invariants the compiler cannot check.
 //
 // Usage:
 //
-//	lopc-lint [-format text|json|github|sarif] [-checks a,b] [-j n] [-strict-allows] [-list] [-report-allows] [patterns...]
+//	lopc-lint [-format text|json|github|sarif] [-checks a,b] [-strict-allows] [-list] [-report-allows] [patterns...]
 //
 // Patterns default to ./... (every package of the enclosing module,
 // skipping testdata). With the default text format findings print one
@@ -24,9 +24,7 @@
 // comment on the flagged line or the line above it.
 //
 // -checks restricts the run to a comma-separated subset of analyzers
-// (unknown names are a usage error). -j sets how many packages are
-// analyzed concurrently (0 means GOMAXPROCS); output is byte-identical
-// at every job count. -strict-allows reports every //lopc:allow whose
+// (unknown names are a usage error). -strict-allows reports every //lopc:allow whose
 // check ran but suppressed nothing — a dead suppression that would
 // silently swallow a future regression — and exits 1 when any exist.
 // -report-allows prints every //lopc:allow suppression in the analyzed
@@ -56,7 +54,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	format := fs.String("format", "text", "output `format`: text, json, github, or sarif")
 	checks := fs.String("checks", "", "comma-separated `subset` of checks to run (default: all)")
-	jobs := fs.Int("j", 0, "analyze `n` packages concurrently (0 = GOMAXPROCS); output is identical at any value")
 	strictAllows := fs.Bool("strict-allows", false, "report stale //lopc:allow suppressions and exit 1 when any exist")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	reportAllows := fs.Bool("report-allows", false, "print every //lopc:allow suppression with its reason and exit")
@@ -113,7 +110,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		// Staleness is judged against the full suite regardless of
 		// -checks: an allow is dead only if the check it names found
 		// nothing to suppress when actually run.
-		_, staleRecs := lint.RunParallel(l, pkgs, lint.All(), *jobs)
+		_, staleRecs := lint.RunWithStale(l, pkgs, lint.All())
 		staleSet := make(map[lint.AllowRecord]bool, len(staleRecs))
 		for _, r := range staleRecs {
 			staleSet[r] = true
@@ -133,7 +130,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	diags, stale := lint.RunParallel(l, pkgs, analyzers, *jobs)
+	diags, stale := lint.RunWithStale(l, pkgs, analyzers)
 	if err := emit(stdout, *format, l, diags); err != nil {
 		fmt.Fprintln(stderr, "lopc-lint:", err)
 		return 2

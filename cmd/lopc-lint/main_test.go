@@ -124,26 +124,6 @@ func TestGoldenSARIF(t *testing.T) {
 	}
 }
 
-// TestJobsByteIdentical pins the -j contract: output is byte-identical
-// at every job count, so CI can parallelize freely without churning
-// diffs or SARIF uploads.
-func TestJobsByteIdentical(t *testing.T) {
-	runWith := func(jobs string) string {
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-j", jobs, "./..."}, filepath.Join("testdata", "fixturemod"), &stdout, &stderr)
-		if code != 1 {
-			t.Fatalf("-j %s: exit code = %d, want 1\nstderr: %s", jobs, code, stderr.String())
-		}
-		return stdout.String()
-	}
-	serial := runWith("1")
-	for _, jobs := range []string{"2", "8"} {
-		if got := runWith(jobs); got != serial {
-			t.Errorf("-j %s output differs from -j 1\n--- j%s ---\n%s--- j1 ---\n%s", jobs, jobs, got, serial)
-		}
-	}
-}
-
 // TestStrictAllows: -strict-allows turns the fixture's deliberately
 // dead suppression into an exit-1 failure and names it on stderr, even
 // when the selected checks report no findings.
@@ -212,16 +192,16 @@ func TestOutputDeterministic(t *testing.T) {
 // so only their findings appear.
 func TestChecksSubset(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-checks", "deadlock,rngseam", "./..."}, filepath.Join("testdata", "fixturemod"), &stdout, &stderr)
+	code := run([]string{"-checks", "floateq,rngseam", "./..."}, filepath.Join("testdata", "fixturemod"), &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstderr: %s", code, stderr.String())
 	}
 	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d findings, want 4:\n%s", len(lines), stdout.String())
+	if len(lines) != 3 {
+		t.Fatalf("got %d findings, want 3:\n%s", len(lines), stdout.String())
 	}
 	for _, line := range lines {
-		if !strings.Contains(line, ":deadlock:") && !strings.Contains(line, ":rngseam:") {
+		if !strings.Contains(line, ":floateq:") && !strings.Contains(line, ":rngseam:") {
 			t.Errorf("finding from an unselected check leaked through: %s", line)
 		}
 	}

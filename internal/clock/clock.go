@@ -72,7 +72,6 @@ func (f *Fake) Advance(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.now = f.now.Add(d)
-	//lopc:allow deadlock fire's sends cannot block: every waiter channel is buffered (cap 1) and receives at most one send before being dropped
 	f.fire()
 }
 
@@ -82,7 +81,6 @@ func (f *Fake) Set(t time.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.now = t
-	//lopc:allow deadlock fire's sends cannot block: every waiter channel is buffered (cap 1) and receives at most one send before being dropped
 	f.fire()
 }
 
@@ -94,7 +92,6 @@ func (f *Fake) After(d time.Duration) <-chan time.Time {
 	defer f.mu.Unlock()
 	ch := make(chan time.Time, 1)
 	f.waiters = append(f.waiters, fakeWaiter{deadline: f.now.Add(d), ch: ch})
-	//lopc:allow deadlock fire's sends cannot block: every waiter channel is buffered (cap 1) and receives at most one send before being dropped
 	f.fire()
 	return ch
 }
@@ -109,7 +106,9 @@ func (f *Fake) Pending() int {
 }
 
 // fire delivers to every waiter whose deadline has passed. Callers
-// hold f.mu; the channels are buffered so delivery never blocks.
+// hold f.mu, so its sends must not block, and they cannot: every
+// waiter channel is buffered (cap 1) and receives at most one send
+// before being dropped.
 func (f *Fake) fire() {
 	kept := f.waiters[:0]
 	for _, w := range f.waiters {

@@ -9,9 +9,8 @@ import "testing"
 // audited //lopc:allow. Whether outputs are byte-stable is checked at
 // run time, by each package's run-twice rows (internal/detguard).
 func TestSeamBaseline(t *testing.T) {
-	// A fresh Loader, not the shared fixture loader: loading the real
-	// module packages must not enlarge the CHA type universe the fixture
-	// expectations were written against.
+	// A fresh Loader, not the shared fixture loader, so the module's
+	// packages and the fixtures never share one package table.
 	l, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)

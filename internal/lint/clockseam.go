@@ -98,3 +98,11 @@ func timerType(t types.Type) (string, bool) {
 	}
 	return "", false
 }
+
+// derefType strips one level of pointer.
+func derefType(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}

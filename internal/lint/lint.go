@@ -2,7 +2,7 @@
 // AST- and type-based analyzers enforcing the invariants the LoPC
 // reproduction's correctness rests on but no compiler checks.
 //
-// The suite machine-checks four families of invariants:
+// The suite machine-checks three families of invariants:
 //
 //   - Determinism seams. The parallel run engine (internal/runner)
 //     guarantees byte-identical output for every worker count only if
@@ -11,17 +11,19 @@
 //   - Float safety. The AMVA fixed-point solvers (Eqs. 5.1–5.10,
 //     A.1–A.10) compare iterates with tolerances, never == (floateq).
 //   - Error hygiene. No error return is silently dropped (errdiscard).
-//   - Lock discipline. Every Lock is released on every path
-//     (lockbalance) and the module acquires its locks in one global
-//     order (deadlock).
 //
 // What a test run shows better is left to tests: the facade's
 // entry-point table rejects NaN/Inf/negative parameters at run time;
 // goroutine-count assertions at every spawn site catch a goroutine
 // that outlives its call; every byte-stable output has a row that
 // renders it twenty times in one process and requires identical bytes
-// (internal/detguard), which is what catches a map-order leak; and the
-// numeric kernels' rows pin their iteration caps and NaN handling.
+// (internal/detguard), which is what catches a map-order leak; the
+// numeric kernels' rows pin their iteration caps and NaN handling; and
+// lock discipline is checked where each mutex lives: a released row
+// drives every method of the lock's owner, early returns and recovered
+// panics included, and then requires the lock to be free, and a
+// re-entry row calls back into the owner from each callback it
+// invokes and requires the call to return (internal/leakguard).
 //
 // Analyzers use only the standard library (go/ast, go/parser, go/types,
 // go/importer) so the suite builds offline. Findings can be suppressed
@@ -66,21 +68,17 @@ type Analyzer interface {
 	Name() string
 	// Doc is a one-line description.
 	Doc() string
-	// Check analyzes one package. The Loader gives access to every
-	// loaded package for interprocedural checks.
+	// Check analyzes one package; the Loader supplies the file set
+	// and module-relative paths.
 	Check(l *Loader, pkg *Package) []Diagnostic
 }
 
 // All returns the full suite in reporting order: the numerical and
-// hygiene checks first, then the lock checks (CFG/dataflow-based
-// lockbalance, interprocedural deadlock), then the clock and rng
-// seams.
+// hygiene checks first, then the clock and rng seams.
 func All() []Analyzer {
 	return []Analyzer{
 		&FloatEq{},
 		&ErrDiscard{},
-		&LockBalance{},
-		&Deadlock{},
 		&ClockSeam{},
 		&RngSeam{},
 	}
@@ -124,15 +122,32 @@ func Run(l *Loader, pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 // result lists every //lopc:allow comment whose check ran in this
 // invocation but which suppressed no finding — dead suppressions that
 // would silently swallow a future regression. Allows for checks not in
-// this run are never reported stale (a deadlock allow is not stale
-// just because only floateq ran).
+// this run are never reported stale (a floateq allow is not stale
+// just because only rngseam ran).
 func RunWithStale(l *Loader, pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, []AllowRecord) {
 	known, ran := suiteMaps(analyzers)
-	results := make([]pkgResult, len(pkgs))
-	for i, pkg := range pkgs {
-		results[i] = analyzePackage(l, pkg, analyzers, known, ran)
+	var out []Diagnostic
+	var stale []AllowRecord
+	for _, pkg := range pkgs {
+		d, s := analyzePackage(l, pkg, analyzers, known, ran)
+		out = append(out, d...)
+		stale = append(stale, s...)
 	}
-	return mergeResults(results)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
+	})
+	sortAllowRecords(stale)
+	return out, stale
 }
 
 // suiteMaps builds the known/ran check-name sets for one invocation.
@@ -153,34 +168,27 @@ func suiteMaps(analyzers []Analyzer) (known, ran map[string]bool) {
 	return known, ran
 }
 
-// pkgResult is the analysis output of one package: its surviving
-// diagnostics and its stale suppressions. Allow comments only suppress
-// findings positioned in their own package's files, so the result is
-// self-contained and packages can be analyzed in any order — the basis
-// of RunParallel's byte-identical merge.
-type pkgResult struct {
-	diags []Diagnostic
-	stale []AllowRecord
-}
-
 // analyzePackage runs the analyzers over one package, applying and
-// auditing that package's suppressions.
-func analyzePackage(l *Loader, pkg *Package, analyzers []Analyzer, known, ran map[string]bool) pkgResult {
+// auditing that package's suppressions: it returns the surviving
+// diagnostics and the package's stale allows. Allow comments only
+// suppress findings positioned in their own package's files.
+func analyzePackage(l *Loader, pkg *Package, analyzers []Analyzer, known, ran map[string]bool) ([]Diagnostic, []AllowRecord) {
 	used := map[allowKey]bool{}
 	allows := collectAllows(l.Fset, pkg)
-	res := pkgResult{diags: checkAllows(allows, known)}
+	diags := checkAllows(allows, known)
 	for _, a := range analyzers {
 		for _, d := range a.Check(l, pkg) {
 			if !allows.cover(d.Pos.Filename, d.Pos.Line, d.Check, used) {
-				res.diags = append(res.diags, d)
+				diags = append(diags, d)
 			}
 		}
 	}
+	var stale []AllowRecord
 	for file, lines := range allows {
 		for line, as := range lines {
 			for _, a := range as {
 				if ran[a.check] && !used[allowKey{file, line, a.check}] {
-					res.stale = append(res.stale, AllowRecord{
+					stale = append(stale, AllowRecord{
 						File:   l.RelPath(file),
 						Line:   line,
 						Check:  a.check,
@@ -190,43 +198,7 @@ func analyzePackage(l *Loader, pkg *Package, analyzers []Analyzer, known, ran ma
 			}
 		}
 	}
-	return res
-}
-
-// mergeResults concatenates per-package results and applies the
-// canonical total orders, so the merged output is identical however the
-// per-package work was scheduled.
-func mergeResults(results []pkgResult) ([]Diagnostic, []AllowRecord) {
-	var out []Diagnostic
-	var stale []AllowRecord
-	for _, r := range results {
-		out = append(out, r.diags...)
-		stale = append(stale, r.stale...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Check != b.Check {
-			return a.Check < b.Check
-		}
-		return a.Message < b.Message
-	})
-	sort.Slice(stale, func(i, j int) bool {
-		a, b := stale[i], stale[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Check < b.Check
-	})
-	return out, stale
+	return diags, stale
 }
 
 // allowDirective is the comment prefix of a suppression.
@@ -347,8 +319,14 @@ func AllowRecords(l *Loader, pkgs []*Package) []AllowRecord {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	sortAllowRecords(out)
+	return out
+}
+
+// sortAllowRecords orders records by file, line and check.
+func sortAllowRecords(recs []AllowRecord) {
+	sort.Slice(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
 		if a.File != b.File {
 			return a.File < b.File
 		}
@@ -357,7 +335,6 @@ func AllowRecords(l *Loader, pkgs []*Package) []AllowRecord {
 		}
 		return a.Check < b.Check
 	})
-	return out
 }
 
 // underPrefix reports whether p equals prefix or lies under it as a

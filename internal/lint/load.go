@@ -26,11 +26,6 @@ type Package struct {
 	// Types and Info carry the go/types results.
 	Types *types.Package
 	Info  *types.Info
-	// loader points back at the Loader that produced the package, so
-	// package-scoped helpers (syncCallOf's interface-receiver fallback)
-	// can reach the interprocedural call graph without every caller
-	// threading a Loader through.
-	loader *Loader
 }
 
 // Loader loads and type-checks packages of one module plus their
@@ -48,21 +43,6 @@ type Loader struct {
 	pkgs    map[string]*Package
 	loading map[string]bool
 	std     types.Importer
-	// funcs indexes every function declaration across loaded packages,
-	// for the interprocedural call graph.
-	funcs map[*types.Func]*FuncSource
-	// cg caches the interprocedural call graph; cgGen records how many
-	// packages were loaded when it was built, so loading further
-	// packages (the fixture harness loads incrementally into one
-	// Loader) invalidates the cache instead of serving stale edges.
-	cg    *CallGraph
-	cgGen int
-}
-
-// FuncSource ties a function object to its declaration.
-type FuncSource struct {
-	Pkg  *Package
-	Decl *ast.FuncDecl
 }
 
 var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
@@ -101,7 +81,6 @@ func NewLoader(dir string) (*Loader, error) {
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
 		std:        importer.ForCompiler(fset, "source", nil),
-		funcs:      map[*types.Func]*FuncSource{},
 	}, nil
 }
 
@@ -279,9 +258,8 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, loader: l}
+	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
-	l.indexFuncs(pkg)
 	return pkg, nil
 }
 
@@ -290,23 +268,8 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-func (l *Loader) indexFuncs(pkg *Package) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				l.funcs[obj] = &FuncSource{Pkg: pkg, Decl: fd}
-			}
-		}
-	}
-}
-
 // funcRef describes a resolved function reference.
 type funcRef struct {
-	obj     *types.Func
 	pkgPath string // "" for builtins / universe scope
 	name    string
 	recv    types.Type // non-nil for methods
@@ -317,7 +280,7 @@ func funcRefOf(pkg *Package, id *ast.Ident) *funcRef {
 	if !ok {
 		return nil
 	}
-	ref := &funcRef{obj: obj, name: obj.Name()}
+	ref := &funcRef{name: obj.Name()}
 	if obj.Pkg() != nil {
 		ref.pkgPath = obj.Pkg().Path()
 	}

@@ -19,32 +19,47 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 // label signature, histograms as cumulative `_bucket{le=…}` series plus
 // `_sum` and `_count`. Output for identical instrument state is
 // byte-identical, so the exposition can be golden-tested.
+//
+// The family and series tables are copied under the registry lock,
+// since a concurrent first registration writes them; the instruments
+// are read, and GaugeFunc callbacks run, after it is released, so a
+// callback may itself register or read instruments.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	type famSeries struct {
+		f      *family
+		series []*series
+	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	fams := make([]famSeries, len(names))
 	for i, name := range names {
-		fams[i] = r.families[name]
-	}
-	r.mu.Unlock()
-
-	bw := bufio.NewWriter(w)
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
+		f := r.families[name]
 		sigs := make([]string, 0, len(f.series))
 		for sig := range f.series {
 			sigs = append(sigs, sig)
 		}
 		sort.Strings(sigs)
-		for _, sig := range sigs {
-			writeSeries(bw, f, f.series[sig])
+		fs := famSeries{f: f, series: make([]*series, len(sigs))}
+		for j, sig := range sigs {
+			fs.series[j] = f.series[sig]
+		}
+		fams[i] = fs
+	}
+	r.mu.Unlock()
+
+	bw := bufio.NewWriter(w)
+	for _, fs := range fams {
+		f := fs.f
+		if f.help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+		}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
+		for _, s := range fs.series {
+			writeSeries(bw, f, s)
 		}
 	}
 	return bw.Flush()

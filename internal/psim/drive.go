@@ -137,6 +137,11 @@ func (d *driver) merge() headSum {
 // runParallel runs the conservative core, or with opt the optimistic
 // one, on w workers.
 func (k *kernel) runParallel(w int, opt bool) {
+	k.newDriver(w, opt).run()
+}
+
+// newDriver boots every LP and builds the driver of a w-worker run.
+func (k *kernel) newDriver(w int, opt bool) *driver {
 	for i := range k.lps {
 		r := &k.lps[i]
 		r.ctx.q = &r.pq
@@ -177,10 +182,15 @@ func (k *kernel) runParallel(w int, opt bool) {
 		}
 	}
 	d.bar.init(w, w <= min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
+	return d
+}
 
+// run starts workers 1 … w-1, runs worker 0 on the calling goroutine,
+// joins them, and re-raises the first recorded worker panic.
+func (d *driver) run() {
 	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for j := 1; j < w; j++ {
+	wg.Add(d.w - 1)
+	for j := 1; j < d.w; j++ {
 		go func(j int) {
 			defer wg.Done()
 			d.guard(j)
@@ -188,7 +198,7 @@ func (k *kernel) runParallel(w int, opt bool) {
 	}
 	d.guard(0)
 	wg.Wait()
-	k.parks = d.bar.parks.Load()
+	d.k.parks = d.bar.parks.Load()
 	if d.failed {
 		panic(d.failV)
 	}

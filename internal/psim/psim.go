@@ -451,6 +451,32 @@ func Run(cfg Config) (RunStats, error) {
 // run is Run with the worker count capped at maxWorkers instead of
 // GOMAXPROCS.
 func run(cfg Config, maxWorkers int) (*kernel, error) {
+	k, err := newKernel(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// With one LP or no usable lookahead the parallel windows collapse
+	// to a single safe event, so every core runs the sequential
+	// algorithm — same commits, no rounds.
+	if n := len(k.lps); cfg.Sync == SyncSeq || n == 1 || cfg.Lookahead <= 0 {
+		if cfg.Trace != nil {
+			k.rec = []Record{}
+		}
+		k.runSeq()
+	} else {
+		w := cfg.Jobs
+		if w <= 0 || w > maxWorkers {
+			w = maxWorkers
+		}
+		k.runParallel(min(w, n), cfg.Sync == SyncOpt)
+	}
+
+	k.finish()
+	return k, nil
+}
+
+// newKernel validates cfg and builds the kernel's per-LP state.
+func newKernel(cfg Config) (*kernel, error) {
 	n := len(cfg.LPs)
 	switch {
 	case n == 0:
@@ -487,24 +513,6 @@ func run(cfg Config, maxWorkers int) (*kernel, error) {
 			rand:      *rng.New(rng.SeedAt(cfg.Seed, uint64(i))),
 		}
 	}
-
-	// With one LP or no usable lookahead the parallel windows collapse
-	// to a single safe event, so every core runs the sequential
-	// algorithm — same commits, no rounds.
-	if cfg.Sync == SyncSeq || n == 1 || cfg.Lookahead <= 0 {
-		if cfg.Trace != nil {
-			k.rec = []Record{}
-		}
-		k.runSeq()
-	} else {
-		w := cfg.Jobs
-		if w <= 0 || w > maxWorkers {
-			w = maxWorkers
-		}
-		k.runParallel(min(w, n), cfg.Sync == SyncOpt)
-	}
-
-	k.finish()
 	return k, nil
 }
 
