@@ -80,7 +80,12 @@ type Config struct {
 	// counters, and per-parameter gauges.
 	Registry *obs.Registry
 	// Observer, when non-nil, sees every model solve the window refits
-	// make (the serve layer passes its ConvRecorder).
+	// make (the serve layer passes its ConvRecorder). A refit runs
+	// inside the Observe call that closes its window, under the
+	// Estimator's lock, so the Observer must not call back into the
+	// Estimator: a BeginSolve or completion func that calls Params,
+	// Snapshot or an Observe method deadlocks. The ConvRecorder only
+	// calls down into its registry.
 	Observer obs.SolveObserver
 }
 

@@ -65,8 +65,9 @@ func (a *admission) retryAfter() int {
 // rejection a *shedError carrying the HTTP status. The queue-depth
 // gauge tracks waiters; shed counters classify every rejection. Every
 // admitted request records its queue wait — zero on the fast path —
-// into the queue-wait histogram and the request's timing carrier.
-func (a *admission) acquire(ctx context.Context) (release func(), err error) {
+// into the queue-wait histogram and, unless t is nil, the request's
+// timing carrier t.
+func (a *admission) acquire(ctx context.Context, t *reqTiming) (release func(), err error) {
 	start := a.clk.Now()
 	grant := func() func() {
 		// Fractional microseconds: a sub-µs wait must not round to zero,
@@ -77,7 +78,7 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 			us = 0
 		}
 		a.met.queueWait.Observe(us)
-		if t := timingFrom(ctx); t != nil {
+		if t != nil {
 			t.waitUS += us
 		}
 		return func() { <-a.sem }

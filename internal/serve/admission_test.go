@@ -30,14 +30,14 @@ func waitForCond(t *testing.T, cond func() bool) {
 // capacity, the next request is shed immediately with 503.
 func TestAdmissionShedQueueFull(t *testing.T) {
 	a, _, met := newTestAdmission(1, 1, time.Minute)
-	release, err := a.acquire(context.Background())
+	release, err := a.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
 
 	queued := make(chan error, 1)
 	go func() {
-		rel, err := a.acquire(context.Background())
+		rel, err := a.acquire(context.Background(), nil)
 		if rel != nil {
 			defer rel()
 		}
@@ -45,7 +45,7 @@ func TestAdmissionShedQueueFull(t *testing.T) {
 	}()
 	waitForCond(t, func() bool { return met.queueDepth.Value() == 1 })
 
-	_, err = a.acquire(context.Background())
+	_, err = a.acquire(context.Background(), nil)
 	shed, ok := err.(*shedError)
 	if !ok {
 		t.Fatalf("overflow acquire: %v, want *shedError", err)
@@ -73,7 +73,7 @@ func TestAdmissionShedQueueFull(t *testing.T) {
 // the fake clock passes the queue-wait cap — no real time elapses.
 func TestAdmissionShedQueueWait(t *testing.T) {
 	a, fake, met := newTestAdmission(1, 4, 30*time.Second)
-	release, err := a.acquire(context.Background())
+	release, err := a.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAdmissionShedQueueWait(t *testing.T) {
 
 	queued := make(chan error, 1)
 	go func() {
-		_, err := a.acquire(context.Background())
+		_, err := a.acquire(context.Background(), nil)
 		queued <- err
 	}()
 	waitForCond(t, func() bool { return met.queueDepth.Value() == 1 })
@@ -107,7 +107,7 @@ func TestAdmissionShedQueueWait(t *testing.T) {
 // is shed with 429 and counted separately from queue-wait sheds.
 func TestAdmissionShedDeadline(t *testing.T) {
 	a, _, met := newTestAdmission(1, 4, time.Hour)
-	release, err := a.acquire(context.Background())
+	release, err := a.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAdmissionShedDeadline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := make(chan error, 1)
 	go func() {
-		_, err := a.acquire(ctx)
+		_, err := a.acquire(ctx, nil)
 		queued <- err
 	}()
 	waitForCond(t, func() bool { return met.queueDepth.Value() == 1 })
@@ -137,7 +137,7 @@ func TestShedUnderLoadHTTP(t *testing.T) {
 	s, ts, fake := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 1, QueueWait: time.Minute, RequestTimeout: time.Hour,
 	})
-	release, err := s.adm.acquire(context.Background())
+	release, err := s.adm.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

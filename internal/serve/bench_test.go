@@ -223,14 +223,15 @@ func (c *cachedHit) serve() int {
 }
 
 // Allocation ceilings of one cached request, server side only, as
-// measured after the decoder, key and deadline rework (BENCH_serve.json
-// "stages"). They are "at most" bounds: sync.Pool may drop a buffer at
-// a collection, which costs an extra allocation now and then. The
-// scalar routes share the alltoall ceiling.
+// measured after route-table dispatch, the argument-passed timing
+// carrier and pooled request values (BENCH_serve.json "results"): the
+// instrument wrapper's status-and-timing record and its MaxBytesReader,
+// plus, on /v1/fit, the observations its params convert. They are "at
+// most" bounds: sync.Pool may drop a buffer or a request value at a
+// collection, which costs an extra allocation now and then.
 const (
-	maxAllocsCachedAllToAll = 5
-	maxAllocsCachedGeneral  = 16
-	maxAllocsCachedFit      = 7
+	maxAllocsCachedScalar = 2 // the six scalar routes, /v1/general too
+	maxAllocsCachedFit    = 3
 )
 
 // TestCachedHitAllocs guards the allocation count of a cached hit on
@@ -260,12 +261,15 @@ func TestCachedHitAllocs(t *testing.T) {
 }
 
 // BenchmarkServeStages is the per-stage cost ledger of a cached request:
-// decode, key, cache lookup, write and the instrument wrapper, each on
-// its own, then the whole server-side request, for the cached
-// /v1/alltoall and /v1/general paths. The miss rows add the two stages
-// only a cache miss runs, for /v1/alltoall and /v1/fit: the solve
-// (observed by the server's registry-backed recorder) and the marshal
-// of its response.
+// dispatch, decode, key, cache lookup, write and the instrument wrapper,
+// each on its own, then the whole server-side request, for the cached
+// /v1/alltoall and /v1/general paths. dispatch is the route table's
+// lookup of the path, and dispatch-mux the ServeMux search it spares a
+// request, each in front of a handler that does nothing. decode reads
+// the body into a pooled request value, as the route does. The miss
+// rows add the two stages only a cache miss runs, for /v1/alltoall and
+// /v1/fit: the solve (observed by the server's registry-backed
+// recorder) and the marshal of its response.
 func BenchmarkServeStages(b *testing.B) {
 	for _, c := range []struct{ name, path, body string }{
 		{"alltoall-miss", "/v1/alltoall", validAllToAll},
@@ -305,10 +309,9 @@ func BenchmarkServeStages(b *testing.B) {
 		hit := newCachedHit(b, c.path, c.body)
 		rt := routeAt(c.path)
 		body := &replayBody{}
-		// decode reads the body into a fresh request, as a handler does.
 		decode := func() {
 			body.Reset(hit.data)
-			if _, err := rt.decodeFresh(body); err != nil {
+			if err := rt.decodePooled(body); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -322,12 +325,21 @@ func BenchmarkServeStages(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		noop := hit.s.instrument("/v1/stage-noop", func(http.ResponseWriter, *http.Request) {})
+		noop := hit.s.instrument("/v1/stage-noop", func(http.ResponseWriter, *http.Request, *reqTiming) {})
+		nothing := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
+		table := &router{table: map[string]http.Handler{}, mux: http.NewServeMux()}
+		mux := http.NewServeMux()
+		for _, e := range solveRoutes {
+			table.table[e.info().path] = nothing
+			mux.Handle(e.info().path, nothing)
+		}
 
 		stages := []struct {
 			name string
 			run  func()
 		}{
+			{"dispatch", func() { table.ServeHTTP(hit.w, hit.req) }},
+			{"dispatch-mux", func() { mux.ServeHTTP(hit.w, hit.req) }},
 			{"decode", decode},
 			{"key", func() { rt.keyOf(kw, p) }},
 			{"lookup", func() {

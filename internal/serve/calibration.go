@@ -19,7 +19,7 @@ import (
 // handleCalibration serves the estimator's full state: the blended
 // (W, St, So, C²) fit, window statistics, CUSUM drift state, and
 // per-stream sample counts.
-func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request, _ *reqTiming) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		_ = writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})
@@ -73,7 +73,7 @@ type whatifResponse struct {
 	LatencyRatio float64 `json:"latency_ratio"`
 }
 
-func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request, _ *reqTiming) {
 	var req whatifRequest
 	if !decodeRequest(w, r, whatifPlan, &req) {
 		return

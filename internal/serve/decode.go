@@ -108,9 +108,152 @@ func (d *decoder) decode(o *op, p unsafe.Pointer) error {
 	return nil
 }
 
-// decode reads the body loaded into d into *dst.
+// decode reads the body loaded into d into *dst, which is fresh or
+// reset.
 func (pl *requestPlan[T]) decode(d *decoder, dst *T) error {
-	return d.decode(&pl.op, unsafe.Pointer(dst))
+	err := d.decode(&pl.op, unsafe.Pointer(dst))
+	pl.clr.trim(unsafe.Pointer(dst))
+	return err
+}
+
+// A request value is reused across requests (requestPlan.get and put).
+// Between uses reset zeroes it but keeps its slices' capacity, and
+// zeroes every element up to that capacity too, since readSlice decodes
+// into the elements past a slice's length as they stand: a null
+// element or a repeated key would otherwise read a value from an
+// earlier request. After a decode, trim sets back to nil each slice the
+// body never set; reading leaves a slice nil, empty with no capacity, or
+// non-empty, so a slice of length 0 with spare capacity is one that
+// reset left. A reset value thus decodes every body to what a fresh one
+// does (FuzzDecodeReusedMatchesFresh holds them to that).
+
+// clearPlan is where reset and trim find the parts of a request type,
+// nested structs flattened: the byte spans of its ints, floats and
+// bools, merged where only padding parts them; its strings; and its
+// slices.
+type clearPlan struct {
+	spans []span
+	strs  []uintptr // offsets of strings
+	slots []slot
+}
+
+// span is n bytes at offset off that hold no pointers.
+type span struct{ off, n uintptr }
+
+// slot is a slice at offset off whose plan is op.
+type slot struct {
+	off uintptr
+	op  *op
+}
+
+// newClearPlan lays out the values whose plan is o.
+func newClearPlan(o *op) *clearPlan {
+	c := &clearPlan{}
+	c.add(o, 0, false)
+	return c
+}
+
+// add files the value at offset off, whose plan is o, and reports
+// whether it ends in a span; after one, the next scalar extends it.
+func (c *clearPlan) add(o *op, off uintptr, inSpan bool) bool {
+	var size uintptr
+	switch o.kind {
+	case opInt:
+		size = unsafe.Sizeof(int(0))
+	case opFloat:
+		size = unsafe.Sizeof(float64(0))
+	case opBool:
+		size = unsafe.Sizeof(false)
+	case opString:
+		c.strs = append(c.strs, off)
+		return false
+	case opStruct:
+		for i := range o.fields {
+			inSpan = c.add(&o.fields[i].op, off+o.fields[i].off, inSpan)
+		}
+		return inSpan
+	default:
+		c.slots = append(c.slots, slot{off, o})
+		return false
+	}
+	if last := len(c.spans) - 1; inSpan {
+		c.spans[last].n = off + size - c.spans[last].off
+	} else {
+		c.spans = append(c.spans, span{off, size})
+	}
+	return true
+}
+
+// reset zeroes the value at p, keeping its slices' capacity, and
+// returns the bytes those slices hold.
+func (c *clearPlan) reset(p unsafe.Pointer) (n uintptr) {
+	for _, s := range c.spans {
+		clear(unsafe.Slice((*byte)(unsafe.Add(p, s.off)), s.n))
+	}
+	for _, off := range c.strs {
+		*(*string)(unsafe.Add(p, off)) = ""
+	}
+	for _, s := range c.slots {
+		n += s.op.resetSlice(unsafe.Add(p, s.off))
+	}
+	return n
+}
+
+// resetSlice cuts the slice at p, whose plan is o, to length 0 with
+// every element up to its capacity zeroed, and returns the bytes it
+// holds. Float rows keep their own capacity; other elements are zeroed
+// whole, so slices inside them go back to nil.
+func (o *op) resetSlice(p unsafe.Pointer) (n uintptr) {
+	switch o.kind {
+	case opFloats:
+		return resetFloats((*[]float64)(p))
+	case opFloatRows:
+		s := (*[][]float64)(p)
+		rows := (*s)[:cap(*s)]
+		for i := range rows {
+			n += resetFloats(&rows[i])
+		}
+		*s = rows[:0]
+		return n + uintptr(len(rows))*unsafe.Sizeof(rows[0])
+	}
+	v := reflect.NewAt(o.slice, p).Elem()
+	v.SetLen(v.Cap())
+	v.Clear()
+	v.SetLen(0)
+	return uintptr(v.Cap()) * o.slice.Elem().Size()
+}
+
+func resetFloats(s *[]float64) uintptr {
+	v := (*s)[:cap(*s)]
+	clear(v)
+	*s = v[:0]
+	return uintptr(len(v)) * 8
+}
+
+// trim sets every slice in the value at p that has length 0 and spare
+// capacity back to nil. Each element within a slice's length was read,
+// so a slice inside one is nil, empty without capacity or non-empty:
+// only the slots themselves need a look.
+func (c *clearPlan) trim(p unsafe.Pointer) {
+	for _, s := range c.slots {
+		q := unsafe.Add(p, s.off)
+		switch s.op.kind {
+		case opFloats:
+			trimSlice((*[]float64)(q))
+		case opFloatRows:
+			trimSlice((*[][]float64)(q))
+		default:
+			if v := reflect.NewAt(s.op.slice, q).Elem(); v.Len() == 0 && v.Cap() > 0 {
+				v.SetZero()
+			}
+		}
+	}
+}
+
+func trimSlice[T any](s *[]T) {
+	if len(*s) == 0 && cap(*s) > 0 {
+		*s = nil
+	}
 }
 
 func (d *decoder) ok() bool { return d.syntax == nil }

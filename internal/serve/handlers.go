@@ -397,7 +397,7 @@ type sweepResponse struct {
 	Results []json.RawMessage `json:"results"`
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, t *reqTiming) {
 	var req sweepRequest
 	if !decodeRequest(w, r, sweepPlan, &req) {
 		return
@@ -430,17 +430,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The request deadline bounds the admission wait and the fan-out.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	release, err := s.adm.acquire(ctx)
+	release, err := s.adm.acquire(ctx, t)
 	if err != nil {
 		writeSolveError(w, err)
 		return
 	}
 	defer release()
 	// The whole fan-out occupies one slot, so it is one service visit.
-	defer s.beginService(ctx)()
+	defer s.beginService(t)()
 
 	results, err := runner.MapCtx(ctx, len(params), runner.Options{Jobs: jobs}, func(i int) (json.RawMessage, error) {
-		data, o, err := allToAll.cached(s, ctx, params[i], false)
+		data, o, err := allToAll.cached(s, ctx, nil, params[i], false)
 		if err != nil {
 			return nil, err
 		}

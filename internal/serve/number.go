@@ -48,7 +48,9 @@ const maxMantDigits = 19
 // fold adds the digits b[i:] up to the first non-digit to n's mantissa
 // and returns the index of that non-digit. A zero before the first
 // significant digit is not kept; lead counts those zeros, since each
-// moves the decimal point instead.
+// moves the decimal point instead. Eight digits at a time go in one
+// step while the mantissa has room for them all; single digits fill the
+// rest.
 func (n *num) fold(b []byte, i int) (end, lead int) {
 	if n.kept == 0 {
 		for ; i < len(b) && b[i] == '0'; i++ {
@@ -56,6 +58,13 @@ func (n *num) fold(b []byte, i int) (end, lead int) {
 		}
 	}
 	man, kept := n.man, n.kept
+	for ; kept+8 <= maxMantDigits && i+8 <= len(b); i, kept = i+8, kept+8 {
+		v := binary.LittleEndian.Uint64(b[i:])
+		if !eightDigits(v) {
+			break
+		}
+		man = man*1e8 + eightDigitsValue(v)
+	}
 	for ; i < len(b) && kept < maxMantDigits; i++ {
 		c := b[i] - '0'
 		if c > 9 {
@@ -71,6 +80,27 @@ func (n *num) fold(b []byte, i int) (end, lead int) {
 		}
 	}
 	return i, lead
+}
+
+// eightDigits reports whether each of the eight bytes v holds is an
+// ASCII digit: a byte is one exactly when its high nibble is 3 and
+// adding 6 leaves that nibble 3 (0x3A–0x3F carry to 4). A carry out of
+// a byte corrupts the next byte's sum, but only a byte that fails
+// itself can carry.
+func eightDigits(v uint64) bool {
+	const hi = 0xF0F0F0F0F0F0F0F0
+	return v&hi|(v+0x0606060606060606)&hi>>4 == 0x3333333333333333
+}
+
+// eightDigitsValue returns the number the eight ASCII digits in v spell,
+// the first digit in the lowest byte, as a little-endian load of them
+// leaves it: neighbouring digits merge into pairs, the pairs into
+// fours, the fours into the whole.
+func eightDigitsValue(v uint64) uint64 {
+	v -= 0x3030303030303030
+	v = v*10 + v>>8 // byte 2k holds digit pair k
+	const pairs = 0x000000FF000000FF
+	return (v&pairs*(100+1000000<<32) + v>>16&pairs*(1+10000<<32)) >> 32
 }
 
 // float returns the float64 nearest n's value, exactly as

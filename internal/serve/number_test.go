@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"math"
 	"strconv"
 	"strings"
@@ -58,6 +59,22 @@ func FuzzParseNumber(f *testing.F) {
 		"1.00000000000000011102230246251565404236316680908203125",
 		"1.000000000000000111022302462515654042363166809082031250000001",
 		"1e23", "8.988465674311579e307", "0.000000000000000000000000000001",
+		// fold's eight-digit steps: runs of 7, 8, 9, 16, 17, 19 and 20
+		// digits, in the integer part and in the fraction.
+		"1234567", "12345678", "123456789", "1234567890123456", "12345678901234567",
+		"1234567890123456789", "12345678901234567890", "99999999", "9999999999999999999",
+		"0.1234567", "0.12345678", "0.123456789", "0.1234567890123456",
+		"0.12345678901234567", "0.1234567890123456789", "0.12345678901234567890",
+		// '/' and ':', the bytes next to '0' and '9', end a block.
+		"1234/678", "1234:678", "1234567/", "1234567:", "/2345678", ":2345678",
+		// Leading zeros before a block, in the integer part (where JSON
+		// allows one) and in the fraction.
+		"0.00000000123456789", "0.0000000012345678", "-0.000012345678901234567",
+		"00000000", "000000001",
+		// Blocks that straddle '.' or 'e'.
+		"1234.5678", "1234567.8", "12345678.12345678", "1234567.12345678901",
+		"1234567e8", "12345678e9", "1234567E-8", "0.1234567e12", "1.2345678e-3",
+		"12345678901.2345678", "123456789012.345678e-5",
 	} {
 		f.Add(s)
 	}
@@ -114,6 +131,42 @@ func TestParseNumberMatchesStrconv(t *testing.T) {
 			}
 		}
 		checkNumber(t, s)
+	}
+}
+
+// TestEightDigits holds fold's eight-digit step to the byte-at-a-time
+// reading it replaces: every byte value at every place of a block of
+// digits, and every block of one digit repeated.
+func TestEightDigits(t *testing.T) {
+	check := func(b []byte) {
+		v := binary.LittleEndian.Uint64(b)
+		want := true
+		for _, c := range b {
+			want = want && isDigit(c)
+		}
+		if got := eightDigits(v); got != want {
+			t.Fatalf("%q: eightDigits %v, want %v", b, got, want)
+		}
+		if !want {
+			return
+		}
+		n, err := strconv.ParseUint(string(b), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eightDigitsValue(v); got != n {
+			t.Fatalf("%q: eightDigitsValue %d, want %d", b, got, n)
+		}
+	}
+	for at := 0; at < 8; at++ {
+		for c := 0; c < 256; c++ {
+			b := []byte("31415926")
+			b[at] = byte(c)
+			check(b)
+		}
+	}
+	for c := byte('0'); c <= '9'; c++ {
+		check([]byte(strings.Repeat(string(c), 8)))
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
+	"unsafe"
 )
 
 // route is one cached solve endpoint. Q is its wire request and P the
@@ -38,7 +40,7 @@ func (ri *routeInfo) info() *routeInfo { return ri }
 // it.
 type endpoint interface {
 	info() *routeInfo
-	serve(s *Server, w http.ResponseWriter, r *http.Request)
+	serve(s *Server, w http.ResponseWriter, r *http.Request, t *reqTiming)
 }
 
 // newRoute compiles the route's request and key plans; it panics unless
@@ -75,17 +77,22 @@ func routeTable(routes ...endpoint) []endpoint {
 	return routes
 }
 
-func (rt *route[Q, P]) serve(s *Server, w http.ResponseWriter, r *http.Request) {
-	var q Q
-	if !decodeRequest(w, r, rt.req, &q) {
+// serve answers one request. The request value comes from the route's
+// pool and goes back to it once the cache has answered: p may alias
+// its slices, and the solve that reads them runs on this goroutine,
+// inside cached (collapsed waiters only read the leader's bytes).
+func (rt *route[Q, P]) serve(s *Server, w http.ResponseWriter, r *http.Request, t *reqTiming) {
+	q := rt.req.get()
+	defer rt.req.put(q)
+	if !decodeRequest(w, r, rt.req, q) {
 		return
 	}
-	p, err := rt.params(&q)
+	p, err := rt.params(q)
 	if err != nil {
 		badRequest(w, err)
 		return
 	}
-	data, o, err := rt.cached(s, r.Context(), p, rt.admit)
+	data, o, err := rt.cached(s, r.Context(), t, p, rt.admit)
 	if err != nil {
 		writeSolveError(w, err)
 		return
@@ -96,15 +103,16 @@ func (rt *route[Q, P]) serve(s *Server, w http.ResponseWriter, r *http.Request) 
 // cached answers p from the solve cache, solving on a miss, under
 // admission control when admit is set: the route's own requests pass
 // rt.admit, and sweep points, whose request already holds a slot for
-// the whole fan-out, pass false.
-func (rt *route[Q, P]) cached(s *Server, ctx context.Context, p P, admit bool) ([]byte, outcome, error) {
+// the whole fan-out, pass false. An admitted solve records its wait
+// and service into t.
+func (rt *route[Q, P]) cached(s *Server, ctx context.Context, t *reqTiming, p P, admit bool) ([]byte, outcome, error) {
 	k := newKeyWriter()
 	defer k.free()
 	return s.cache.get(rt.keys.key(k, rt.tag, &p), func() ([]byte, error) {
 		if !admit {
 			return rt.render(s, p)
 		}
-		return s.admit(ctx, func() ([]byte, error) { return rt.render(s, p) })
+		return s.admit(ctx, t, func() ([]byte, error) { return rt.render(s, p) })
 	})
 }
 
@@ -123,19 +131,20 @@ func (rt *route[Q, P]) render(s *Server, p P) ([]byte, error) {
 }
 
 // admit runs solve under admission control: it claims a solver slot
-// for the duration of the solve, and records the occupancy as the
-// request's service time. The request deadline is armed here, where a
-// request first can block on its context, so it bounds admission wait
-// plus solve, and cache hits never start a timer.
-func (s *Server) admit(ctx context.Context, solve func() ([]byte, error)) ([]byte, error) {
+// for the duration of the solve, and records the wait and the
+// occupancy, as the request's service time, into t. The request
+// deadline is armed here, where a request first can block on its
+// context, so it bounds admission wait plus solve, and cache hits never
+// start a timer.
+func (s *Server) admit(ctx context.Context, t *reqTiming, solve func() ([]byte, error)) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
-	release, err := s.adm.acquire(ctx)
+	release, err := s.adm.acquire(ctx, t)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	defer s.beginService(ctx)()
+	defer s.beginService(t)()
 	return solve()
 }
 
@@ -178,8 +187,13 @@ type field struct {
 	op   op
 }
 
-// requestPlan is the compiled reader of request struct type T.
-type requestPlan[T any] struct{ op op }
+// requestPlan is the compiled reader of request struct type T, with a
+// pool of T values to read requests into.
+type requestPlan[T any] struct {
+	op   op
+	clr  *clearPlan
+	pool sync.Pool
+}
 
 // keyPlan is the compiled key writer of params type T.
 type keyPlan[T any] struct{ op op }
@@ -189,7 +203,26 @@ type keyPlan[T any] struct{ op op }
 // is not int, float64, bool, string, a slice of a readable type or a
 // request struct.
 func newRequestPlan[T any]() *requestPlan[T] {
-	return &requestPlan[T]{compile(reflect.TypeFor[T](), true)}
+	pl := &requestPlan[T]{op: compile(reflect.TypeFor[T](), true)}
+	pl.clr = newClearPlan(&pl.op)
+	return pl
+}
+
+// get returns a value to decode a request into: a reset one from the
+// pool, or a fresh one. Either decodes every body to the same value.
+func (pl *requestPlan[T]) get() *T {
+	if q, ok := pl.pool.Get().(*T); ok {
+		return q
+	}
+	return new(T)
+}
+
+// put resets q and returns it to the pool, unless its slices have grown
+// past maxPooledBuf bytes.
+func (pl *requestPlan[T]) put(q *T) {
+	if pl.clr.reset(unsafe.Pointer(q)) <= maxPooledBuf {
+		pl.pool.Put(q)
+	}
 }
 
 // newKeyPlan compiles T's key plan. It panics unless the key writer

@@ -2,10 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // routeSamples holds, for every route in solveRoutes, a valid request
@@ -15,13 +22,13 @@ var routeSamples = map[string]struct {
 	body      string
 	maxAllocs float64
 }{
-	"/v1/alltoall": {validAllToAll, maxAllocsCachedAllToAll},
-	"/v1/workpile": {`{"p":32,"ps":8,"w":1500,"st":40,"so":131,"c2":0.5}`, maxAllocsCachedAllToAll},
-	"/v1/general":  {benchGeneralBody, maxAllocsCachedGeneral},
-	"/v1/bounds":   {`{"p":32,"ps":8,"w":1500,"st":40,"so":131,"c2":0.5}`, maxAllocsCachedAllToAll},
+	"/v1/alltoall": {validAllToAll, maxAllocsCachedScalar},
+	"/v1/workpile": {`{"p":32,"ps":8,"w":1500,"st":40,"so":131,"c2":0.5}`, maxAllocsCachedScalar},
+	"/v1/general":  {benchGeneralBody, maxAllocsCachedScalar},
+	"/v1/bounds":   {`{"p":32,"ps":8,"w":1500,"st":40,"so":131,"c2":0.5}`, maxAllocsCachedScalar},
 	"/v1/fit":      {benchFitBody, maxAllocsCachedFit},
-	"/v1/lock":     {`{"threads":8,"w":800,"st":20,"so":100,"c2":1}`, maxAllocsCachedAllToAll},
-	"/v1/lockfree": {`{"threads":8,"w":400,"st":5,"so":60,"c2":1}`, maxAllocsCachedAllToAll},
+	"/v1/lock":     {`{"threads":8,"w":800,"st":20,"so":100,"c2":1}`, maxAllocsCachedScalar},
+	"/v1/lockfree": {`{"threads":8,"w":400,"st":5,"so":60,"c2":1}`, maxAllocsCachedScalar},
 }
 
 // testRoute is a table route with the test-only methods below, which
@@ -29,6 +36,7 @@ var routeSamples = map[string]struct {
 type testRoute interface {
 	endpoint
 	decodeFresh(r io.Reader) (any, error)
+	decodePooled(r io.Reader) error
 	parse(body []byte) (any, error)
 	keyOf(k *keyWriter, p any) []byte
 	solveParsed(s *Server, p any) (any, error)
@@ -37,16 +45,29 @@ type testRoute interface {
 
 func (rt *route[Q, P]) paramsType() reflect.Type { return reflect.TypeFor[P]() }
 
+// decodePooled reads r into a request from the route's pool, as serve
+// does, and returns it to the pool.
+func (rt *route[Q, P]) decodePooled(r io.Reader) error {
+	q := rt.req.get()
+	defer rt.req.put(q)
+	return rt.decodeInto(r, q)
+}
+
 // decodeFresh reads r into a fresh request as decodeRequest does and
 // returns a pointer to it.
 func (rt *route[Q, P]) decodeFresh(r io.Reader) (any, error) {
 	q := new(Q)
+	return q, rt.decodeInto(r, q)
+}
+
+// decodeInto reads r into q as decodeRequest does.
+func (rt *route[Q, P]) decodeInto(r io.Reader, q *Q) error {
 	d := decoderPool.Get().(*decoder)
 	defer d.free()
 	if err := d.load(r); err != nil {
-		return nil, err
+		return err
 	}
-	return q, rt.req.decode(d, q)
+	return rt.req.decode(d, q)
 }
 
 // keyOf renders into k the key of the params p points to, which must be
@@ -156,5 +177,91 @@ func TestPlansRejectUnhandledTypes(t *testing.T) {
 			}()
 			compile()
 		}()
+	}
+}
+
+// TestPooledGeneralConcurrent sends /v1/general bodies at P = 2, 8 and
+// 16 — valid ones with one So and with one per processor, and invalid
+// ones — from 8 goroutines to one server whose small cache keeps both
+// hits and misses coming, so pooled request values pass between sizes
+// and between goroutines. Every answer must equal a fresh server's and
+// what the route's own steps give on a value encoding/json decodes,
+// which no pool touches (the pools are per route, shared by servers).
+func TestPooledGeneralConcurrent(t *testing.T) {
+	var bodies []string
+	for _, n := range []int{2, 8, 16} {
+		for i := 0; i < 3; i++ {
+			q := generalRequest{P: n, V: core.HomogeneousVisits(n), St: 40 + float64(i), So: []float64{150 + float64(n)}, C2: 0.5}
+			for j := 0; j < n; j++ {
+				q.W = append(q.W, 500+97*float64(j+i))
+			}
+			if i == 2 {
+				q.So = nil
+				for j := 0; j < n; j++ {
+					q.So = append(q.So, 120+float64(j))
+				}
+			}
+			data, err := json.Marshal(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, string(data))
+		}
+		bodies = append(bodies, fmt.Sprintf(`{"p":%d,"w":[1000],"v":[[0]],"so":[200]}`, n))
+	}
+	bodies = append(bodies, `{"p":2,"w":[1,2],"w":[null],"v":[[0,1],[1,0]],"so":[5]}`, `{"p":2,"v":null}`)
+
+	serve := func(h http.Handler, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/general", strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	type answer struct {
+		code int
+		body string
+	}
+	want := make([]answer, len(bodies))
+	for i, body := range bodies {
+		var q generalRequest
+		if err := json.Unmarshal([]byte(body), &q); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		if p, err := q.params(); err != nil {
+			badRequest(rec, err)
+		} else if out, err := solveGeneral(New(Config{}), p); err != nil {
+			writeSolveError(rec, err)
+		} else {
+			_ = writeJSON(rec, http.StatusOK, out)
+		}
+		want[i] = answer{rec.Code, rec.Body.String()}
+		if code, got := serve(New(Config{}).Handler(), body); code != want[i].code || got != want[i].body {
+			t.Fatalf("body %d %s: fresh server %d %q, want %d %q", i, body, code, got, want[i].code, want[i].body)
+		}
+	}
+
+	h := New(Config{Workers: 2, QueueDepth: 64, CacheSize: 4}).Handler()
+	const clients, rounds = 8, 6
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range bodies {
+					i := (k*(c+1) + r) % len(bodies)
+					if code, body := serve(h, bodies[i]); code != want[i].code || body != want[i].body {
+						errs <- fmt.Errorf("body %d %s: status %d %q, fresh server %d %q", i, bodies[i], code, body, want[i].code, want[i].body)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -35,7 +35,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	httppprof "net/http/pprof"
 	"strings"
@@ -161,7 +160,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	clk      clock.Waiter
-	mux      *http.ServeMux
+	router   router
 	cache    *solveCache
 	adm      *admission
 	met      *metrics
@@ -179,9 +178,12 @@ func New(cfg Config) *Server {
 	reg := obs.NewRegistry()
 	met := newMetrics(cfg.Clock.Now(), reg)
 	s := &Server{
-		cfg:   cfg,
-		clk:   cfg.Clock,
-		mux:   http.NewServeMux(),
+		cfg: cfg,
+		clk: cfg.Clock,
+		router: router{
+			table: make(map[string]http.Handler),
+			mux:   http.NewServeMux(),
+		},
 		cache: newSolveCache(cfg.CacheSize),
 		adm:   newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait, cfg.SolveEstimate, cfg.Clock, met),
 		met:   met,
@@ -260,59 +262,88 @@ func (s *Server) logSizing() {
 }
 
 // Handler returns the server's root handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return &s.router }
+
+// router dispatches a request whose path is exactly an API route's
+// straight to that route's handler, and everything else — /healthz,
+// /metrics, pprof, unclean paths the mux redirects, unknown paths and
+// CONNECT — to the mux. No pattern names a method or a host, so for a
+// clean API path the mux would pick the very handler the table holds:
+// the table only skips the mux's search.
+type router struct {
+	table map[string]http.Handler // the API routes, by path
+	mux   *http.ServeMux          // every handler, the API routes too
+}
+
+func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// The mux matches a path written with escapes (one with a RawPath)
+	// on its escaped form, and does not clean a CONNECT's path: leave
+	// both to it.
+	if r.URL.RawPath == "" && r.Method != http.MethodConnect {
+		if h, ok := rt.table[r.URL.Path]; ok {
+			h.ServeHTTP(w, r)
+			return
+		}
+	}
+	rt.mux.ServeHTTP(w, r)
+}
 
 // routes mounts every endpoint.
 func (s *Server) routes() {
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	mux := s.router.mux
+	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc("/readyz", s.handleReadyz)
+	mux.HandleFunc("/metrics", s.handleMetrics)
 	for _, e := range solveRoutes {
-		path := e.info().path
-		s.mux.Handle(path, s.instrument(path, func(w http.ResponseWriter, r *http.Request) { e.serve(s, w, r) }))
+		s.api(e.info().path, func(w http.ResponseWriter, r *http.Request, t *reqTiming) { e.serve(s, w, r, t) })
 	}
-	s.mux.Handle("/v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
+	s.api("/v1/sweep", s.handleSweep)
 	if s.calib != nil {
-		s.mux.Handle("/v1/calibration", s.instrument("/v1/calibration", s.handleCalibration))
-		s.mux.Handle("/v1/whatif", s.instrument("/v1/whatif", s.handleWhatif))
+		s.api("/v1/calibration", s.handleCalibration)
+		s.api("/v1/whatif", s.handleWhatif)
 	}
 	if s.cfg.Pprof {
 		// The pprof handlers self-register on http.DefaultServeMux at
 		// import; mount them explicitly so they exist only when asked
 		// for and only on this server's mux.
-		s.mux.HandleFunc("/debug/pprof/", httppprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+		mux.HandleFunc("/debug/pprof/", httppprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
 }
 
-// reqTiming carries one request's timing split through its context:
-// admission records the queue wait, the slot-occupancy wrapper records
-// service time, and instrument derives overhead (total − wait −
-// service) at the end. All writes happen on the request goroutine —
-// sweep fan-out workers never touch it — so plain fields suffice.
+// api mounts the instrumented API handler h at path, in the route
+// table and on the mux.
+func (s *Server) api(path string, h apiHandler) {
+	ih := s.instrument(path, h)
+	s.router.table[path] = ih
+	s.router.mux.Handle(path, ih)
+}
+
+// reqTiming is one request's timing split, which instrument hands its
+// handler: admission records the queue wait, the slot-occupancy
+// wrapper records service time, and instrument derives overhead (total
+// − wait − service) at the end. All writes happen on the request
+// goroutine — sweep fan-out workers never touch it — so plain fields
+// suffice.
 type reqTiming struct {
 	waitUS    float64
 	serviceUS float64
 	served    bool // a solver slot was held: the request is model traffic
 }
 
-type timingKey struct{}
-
-// timingFrom returns the request's timing carrier, or nil outside
-// instrumented requests (direct admission tests, background work).
-func timingFrom(ctx context.Context) *reqTiming {
-	t, _ := ctx.Value(timingKey{}).(*reqTiming)
-	return t
-}
+// apiHandler is an API endpoint: it answers the request and records
+// its queue wait and service time into t.
+type apiHandler func(w http.ResponseWriter, r *http.Request, t *reqTiming)
 
 // beginService starts a slot-occupancy measurement; the returned func
-// records it when the slot work finishes. Cache hits never hold a slot,
-// so they contribute no service sample — exactly the model's view, in
-// which a memoized answer costs no server visit.
-func (s *Server) beginService(ctx context.Context) func() {
+// records it, into t too unless t is nil, when the slot work finishes.
+// Cache hits never hold a slot, so they contribute no service sample —
+// exactly the model's view, in which a memoized answer costs no server
+// visit.
+func (s *Server) beginService(t *reqTiming) func() {
 	start := s.clk.Now()
 	return func() {
 		// Fractional microseconds: a ~1µs solve must stay positive, or
@@ -322,7 +353,7 @@ func (s *Server) beginService(ctx context.Context) func() {
 			us = 0
 		}
 		s.met.service.Observe(us)
-		if t := timingFrom(ctx); t != nil {
+		if t != nil {
 			t.serviceUS += us
 			t.served = true
 		}
@@ -348,12 +379,15 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 }
 
 // instrument wraps an API handler with the shared request plumbing:
-// draining rejection, in-flight accounting, the timing carrier, the
-// body-size cap, and request/error/latency metrics. The per-request
-// deadline is armed later, only where a request can block on its
-// context (admission and sweep fan-out), so cache hits and rejected
-// requests start no timer.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
+// draining rejection, in-flight accounting, the body-size cap, and
+// request/error/latency metrics. It hands the handler the request's
+// timing carrier as an argument, so the request itself passes through
+// unchanged: no context value, no copy of the request. The cap stays a
+// MaxBytesReader because it also marks an oversized request's
+// connection for close. The per-request deadline is armed later, only
+// where a request can block on its context (admission and sweep
+// fan-out), so cache hits and rejected requests start no timer.
+func (s *Server) instrument(route string, h apiHandler) http.Handler {
 	rs := s.met.route(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
@@ -373,7 +407,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			rec statusRecorder
 		}{rec: statusRecorder{ResponseWriter: w}}
 		rt, rec := &st.rt, &st.rec
-		r = r.WithContext(context.WithValue(r.Context(), timingKey{}, rt))
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 
 		var endSpan func(map[string]any)
@@ -381,7 +414,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			endSpan = s.cfg.Spans.Start("http", route)
 		}
 		start := s.clk.Now()
-		h(rec, r)
+		h(rec, r, rt)
 		total := s.clk.Now().Sub(start)
 		observeLatency(rs.latency, total)
 		if rt.served {

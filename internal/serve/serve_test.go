@@ -332,7 +332,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	// Occupy the single solver slot so an incoming request stays in
 	// flight (queued inside admission) for as long as the test wants.
-	release, err := s.adm.acquire(context.Background())
+	release, err := s.adm.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("occupying worker slot: %v", err)
 	}
@@ -378,7 +378,7 @@ func TestGracefulDrain(t *testing.T) {
 // the fake clock passes the budget.
 func TestDrainTimeout(t *testing.T) {
 	s, ts, fake := newTestServer(t, Config{Workers: 1, QueueDepth: 8, QueueWait: time.Hour})
-	release, err := s.adm.acquire(context.Background())
+	release, err := s.adm.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,6 +537,63 @@ func TestAllToAllTotalRuntime(t *testing.T) {
 		}
 		if !strings.HasSuffix(got, `"total_runtime":`+string(enc)+"}\n") {
 			t.Errorf("n=%d: body %s does not end in total_runtime %s", n, got, enc)
+		}
+	}
+}
+
+// TestDispatchMatchesMux sends odd requests through Server.Handler,
+// whose route table answers API paths itself, and through the bare mux
+// behind it: both must give the same status, Location and Allow
+// headers, and body. The pprof index lists live counts, so its body is
+// not compared.
+func TestDispatchMatchesMux(t *testing.T) {
+	for _, pprof := range []bool{false, true} {
+		s := New(Config{Pprof: pprof, Calibration: true, Clock: clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))})
+		for _, c := range []struct {
+			method, target, body string
+			live                 bool
+		}{
+			{method: "POST", target: "/v1/alltoall", body: validAllToAll},
+			{method: "POST", target: "/v1//alltoall", body: validAllToAll},
+			{method: "POST", target: "/v1/alltoall/", body: validAllToAll},
+			{method: "POST", target: "/v1/./alltoall?x=1", body: validAllToAll},
+			{method: "POST", target: "/v1/%61lltoall", body: validAllToAll},
+			{method: "POST", target: "/v1/alltoall", body: `{"p":1}`},
+			{method: "GET", target: "/v1/alltoall"},
+			{method: "HEAD", target: "/v1/alltoall"},
+			{method: "GET", target: "/v1/general"},
+			{method: "HEAD", target: "/v1/sweep"},
+			{method: "PUT", target: "/v1/fit", body: "{}"},
+			{method: "CONNECT", target: "/v1/alltoall"},
+			{method: "GET", target: "/v1/calibration"},
+			{method: "POST", target: "/v1/calibration"},
+			{method: "GET", target: "/v1/whatif"},
+			{method: "POST", target: "/v1/nowhere", body: "{}"},
+			{method: "GET", target: "/v1"},
+			{method: "GET", target: "/"},
+			{method: "GET", target: "/healthz"},
+			{method: "GET", target: "/debug/pprof/", live: true},
+			{method: "GET", target: "/debug/pprof"},
+			{method: "GET", target: "/debug/pprof/cmdline"},
+		} {
+			name := fmt.Sprintf("pprof=%v %s %s", pprof, c.method, c.target)
+			serve := func(h http.Handler) *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)))
+				return rec
+			}
+			got, want := serve(s.Handler()), serve(s.router.mux)
+			if got.Code != want.Code {
+				t.Errorf("%s: status %d, mux %d", name, got.Code, want.Code)
+			}
+			for _, h := range []string{"Location", "Allow"} {
+				if got.Header().Get(h) != want.Header().Get(h) {
+					t.Errorf("%s: %s %q, mux %q", name, h, got.Header().Get(h), want.Header().Get(h))
+				}
+			}
+			if !c.live && got.Body.String() != want.Body.String() {
+				t.Errorf("%s: body %q, mux %q", name, got.Body, want.Body)
+			}
 		}
 	}
 }
