@@ -37,9 +37,6 @@ type ClockSeam struct {
 }
 
 func (*ClockSeam) Name() string { return "clockseam" }
-func (*ClockSeam) Doc() string {
-	return "direct time.* access outside internal/clock; thread a clock.Clock instead"
-}
 
 func (a *ClockSeam) Check(l *Loader, pkg *Package) []Diagnostic {
 	if a.Scope != nil {

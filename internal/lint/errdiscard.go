@@ -21,9 +21,6 @@ import (
 type ErrDiscard struct{}
 
 func (*ErrDiscard) Name() string { return "errdiscard" }
-func (*ErrDiscard) Doc() string {
-	return "error returns must be handled or explicitly assigned to _, never silently dropped"
-}
 
 func (a *ErrDiscard) Check(l *Loader, pkg *Package) []Diagnostic {
 	var out []Diagnostic

@@ -16,9 +16,6 @@ import (
 type FloatEq struct{}
 
 func (*FloatEq) Name() string { return "floateq" }
-func (*FloatEq) Doc() string {
-	return "floating-point values must be compared with tolerances (numeric.Close/Zero), never == or !="
-}
 
 func (a *FloatEq) Check(l *Loader, pkg *Package) []Diagnostic {
 	var out []Diagnostic

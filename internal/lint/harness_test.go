@@ -60,7 +60,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			l, pkg := loadFixture(t, tc.name)
-			diags := Run(l, []*Package{pkg}, []Analyzer{tc.analyzer})
+			diags, _ := Run(l, []*Package{pkg}, []Analyzer{tc.analyzer})
 			if len(diags) == 0 {
 				t.Fatalf("analyzer %s found nothing in its fixture", tc.name)
 			}

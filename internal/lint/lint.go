@@ -31,9 +31,11 @@
 //
 //	//lopc:allow <check> <reason>
 //
-// comment on the flagged line or the line above it. Every suppression
-// is auditable: lopc-lint -report-allows lists them and -strict-allows
-// fails on ones that suppress nothing.
+// comment on the flagged line or the line above it. An allow must name
+// a known check and give a reason, and one that suppresses nothing is
+// stale. TestModuleLint runs the whole suite over every module package
+// and fails on any finding, malformed allow or stale allow, so
+// `go test ./...` enforces all three.
 package lint
 
 import (
@@ -66,10 +68,7 @@ type Analyzer interface {
 	// Name is the check name used in diagnostics and //lopc:allow
 	// comments.
 	Name() string
-	// Doc is a one-line description.
-	Doc() string
-	// Check analyzes one package; the Loader supplies the file set
-	// and module-relative paths.
+	// Check analyzes one package; the Loader supplies the file set.
 	Check(l *Loader, pkg *Package) []Diagnostic
 }
 
@@ -84,57 +83,30 @@ func All() []Analyzer {
 	}
 }
 
-// ByNames filters All() down to the named checks, preserving suite
-// order; unknown names are an error.
-func ByNames(names []string) ([]Analyzer, error) {
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
-	}
-	var out []Analyzer
-	for _, a := range All() {
-		if want[a.Name()] {
-			out = append(out, a)
-			delete(want, a.Name())
-		}
-	}
-	if len(want) > 0 {
-		unknown := make([]string, 0, len(want))
-		for n := range want {
-			unknown = append(unknown, n)
-		}
-		sort.Strings(unknown)
-		return nil, fmt.Errorf("lint: unknown check(s): %s", strings.Join(unknown, ", "))
-	}
-	return out, nil
-}
-
-// Run executes the analyzers over the packages, drops findings
-// suppressed by //lopc:allow comments, verifies the suppression
-// comments themselves (unknown check names and missing reasons are
-// findings), and returns the remainder sorted by position.
-func Run(l *Loader, pkgs []*Package, analyzers []Analyzer) []Diagnostic {
-	diags, _ := RunWithStale(l, pkgs, analyzers)
-	return diags
-}
-
-// RunWithStale is Run plus stale-suppression detection: the second
-// result lists every //lopc:allow comment whose check ran in this
-// invocation but which suppressed no finding — dead suppressions that
-// would silently swallow a future regression. Allows for checks not in
-// this run are never reported stale (a floateq allow is not stale
-// just because only rngseam ran).
-func RunWithStale(l *Loader, pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, []AllowRecord) {
+// Run executes the analyzers over the packages and audits the
+// //lopc:allow comments. It returns the findings no allow suppresses,
+// plus an "allow" finding for every allow that names no check, an
+// unknown check or no reason; and, second, the stale allows: those
+// whose check ran but which suppressed nothing, dead suppressions that
+// would silently swallow a future regression. An allow for a check
+// that did not run is never stale (a floateq allow is not stale just
+// because only rngseam ran). Both lists are sorted by position.
+func Run(l *Loader, pkgs []*Package, analyzers []Analyzer) (diags, stale []Diagnostic) {
 	known, ran := suiteMaps(analyzers)
-	var out []Diagnostic
-	var stale []AllowRecord
 	for _, pkg := range pkgs {
 		d, s := analyzePackage(l, pkg, analyzers, known, ran)
-		out = append(out, d...)
+		diags = append(diags, d...)
 		stale = append(stale, s...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	sortDiagnostics(diags)
+	sortDiagnostics(stale)
+	return diags, stale
+}
+
+// sortDiagnostics orders diagnostics by file, line, check and message.
+func sortDiagnostics(ds []Diagnostic) {
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := ds[i], ds[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -146,15 +118,13 @@ func RunWithStale(l *Loader, pkgs []*Package, analyzers []Analyzer) ([]Diagnosti
 		}
 		return a.Message < b.Message
 	})
-	sortAllowRecords(stale)
-	return out, stale
 }
 
-// suiteMaps builds the known/ran check-name sets for one invocation.
-// Allow comments are validated against the full suite, not just the
-// analyzers selected for this run: running a -checks subset must not
-// turn every other check's suppressions into "unknown check" findings.
-// Stale detection conversely uses only the checks that ran.
+// suiteMaps builds the known/ran check-name sets for one run. Allow
+// comments are validated against the full suite, not just the analyzers
+// of this run: running a subset must not turn every other check's
+// suppressions into "unknown check" findings. Stale detection
+// conversely uses only the checks that ran.
 func suiteMaps(analyzers []Analyzer) (known, ran map[string]bool) {
 	known = make(map[string]bool, len(analyzers))
 	for _, a := range All() {
@@ -172,7 +142,7 @@ func suiteMaps(analyzers []Analyzer) (known, ran map[string]bool) {
 // auditing that package's suppressions: it returns the surviving
 // diagnostics and the package's stale allows. Allow comments only
 // suppress findings positioned in their own package's files.
-func analyzePackage(l *Loader, pkg *Package, analyzers []Analyzer, known, ran map[string]bool) ([]Diagnostic, []AllowRecord) {
+func analyzePackage(l *Loader, pkg *Package, analyzers []Analyzer, known, ran map[string]bool) ([]Diagnostic, []Diagnostic) {
 	used := map[allowKey]bool{}
 	allows := collectAllows(l.Fset, pkg)
 	diags := checkAllows(allows, known)
@@ -183,17 +153,13 @@ func analyzePackage(l *Loader, pkg *Package, analyzers []Analyzer, known, ran ma
 			}
 		}
 	}
-	var stale []AllowRecord
+	var stale []Diagnostic
 	for file, lines := range allows {
 		for line, as := range lines {
 			for _, a := range as {
 				if ran[a.check] && !used[allowKey{file, line, a.check}] {
-					stale = append(stale, AllowRecord{
-						File:   l.RelPath(file),
-						Line:   line,
-						Check:  a.check,
-						Reason: a.reason,
-					})
+					stale = append(stale, Diagnostic{Pos: a.pos, Check: "allow",
+						Message: fmt.Sprintf("lopc:allow %s suppresses nothing; delete it", a.check)})
 				}
 			}
 		}
@@ -287,54 +253,6 @@ func checkAllows(set allowSet, known map[string]bool) []Diagnostic {
 		}
 	}
 	return out
-}
-
-// AllowRecord is one //lopc:allow suppression with its audited reason,
-// for the lopc-lint -report-allows inventory.
-type AllowRecord struct {
-	// File is the module-relative path of the comment.
-	File string
-	Line int
-	// Check is the suppressed check; Reason the audit justification.
-	Check  string
-	Reason string
-}
-
-// AllowRecords collects every //lopc:allow comment in the packages,
-// sorted by file, line and check, so the full suppression inventory is
-// reviewable per PR.
-func AllowRecords(l *Loader, pkgs []*Package) []AllowRecord {
-	var out []AllowRecord
-	for _, pkg := range pkgs {
-		for _, lines := range collectAllows(l.Fset, pkg) {
-			for _, as := range lines {
-				for _, a := range as {
-					out = append(out, AllowRecord{
-						File:   l.RelPath(a.pos.Filename),
-						Line:   a.pos.Line,
-						Check:  a.check,
-						Reason: a.reason,
-					})
-				}
-			}
-		}
-	}
-	sortAllowRecords(out)
-	return out
-}
-
-// sortAllowRecords orders records by file, line and check.
-func sortAllowRecords(recs []AllowRecord) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Check < b.Check
-	})
 }
 
 // underPrefix reports whether p equals prefix or lies under it as a

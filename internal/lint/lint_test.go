@@ -10,7 +10,7 @@ import (
 // themselves findings.
 func TestSuppression(t *testing.T) {
 	l, pkg := loadFixture(t, "suppress")
-	diags := Run(l, []*Package{pkg}, []Analyzer{&FloatEq{}})
+	diags, _ := Run(l, []*Package{pkg}, []Analyzer{&FloatEq{}})
 
 	var allowDiags, floateqDiags []Diagnostic
 	for _, d := range diags {
@@ -55,30 +55,30 @@ func TestDiagnosticString(t *testing.T) {
 	}
 }
 
-// TestStaleAllowDetection pins RunWithStale's dead-suppression
-// reporting: an allow whose check ran but suppressed nothing is
-// reported; the same allow is NOT reported when its check did not run.
+// TestStaleAllowDetection pins Run's dead-suppression reporting: an
+// allow whose check ran but suppressed nothing is reported; the same
+// allow is NOT reported when its check did not run.
 func TestStaleAllowDetection(t *testing.T) {
 	l, pkg := loadFixture(t, "stale")
 	// floateq runs and the allow on a clean line suppresses nothing.
-	diags, stale := RunWithStale(l, []*Package{pkg}, []Analyzer{&FloatEq{}})
+	diags, stale := Run(l, []*Package{pkg}, []Analyzer{&FloatEq{}})
 	if len(diags) != 0 {
 		t.Fatalf("unexpected diagnostics: %v", diags)
 	}
 	if len(stale) != 1 {
 		t.Fatalf("want exactly one stale allow, got %d: %v", len(stale), stale)
 	}
-	if stale[0].Check != "floateq" {
-		t.Errorf("stale allow names check %q, want floateq", stale[0].Check)
+	if got, want := stale[0].Message, "lopc:allow floateq suppresses nothing; delete it"; stale[0].Check != "allow" || got != want {
+		t.Errorf("stale allow = %s, want check allow and message %q", stale[0], want)
 	}
 	// The same package under an analyzer set that does not include
 	// floateq: the allow is out of scope, not stale.
-	_, stale = RunWithStale(l, []*Package{pkg}, []Analyzer{&ErrDiscard{}})
+	_, stale = Run(l, []*Package{pkg}, []Analyzer{&ErrDiscard{}})
 	if len(stale) != 0 {
 		t.Errorf("allow for a check that did not run reported stale: %v", stale)
 	}
 	// An allow that does suppress a finding is never stale.
-	_, stale = RunWithStale(l, []*Package{pkg}, []Analyzer{&ClockSeam{}})
+	_, stale = Run(l, []*Package{pkg}, []Analyzer{&ClockSeam{}})
 	if len(stale) != 0 {
 		t.Errorf("exercised allow reported stale: %v", stale)
 	}

@@ -84,50 +84,13 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// RelPath returns filename relative to the module root (slash
-// separated) when possible.
-func (l *Loader) RelPath(filename string) string {
-	if rel, err := filepath.Rel(l.ModuleRoot, filename); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(filename)
-}
-
-// LoadPatterns expands the command-line patterns — "./...", "./dir",
-// import paths under the module — into packages, loading each exactly
-// once. Directories named testdata, hidden directories and directories
-// without non-test Go files are skipped by "...".
-func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
-	var paths []string
-	seen := map[string]bool{}
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			paths = append(paths, p)
-		}
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			dirs, err := l.walkModule()
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range dirs {
-				add(d)
-			}
-		case strings.HasPrefix(pat, "./"):
-			rel := filepath.ToSlash(filepath.Clean(strings.TrimPrefix(pat, "./")))
-			if rel == "." {
-				add(l.ModulePath)
-			} else {
-				add(l.ModulePath + "/" + rel)
-			}
-		case pat == l.ModulePath || strings.HasPrefix(pat, l.ModulePath+"/"):
-			add(pat)
-		default:
-			return nil, fmt.Errorf("lint: pattern %q is not under module %s (use ./... or ./dir)", pat, l.ModulePath)
-		}
+// LoadModule loads every package of the module, each exactly once, in
+// import-path order. Directories named testdata, hidden directories
+// and directories without non-test Go files are skipped.
+func (l *Loader) LoadModule() ([]*Package, error) {
+	paths, err := l.walkModule()
+	if err != nil {
+		return nil, err
 	}
 	pkgs := make([]*Package, 0, len(paths))
 	for _, p := range paths {

@@ -70,9 +70,6 @@ type RngSeam struct {
 }
 
 func (*RngSeam) Name() string { return "rngseam" }
-func (*RngSeam) Doc() string {
-	return "randomness outside the rng.SeedAt substream scheme (math/rand use, hard-coded seeds)"
-}
 
 // rngConstructors are the internal/rng entry points that take a root
 // seed; a constant argument defeats substream derivation.

@@ -1,6 +1,6 @@
-// Package fixture is a deliberately broken module pinning lopc-lint's
-// diagnostic output format: one violation per analyzer that reports in
-// the module root.
+// Package fixture is a deliberately broken module pinning the suite's
+// findings under each analyzer's default scope: one violation per
+// analyzer that reports in the module root.
 package fixture
 
 import "os"

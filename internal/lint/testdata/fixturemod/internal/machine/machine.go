@@ -1,8 +1,8 @@
 // Package machine mirrors the simulated machine, where every random
 // draw must derive from internal/rng substreams: one legacy math/rand use
 // and one constant-seeded stream, each pinning a rngseam finding, plus
-// a deliberately dead suppression pinning the STALE marker in
-// -report-allows.
+// a deliberately dead suppression pinning the stale-allow report
+// (golden.txt).
 package machine
 
 import (
@@ -24,9 +24,9 @@ func fixedStream() *rng.Stream {
 }
 
 // Mix is integer arithmetic: floateq finds nothing on the line below,
-// so the allow is dead and -report-allows marks it STALE.
+// so the allow is dead and Run reports it stale.
 func Mix(a, b int) int {
-	//lopc:allow floateq fixture: deliberately dead suppression pinning the STALE marker
+	//lopc:allow floateq fixture: deliberately dead suppression pinning the stale report
 	return a ^ b
 }
 

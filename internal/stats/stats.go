@@ -1,7 +1,6 @@
 // Package stats provides the measurement machinery for simulation
 // experiments: streaming moment estimators, time-weighted averages for
-// queue lengths and utilizations, batch-means confidence intervals, and
-// simple histograms.
+// queue lengths and utilizations, and batch-means confidence intervals.
 //
 // Every quantity the LoPC evaluation reports — response times and their
 // components, queue lengths, utilizations, throughput — is collected
@@ -12,7 +11,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Tally is a streaming estimator of the mean and variance of a sequence
@@ -240,101 +238,6 @@ func (b *BatchMeans) HalfWidth95() float64 {
 		return math.Inf(1)
 	}
 	return tCritical95(int(n-1)) * b.batches.StdDev() / math.Sqrt(float64(n))
-}
-
-// Histogram is a fixed-width bucket histogram over [Low, High); values
-// outside the range are counted in the under/overflow buckets. It is
-// used for inspecting handler service and response-time distributions.
-type Histogram struct {
-	Low, High   float64
-	buckets     []int64
-	under, over int64
-}
-
-// NewHistogram returns a histogram with n buckets over [low, high).
-func NewHistogram(low, high float64, n int) *Histogram {
-	if n < 1 || high <= low {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Low: low, High: high, buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Low:
-		h.under++
-	case x >= h.High:
-		h.over++
-	default:
-		i := int((x - h.Low) / (h.High - h.Low) * float64(len(h.buckets)))
-		if i == len(h.buckets) { // guard x == High-epsilon rounding
-			i--
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the bucket counts (not including under/overflow).
-func (h *Histogram) Count(i int) int64 { return h.buckets[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// Underflow and Overflow return the out-of-range counts.
-func (h *Histogram) Underflow() int64 { return h.under }
-
-// Overflow returns the count of observations at or above High.
-func (h *Histogram) Overflow() int64 { return h.over }
-
-// Total returns the total number of observations including out-of-range.
-func (h *Histogram) Total() int64 {
-	t := h.under + h.over
-	for _, c := range h.buckets {
-		t += c
-	}
-	return t
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) estimated from bucket
-// midpoints; out-of-range observations clamp to the range edges.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	cum := h.under
-	if cum >= target {
-		return h.Low
-	}
-	width := (h.High - h.Low) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return h.Low + (float64(i)+0.5)*width
-		}
-	}
-	return h.High
-}
-
-// Median returns the estimated median of a slice (sorting a copy). It
-// is a convenience for small experiment result sets, not a streaming
-// estimator.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
 // RelErr returns the signed relative error (got-want)/want, or 0 when

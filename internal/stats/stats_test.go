@@ -184,60 +184,6 @@ func TestBatchMeansFewBatches(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	for i := 0; i < 10; i++ {
-		if h.Count(i) != 1 {
-			t.Errorf("bucket %d count %d, want 1", i, h.Count(i))
-		}
-	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Errorf("under/over = %d/%d, want 1/1", h.Underflow(), h.Overflow())
-	}
-	if h.Total() != 12 {
-		t.Errorf("total = %d, want 12", h.Total())
-	}
-	if h.Buckets() != 10 {
-		t.Errorf("buckets = %d, want 10", h.Buckets())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Errorf("median estimate %v, want ~50", med)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("odd median = %v, want 2", m)
-	}
-	if m := Median([]float64{4, 1, 3, 2}); m != 2.5 {
-		t.Errorf("even median = %v, want 2.5", m)
-	}
-	if m := Median(nil); m != 0 {
-		t.Errorf("empty median = %v, want 0", m)
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Median mutated its argument: %v", xs)
-	}
-}
-
 func TestRelErr(t *testing.T) {
 	if e := RelErr(110, 100); !almost(e, 0.1, 1e-12) {
 		t.Errorf("RelErr = %v, want 0.1", e)

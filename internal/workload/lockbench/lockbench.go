@@ -14,7 +14,8 @@
 //
 // Unlike every other workload package, lockbench reads the wall clock
 // by design — it is the one place the repo touches non-simulated time,
-// and it is excluded from lopc-lint's deterministic package set.
+// so it lies outside internal/lint's deterministic package set and its
+// wall-clock reads carry audited clockseam allows.
 package lockbench
 
 import (
