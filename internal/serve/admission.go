@@ -60,51 +60,72 @@ func (a *admission) retryAfter() int {
 	return secs
 }
 
-// acquire claims a solver slot, waiting up to queueWait (and no longer
-// than ctx allows). On success it returns a release function; on
-// rejection a *shedError carrying the HTTP status. The queue-depth
-// gauge tracks waiters; shed counters classify every rejection. Every
-// admitted request records its queue wait — zero on the fast path —
-// into the queue-wait histogram and, unless t is nil, the request's
-// timing carrier t.
-func (a *admission) acquire(ctx context.Context, t *reqTiming) (release func(), err error) {
+// claim takes a solver slot, waiting up to queueWait (and no longer
+// than ctx allows); release frees it. A rejection is a *shedError
+// carrying the HTTP status. The queue-depth gauge tracks waiters; shed
+// counters classify every rejection. Every admitted request records its
+// queue wait — zero on the fast path — into the queue-wait histogram
+// and, unless t is nil, the request's timing carrier t.
+func (a *admission) claim(ctx context.Context, t *reqTiming) error {
 	start := a.clk.Now()
-	grant := func() func() {
-		// Fractional microseconds: a sub-µs wait must not round to zero,
-		// or the calibrator's windows would lose their timing signal on
-		// fast machines.
-		us := float64(a.clk.Now().Sub(start)) / float64(time.Microsecond)
-		if us < 0 {
-			us = 0
-		}
-		a.met.queueWait.Observe(us)
-		if t != nil {
-			t.waitUS += us
-		}
-		return func() { <-a.sem }
+	if a.try(start, t) {
+		return nil
 	}
+	return a.wait(ctx, start, t)
+}
+
+// try takes a free slot without waiting, recording the wait since start
+// if it gets one.
+func (a *admission) try(start time.Time, t *reqTiming) bool {
 	select {
 	case a.sem <- struct{}{}:
-		return grant(), nil
+		a.granted(start, t)
+		return true
 	default:
+		return false
 	}
+}
+
+// wait queues for a slot that try found taken, shedding past the queue
+// depth, the queue-wait cap or ctx's deadline.
+func (a *admission) wait(ctx context.Context, start time.Time, t *reqTiming) error {
 	if depth := a.met.queueDepth.Add(1); depth > int64(a.queueDepth) {
 		a.met.queueDepth.Add(-1)
 		a.met.shedQueueFull.Add(1)
-		return nil, &shedError{status: 503, retryAfter: a.retryAfter(), reason: "queue full"}
+		return &shedError{status: 503, retryAfter: a.retryAfter(), reason: "queue full"}
 	}
 	defer a.met.queueDepth.Add(-1)
 	select {
 	case a.sem <- struct{}{}:
-		return grant(), nil
+		a.granted(start, t)
+		return nil
 	case <-ctx.Done():
 		a.met.shedDeadline.Add(1)
-		return nil, &shedError{status: 429, retryAfter: a.retryAfter(), reason: "deadline expired while queued"}
+		return &shedError{status: 429, retryAfter: a.retryAfter(), reason: "deadline expired while queued"}
 	case <-a.clk.After(a.queueWait):
 		a.met.shedTimeout.Add(1)
-		return nil, &shedError{status: 429, retryAfter: a.retryAfter(), reason: "queue wait exceeded"}
+		return &shedError{status: 429, retryAfter: a.retryAfter(), reason: "queue wait exceeded"}
 	}
 }
+
+// granted records the queue wait of a request admitted now that asked
+// at start.
+func (a *admission) granted(start time.Time, t *reqTiming) {
+	// Fractional microseconds: a sub-µs wait must not round to zero, or
+	// the calibrator's windows would lose their timing signal on fast
+	// machines.
+	us := float64(a.clk.Now().Sub(start)) / float64(time.Microsecond)
+	if us < 0 {
+		us = 0
+	}
+	a.met.queueWait.Observe(us)
+	if t != nil {
+		t.waitUS += us
+	}
+}
+
+// release frees a slot claim took.
+func (a *admission) release() { <-a.sem }
 
 // RecommendWorkers sizes the solver pool with the repository's own
 // work-pile model (Eq. 6.8): the service is a work-pile in which each

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,19 +120,21 @@ func BenchmarkServeParallelClients(b *testing.B) {
 	})
 }
 
-// BenchmarkServeSweep measures one 64-point sweep request end to end
-// (fresh points each iteration, fanned out through internal/runner).
+// BenchmarkServeSweep measures one 64-point sweep request end to end,
+// server side only, fanned out through internal/runner. The cache is
+// off, so every iteration solves all 64 points of the one body, which
+// is built before the timer starts.
 func BenchmarkServeSweep(b *testing.B) {
-	h := benchServer(b, -1)
+	points := make([]string, 64)
+	for j := range points {
+		points[j] = fmt.Sprintf(`{"p":32,"w":%d,"st":40,"so":200}`, 1000+j)
+	}
+	c := newReplay(New(Config{Workers: 8, QueueDepth: 256, CacheSize: -1}), "/v1/sweep")
+	c.data = []byte(`{"points":[` + strings.Join(points, ",") + `],"jobs":8}`)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points := make([]string, 64)
-		for j := range points {
-			points[j] = fmt.Sprintf(`{"p":32,"w":%d,"st":40,"so":200}`, 1000+64*i+j)
-		}
-		body := `{"points":[` + strings.Join(points, ",") + `],"jobs":8}`
-		if code := benchPost(h, "/v1/sweep", body); code != http.StatusOK {
+		if code := c.serve(); code != http.StatusOK {
 			b.Fatalf("status %d", code)
 		}
 	}
@@ -182,10 +186,9 @@ var benchGeneralBody = func() string {
 	return string(data)
 }()
 
-// cachedHit is one server-side request replay of a hot key: a server
-// whose cache already holds body's answer, and one reusable request
-// and writer for it.
-type cachedHit struct {
+// replay is one server-side request replay: a server, and one
+// reusable request and writer that send it data.
+type replay struct {
 	s    *Server
 	h    http.Handler
 	req  *http.Request
@@ -194,16 +197,21 @@ type cachedHit struct {
 	w    *sinkWriter
 }
 
-func newCachedHit(tb testing.TB, path, body string) *cachedHit {
-	tb.Helper()
-	s := New(Config{Workers: 2, QueueDepth: 8})
-	c := &cachedHit{
+func newReplay(s *Server, path string) *replay {
+	return &replay{
 		s: s, h: s.Handler(),
 		req:  httptest.NewRequest(http.MethodPost, path, nil),
 		body: &replayBody{},
-		data: []byte(body),
 		w:    &sinkWriter{h: http.Header{}},
 	}
+}
+
+// newCachedHit returns a replay of a hot key: a server whose cache
+// already holds body's answer.
+func newCachedHit(tb testing.TB, path, body string) *replay {
+	tb.Helper()
+	c := newReplay(New(Config{Workers: 2, QueueDepth: 8}), path)
+	c.data = []byte(body)
 	if code := c.serve(); code != http.StatusOK {
 		tb.Fatalf("warm-up %s: status %d", path, code)
 	}
@@ -214,7 +222,7 @@ func newCachedHit(tb testing.TB, path, body string) *cachedHit {
 }
 
 // serve replays the request once and returns the response status.
-func (c *cachedHit) serve() int {
+func (c *replay) serve() int {
 	c.body.Reset(c.data)
 	c.req.Body = c.body
 	c.w.reset()
@@ -222,9 +230,105 @@ func (c *cachedHit) serve() int {
 	return c.w.status
 }
 
+// serveFresh replays the request with body gen(i), written over the
+// previous body's bytes, which only the first call needs to allocate.
+func (c *replay) serveFresh(gen func([]byte, int) []byte, i int) int {
+	c.data = gen(c.data[:0], i)
+	return c.serve()
+}
+
+// freshBody returns a body generator that writes prefix, then base+i,
+// then suffix: a request whose cache key no other i shares.
+func freshBody(prefix string, base int, suffix string) func([]byte, int) []byte {
+	return func(b []byte, i int) []byte {
+		b = append(b, prefix...)
+		b = strconv.AppendInt(b, int64(base+i), 10)
+		return append(b, suffix...)
+	}
+}
+
+// freshSweep writes a 32-point, 2-job sweep whose points no other i's
+// sweep shares.
+func freshSweep(b []byte, i int) []byte {
+	b = append(b, `{"points":[`...)
+	for j := 0; j < 32; j++ {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"p":32,"w":`...)
+		b = strconv.AppendInt(b, int64(1000+32*i+j), 10)
+		b = append(b, `,"st":40,"so":200}`...)
+	}
+	return append(b, `],"jobs":2}`...)
+}
+
+// freshGeneral writes benchGeneralBody with its first w, 200, moved to
+// 200+i.
+var freshGeneral = func() func([]byte, int) []byte {
+	head, tail, ok := strings.Cut(benchGeneralBody, `"w":[200,`)
+	if !ok {
+		panic("benchGeneralBody's w does not start at 200")
+	}
+	return freshBody(head+`"w":[`, 200, ","+tail)
+}()
+
+// missSamples holds, for every route in solveRoutes and /v1/sweep, a
+// generator of valid bodies, each a fresh cache key, and the most
+// allocations a miss on one may make, server side, as measured with the
+// response plans, the cached-bytes sweep and timer-free admission
+// (BENCH_serve.json "results").
+var missSamples = map[string]struct {
+	body      func([]byte, int) []byte
+	maxAllocs float64
+}{
+	"/v1/alltoall": {freshBody(`{"p":32,"w":`, 100, `,"st":40,"so":200}`), 10},
+	"/v1/workpile": {freshBody(`{"p":32,"ps":8,"w":`, 1500, `,"st":40,"so":131,"c2":0.5}`), 10},
+	"/v1/general":  {freshGeneral, 14},
+	"/v1/bounds":   {freshBody(`{"p":32,"ps":8,"w":`, 1500, `,"st":40,"so":131,"c2":0.5}`), 8},
+	"/v1/fit":      {freshBody(`{"p":16,"c2":`, 1, `e-9,"observations":[{"w":0,"r":900},{"w":256,"r":1150},{"w":512,"r":1400},{"w":1024,"r":1900},{"w":2048,"r":2950}]}`), 182},
+	"/v1/lock":     {freshBody(`{"threads":8,"w":`, 800, `,"st":20,"so":100,"c2":1}`), 10},
+	"/v1/lockfree": {freshBody(`{"threads":8,"w":`, 400, `,"st":5,"so":60,"c2":1}`), 11},
+	"/v1/sweep":    {freshSweep, 277},
+}
+
+// TestMissAllocs guards the allocation count of a cache miss on every
+// route in the table and on /v1/sweep: each iteration sends a fresh key
+// through Server.Handler. Like the hit ceilings, they are "at most"
+// bounds that a pool dropping its buffer at a collection can exceed by
+// one now and then.
+func TestMissAllocs(t *testing.T) {
+	if allocguard.Race {
+		t.Skip("the race detector changes allocation counts")
+	}
+	paths := []string{"/v1/sweep"}
+	for _, e := range solveRoutes {
+		paths = append(paths, e.info().path)
+	}
+	for _, path := range paths {
+		sample, ok := missSamples[path]
+		if !ok {
+			t.Errorf("route %s has no entry in missSamples", path)
+			continue
+		}
+		c := newReplay(New(Config{Workers: 2, QueueDepth: 8}), path)
+		i := 0
+		got := testing.AllocsPerRun(50, func() {
+			code := c.serveFresh(sample.body, i)
+			i++
+			if code != http.StatusOK || path != "/v1/sweep" && c.w.h.Get("X-Lopc-Cache") != "miss" {
+				t.Fatalf("%s %s: status %d, cache %q; want a 200 miss", path, c.data, code, c.w.h.Get("X-Lopc-Cache"))
+			}
+		})
+		t.Logf("%s miss: %.1f allocs per request", path, got)
+		if got > sample.maxAllocs {
+			t.Errorf("%s miss: %.1f allocs per request, want at most %.0f", path, got, sample.maxAllocs)
+		}
+	}
+}
+
 // Allocation ceilings of one cached request, server side only, as
 // measured after route-table dispatch, the argument-passed timing
-// carrier and pooled request values (BENCH_serve.json "results"): the
+// carrier and pooled request values (BENCH_serve.json "previous"): the
 // instrument wrapper's status-and-timing record and its MaxBytesReader,
 // plus, on /v1/fit, the observations its params convert. They are "at
 // most" bounds: sync.Pool may drop a buffer or a request value at a
@@ -260,19 +364,25 @@ func TestCachedHitAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkServeStages is the per-stage cost ledger of a cached request:
-// dispatch, decode, key, cache lookup, write and the instrument wrapper,
-// each on its own, then the whole server-side request, for the cached
+// BenchmarkServeStages is the per-stage cost ledger of a request. The
+// miss rows, for /v1/alltoall, /v1/general and /v1/fit, time the stages
+// only a cache miss runs: solve (observed by the server's
+// registry-backed recorder), render (the response plan's bytes) and,
+// for comparison, marshal (json.Marshal of the same response); admit
+// takes and frees a free solver slot, and total sends a fresh key
+// through Server.Handler each iteration, writing its body over the
+// last one's bytes. sweep/write joins the 32 cached bodies of a sweep
+// into its response and writes it. The cached rows time dispatch,
+// decode, key, cache lookup, write and the instrument wrapper, each on
+// its own, then the whole server-side request, for the cached
 // /v1/alltoall and /v1/general paths. dispatch is the route table's
 // lookup of the path, and dispatch-mux the ServeMux search it spares a
 // request, each in front of a handler that does nothing. decode reads
-// the body into a pooled request value, as the route does. The miss
-// rows add the two stages only a cache miss runs, for /v1/alltoall and
-// /v1/fit: the solve (observed by the server's registry-backed
-// recorder) and the marshal of its response.
+// the body into a pooled request value, as the route does.
 func BenchmarkServeStages(b *testing.B) {
 	for _, c := range []struct{ name, path, body string }{
 		{"alltoall-miss", "/v1/alltoall", validAllToAll},
+		{"general-miss", "/v1/general", benchGeneralBody},
 		{"fit-miss", "/v1/fit", benchFitBody},
 	} {
 		s := New(Config{Workers: 2, QueueDepth: 8})
@@ -285,23 +395,69 @@ func BenchmarkServeStages(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.name+"/solve", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := rt.solveParsed(s, p); err != nil {
+		miss, gen, i := newReplay(s, c.path), missSamples[c.path].body, 0
+		stages := []struct {
+			name string
+			run  func()
+		}{
+			{"solve", func() {
+				if err := rt.solveOnly(s, p); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-		b.Run(c.name+"/marshal", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			}},
+			{"render", func() {
+				if _, err := rt.renderSolved(out); err != nil {
+					b.Fatal(err)
+				}
+			}},
+			{"marshal", func() {
 				if _, err := json.Marshal(out); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+			}},
+			{"admit", func() {
+				if err := s.admit(context.Background(), nil); err != nil {
+					b.Fatal(err)
+				}
+				s.endService(nil, s.clk.Now())
+			}},
+			{"total", func() {
+				if code := miss.serveFresh(gen, i); code != http.StatusOK {
+					b.Fatalf("status %d", code)
+				}
+				i++
+			}},
+		}
+		for _, st := range stages {
+			b.Run(c.name+"/"+st.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					st.run()
+				}
+			})
+		}
 	}
+	b.Run("sweep/write", func(b *testing.B) {
+		s := New(Config{Workers: 2, QueueDepth: 8})
+		var results [][]byte
+		for i := 0; i < 32; i++ {
+			data, _, err := allToAll.cached(s, context.Background(), nil, allToAllParams{
+				Params: core.Params{P: 32, W: float64(1000 + i), St: 40, So: 200},
+			}, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			results = append(results, data)
+		}
+		w := &sinkWriter{h: http.Header{}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.reset()
+			w.Header()["Content-Type"] = jsonContentType
+			_, _ = w.Write(sweepBody(results, 2))
+		}
+	})
 	for _, c := range []struct{ name, path, body string }{
 		{"alltoall", "/v1/alltoall", validAllToAll},
 		{"general", "/v1/general", benchGeneralBody},

@@ -642,12 +642,16 @@ func (d *decoder) object(o *op, p unsafe.Pointer) {
 }
 
 // field returns the field an object key names: the one whose tag it
-// matches exactly, or else, as encoding/json allows, the first whose
-// tag it matches case-folded. It returns nil for an unknown key.
+// matches exactly, found through the plan's index, or else, as
+// encoding/json allows, the first whose tag it matches case-folded. It
+// returns nil for an unknown key.
 func (o *op) field(key []byte) *field {
-	for i := range o.fields {
-		if string(key) == o.fields[i].name {
-			return &o.fields[i]
+	if len(key) > 0 {
+		mask := len(o.index) - 1
+		for h := nameHash(key) & mask; o.index[h] != 0; h = (h + 1) & mask {
+			if f := &o.fields[o.index[h]-1]; string(key) == f.name {
+				return f
+			}
 		}
 	}
 	for i := range o.fields {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -258,6 +259,68 @@ func FuzzDecodeReusedMatchesFresh(f *testing.F) {
 			}
 			if errGot == nil && !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %q after %q: reused decoded %+v, fresh %+v", target.name, b, a, got, want)
+			}
+		}
+	})
+}
+
+// FuzzResponseMatchesEncodingJSON fills every route's response type
+// from three fuzzed floats and a shape byte, and holds the route's
+// response plan to json.Marshal: the same bytes, or an error with the
+// same text. Float fields take a, b and c in turn, int fields the bits
+// of c, and the shape picks each []float64 (nil, empty, [a] or [a,b,c])
+// and each *float64 (nil or &b). The seeds cover the edges of
+// encoding/json's float format: zero and -0, subnormals, the 'e' form
+// below 1e-6 and from 1e21, the largest float64, and NaN and ±Inf, each
+// with every slice and pointer shape.
+func FuzzResponseMatchesEncodingJSON(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	edges := []float64{
+		0, negZero, 5e-324, -2.2250738585072009e-308, 1e-7, -9.99999e-7, 1e-6, 1e-9,
+		1e21, -1e21, 999999999999999900000, 1.7976931348623157e308, 1234.5678, -0.1,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for i, a := range edges {
+		for shape := 0; shape < 8; shape++ {
+			f.Add(a, edges[(i+1)%len(edges)], edges[(i+5)%len(edges)], uint8(shape))
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b, c float64, shape uint8) {
+		floats := []float64{a, b, c}
+		fill := func(v reflect.Value) {
+			n := 0
+			for i := 0; i < v.NumField(); i++ {
+				switch fv := v.Field(i); fv.Kind() {
+				case reflect.Float64:
+					fv.SetFloat(floats[n%3])
+					n++
+				case reflect.Int:
+					fv.SetInt(int64(math.Float64bits(c)))
+				case reflect.Slice:
+					switch shape & 3 {
+					case 1:
+						fv.Set(reflect.ValueOf([]float64{}))
+					case 2:
+						fv.Set(reflect.ValueOf([]float64{a}))
+					case 3:
+						fv.Set(reflect.ValueOf([]float64{a, b, c}))
+					}
+				case reflect.Pointer:
+					if shape&4 != 0 {
+						fv.Set(reflect.ValueOf(&b))
+					}
+				default:
+					t.Fatalf("response field %s of kind %s has no fill", v.Type().Field(i).Name, fv.Kind())
+				}
+			}
+		}
+		for _, e := range solveRoutes {
+			got, want, errGot, errWant := e.(testRoute).renderAgainstMarshal(fill)
+			if fmt.Sprint(errGot) != fmt.Sprint(errWant) {
+				t.Fatalf("%s: plan error %v, json.Marshal error %v", e.info().path, errGot, errWant)
+			}
+			if errGot == nil && !bytes.Equal(got, want) {
+				t.Fatalf("%s: plan wrote\n%s\njson.Marshal\n%s", e.info().path, got, want)
 			}
 		}
 	})

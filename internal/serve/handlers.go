@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -177,11 +176,11 @@ func (q *alltoallRequest) params() (allToAllParams, error) {
 
 // solveAllToAll computes the full single-solve payload, reporting the
 // fixed-point convergence to the server's ConvRecorder.
-func solveAllToAll(s *Server, a allToAllParams) (any, error) {
+func solveAllToAll(s *Server, a allToAllParams) (alltoallResponse, error) {
 	p := a.Params
 	res, err := core.AllToAllObserved(p, s.conv)
 	if err != nil {
-		return nil, err
+		return alltoallResponse{}, err
 	}
 	out := alltoallResponse{
 		R: res.R, Rw: res.Rw, Rq: res.Rq, Ry: res.Ry,
@@ -235,17 +234,17 @@ func (q *workpileRequest) params() (core.ClientServerParams, error) {
 	return p, p.Validate()
 }
 
-func solveWorkpile(s *Server, p core.ClientServerParams) (any, error) {
+func solveWorkpile(s *Server, p core.ClientServerParams) (workpileResponse, error) {
 	if p.Ps == 0 {
 		opt, err := core.OptimalServersInt(p)
 		if err != nil {
-			return nil, err
+			return workpileResponse{}, err
 		}
 		p.Ps = opt
 	}
 	res, err := core.ClientServerObserved(p, s.conv)
 	if err != nil {
-		return nil, err
+		return workpileResponse{}, err
 	}
 	return workpileResponse{
 		Ps: p.Ps, X: res.X, R: res.R, Rs: res.Rs, Qs: res.Qs, Us: res.Us,
@@ -275,11 +274,11 @@ func boundsParams(q *workpileRequest) (core.ClientServerParams, error) {
 	return p, err
 }
 
-func solveBounds(_ *Server, p core.ClientServerParams) (any, error) {
+func solveBounds(_ *Server, p core.ClientServerParams) (boundsResponse, error) {
 	server, client := core.ClientServerBounds(p)
 	opt, err := core.OptimalServersInt(p)
 	if err != nil {
-		return nil, err
+		return boundsResponse{}, err
 	}
 	return boundsResponse{
 		ServerBound:       server,
@@ -324,10 +323,10 @@ func (q *generalRequest) params() (core.GeneralParams, error) {
 	return p, p.Validate()
 }
 
-func solveGeneral(s *Server, p core.GeneralParams) (any, error) {
+func solveGeneral(s *Server, p core.GeneralParams) (generalResponse, error) {
 	res, err := core.GeneralObserved(p, s.conv)
 	if err != nil {
-		return nil, err
+		return generalResponse{}, err
 	}
 	return generalResponse{
 		R: res.R, X: res.X, Rw: res.Rw, Rq: res.Rq, Ry: res.Ry,
@@ -374,10 +373,10 @@ func (q *fitRequest) params() (fitParams, error) {
 	return fitParams{Obs: obs, P: q.P, C2: q.C2}, fit.CheckAllToAll(obs, q.P, q.C2)
 }
 
-func solveFit(s *Server, p fitParams) (any, error) {
+func solveFit(s *Server, p fitParams) (fitResponse, error) {
 	res, err := fit.AllToAllObserved(p.Obs, p.P, p.C2, s.conv)
 	if err != nil {
-		return nil, err
+		return fitResponse{}, err
 	}
 	return fitResponse{St: res.St, So: res.So, RMSE: res.RMSE, RelRMSE: res.RelRMSE}, nil
 }
@@ -390,12 +389,6 @@ type sweepRequest struct {
 }
 
 var sweepPlan = newRequestPlan[sweepRequest]()
-
-type sweepResponse struct {
-	Points  int               `json:"points"`
-	Jobs    int               `json:"jobs"`
-	Results []json.RawMessage `json:"results"`
-}
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, t *reqTiming) {
 	var req sweepRequest
@@ -430,26 +423,51 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, t *reqTimin
 	// The request deadline bounds the admission wait and the fan-out.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	release, err := s.adm.acquire(ctx, t)
-	if err != nil {
+	if err := s.adm.claim(ctx, t); err != nil {
 		writeSolveError(w, err)
 		return
 	}
-	defer release()
 	// The whole fan-out occupies one slot, so it is one service visit.
-	defer s.beginService(t)()
+	defer s.endService(t, s.clk.Now())
 
-	results, err := runner.MapCtx(ctx, len(params), runner.Options{Jobs: jobs}, func(i int) (json.RawMessage, error) {
+	results, err := runner.MapCtx(ctx, len(params), runner.Options{Jobs: jobs}, func(i int) ([]byte, error) {
 		data, o, err := allToAll.cached(s, ctx, nil, params[i], false)
 		if err != nil {
 			return nil, err
 		}
 		s.recordOutcome(o)
-		return json.RawMessage(data), nil
+		return data, nil
 	})
 	if err != nil {
 		writeSolveError(w, err)
 		return
 	}
-	_ = writeJSON(w, http.StatusOK, sweepResponse{Points: len(results), Jobs: jobs, Results: results})
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = w.Write(sweepBody(results, jobs))
+}
+
+// sweepBody joins a sweep's cached point bodies into its response, the
+// bytes json.Marshal gives for {points, jobs, results} with each result
+// a json.RawMessage, plus a newline: a cached body is compact ASCII-only
+// JSON with no <, > or & (render.go), which encoding/json's compaction
+// and HTML escaping leave as it is.
+func sweepBody(results [][]byte, jobs int) []byte {
+	const head, mid, tail = `{"points":`, `,"jobs":`, `,"results":[`
+	n := len(head) + len(mid) + len(tail) + 2*20 + len(results) + len("]}\n")
+	for _, r := range results {
+		n += len(r)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, head...)
+	b = strconv.AppendInt(b, int64(len(results)), 10)
+	b = append(b, mid...)
+	b = strconv.AppendInt(b, int64(jobs), 10)
+	b = append(b, tail...)
+	for i, r := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, r...)
+	}
+	return append(b, "]}\n"...)
 }

@@ -52,10 +52,10 @@ func (q *lockRequest) lockFreeParams() (core.LockFreeParams, error) {
 	return p, p.Validate()
 }
 
-func solveLock(s *Server, p core.LockParams) (any, error) {
+func solveLock(s *Server, p core.LockParams) (lockResponse, error) {
 	res, err := core.LockObserved(p, s.conv)
 	if err != nil {
-		return nil, err
+		return lockResponse{}, err
 	}
 	serial, unc := core.LockBounds(p)
 	return lockResponse{
@@ -65,10 +65,10 @@ func solveLock(s *Server, p core.LockParams) (any, error) {
 	}, nil
 }
 
-func solveLockFree(s *Server, p core.LockFreeParams) (any, error) {
+func solveLockFree(s *Server, p core.LockFreeParams) (lockFreeResponse, error) {
 	res, err := core.LockFreeObserved(p, s.conv)
 	if err != nil {
-		return nil, err
+		return lockFreeResponse{}, err
 	}
 	serial, free := core.LockFreeBounds(p)
 	out := lockFreeResponse{

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,20 +12,21 @@ import (
 	"unsafe"
 )
 
-// route is one cached solve endpoint. Q is its wire request and P the
-// validated parameters its solve runs on, which are also what its
-// cache key is derived from (key.go). The route owns the whole request
-// pipeline: decode Q strictly, validate it into P (400 on error), key
-// P, answer from the solve cache, and on a miss take a solver slot —
-// unless the solve is a closed form that needs none — solve, marshal
-// and cache the response. Every failure after validation goes through
-// writeSolveError.
-type route[Q, P any] struct {
+// route is one cached solve endpoint. Q is its wire request, P the
+// validated parameters its solve runs on, which are also what its cache
+// key is derived from (key.go), and R its response. The route owns the
+// whole request pipeline: decode Q strictly, validate it into P (400 on
+// error), key P, answer from the solve cache, and on a miss take a
+// solver slot — unless the solve is a closed form that needs none —
+// solve, render R and cache the rendered bytes. Every failure after
+// validation goes through writeSolveError.
+type route[Q, P, R any] struct {
 	routeInfo
 	params func(*Q) (P, error)
-	solve  func(*Server, P) (any, error)
+	solve  func(*Server, P) (R, error)
 	req    *requestPlan[Q]
 	keys   *keyPlan[P]
+	resp   *responsePlan[R]
 }
 
 // routeInfo is the part of a route that does not depend on its types.
@@ -43,12 +45,13 @@ type endpoint interface {
 	serve(s *Server, w http.ResponseWriter, r *http.Request, t *reqTiming)
 }
 
-// newRoute compiles the route's request and key plans; it panics unless
-// the decoder and the key writer handle its types.
-func newRoute[Q, P any](info routeInfo, params func(*Q) (P, error), solve func(*Server, P) (any, error)) *route[Q, P] {
-	return &route[Q, P]{
+// newRoute compiles the route's request, key and response plans; it
+// panics unless the decoder, the key writer and the renderer handle its
+// types.
+func newRoute[Q, P, R any](info routeInfo, params func(*Q) (P, error), solve func(*Server, P) (R, error)) *route[Q, P, R] {
+	return &route[Q, P, R]{
 		routeInfo: info, params: params, solve: solve,
-		req: newRequestPlan[Q](), keys: newKeyPlan[P](),
+		req: newRequestPlan[Q](), keys: newKeyPlan[P](), resp: newResponsePlan[R](),
 	}
 }
 
@@ -81,7 +84,7 @@ func routeTable(routes ...endpoint) []endpoint {
 // pool and goes back to it once the cache has answered: p may alias
 // its slices, and the solve that reads them runs on this goroutine,
 // inside cached (collapsed waiters only read the leader's bytes).
-func (rt *route[Q, P]) serve(s *Server, w http.ResponseWriter, r *http.Request, t *reqTiming) {
+func (rt *route[Q, P, R]) serve(s *Server, w http.ResponseWriter, r *http.Request, t *reqTiming) {
 	q := rt.req.get()
 	defer rt.req.put(q)
 	if !decodeRequest(w, r, rt.req, q) {
@@ -105,71 +108,76 @@ func (rt *route[Q, P]) serve(s *Server, w http.ResponseWriter, r *http.Request, 
 // rt.admit, and sweep points, whose request already holds a slot for
 // the whole fan-out, pass false. An admitted solve records its wait
 // and service into t.
-func (rt *route[Q, P]) cached(s *Server, ctx context.Context, t *reqTiming, p P, admit bool) ([]byte, outcome, error) {
+func (rt *route[Q, P, R]) cached(s *Server, ctx context.Context, t *reqTiming, p P, admit bool) ([]byte, outcome, error) {
 	k := newKeyWriter()
 	defer k.free()
 	return s.cache.get(rt.keys.key(k, rt.tag, &p), func() ([]byte, error) {
 		if !admit {
 			return rt.render(s, p)
 		}
-		return s.admit(ctx, t, func() ([]byte, error) { return rt.render(s, p) })
+		if err := s.admit(ctx, t); err != nil {
+			return nil, err
+		}
+		defer s.endService(t, s.clk.Now())
+		return rt.render(s, p)
 	})
 }
 
-// render solves p and marshals the response into its canonical cached
-// form (compact JSON, no trailing newline).
-func (rt *route[Q, P]) render(s *Server, p P) ([]byte, error) {
+// render solves p and renders the response into its canonical cached
+// form: the bytes json.Marshal would give, compact, with no trailing
+// newline.
+func (rt *route[Q, P, R]) render(s *Server, p P) ([]byte, error) {
 	out, err := rt.solve(s, p)
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.Marshal(out)
+	data, err := rt.resp.render(&out)
 	if err != nil {
 		return nil, fmt.Errorf("encoding response: %w", err)
 	}
 	return data, nil
 }
 
-// admit runs solve under admission control: it claims a solver slot
-// for the duration of the solve, and records the wait and the
-// occupancy, as the request's service time, into t. The request
-// deadline is armed here, where a request first can block on its
-// context, so it bounds admission wait plus solve, and cache hits never
-// start a timer.
-func (s *Server) admit(ctx context.Context, t *reqTiming, solve func() ([]byte, error)) ([]byte, error) {
+// admit claims a solver slot for one solve and records the queue wait
+// into t; the caller frees the slot with endService. A request that
+// finds a free slot takes it at once. Only one that has to queue arms
+// the request deadline, which bounds its wait for a slot: the solve
+// itself never reads the context. Cache hits and requests admitted
+// without a wait start no timer.
+func (s *Server) admit(ctx context.Context, t *reqTiming) error {
+	start := s.clk.Now()
+	if s.adm.try(start, t) {
+		return nil
+	}
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
-	release, err := s.adm.acquire(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	defer s.beginService(t)()
-	return solve()
+	return s.adm.wait(ctx, start, t)
 }
 
 // A plan is a type compiled once, when its route or handler is set up,
-// for the two walks a request makes over its values: the decoder reads
-// a request struct from JSON through its request plan, and the key
-// writer encodes a params struct through its key plan. Every op knows
-// its value's kind and reaches struct fields by offset, and float64
-// slices and matrices have typed loops, so neither walk consults
-// reflect per value. Only slices of other element types (structs, in
-// /v1/fit's observations and /v1/sweep's points) go through reflect, to
-// grow them and to find each element.
+// for the three walks a request makes over its values: the decoder
+// reads a request struct from JSON through its request plan, the key
+// writer encodes a params struct through its key plan, and on a miss
+// the renderer writes the response struct as JSON through its response
+// plan (render.go). Every op knows its value's kind and reaches struct
+// fields by offset, and float64 slices and matrices have typed loops,
+// so no walk consults reflect per value. Only slices of other element
+// types (structs, in /v1/fit's observations and /v1/sweep's points) go
+// through reflect, to grow them and to find each element.
 
 // opKind is what an op reads or writes.
 type opKind uint8
 
 const (
-	opInt       opKind = iota // int; in a key plan any type of kind int
+	opInt       opKind = iota // int; in a key or response plan any type of kind int
 	opFloat                   // float64
-	opBool                    // bool
+	opBool                    // bool; request and key plans only
 	opString                  // string; request plans only
 	opFloats                  // []float64
-	opFloatRows               // [][]float64
-	opSlice                   // a slice of any other element type
+	opFloatRows               // [][]float64; request and key plans only
+	opSlice                   // a slice of any other element type; request and key plans only
 	opStruct                  // a struct
+	opFloatPtr                // *float64; response plans only
 )
 
 // op is the compiled walk over one value.
@@ -178,13 +186,38 @@ type op struct {
 	slice  reflect.Type // opSlice: the slice type
 	elem   *op          // opSlice: the element's op
 	fields []field      // opStruct: the fields, in order
+	// index finds a field by its exact name, in a request plan's
+	// opStruct: an open-addressed table, hashed by nameHash, of field
+	// index + 1, 0 for an empty slot.
+	index []uint8
 }
 
 // field is one struct field of an opStruct.
 type field struct {
-	name string  // the json tag, in a request plan
+	name string  // the json tag's name, in request and response plans
 	off  uintptr // the field's offset in its struct
 	op   op
+	omit bool // response plans: omitempty, which only a *float64 may carry
+}
+
+// planFor is the walk a plan is compiled for.
+type planFor uint8
+
+const (
+	forRequest planFor = iota
+	forKey
+	forResponse
+)
+
+// String completes compile's panic messages.
+func (to planFor) String() string {
+	switch to {
+	case forRequest:
+		return "the request reader cannot fill"
+	case forKey:
+		return "a cache key cannot encode"
+	}
+	return "the response renderer cannot write"
 }
 
 // requestPlan is the compiled reader of request struct type T, with a
@@ -203,7 +236,7 @@ type keyPlan[T any] struct{ op op }
 // is not int, float64, bool, string, a slice of a readable type or a
 // request struct.
 func newRequestPlan[T any]() *requestPlan[T] {
-	pl := &requestPlan[T]{op: compile(reflect.TypeFor[T](), true)}
+	pl := &requestPlan[T]{op: compile(reflect.TypeFor[T](), forRequest)}
 	pl.clr = newClearPlan(&pl.op)
 	return pl
 }
@@ -228,47 +261,126 @@ func (pl *requestPlan[T]) put(q *T) {
 // newKeyPlan compiles T's key plan. It panics unless the key writer
 // encodes every value of T: ints, float64s and bools, and slices and
 // structs of them.
-func newKeyPlan[T any]() *keyPlan[T] { return &keyPlan[T]{compile(reflect.TypeFor[T](), false)} }
+func newKeyPlan[T any]() *keyPlan[T] { return &keyPlan[T]{compile(reflect.TypeFor[T](), forKey)} }
 
-// compile builds t's op for a request plan (wire) or a key plan.
-func compile(t reflect.Type, wire bool) op {
+var (
+	float64Type   = reflect.TypeFor[float64]()
+	marshalerType = reflect.TypeFor[json.Marshaler]()
+	textType      = reflect.TypeFor[encoding.TextMarshaler]()
+)
+
+// compile builds t's op for the walk to.
+func compile(t reflect.Type, to planFor) op {
 	k := t.Kind()
-	if wire && k != reflect.Slice && k != reflect.Struct && t.PkgPath() != "" {
-		panic(fmt.Sprintf("serve: the request reader cannot fill a %s", t))
+	if to != forKey && k != reflect.Slice && k != reflect.Struct && t.PkgPath() != "" ||
+		to == forResponse && marshals(t) {
+		panic(fmt.Sprintf("serve: %s a %s", to, t))
 	}
 	switch {
 	case k == reflect.Int:
 		return op{kind: opInt}
 	case k == reflect.Float64:
 		return op{kind: opFloat}
-	case k == reflect.Bool:
+	case k == reflect.Bool && to != forResponse:
 		return op{kind: opBool}
-	case k == reflect.String && wire:
+	case k == reflect.String && to == forRequest:
 		return op{kind: opString}
+	case k == reflect.Pointer && to == forResponse && t.Elem() == float64Type:
+		return op{kind: opFloatPtr}
 	case k == reflect.Slice:
-		elem := compile(t.Elem(), wire)
-		switch elem.kind {
-		case opFloat:
+		elem := compile(t.Elem(), to)
+		switch {
+		case elem.kind == opFloat:
 			return op{kind: opFloats}
-		case opFloats:
+		case elem.kind == opFloats && to != forResponse:
 			return op{kind: opFloatRows}
+		case to != forResponse:
+			return op{kind: opSlice, slice: t, elem: &elem}
 		}
-		return op{kind: opSlice, slice: t, elem: &elem}
 	case k == reflect.Struct:
 		fields := make([]field, t.NumField())
 		for i := range fields {
-			f := t.Field(i)
-			fields[i] = field{off: f.Offset, op: compile(f.Type, wire)}
-			if wire {
-				fields[i].name, _, _ = strings.Cut(f.Tag.Get("json"), ",")
-				if fields[i].name == "" || !f.IsExported() {
-					panic(fmt.Sprintf("serve: request field %s.%s needs a json tag and an exported name", t, f.Name))
-				}
+			fields[i] = compileField(t, i, to)
+		}
+		o := op{kind: opStruct, fields: fields}
+		if to == forRequest {
+			o.index = fieldIndex(t, fields)
+		}
+		return o
+	}
+	panic(fmt.Sprintf("serve: %s a %s", to, t))
+}
+
+// marshals reports whether encoding/json would write a t through a
+// method of t or *t rather than by its kind.
+func marshals(t reflect.Type) bool {
+	pt := reflect.PointerTo(t)
+	return t.Implements(marshalerType) || pt.Implements(marshalerType) || t.Implements(textType) || pt.Implements(textType)
+}
+
+// compileField builds the field of struct t at index i for the walk to.
+// Request and response fields need an exported name and a json tag; a
+// response field's name must need no escaping, and only a *float64 may
+// be omitempty.
+func compileField(t reflect.Type, i int, to planFor) field {
+	sf := t.Field(i)
+	f := field{off: sf.Offset, op: compile(sf.Type, to)}
+	if to == forKey {
+		return f
+	}
+	name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
+	if name == "" || !sf.IsExported() {
+		panic(fmt.Sprintf("serve: field %s.%s needs a json tag and an exported name", t, sf.Name))
+	}
+	f.name = name
+	if to == forResponse {
+		f.omit = opts == "omitempty"
+		if !plainName(name) || (opts != "" && !f.omit) || (f.omit && f.op.kind != opFloatPtr) {
+			panic(fmt.Sprintf("serve: the response renderer cannot write field %s.%s tagged %q", t, sf.Name, sf.Tag.Get("json")))
+		}
+	}
+	return f
+}
+
+// plainName reports whether a json name is made of ASCII letters,
+// digits and underscores, which encoding/json writes as they are.
+func plainName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || isDigit(c) || c == '_') {
+			return false
+		}
+	}
+	return true
+}
+
+// fieldIndex builds the exact-name table of struct t's fields, a power
+// of two at least twice their count, so every probe sequence ends at an
+// empty slot. Two fields of one name would make encoding/json drop both,
+// so compiling refuses them.
+func fieldIndex(t reflect.Type, fields []field) []uint8 {
+	if len(fields) > 255 {
+		panic(fmt.Sprintf("serve: request struct %s has more than 255 fields", t))
+	}
+	n := 1
+	for n < 2*len(fields) {
+		n <<= 1
+	}
+	index := make([]uint8, n)
+	for i := range fields {
+		h := nameHash(fields[i].name) & (n - 1)
+		for ; index[h] != 0; h = (h + 1) & (n - 1) {
+			if fields[index[h]-1].name == fields[i].name {
+				panic(fmt.Sprintf("serve: request struct %s tags two fields %q", t, fields[i].name))
 			}
 		}
-		return op{kind: opStruct, fields: fields}
-	case wire:
-		panic(fmt.Sprintf("serve: the request reader cannot fill a %s", t))
+		index[h] = uint8(i + 1)
 	}
-	panic(fmt.Sprintf("serve: a cache key cannot encode a %s", t))
+	return index
+}
+
+// nameHash mixes a non-empty name's length with its first and last
+// bytes, which already tell every request field from its neighbours.
+func nameHash[S string | []byte](s S) int {
+	return 7*len(s) + int(s[0]) + 3*int(s[len(s)-1])
 }

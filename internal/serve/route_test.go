@@ -40,14 +40,17 @@ type testRoute interface {
 	parse(body []byte) (any, error)
 	keyOf(k *keyWriter, p any) []byte
 	solveParsed(s *Server, p any) (any, error)
+	solveOnly(s *Server, p any) error
+	renderSolved(out any) ([]byte, error)
+	renderAgainstMarshal(fill func(reflect.Value)) (got, want []byte, errGot, errWant error)
 	paramsType() reflect.Type
 }
 
-func (rt *route[Q, P]) paramsType() reflect.Type { return reflect.TypeFor[P]() }
+func (rt *route[Q, P, R]) paramsType() reflect.Type { return reflect.TypeFor[P]() }
 
 // decodePooled reads r into a request from the route's pool, as serve
 // does, and returns it to the pool.
-func (rt *route[Q, P]) decodePooled(r io.Reader) error {
+func (rt *route[Q, P, R]) decodePooled(r io.Reader) error {
 	q := rt.req.get()
 	defer rt.req.put(q)
 	return rt.decodeInto(r, q)
@@ -55,13 +58,13 @@ func (rt *route[Q, P]) decodePooled(r io.Reader) error {
 
 // decodeFresh reads r into a fresh request as decodeRequest does and
 // returns a pointer to it.
-func (rt *route[Q, P]) decodeFresh(r io.Reader) (any, error) {
+func (rt *route[Q, P, R]) decodeFresh(r io.Reader) (any, error) {
 	q := new(Q)
 	return q, rt.decodeInto(r, q)
 }
 
 // decodeInto reads r into q as decodeRequest does.
-func (rt *route[Q, P]) decodeInto(r io.Reader, q *Q) error {
+func (rt *route[Q, P, R]) decodeInto(r io.Reader, q *Q) error {
 	d := decoderPool.Get().(*decoder)
 	defer d.free()
 	if err := d.load(r); err != nil {
@@ -72,11 +75,11 @@ func (rt *route[Q, P]) decodeInto(r io.Reader, q *Q) error {
 
 // keyOf renders into k the key of the params p points to, which must be
 // of the route's params type.
-func (rt *route[Q, P]) keyOf(k *keyWriter, p any) []byte { return rt.keys.key(k, rt.tag, p.(*P)) }
+func (rt *route[Q, P, R]) keyOf(k *keyWriter, p any) []byte { return rt.keys.key(k, rt.tag, p.(*P)) }
 
 // parse decodes body and validates it into the route's params as serve
 // does, returning a pointer to them.
-func (rt *route[Q, P]) parse(body []byte) (any, error) {
+func (rt *route[Q, P, R]) parse(body []byte) (any, error) {
 	q, err := rt.decodeFresh(bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -87,8 +90,32 @@ func (rt *route[Q, P]) parse(body []byte) (any, error) {
 
 // solveParsed runs the route's solve on the params p points to, as a
 // cache miss does before marshalling the response.
-func (rt *route[Q, P]) solveParsed(s *Server, p any) (any, error) {
+func (rt *route[Q, P, R]) solveParsed(s *Server, p any) (any, error) {
 	return rt.solve(s, *p.(*P))
+}
+
+// solveOnly runs the route's solve on the params p points to and drops
+// the response, which it so never boxes.
+func (rt *route[Q, P, R]) solveOnly(s *Server, p any) error {
+	_, err := rt.solve(s, *p.(*P))
+	return err
+}
+
+// renderSolved renders out, a response solveParsed returned, through
+// the route's response plan.
+func (rt *route[Q, P, R]) renderSolved(out any) ([]byte, error) {
+	v := out.(R)
+	return rt.resp.render(&v)
+}
+
+// renderAgainstMarshal fills a response value with fill and renders it
+// both through the route's response plan and with json.Marshal.
+func (rt *route[Q, P, R]) renderAgainstMarshal(fill func(reflect.Value)) (got, want []byte, errGot, errWant error) {
+	var v R
+	fill(reflect.ValueOf(&v).Elem())
+	got, errGot = rt.resp.render(&v)
+	want, errWant = json.Marshal(v)
+	return got, want, errGot, errWant
 }
 
 // sampleParams returns a fresh pointer to the params of e's sample
@@ -144,6 +171,14 @@ func TestRouteTableTags(t *testing.T) {
 	}
 }
 
+// selfMarshaled is a struct encoding/json writes through its own
+// method, not field by field.
+type selfMarshaled struct {
+	X float64 `json:"x"`
+}
+
+func (selfMarshaled) MarshalJSON() ([]byte, error) { return []byte(`"x"`), nil }
+
 // TestPlansRejectUnhandledTypes: a type the decoder or the key writer
 // cannot walk fails when its plan is compiled, at set-up, not in the
 // middle of a request.
@@ -166,8 +201,36 @@ func TestPlansRejectUnhandledTypes(t *testing.T) {
 				S []struct{ X int } `json:"s"`
 			}]()
 		},
-		"key: string":  func() { newKeyPlan[struct{ S string }]() },
-		"key: pointer": func() { newKeyPlan[struct{ P *float64 }]() },
+		"request: two fields of one name": func() {
+			compile(reflect.StructOf([]reflect.StructField{
+				{Name: "A", Type: reflect.TypeFor[int](), Tag: `json:"a"`},
+				{Name: "B", Type: reflect.TypeFor[int](), Tag: `json:"a"`},
+			}), forRequest)
+		},
+		"key: string":        func() { newKeyPlan[struct{ S string }]() },
+		"key: pointer":       func() { newKeyPlan[struct{ P *float64 }]() },
+		"response: untagged": func() { newResponsePlan[struct{ X float64 }]() },
+		"response: bool": func() {
+			newResponsePlan[struct {
+				B bool `json:"b"`
+			}]()
+		},
+		"response: matrix": func() {
+			newResponsePlan[struct {
+				M [][]float64 `json:"m"`
+			}]()
+		},
+		"response: omitempty float": func() {
+			newResponsePlan[struct {
+				X float64 `json:"x,omitempty"`
+			}]()
+		},
+		"response: name to escape": func() {
+			newResponsePlan[struct {
+				X float64 `json:"a<b"`
+			}]()
+		},
+		"response: marshaler": func() { newResponsePlan[selfMarshaled]() },
 	} {
 		func() {
 			defer func() {

@@ -27,11 +27,12 @@
 // requests finish.
 //
 // Adding a solve endpoint takes its wire types (a request struct whose
-// fields carry json tags, and a response struct), a params function
+// fields carry json tags, and a response struct of tagged int, float64,
+// []float64 and *float64 fields), a params function
 // that validates the request into the solve's parameter struct, a solve
 // function from those parameters to the response, and one row in
 // solveRoutes (route.go). The route supplies decoding, the cache key,
-// caching, admission, marshalling and the error answers.
+// caching, admission, rendering and the error answers.
 package serve
 
 import (
@@ -61,10 +62,11 @@ type Config struct {
 	// QueueWait caps how long one request waits for a worker before a
 	// 429. Defaults to 1s.
 	QueueWait time.Duration
-	// RequestTimeout is the per-request deadline, armed when a request
-	// first waits for admission: it bounds admission wait plus solve
-	// (and a sweep's fan-out). Cache hits never start it. Defaults to
-	// 10s.
+	// RequestTimeout is the per-request deadline. A solve request arms
+	// it only when it has to queue for a solver slot, and it bounds that
+	// wait; the solve itself never reads it. A sweep arms it for its
+	// admission wait and its whole fan-out. Cache hits and requests
+	// admitted without a wait never start it. Defaults to 10s.
 	RequestTimeout time.Duration
 	// CacheSize is the solve-cache capacity in entries; <= -1 disables
 	// memoization (singleflight collapse stays on). 0 means the
@@ -323,8 +325,8 @@ func (s *Server) api(path string, h apiHandler) {
 }
 
 // reqTiming is one request's timing split, which instrument hands its
-// handler: admission records the queue wait, the slot-occupancy
-// wrapper records service time, and instrument derives overhead (total
+// handler: admission records the queue wait, endService records service
+// time, and instrument derives overhead (total
 // − wait − service) at the end. All writes happen on the request
 // goroutine — sweep fan-out workers never touch it — so plain fields
 // suffice.
@@ -338,26 +340,24 @@ type reqTiming struct {
 // its queue wait and service time into t.
 type apiHandler func(w http.ResponseWriter, r *http.Request, t *reqTiming)
 
-// beginService starts a slot-occupancy measurement; the returned func
-// records it, into t too unless t is nil, when the slot work finishes.
-// Cache hits never hold a slot, so they contribute no service sample —
+// endService records the slot occupancy that began at start as one
+// service visit, into t too unless t is nil, and frees the slot. Cache
+// hits never hold a slot, so they contribute no service sample —
 // exactly the model's view, in which a memoized answer costs no server
 // visit.
-func (s *Server) beginService(t *reqTiming) func() {
-	start := s.clk.Now()
-	return func() {
-		// Fractional microseconds: a ~1µs solve must stay positive, or
-		// the calibrator would see So = 0 windows it cannot fit.
-		us := float64(s.clk.Now().Sub(start)) / float64(time.Microsecond)
-		if us < 0 {
-			us = 0
-		}
-		s.met.service.Observe(us)
-		if t != nil {
-			t.serviceUS += us
-			t.served = true
-		}
+func (s *Server) endService(t *reqTiming, start time.Time) {
+	// Fractional microseconds: a ~1µs solve must stay positive, or the
+	// calibrator would see So = 0 windows it cannot fit.
+	us := float64(s.clk.Now().Sub(start)) / float64(time.Microsecond)
+	if us < 0 {
+		us = 0
 	}
+	s.met.service.Observe(us)
+	if t != nil {
+		t.serviceUS += us
+		t.served = true
+	}
+	s.adm.release()
 }
 
 // statusRecorder captures the response status for metrics.
@@ -385,8 +385,9 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // unchanged: no context value, no copy of the request. The cap stays a
 // MaxBytesReader because it also marks an oversized request's
 // connection for close. The per-request deadline is armed later, only
-// where a request can block on its context (admission and sweep
-// fan-out), so cache hits and rejected requests start no timer.
+// where a request blocks on its context (a queued admission and a
+// sweep), so cache hits, rejected requests and requests admitted
+// without a wait start no timer.
 func (s *Server) instrument(route string, h apiHandler) http.Handler {
 	rs := s.met.route(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocguard"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/leakguard"
@@ -50,6 +51,15 @@ func post(t *testing.T, url, body string) (*http.Response, string) {
 }
 
 const validAllToAll = `{"p":32,"w":1000,"st":40,"so":200,"c2":0}`
+
+// acquire claims a slot as the server's own callers do and returns the
+// func that frees it, for tests that hold a slot across other requests.
+func (a *admission) acquire(ctx context.Context, t *reqTiming) (release func(), err error) {
+	if err := a.claim(ctx, t); err != nil {
+		return nil, err
+	}
+	return a.release, nil
+}
 
 // TestHandlerTable drives every endpoint through its request-shape and
 // validation failure modes.
@@ -245,6 +255,58 @@ func TestSweepUsesCache(t *testing.T) {
 	}
 	if hits := s.met.cacheHits.Value(); hits == 0 {
 		t.Error("sweep over a cached point recorded no cache hit")
+	}
+}
+
+// TestSweepBodyMatchesMarshal: a sweep's body, joined from its points'
+// cached bytes, is what json.Marshal gives for the points, the jobs and
+// the single-solve bodies as raw messages, plus a newline; a point
+// cached before the sweep (a hit) and fresh ones (misses) alike.
+func TestSweepBodyMatchesMarshal(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	points := []string{validAllToAll, `{"p":16,"w":2e-7,"st":1e-7,"so":40,"c2":0.5}`, `{"p":8,"w":123.456,"st":4,"so":9,"n":3}`}
+	_, _ = post(t, ts.URL+"/v1/alltoall", points[0])
+	resp, body := post(t, ts.URL+"/v1/sweep", `{"points":[`+strings.Join(points, ",")+`],"jobs":3}`)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("sweep: status %d, Content-Type %q: %s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
+	}
+	want := struct {
+		Points  int               `json:"points"`
+		Jobs    int               `json:"jobs"`
+		Results []json.RawMessage `json:"results"`
+	}{Points: len(points), Jobs: 3}
+	for _, p := range points {
+		_, single := post(t, ts.URL+"/v1/alltoall", p)
+		want.Results = append(want.Results, json.RawMessage(strings.TrimSuffix(single, "\n")))
+	}
+	data, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != string(data)+"\n" {
+		t.Errorf("sweep body\n%s\nwant\n%s", body, data)
+	}
+}
+
+// TestAdmitFreeSlotArmsNoTimer: a request that finds a free solver slot
+// is admitted without a context.WithTimeout, or any other allocation.
+func TestAdmitFreeSlotArmsNoTimer(t *testing.T) {
+	if allocguard.Race {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	var timing reqTiming
+	got := testing.AllocsPerRun(100, func() {
+		if err := s.admit(context.Background(), &timing); err != nil {
+			t.Fatal(err)
+		}
+		s.endService(&timing, s.clk.Now())
+	})
+	if got != 0 {
+		t.Errorf("admit on a free slot: %.1f allocs, want 0", got)
+	}
+	if !timing.served {
+		t.Error("endService recorded no service visit")
 	}
 }
 
