@@ -187,7 +187,10 @@ func AllToAllFrom(p Params, r0 float64, o obs.SolveObserver) (AllToAllResult, er
 		err = fmt.Errorf("core: all-to-all fixed point: %w", err)
 	}
 	if err != nil {
-		done(stats, err)
+		stats.Err = err.Error()
+	}
+	done(stats)
+	if err != nil {
 		return AllToAllResult{}, err
 	}
 	res := AllToAllResult{
@@ -200,7 +203,6 @@ func AllToAllFrom(p Params, r0 float64, o obs.SolveObserver) (AllToAllResult, er
 		UpperBound:     upper,
 		Solve:          stats,
 	}
-	done(stats, nil)
 	return res, nil
 }
 

@@ -139,11 +139,13 @@ func ClientServerObserved(p ClientServerParams, o obs.SolveObserver) (ClientServ
 		err = fmt.Errorf("core: client-server fixed point: %w", err)
 	}
 	if err != nil {
-		done(stats, err)
+		stats.Err = err.Error()
+	}
+	done(stats)
+	if err != nil {
 		return ClientServerResult{}, err
 	}
 	res := ClientServerResult{X: it.x, R: it.r, Rs: rs, Qs: it.x / ps * rs, Us: it.us, Solve: stats}
-	done(stats, nil)
 	return res, nil
 }
 

@@ -281,15 +281,20 @@ func GeneralObserved(p GeneralParams, o obs.SolveObserver) (GeneralResult, error
 	stats.Iters, stats.Residual, stats.Converged = fp.Iters, fp.Residual, fp.Converged
 	if err != nil {
 		err = fmt.Errorf("core: general fixed point: %w", err)
-		done(stats, err)
-		return GeneralResult{}, err
-	}
-	for k := 0; k < P; k++ {
-		if s.uq[k] >= generalMaxUtil {
-			err := fmt.Errorf("core: node %d saturated at the fixed point (Uq = %v)", k, s.uq[k])
-			done(stats, err)
-			return GeneralResult{}, err
+	} else {
+		for k := 0; k < P; k++ {
+			if s.uq[k] >= generalMaxUtil {
+				err = fmt.Errorf("core: node %d saturated at the fixed point (Uq = %v)", k, s.uq[k])
+				break
+			}
 		}
+	}
+	if err != nil {
+		stats.Err = err.Error()
+	}
+	done(stats)
+	if err != nil {
+		return GeneralResult{}, err
 	}
 	res := GeneralResult{
 		R: s.r, X: s.x, Rw: s.rw, Rq: s.rq, Ry: s.ry,
@@ -299,7 +304,6 @@ func GeneralObserved(p GeneralParams, o obs.SolveObserver) (GeneralResult, error
 	for c := 0; c < P; c++ {
 		res.TotalX += s.x[c]
 	}
-	done(stats, nil)
 	return res, nil
 }
 

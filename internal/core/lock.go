@@ -164,11 +164,13 @@ func LockObserved(p LockParams, o obs.SolveObserver) (LockResult, error) {
 		err = fmt.Errorf("core: lock fixed point: %w", err)
 	}
 	if err != nil {
-		done(stats, err)
+		stats.Err = err.Error()
+	}
+	done(stats)
+	if err != nil {
 		return LockResult{}, err
 	}
 	res := LockResult{X: it.x, R: it.r, Rs: rs, Wait: rs - p.So, Q: it.x * rs, U: it.u, Solve: stats}
-	done(stats, nil)
 	return res, nil
 }
 
@@ -343,12 +345,14 @@ func LockFreeObserved(p LockFreeParams, o obs.SolveObserver) (LockFreeResult, er
 		err = fmt.Errorf("core: lock-free fixed point: %w", err)
 	}
 	if err != nil {
-		done(stats, err)
+		stats.Err = err.Error()
+	}
+	done(stats)
+	if err != nil {
 		return LockFreeResult{}, err
 	}
 	x := n / r
 	res := LockFreeResult{X: x, R: r, Attempts: it.attempts, Conflict: it.q, U: x * p.St, Solve: stats}
-	done(stats, nil)
 	return res, nil
 }
 

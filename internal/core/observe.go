@@ -31,18 +31,14 @@ const (
 	guardRetryStorm
 )
 
-// beginSolve starts an observation on o, tolerating a nil observer: the
-// returned func reports the solve (folding err into the stats) and is
-// safe to call unconditionally.
-func beginSolve(o obs.SolveObserver, solver string) func(obs.SolveStats, error) {
+// beginSolve starts an observation on o and returns o's own completion
+// func, or, for a nil o, one that does nothing; either is safe to call
+// unconditionally. A solver calls it once, with its error's text in the
+// stats' Err, and wraps nothing around it, so an observed solve makes
+// no allocation of its own.
+func beginSolve(o obs.SolveObserver, solver string) func(obs.SolveStats) {
 	if o == nil {
-		return func(obs.SolveStats, error) {}
+		return func(obs.SolveStats) {}
 	}
-	done := o.BeginSolve(solver)
-	return func(s obs.SolveStats, err error) {
-		if err != nil {
-			s.Err = err.Error()
-		}
-		done(s)
-	}
+	return o.BeginSolve(solver)
 }

@@ -107,10 +107,11 @@ func BenchmarkScalarSolveInstrumentedRegistry(b *testing.B) {
 }
 
 // observedSolveAllocsMax caps the allocations of one all-to-all solve
-// observed by a registry-backed ConvRecorder: the two completion
-// closures (the recorder's and the solver's). Resolving the registry
-// instruments on every solve cost 17.
-const observedSolveAllocsMax = 2
+// observed by a registry-backed ConvRecorder: the recorder's completion
+// closure, which the solver calls as it is. Resolving the registry
+// instruments on every solve cost 17, and a solver-side wrapper around
+// the closure one more.
+const observedSolveAllocsMax = 1
 
 // TestObservedSolveAllocs guards the observed solve's allocation count:
 // after a solver's first solve, mirroring into the registry goes

@@ -275,20 +275,21 @@ var freshGeneral = func() func([]byte, int) []byte {
 // missSamples holds, for every route in solveRoutes and /v1/sweep, a
 // generator of valid bodies, each a fresh cache key, and the most
 // allocations a miss on one may make, server side, as measured with the
-// response plans, the cached-bytes sweep and timer-free admission
+// response plans, the cached-bytes sweep, timer-free admission and
+// solvers that hand the observer's own completion func its stats
 // (BENCH_serve.json "results").
 var missSamples = map[string]struct {
 	body      func([]byte, int) []byte
 	maxAllocs float64
 }{
-	"/v1/alltoall": {freshBody(`{"p":32,"w":`, 100, `,"st":40,"so":200}`), 10},
-	"/v1/workpile": {freshBody(`{"p":32,"ps":8,"w":`, 1500, `,"st":40,"so":131,"c2":0.5}`), 10},
-	"/v1/general":  {freshGeneral, 14},
+	"/v1/alltoall": {freshBody(`{"p":32,"w":`, 100, `,"st":40,"so":200}`), 9},
+	"/v1/workpile": {freshBody(`{"p":32,"ps":8,"w":`, 1500, `,"st":40,"so":131,"c2":0.5}`), 9},
+	"/v1/general":  {freshGeneral, 13},
 	"/v1/bounds":   {freshBody(`{"p":32,"ps":8,"w":`, 1500, `,"st":40,"so":131,"c2":0.5}`), 8},
-	"/v1/fit":      {freshBody(`{"p":16,"c2":`, 1, `e-9,"observations":[{"w":0,"r":900},{"w":256,"r":1150},{"w":512,"r":1400},{"w":1024,"r":1900},{"w":2048,"r":2950}]}`), 182},
-	"/v1/lock":     {freshBody(`{"threads":8,"w":`, 800, `,"st":20,"so":100,"c2":1}`), 10},
-	"/v1/lockfree": {freshBody(`{"threads":8,"w":`, 400, `,"st":5,"so":60,"c2":1}`), 11},
-	"/v1/sweep":    {freshSweep, 277},
+	"/v1/fit":      {freshBody(`{"p":16,"c2":`, 1, `e-9,"observations":[{"w":0,"r":900},{"w":256,"r":1150},{"w":512,"r":1400},{"w":1024,"r":1900},{"w":2048,"r":2950}]}`), 98},
+	"/v1/lock":     {freshBody(`{"threads":8,"w":`, 800, `,"st":20,"so":100,"c2":1}`), 9},
+	"/v1/lockfree": {freshBody(`{"threads":8,"w":`, 400, `,"st":5,"so":60,"c2":1}`), 10},
+	"/v1/sweep":    {freshSweep, 245},
 }
 
 // TestMissAllocs guards the allocation count of a cache miss on every

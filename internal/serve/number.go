@@ -177,11 +177,14 @@ func exactFloat(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 	return 0, false
 }
 
-// The Eisel–Lemire conversion's powers of ten, 10^q for q in
+// The powers of ten of both number conversions, 10^q for q in
 // [pow10MantMin, pow10MantMax]: row q is ⌊10^q·2^s⌋ for the s that puts
 // it in [2^127, 2^128), as its low and high 64-bit halves. The binary
-// exponent s is implied by q (eiselLemire computes it), so the rows
-// hold only mantissas.
+// exponent s = 127 − pow10Log2(q) is implied by q, so the rows hold
+// only mantissas. Parsing multiplies by a row as it stands
+// (eiselLemire); formatting (shortest.go) by Schubfach's
+// g(k) = ⌊10^-k·2^-r⌋ + 1, with r putting it in [2^125, 2^126), which is
+// ⌊row(-k)/4⌋ + 1 for every k (TestPow10TableServesFormatter).
 const (
 	pow10MantMin = -348
 	pow10MantMax = 347
@@ -219,6 +222,17 @@ var pow10Mant = func() (t [pow10MantMax - pow10MantMin + 1][2]uint64) {
 	return t
 }()
 
+// pow10Log2 returns ⌊log2 10^q⌋ for q in the table's range.
+func pow10Log2(q int) int { return 217706 * q >> 16 }
+
+// schubfachG returns g(k) for -k in the table's range, as its high and
+// low 64-bit halves.
+func schubfachG(k int) (g1, g0 uint64) {
+	row := &pow10Mant[-k-pow10MantMin]
+	g0, carry := bits.Add64(row[0]>>2|row[1]<<62, 1, 0)
+	return row[1]>>2 + carry, g0
+}
+
 // eiselLemire converts man·10^exp10 to the nearest float64, or reports
 // that it cannot decide: a halfway case, a subnormal or infinite
 // result, or an exponent outside the table. It is a port of
@@ -242,7 +256,7 @@ func eiselLemire(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 	clz := bits.LeadingZeros64(man)
 	man <<= uint(clz)
 	const float64ExponentBias = 1023
-	retExp2 := uint64(217706*exp10>>16+64+float64ExponentBias) - uint64(clz)
+	retExp2 := uint64(pow10Log2(exp10)+64+float64ExponentBias) - uint64(clz)
 
 	// Multiplication.
 	row := &pow10Mant[exp10-pow10MantMin]

@@ -17,7 +17,9 @@ import (
 //   - fields in struct order as "name":value, compact, and a nil
 //     *float64 tagged omitempty left out;
 //   - a float64 in strconv's shortest 'f' form, or its 'e' form (with
-//     e-09 cut to e-9) outside [1e-6, 1e21), and -0 as -0;
+//     e-09 cut to e-9) outside [1e-6, 1e21), and -0 as -0, written by
+//     appendShortest (shortest.go), which TestAppendShortestMatchesStrconv
+//     and FuzzAppendFloat hold to strconv byte for byte;
 //   - a NaN or infinite float64 fails with the *json.UnsupportedValueError
 //     json.Marshal returns, which names the value the same way;
 //   - a nil slice or pointer as null, an empty slice as [].
@@ -119,18 +121,5 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
-	format := byte('f')
-	//lopc:allow floateq zero is encoding/json's own exact test: only ±0 keeps the 'f' form below 1e-6
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// Cut a two-digit negative exponent's leading zero: e-09 to e-9.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
+	return appendShortest(b, f), nil
 }
